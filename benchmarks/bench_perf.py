@@ -4,7 +4,7 @@ Not a paper artefact -- a library health metric: rounds/second of the
 full simulation stack (fault planning, n^2 messaging, MSR computation,
 trace recording) as the system grows, plus the speedup axes of the
 sweep subsystem: the trace-lite round kernel vs full traces, parallel
-vs serial grid execution, in-worker cell batching, and the cell cache.
+vs serial grid execution, cross-run stacking, and the cell cache.
 
 Every datapoint is also merged into ``results/BENCH_perf.json`` (via
 the ``record_bench`` fixture) so the performance trajectory is
@@ -514,20 +514,13 @@ def _sweep_grid_64() -> GridSpec:
     )
 
 
-BATCH_SIZE = 16
-
-
-def _run_batched(grid, workers=4):
-    return run_sweep(grid, workers=workers, batch_size=BATCH_SIZE)
-
-
 def test_sweep_parallel_vs_serial(benchmark, record_artifact, record_bench):
-    """EXP-PERF-SWEEP: serial vs 4-worker vs batched 4-worker (64 cells).
+    """EXP-PERF-SWEEP: serial vs 4-worker sweep (64 cells).
 
     Bit-identical results are asserted unconditionally.  The
-    wall-clock bars -- batched dispatch not losing to unbatched, and
-    the batched sweep beating serial >= 1.5x -- require >= 4 CPUs and
-    fork-started workers: a pool cannot beat serial on one core (there
+    wall-clock bar -- the pooled sweep not losing to serial -- requires
+    >= 4 CPUs and fork-started workers: a pool cannot beat serial on
+    one core (there
     dispatch overhead has nothing to overlap with), and spawn-start
     platforms pay a per-worker interpreter boot this grid is not sized
     against.
@@ -540,40 +533,24 @@ def test_sweep_parallel_vs_serial(benchmark, record_artifact, record_bench):
     def measure():
         serial = run_sweep(grid, workers=1)
         parallel = run_sweep(grid, workers=4)
-        batched = _run_batched(grid)
         assert parallel.cells == serial.cells
-        assert batched.cells == serial.cells
         serial_s = _best_of(2, run_sweep, grid, 1)
         parallel_s = _best_of(2, run_sweep, grid, 4)
-        batched_s = _best_of(2, _run_batched, grid)
-        return serial_s, parallel_s, batched_s, batched.dispatch
+        return serial_s, parallel_s
 
-    serial_s, parallel_s, batched_s, batched_dispatch = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    serial_s, parallel_s = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = serial_s / parallel_s
-    batched_speedup = serial_s / batched_s
     record_artifact(
         "perf_sweep",
         render_table(
-            [
-                "cells",
-                "cpus",
-                "serial ms",
-                "4-worker ms",
-                f"4-worker batch={BATCH_SIZE} ms",
-                "speedup",
-                "batched speedup",
-            ],
+            ["cells", "cpus", "serial ms", "4-worker ms", "speedup"],
             [
                 [
                     len(grid),
                     cpus,
                     f"{serial_s * 1e3:.1f}",
                     f"{parallel_s * 1e3:.1f}",
-                    f"{batched_s * 1e3:.1f}",
                     f"{speedup:.2f}x",
-                    f"{batched_speedup:.2f}x",
                 ]
             ],
             title="EXP-PERF-SWEEP: serial vs 4-worker sweep (64 cells, lite)",
@@ -585,27 +562,15 @@ def test_sweep_parallel_vs_serial(benchmark, record_artifact, record_bench):
             "cells": len(grid),
             "cpus": cpus,
             "start_method": multiprocessing.get_start_method(),
-            "batch_size": BATCH_SIZE,
             "serial_ms": round(serial_s * 1e3, 1),
             "parallel4_ms": round(parallel_s * 1e3, 1),
-            "batched4_ms": round(batched_s * 1e3, 1),
             "parallel_speedup": round(speedup, 3),
-            "batched_speedup": round(batched_speedup, 3),
-            "batched_dispatch": batched_dispatch,
         },
     )
-    # The wall-clock bars need real parallelism: on a single CPU both
-    # parallel variants intrinsically trail serial (dispatch overhead
-    # with nothing to overlap), so there the numbers are recorded as
-    # datapoints only.
+    # The wall-clock bar needs real parallelism: on a single CPU the
+    # pool intrinsically trails serial (dispatch overhead with nothing
+    # to overlap), so there the numbers are recorded as datapoints only.
     if cpus >= 4 and fork_start:
-        assert batched_s <= parallel_s * 1.10, (
-            f"batched dispatch slower than unbatched: {batched_s:.3f}s vs "
-            f"{parallel_s:.3f}s"
-        )
-        assert batched_speedup >= 1.5, (
-            f"batched parallel sweep too slow: {batched_speedup:.2f}x"
-        )
         assert speedup >= 1.0, f"parallel sweep too slow: {speedup:.2f}x"
 
 
@@ -756,80 +721,6 @@ def test_sweep_cross_run_shm_vs_serial(
     # degraded rungs are covered by the cross_run gate above.
     if usable >= 2 and fork_start and pooled:
         assert speedup >= 1.5, f"shm cross-run only {speedup:.2f}x over serial"
-
-
-def _run_async(grid, workers=4):
-    return run_sweep(grid, workers=workers, backend="async")
-
-
-def test_sweep_async_vs_serial(benchmark, record_artifact, record_bench):
-    """EXP-PERF-ASYNC: the work-queue dispatcher on the 64-cell grid.
-
-    The async backend replaces the static ``batch_size`` partition
-    with dynamic chunking from a shared work queue (heaviest cells
-    first, chunk sizes calibrated from observed timings), dispatched
-    through in-worker shared-kernel batches.  Bit-identity with serial
-    execution is asserted unconditionally.  The wall-clock bar --
-    async beating serial >= 1.3x -- needs >= 2 usable CPUs and
-    fork-started workers; on one CPU the backend auto-falls back to
-    inline batched chunks (recorded in its dispatch label), where the
-    shared kernel still beats plain per-cell serial but the pool
-    cannot.
-    """
-    grid = _sweep_grid_64()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    fork_start = multiprocessing.get_start_method() == "fork"
-
-    def measure():
-        serial = run_sweep(grid, workers=1)
-        async_result = _run_async(grid)
-        assert async_result.cells == serial.cells
-        serial_s = _best_of(2, run_sweep, grid, 1)
-        async_s = _best_of(2, _run_async, grid)
-        return serial_s, async_s, async_result.dispatch
-
-    serial_s, async_s, dispatch = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    speedup = serial_s / async_s
-    record_artifact(
-        "perf_sweep_async",
-        render_table(
-            ["cells", "cpus", "serial ms", "async 4-worker ms", "speedup"],
-            [
-                [
-                    len(grid),
-                    cpus,
-                    f"{serial_s * 1e3:.1f}",
-                    f"{async_s * 1e3:.1f}",
-                    f"{speedup:.2f}x",
-                ]
-            ],
-            title=(
-                "EXP-PERF-ASYNC: async work-queue backend vs serial "
-                "(64 cells, lite)"
-            ),
-        ),
-    )
-    record_bench(
-        "sweep_async",
-        {
-            "cells": len(grid),
-            "cpus": cpus,
-            "start_method": multiprocessing.get_start_method(),
-            "serial_ms": round(serial_s * 1e3, 1),
-            "async4_ms": round(async_s * 1e3, 1),
-            "speedup": round(speedup, 3),
-            "dispatch": dispatch,
-        },
-    )
-    # The acceptance bar: with real parallelism the elastic dispatcher
-    # must clearly beat serial.  On one usable CPU only the fallback
-    # path (and its numbers) are recorded.
-    if cpus >= 2 and fork_start:
-        assert speedup >= 1.3, f"async sweep too slow: {speedup:.2f}x"
 
 
 def test_cache_cold_vs_warm(benchmark, record_artifact, record_bench, tmp_path):

@@ -12,14 +12,8 @@ checks two invariants on a small fixed benchmark:
   round kernel blows far past it.  The vectorized engine gets its own
   floor at ``n = 97`` (same 3x slack) against the committed
   ``throughput_vectorized`` section.
-* **batched dispatch** -- on the 64-cell reference grid with >= 4 CPUs
-  and fork-started workers, the batched 4-worker sweep must not be
-  slower than a serial sweep -- the regression PR 1 shipped with
-  (0.94x) and the in-worker batching exists to fix.  Without real
-  parallelism every pooled variant intrinsically trails serial, so the
-  timings are then reported as datapoints only.
-* **cross-run engine** -- the stacked ``(R, n)`` engine on the same
-  64-cell grid: cells/sec must not fall more than 3x below the
+* **cross-run engine** -- the stacked ``(R, n)`` engine on the 64-cell
+  reference grid: cells/sec must not fall more than 3x below the
   committed ``cross_run`` ledger section, and the cross-run sweep must
   never be slower than per-cell serial.  Unlike the pool bars this
   holds on *any* CPU count -- the stacking is pure numpy batching with
@@ -31,25 +25,19 @@ checks two invariants on a small fixed benchmark:
   and the sweep must beat per-cell serial >= 1.5x; on one usable CPU
   the backend degrades to the serial cross-run rung and the
   auto-fallback numbers are a datapoint only.  ``--record-shm``
-  merges the measured numbers into the ``cross_run_shm`` section.
-* **async dispatch** -- the work-queue backend on the same grid must
-  beat serial >= 1.3x whenever >= 2 usable CPUs and fork-started
-  workers exist; on one CPU its auto-fallback path is reported as a
-  datapoint only.  ``--record-async`` additionally merges the measured
-  numbers into the ``sweep_async`` section of ``BENCH_perf.json``
-  (read-modify-write, like the bench fixtures), which is how the CI
-  async step records the ledger datapoint.
+  merges the measured numbers into the ``cross_run_shm`` section of
+  ``BENCH_perf.json`` (read-modify-write, like the bench fixtures).
 * **telemetry overhead** -- the always-on metrics path (counters at
   cell granularity) must cost <= 5% over a metrics-disabled sweep on
   the same 64-cell grid; a fully traced sweep (``telemetry=DIR``) is
   timed as a datapoint only.  ``--record-telemetry`` merges the
   numbers into the ``telemetry_overhead`` section.
 
-Bit-identity of batched, shm, async and traced results is asserted
+Bit-identity of cross-run, shm and traced results is asserted
 unconditionally.  Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--record-async]
-        [--record-shm] [--record-telemetry]
+    PYTHONPATH=src python benchmarks/perf_smoke.py [--record-shm]
+        [--record-telemetry]
 """
 
 from __future__ import annotations
@@ -66,7 +54,6 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_perf import (  # noqa: E402
-    BATCH_SIZE,
     ROUNDS,
     _best_of,
     _sweep_grid_64,
@@ -101,7 +88,6 @@ def _record_section(section: str, payload: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     flags = argv or sys.argv[1:]
-    record_async = "--record-async" in flags
     record_shm = "--record-shm" in flags
     record_telemetry = "--record-telemetry" in flags
     failures: list[str] = []
@@ -193,37 +179,12 @@ def main(argv: list[str] | None = None) -> int:
     cpus = os.cpu_count() or 1
     fork_start = multiprocessing.get_start_method() == "fork"
     serial = run_sweep(grid, workers=1)
-    batched = run_sweep(grid, workers=4, batch_size=BATCH_SIZE)
-    if batched.cells != serial.cells:
-        failures.append("batched sweep results differ from serial results")
-
     serial_s = _best_of(2, run_sweep, grid, 1)
-    parallel_s = _best_of(2, lambda: run_sweep(grid, workers=4))
-    batched_s = _best_of(
-        2, lambda: run_sweep(grid, workers=4, batch_size=BATCH_SIZE)
-    )
     print(
         f"64-cell grid ({cpus} cpus, "
         f"{multiprocessing.get_start_method()} start): "
-        f"serial {serial_s * 1e3:.0f}ms, 4-worker {parallel_s * 1e3:.0f}ms, "
-        f"4-worker batch={BATCH_SIZE} {batched_s * 1e3:.0f}ms"
+        f"serial {serial_s * 1e3:.0f}ms"
     )
-    if cpus >= 4 and fork_start:
-        if batched_s > serial_s:
-            failures.append(
-                f"batched 4-worker sweep slower than serial on {cpus} cpus: "
-                f"{batched_s * 1e3:.0f}ms vs {serial_s * 1e3:.0f}ms"
-            )
-        if batched_s > parallel_s * 1.15:
-            failures.append(
-                f"batched dispatch lost to unbatched parallel dispatch: "
-                f"{batched_s * 1e3:.0f}ms vs {parallel_s * 1e3:.0f}ms"
-            )
-    else:
-        print(
-            "wall-clock bars skipped: need >= 4 CPUs and fork-started "
-            "workers (a pool cannot beat serial on one core)"
-        )
 
     # The cross-run stacked engine: compatible cells advance together
     # as one (R, n) array, so its win is pool-free and must hold on
@@ -316,50 +277,6 @@ def main(argv: list[str] | None = None) -> int:
                 "speedup": round(shm_speedup, 3),
                 "dispatch": shm_result.dispatch,
                 "fallback": not shm_pooled,
-            },
-        )
-
-    # The elastic work-queue backend: dynamic chunking from a shared
-    # queue, results streamed per chunk.  Its acceptance bar (>= 1.3x
-    # over serial) applies as soon as two usable CPUs exist.
-    async_result = run_sweep(grid, workers=4, backend="async")
-    if async_result.cells != serial.cells:
-        failures.append("async sweep results differ from serial results")
-    async_s = _best_of(
-        2, lambda: run_sweep(grid, workers=4, backend="async")
-    )
-    async_speedup = serial_s / async_s
-    # The backend's own pool decision is affinity-aware; the bars gate
-    # on the same ``usable`` count so a runner pinned to one core is
-    # not held to a parallel bar it cannot reach.
-    print(
-        f"async 4-worker: {async_s * 1e3:.0f}ms "
-        f"({async_speedup:.2f}x over serial; "
-        f"dispatch: {async_result.dispatch})"
-    )
-    if usable >= 2 and fork_start:
-        if async_speedup < 1.3:
-            failures.append(
-                f"async backend only {async_speedup:.2f}x over serial on "
-                f"{cpus} cpus (acceptance bar is 1.3x)"
-            )
-    else:
-        print(
-            "async wall-clock bar skipped: auto-fallback path recorded "
-            "as a datapoint only on one usable cpu"
-        )
-    if record_async:
-        _record_section(
-            "sweep_async",
-            {
-                "cells": len(grid),
-                "cpus": cpus,
-                "usable_cpus": usable,
-                "start_method": multiprocessing.get_start_method(),
-                "serial_ms": round(serial_s * 1e3, 1),
-                "async4_ms": round(async_s * 1e3, 1),
-                "speedup": round(async_speedup, 3),
-                "dispatch": async_result.dispatch,
             },
         )
 

@@ -212,7 +212,6 @@ def sweep_grid(
     backend=None,
     cache=None,
     probe: str | None = None,
-    batch_size: int | None = None,
     dispatch: str = "auto",
     progress=None,
     journal=None,
@@ -235,14 +234,13 @@ def sweep_grid(
     simulator path (the default trace-lite fast path is bit-identical
     on decisions and diameters).  ``backend`` overrides the execution
     strategy (a :class:`~repro.sweep.SweepBackend` instance or one of
-    ``"serial"`` / ``"multiprocessing"`` / ``"async"``), ``cache`` -- a
+    ``"serial"`` / ``"multiprocessing"``), ``cache`` -- a
     directory path or :class:`~repro.sweep.CellStore` -- memoizes
     per-cell results on disk, and ``probe`` names a registered trace
     probe (or a ``"module:attr"`` entry point) whose output lands in
-    each cell's ``extras``.  ``batch_size``, ``dispatch``, ``progress``
-    and ``journal`` forward to :func:`repro.sweep.run_sweep`: in-worker
-    batching, the pool-heuristic override, a streaming
-    ``(result, done, total)`` callback, and a
+    each cell's ``extras``.  ``dispatch``, ``progress`` and ``journal``
+    forward to :func:`repro.sweep.run_sweep`: the pool-heuristic
+    override, a streaming ``(result, done, total)`` callback, and a
     :class:`~repro.sweep.SweepJournal` for resumable sweeps.
     ``cross_run=True`` routes execution through the cross-run
     vectorized engine: compatible cells (same shape, differing only in
@@ -285,7 +283,6 @@ def sweep_grid(
         backend=backend,
         cache=cache,
         probe=probe,
-        batch_size=batch_size,
         dispatch=dispatch,
         progress=progress,
         journal=journal,

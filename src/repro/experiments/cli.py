@@ -212,17 +212,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial; results are identical)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help=(
-            "run cells in in-worker batches of B sharing one round "
-            "kernel; recommended for grids of cheap cells, where "
-            "per-cell dispatch would dominate (results are identical)"
-        ),
-    )
-    parser.add_argument(
         "--cross-run",
         action="store_true",
         help=(
@@ -240,12 +229,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "multiprocessing", "async", "sharded"],
+        choices=["serial", "multiprocessing", "sharded"],
         default=None,
         help=(
             "execution backend (default: serial, or multiprocessing when "
-            "--workers > 1); 'async' feeds the pool from a work queue "
-            "with adaptive chunking; 'sharded' requires --shard"
+            "--workers > 1); 'sharded' requires --shard"
         ),
     )
     parser.add_argument(
@@ -266,7 +254,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print one line per finished cell as results stream in "
-            "(per chunk under the async backend)"
+            "(per batch under --cross-run)"
         ),
     )
     parser.add_argument(
@@ -502,7 +490,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
                 shard_count,
                 spill_dir,
                 workers=args.workers,
-                batch_size=args.batch_size,
             )
         print(grid.describe())
         try:
@@ -512,7 +499,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
                 trace_detail=args.detail,
                 backend=backend,
                 cache=store,
-                batch_size=args.batch_size,
                 probe=args.probe,
                 dispatch=args.dispatch,
                 progress=_progress_printer() if args.progress else None,
@@ -614,7 +600,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "Run the sweep daemon: a JSON-over-HTTP service that answers "
             "warm-cache grid queries straight from the cell store and "
-            "schedules cold cells through the async backend."
+            "runs cold cells through the cross-run engine on the "
+            "shared-memory work-stealing pool."
         ),
     )
     parser.add_argument(

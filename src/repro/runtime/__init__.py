@@ -31,7 +31,6 @@ from .simulator import (
     SynchronousSimulator,
     TraceDetail,
     run_simulation,
-    simulate_batch,
 )
 from .termination import (
     EstimatedRounds,
@@ -72,7 +71,6 @@ __all__ = [
     "rounds_to_reach",
     "SynchronousSimulator",
     "run_simulation",
-    "simulate_batch",
     "RoundKernel",
     "compile_msr",
     "distinct_inbox_groups",

@@ -36,8 +36,8 @@ errors are raised verbatim.  The equivalence suite runs every scenario
 family with each layer toggled off to prove it.
 
 A :class:`RoundKernel` owns only reusable scratch state, so one
-instance can serve many simulations: ``simulate_batch`` and the sweep
-backends' ``batch_size`` run whole batches of cells on shared buffers.
+instance can serve many simulations: ``simulate_many`` runs a whole
+cross-run group of sweep cells on shared buffers.
 """
 
 from __future__ import annotations

@@ -79,7 +79,6 @@ __all__ = [
     "ShmBatchLayout",
     "SynchronousSimulator",
     "run_simulation",
-    "simulate_batch",
     "simulate_many",
     "TraceDetail",
 ]
@@ -329,29 +328,6 @@ def run_simulation(
     ).run()
 
 
-def simulate_batch(
-    configs: Iterable[SimulationConfig],
-    trace_detail: TraceDetail = "lite",
-    kernel: RoundKernel | None = None,
-) -> list[Trace | LiteTrace]:
-    """Run many configs through one shared round kernel.
-
-    The in-worker batching primitive of the sweep engine: one dispatch
-    runs every config back to back, so per-simulation buffers are
-    allocated once per batch instead of once per cell.  Results are
-    identical to running each config through :func:`run_simulation`
-    individually -- the kernel holds scratch state only, never
-    simulation state.
-    """
-    shared = kernel if kernel is not None else RoundKernel()
-    return [
-        SynchronousSimulator(
-            config, trace_detail=trace_detail, kernel=shared
-        ).run()
-        for config in configs
-    ]
-
-
 def simulate_many(
     configs: Iterable[SimulationConfig],
     trace_detail: TraceDetail = "lite",
@@ -372,8 +348,8 @@ def simulate_many(
     early drop out of the active set, so converged rows stop costing
     work.
 
-    Results are **bit-identical** to :func:`simulate_batch` over the
-    same configs: per-run decisions (movement, outboxes, RNG streams)
+    Results are **bit-identical** to :func:`run_simulation` over each
+    config: per-run decisions (movement, outboxes, RNG streams)
     still run through each run's own controller in per-cell order, and
     batched quantities are injected only where provably equal to the
     per-run derivation (the equivalence suite pins this).  Configs that

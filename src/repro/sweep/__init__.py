@@ -7,8 +7,8 @@ epsilon and seed axes) or as an explicit list of :class:`CellSpec`
 cells (including static-mixed and lower-bound *scenarios*), run it
 with :func:`run_sweep` -- through a pluggable
 :class:`~repro.sweep.backends.SweepBackend` (serial, multiprocessing,
-the elastic work-queue :class:`AsyncBackend`, or deterministic shards
-across hosts), against an optional content-addressed :class:`CellStore`
+the work-stealing shared-memory :class:`ShmCrossRunBackend`, or
+deterministic shards across hosts), against an optional content-addressed :class:`CellStore`
 cell cache -- and aggregate the :class:`SweepResult` into the harness's
 tables and series, batched or streaming (:class:`SweepAccumulator`).
 The service layer adds resumable sweeps (:class:`SweepJournal`) and the
@@ -24,7 +24,6 @@ from .aggregate import SweepAccumulator, SweepResult
 from .backends import (
     DISPATCH_MODES,
     ArenaStats,
-    AsyncBackend,
     CostModel,
     MultiprocessingBackend,
     SerialBackend,
@@ -40,7 +39,6 @@ from .cache import SWEEP_SCHEMA_VERSION, CacheGCReport, CacheStats, CellStore
 from .engine import (
     CellResult,
     run_cell,
-    run_cell_batch,
     run_cell_many,
     run_sweep,
 )
@@ -62,13 +60,11 @@ __all__ = [
     "SweepResult",
     "SweepAccumulator",
     "run_cell",
-    "run_cell_batch",
     "run_cell_many",
     "run_sweep",
     "SweepBackend",
     "SerialBackend",
     "MultiprocessingBackend",
-    "AsyncBackend",
     "ShardedBackend",
     "ShmCrossRunBackend",
     "SharedResultArena",

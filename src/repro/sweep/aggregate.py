@@ -43,20 +43,21 @@ class SweepResult:
     :class:`repro.sweep.backends.ShardedBackend`).
 
     ``dispatch`` records how the cells were actually executed --
-    ``"serial"``, ``"parallel"``, their ``"batched-"`` variants, an
-    ``"async-"`` work-queue label, or a fallback label when a pooled
-    backend decided a pool could not win (e.g. one usable CPU) and ran
-    in-process instead.  It is excluded from equality: the decision is
-    a property of the executing machine, not of the result, and
-    warm-cache reruns must compare equal to the cold runs that produced
-    them.  ``cache_stats`` is excluded for the same reason: it carries
-    the executing invocation's :class:`~repro.sweep.cache.CacheStats`
-    traffic counters (``None`` when no cell cache was attached).
+    ``"serial"``, ``"parallel"``, a ``"cross-run..."`` batch label, or
+    a fallback label when a pooled backend decided a pool could not win
+    (e.g. one usable CPU) and ran in-process instead.  It is excluded
+    from equality: the decision is a property of the executing machine,
+    not of the result, and warm-cache reruns must compare equal to the
+    cold runs that produced them.  ``workers`` and ``cache_stats`` are
+    excluded for the same reason: the parallelism that ran the sweep,
+    and the executing invocation's
+    :class:`~repro.sweep.cache.CacheStats` traffic counters (``None``
+    when no cell cache was attached).
     """
 
     cells: tuple["CellResult", ...]
     trace_detail: str = "lite"
-    workers: int = 1
+    workers: int = field(default=1, compare=False)
     complete: bool = True
     dispatch: str = field(default="serial", compare=False)
     cache_stats: "CacheStats | None" = field(default=None, compare=False)
@@ -213,7 +214,7 @@ class SweepResult:
 class SweepAccumulator:
     """Incremental :class:`SweepResult` builder for streaming execution.
 
-    Feed it cells in *any* order -- as async chunks land, shards merge
+    Feed it cells in *any* order -- as pool batches land, shards merge
     or a resume journal replays -- and read aggregates at any moment:
     :meth:`live_summary_rows` updates from per-group accumulators
     without touching the cell list, and :meth:`snapshot` materializes

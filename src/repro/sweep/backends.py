@@ -22,17 +22,7 @@ shard file is present -- merges them into the one bit-identical
 result a serial run would have produced.  Shards can run in any order,
 on any host that shares the spill directory.
 
-:class:`AsyncBackend` is the elastic single-host backend: instead of
-cutting the grid into static chunks up front, a dispatcher feeds the
-pool from a shared work queue with *dynamic* chunking -- cells are
-ordered heaviest-first (LPT scheduling), expensive cells ship alone,
-and cheap cells are batched adaptively into chunks sized by a
-continuously calibrated cost model, so per-task dispatch overhead is
-amortized without starving the pool behind stragglers.  Results stream
-back chunk by chunk through :attr:`SweepBackend.on_result`, which is
-what powers streaming aggregation, progress lines and resume journals.
-
-Cross-run execution (:meth:`SweepBackend.execute_many`) is the third
+Cross-run execution (:meth:`SweepBackend.execute_many`) is the batched
 packaging of work: cells are partitioned by
 :attr:`~repro.sweep.grid.CellSpec.batch_key` -- the cell's identity
 minus its seed, so a group describes the *same* simulation shape
@@ -55,10 +45,13 @@ pickled.  A :class:`SharedResultArena` owns block lifecycle
 orphaned blocks), and dispatch is *work-stealing*: each worker slot
 owns a deque of batches, and an idle slot steals the largest half of
 the heaviest victim's biggest pending batch (splittable by run index,
-since runs within a group are independent).  The fallback ladder --
-shm pool, pickle pool, in-process serial -- keeps results bit-identical
-at every rung; only the dispatch label (e.g. ``cross-run-shm(4
-batches, max R=16, steals=1)``) records which rung ran.
+since runs within a group are independent).  Results stream back batch
+by batch through :attr:`SweepBackend.on_result`, which is what powers
+streaming aggregation, progress lines and resume journals.  The
+fallback ladder -- shm pool, pickle pool, in-process serial -- keeps
+results bit-identical at every rung; only the dispatch label (e.g.
+``cross-run-shm(4 batches, max R=16, steals=1)``) records which rung
+ran.
 """
 
 from __future__ import annotations
@@ -70,13 +63,10 @@ import os
 import queue
 import re
 import statistics
-import time
 import warnings
 import weakref
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -86,7 +76,7 @@ except Exception:  # pragma: no cover - exercised only without the module
     _shared_memory = None
 
 from ..runtime.simulator import ShmBatchLayout
-from ..telemetry import DEFAULT_SIZE_EDGES, count, observe
+from ..telemetry import count
 from .aggregate import SweepResult
 from .cache import (
     SWEEP_SCHEMA_VERSION,
@@ -103,7 +93,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "MultiprocessingBackend",
-    "AsyncBackend",
     "ShardedBackend",
     "ShmCrossRunBackend",
     "SharedResultArena",
@@ -126,7 +115,6 @@ __all__ = [
 DISPATCH_MODES = ("auto", "serial", "pool", "shm")
 
 CellRunner = Callable[["CellSpec"], "CellResult"]
-BatchRunner = Callable[[list["CellSpec"]], list["CellResult"]]
 #: Cross-run group runner: a batch-compatible cell group in, results
 #: (in group order) out -- :func:`~repro.sweep.engine.run_cell_many`.
 ManyRunner = Callable[[list["CellSpec"]], list["CellResult"]]
@@ -242,17 +230,13 @@ class SweepBackend:
     """Base execution strategy; subclasses override :meth:`execute`.
 
     ``workers`` is the parallelism the backend reports into
-    ``SweepResult.workers`` (1 for serial execution).  ``batch_size``
-    switches the engine to :meth:`execute_batch`: cells are grouped
-    into batches of that size and each batch runs as *one* dispatch
-    through a shared round kernel (see
-    :func:`~repro.sweep.engine.run_cell_batch`), which amortizes
-    process dispatch and buffer setup over many cheap cells.
+    ``SweepResult.workers`` (1 for serial execution).  Cross-run sweeps
+    call :meth:`execute_many` instead, whose unit of work is one
+    ``batch_key`` group run on a shared round kernel.
     """
 
     workers: int = 1
-    batch_size: int | None = None
-    #: How the last :meth:`execute`/:meth:`execute_batch` actually
+    #: How the last :meth:`execute`/:meth:`execute_many` actually
     #: dispatched its cells; copied into ``SweepResult.dispatch``.
     dispatch: str = "serial"
     #: Execution-strategy override consulted by pooled backends; one of
@@ -260,16 +244,12 @@ class SweepBackend:
     dispatch_mode: str = "auto"
     #: Optional ``callable(CellResult)`` invoked in the parent process
     #: as results become available.  Granularity is a backend property:
-    #: per cell for serial execution, per chunk for the async
-    #: dispatcher, on completion for ``pool.map``-style backends (the
-    #: engine reports any unreported results after ``execute`` either
-    #: way, so callers always observe every result exactly once).
+    #: per cell for serial execution, per group or stolen batch for
+    #: cross-run dispatch, on completion for ``pool.map``-style
+    #: backends (the engine reports any unreported results after
+    #: execution either way, so callers always observe every result
+    #: exactly once).
     on_result: Callable[["CellResult"], None] | None = None
-
-    @property
-    def wants_batches(self) -> bool:
-        """Whether the engine should hand this backend a batch runner."""
-        return self.batch_size is not None
 
     def _emit(self, results: Sequence["CellResult"]) -> None:
         """Report freshly finished results to :attr:`on_result`."""
@@ -285,25 +265,6 @@ class SweepBackend:
         self, cells: Sequence["CellSpec"], runner: CellRunner
     ) -> list["CellResult"]:
         raise NotImplementedError
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        """Run the cells in batches of :attr:`batch_size` in-process.
-
-        The default executes each batch serially; pooled backends
-        override this to dispatch whole batches to workers.  Results
-        are bit-identical to per-cell :meth:`execute` -- batching only
-        changes how work is packaged.
-        """
-        size = self.batch_size or len(cells) or 1
-        self.dispatch = "batched-serial"
-        results: list["CellResult"] = []
-        for start in range(0, len(cells), size):
-            batch_results = batch_runner(list(cells[start : start + size]))
-            results.extend(batch_results)
-            self._emit(batch_results)
-        return results
 
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
@@ -356,25 +317,18 @@ class MultiprocessingBackend(SweepBackend):
     ``chunk_size`` defaults to ~4 chunks per worker, balancing
     scheduling overhead against stragglers.  Grids of one cell (or a
     single worker) run inline -- a pool cannot help there.
-    ``batch_size`` dispatches whole in-worker batches instead of
-    single cells: each batch is one pool task running ``batch_size``
-    cells on a shared round kernel, the fix for grids whose cells are
-    too cheap to amortize per-cell dispatch.
     """
 
     def __init__(
         self,
         workers: int,
         chunk_size: int | None = None,
-        batch_size: int | None = None,
         dispatch_mode: str = "auto",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         if dispatch_mode not in DISPATCH_MODES:
             raise ValueError(
                 f"dispatch_mode must be one of {DISPATCH_MODES}, "
@@ -382,16 +336,14 @@ class MultiprocessingBackend(SweepBackend):
             )
         self.workers = workers
         self.chunk_size = chunk_size
-        self.batch_size = batch_size
         self.dispatch_mode = dispatch_mode
 
-    def _pool_decision(self, tasks: int, batched: bool) -> tuple[bool, str]:
+    def _pool_decision(self, tasks: int) -> tuple[bool, str]:
         """Whether a pool can win for ``tasks`` dispatch units, and why.
 
         A single usable CPU is the canonical lost cause: worker
         processes merely time-slice the same core, so every fork,
-        pickle and IPC round-trip is pure overhead (observed as the
-        ``batched_speedup = 0.9`` regression on 1-CPU CI runners).
+        pickle and IPC round-trip is pure overhead.
         Those invocations auto-fall back to in-process dispatch; the
         label records the decision in ``SweepResult.dispatch``.
 
@@ -401,11 +353,10 @@ class MultiprocessingBackend(SweepBackend):
         usable CPU exists, so pool code paths stay testable on 1-CPU
         CI boxes at an explicitly acknowledged cost.
         """
-        label = "batched-" if batched else ""
         if self.dispatch_mode == "serial":
-            return False, f"{label}serial (forced)"
+            return False, "serial (forced)"
         if tasks < 1:
-            return False, f"{label}serial"
+            return False, "serial"
         if self.dispatch_mode in ("pool", "shm"):
             cpus = _usable_cpus()
             if cpus < 2:
@@ -421,22 +372,22 @@ class MultiprocessingBackend(SweepBackend):
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                return True, f"{label}parallel (forced on {cpus} usable cpu)"
-            return True, f"{label}parallel (forced)"
+                return True, f"parallel (forced on {cpus} usable cpu)"
+            return True, "parallel (forced)"
         if self.workers <= 1 or tasks <= 1:
-            return False, f"{label}serial"
+            return False, "serial"
         cpus = _usable_cpus()
         if cpus < 2:
             return False, (
-                f"{label}serial (auto-fallback: {self.workers} workers "
+                f"serial (auto-fallback: {self.workers} workers "
                 f"on {cpus} usable cpu)"
             )
-        return True, f"{label}parallel"
+        return True, "parallel"
 
     def execute(
         self, cells: Sequence["CellSpec"], runner: CellRunner
     ) -> list["CellResult"]:
-        use_pool, self.dispatch = self._pool_decision(len(cells), batched=False)
+        use_pool, self.dispatch = self._pool_decision(len(cells))
         if not use_pool:
             return [runner(cell) for cell in cells]
         chunk_size = self.chunk_size
@@ -444,26 +395,6 @@ class MultiprocessingBackend(SweepBackend):
             chunk_size = max(1, math.ceil(len(cells) / (self.workers * 4)))
         with multiprocessing.Pool(processes=self.workers) as pool:
             return pool.map(runner, cells, chunksize=chunk_size)
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        size = self.batch_size or len(cells) or 1
-        batches = [
-            list(cells[start : start + size])
-            for start in range(0, len(cells), size)
-        ]
-        use_pool, self.dispatch = self._pool_decision(len(batches), batched=True)
-        if not use_pool:
-            return [
-                result for batch in batches for result in batch_runner(batch)
-            ]
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return [
-                result
-                for batch_results in pool.map(batch_runner, batches, chunksize=1)
-                for result in batch_results
-            ]
 
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
@@ -477,15 +408,9 @@ class MultiprocessingBackend(SweepBackend):
         cannot win.
         """
         groups = _batch_groups(cells)
-        use_pool, _ = self._pool_decision(len(groups), batched=True)
+        use_pool, _ = self._pool_decision(len(groups))
         if not use_pool:
-            self.dispatch = _cross_run_label(groups)
-            results: list["CellResult"] = []
-            for group in groups:
-                group_results = many_runner(group)
-                results.extend(group_results)
-                self._emit(group_results)
-            return results
+            return SweepBackend.execute_many(self, cells, many_runner)
         self.dispatch = _cross_run_label(groups, ", parallel")
         with multiprocessing.Pool(processes=self.workers) as pool:
             return [
@@ -506,8 +431,7 @@ _NOMINAL_ROUNDS = 40
 #: two-phase protocol runs every round through the scalar engine; the
 #: witness family adds relay collection and per-pid witness folds on
 #: top of that.  Ratios are calibrated from the committed ledger's
-#: per-family sweep timings -- only the ordering matters, the async
-#: dispatcher fits the absolute scale at runtime.
+#: per-family sweep timings -- only the ordering matters.
 _FAMILY_COST_FACTORS: dict[str, float] = {
     "bonomi": 1.0,
     "tseng": 2.5,
@@ -539,7 +463,7 @@ class CostModel:
     The static model prices a cell at ``n^2 * rounds`` weighted by
     hand-tuned per-family factors and a partial-topology multiplier --
     only the *ordering* between cheap and expensive cells matters (the
-    async dispatcher fits seconds-per-cost-unit at runtime).
+    stealing dispatcher's LPT seeding and victim choice).
 
     :meth:`fit` replaces the hand-tuned family weights with ones
     measured from a :class:`~repro.sweep.service.SweepJournal`'s
@@ -651,9 +575,8 @@ def estimate_cell_cost(cell: "CellSpec") -> float:
     Messaging and MSR fold work scale roughly with ``n^2 * rounds``,
     weighted by per-family and per-topology factors (a witness-family
     cell on a ring costs several of its bonomi full-mesh neighbours);
-    the absolute scale is irrelevant (the dispatcher calibrates
-    seconds-per-cost-unit from observed chunk timings), only the
-    ordering between cheap and expensive cells matters.  ``n=None``
+    the absolute scale is irrelevant, only the ordering between cheap
+    and expensive cells matters.  ``n=None``
     resolves to the model's Table 2 minimum; unknown models fall back
     to a small constant so malformed cells (which error out instantly)
     are treated as cheap, and unknown families take no multiplier.
@@ -661,214 +584,6 @@ def estimate_cell_cost(cell: "CellSpec") -> float:
     :meth:`CostModel.fit`-calibrated instance for measured weights.
     """
     return _STATIC_COST_MODEL.estimate(cell)
-
-
-class _AdaptiveChunker:
-    """Forms dispatch chunks from a work queue, heaviest cells first.
-
-    Until the first timing observation lands, chunks are singletons
-    (calibration doubles as LPT scheduling of the most expensive
-    cells).  Afterwards each chunk is filled greedily until its
-    estimated duration reaches ``target_seconds`` under the current
-    seconds-per-cost-unit model (an EWMA over observed chunk timings),
-    so a cell expensive enough to hit the target alone ships alone
-    while runs of cheap cells coalesce into larger and larger chunks.
-    """
-
-    def __init__(
-        self,
-        cells: Sequence["CellSpec"],
-        target_seconds: float,
-        max_chunk: int,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        self._estimate = (cost_model or _STATIC_COST_MODEL).estimate
-        self._queue: deque["CellSpec"] = deque(
-            sorted(cells, key=self._estimate, reverse=True)
-        )
-        self._target = target_seconds
-        self._max_chunk = max_chunk
-        self._sec_per_cost: float | None = None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def cost_of(self, chunk: Sequence["CellSpec"]) -> float:
-        return math.fsum(self._estimate(cell) for cell in chunk)
-
-    def next_chunk(self) -> list["CellSpec"] | None:
-        """The next dispatch unit, or ``None`` when the queue is dry."""
-        if not self._queue:
-            return None
-        chunk = [self._queue.popleft()]
-        if self._sec_per_cost is None:
-            observe("sweep.chunk.size", float(len(chunk)), DEFAULT_SIZE_EDGES)
-            return chunk
-        budget = self._target - self._estimate(chunk[0]) * self._sec_per_cost
-        while self._queue and len(chunk) < self._max_chunk:
-            eta = self._estimate(self._queue[0]) * self._sec_per_cost
-            if eta > budget:
-                break
-            chunk.append(self._queue.popleft())
-            budget -= eta
-        observe("sweep.chunk.size", float(len(chunk)), DEFAULT_SIZE_EDGES)
-        return chunk
-
-    def observe(self, cost: float, seconds: float) -> None:
-        """Fold one completed chunk's worker-side timing into the model."""
-        rate = seconds / max(cost, 1.0)
-        if self._sec_per_cost is None:
-            self._sec_per_cost = rate
-        else:
-            self._sec_per_cost = 0.5 * self._sec_per_cost + 0.5 * rate
-
-
-def _run_chunk(runner: CellRunner, cells: list["CellSpec"]) -> list["CellResult"]:
-    """Apply a per-cell runner across one chunk (module level: pickles)."""
-    return [runner(cell) for cell in cells]
-
-
-def _timed_chunk(
-    chunk_runner: BatchRunner, cells: list["CellSpec"]
-) -> tuple[float, list["CellResult"]]:
-    """Run a chunk in a worker, returning its compute time alongside.
-
-    Timing inside the worker (rather than submit-to-callback in the
-    parent) keeps queueing delay out of the cost model.
-    """
-    start = time.perf_counter()
-    results = chunk_runner(cells)
-    return time.perf_counter() - start, results
-
-
-class AsyncBackend(MultiprocessingBackend):
-    """Work-queue pool dispatcher with adaptive dynamic chunking.
-
-    Replaces the static ``batch_size`` partition of
-    :class:`MultiprocessingBackend`: the parent keeps the pool primed
-    with one spare chunk beyond the worker count, forms each next chunk
-    only when a slot frees (so chunk sizing reacts to the timings of
-    everything already finished), and folds results chunk by chunk
-    through :attr:`SweepBackend.on_result` -- the streaming spine for
-    live aggregation, progress lines and resume journals.  Each chunk
-    runs through one shared round kernel in its worker (see
-    :func:`~repro.sweep.engine.run_cell_batch`), so the cheap-cell
-    dispatch overhead the ``sweep_64`` ledger flagged is amortized
-    twice: fewer pool tasks, and fewer kernel setups.
-
-    Where a pool cannot win (``_pool_decision``: one usable CPU, one
-    task, forced serial) execution falls back inline on static
-    ``inline_batch``-sized chunks -- the batched-serial fast path --
-    still emitting per chunk.  Results are bit-identical to every other
-    backend for any worker count, chunk shape or timing jitter: cells
-    are pure functions of their spec, and the engine sorts by cell key.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        dispatch_mode: str = "auto",
-        target_chunk_seconds: float = 0.15,
-        max_chunk: int = 32,
-        inline_batch: int = 16,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        super().__init__(workers, dispatch_mode=dispatch_mode)
-        if target_chunk_seconds <= 0:
-            raise ValueError(
-                f"target_chunk_seconds must be positive, got "
-                f"{target_chunk_seconds}"
-            )
-        if max_chunk < 1:
-            raise ValueError(f"max_chunk must be at least 1, got {max_chunk}")
-        if inline_batch < 1:
-            raise ValueError(
-                f"inline_batch must be at least 1, got {inline_batch}"
-            )
-        self.target_chunk_seconds = target_chunk_seconds
-        self.max_chunk = max_chunk
-        self.inline_batch = inline_batch
-        #: Optional :meth:`CostModel.fit`-calibrated estimator for LPT
-        #: ordering and chunk sizing; ``None`` uses the static weights.
-        self.cost_model = cost_model
-
-    @property
-    def wants_batches(self) -> bool:
-        """Chunks always run through a shared in-worker round kernel."""
-        return True
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        return self._dispatch(cells, partial(_run_chunk, runner))
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        return self._dispatch(cells, batch_runner)
-
-    def _dispatch(
-        self, cells: Sequence["CellSpec"], chunk_runner: BatchRunner
-    ) -> list["CellResult"]:
-        use_pool, label = self._pool_decision(len(cells), batched=False)
-        self.dispatch = f"async-{label}"
-        if not use_pool:
-            results: list["CellResult"] = []
-            for start in range(0, len(cells), self.inline_batch):
-                chunk_results = chunk_runner(
-                    list(cells[start : start + self.inline_batch])
-                )
-                results.extend(chunk_results)
-                self._emit(chunk_results)
-            return results
-
-        chunker = _AdaptiveChunker(
-            cells,
-            self.target_chunk_seconds,
-            self.max_chunk,
-            cost_model=self.cost_model,
-        )
-        completions: queue.SimpleQueue = queue.SimpleQueue()
-        results = []
-        in_flight = 0
-        with multiprocessing.Pool(processes=self.workers) as pool:
-
-            def submit() -> bool:
-                nonlocal in_flight
-                chunk = chunker.next_chunk()
-                if chunk is None:
-                    return False
-                cost = chunker.cost_of(chunk)
-                pool.apply_async(
-                    _timed_chunk,
-                    (chunk_runner, chunk),
-                    callback=lambda timed, c=cost: completions.put(
-                        (c, timed, None)
-                    ),
-                    error_callback=lambda exc, c=cost: completions.put(
-                        (c, None, exc)
-                    ),
-                )
-                in_flight += 1
-                return True
-
-            # One spare chunk beyond the workers keeps every slot busy
-            # while the parent folds a finished chunk's results.
-            while in_flight <= self.workers and submit():
-                pass
-            while in_flight:
-                cost, timed, error = completions.get()
-                in_flight -= 1
-                if error is not None:
-                    # Pool.__exit__ terminates the outstanding work.
-                    raise error
-                seconds, chunk_results = timed
-                chunker.observe(cost, seconds)
-                results.extend(chunk_results)
-                self._emit(chunk_results)
-                while in_flight <= self.workers and submit():
-                    pass
-        return results
 
 
 #: Shared-memory blocks above this size ride the pickle fallback: one
@@ -1405,20 +1120,14 @@ class ShmCrossRunBackend(MultiprocessingBackend):
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
     ) -> list["CellResult"]:
-        groups = _batch_groups(cells)
         # Batches split by run index, so the parallelism bound is the
         # cell count, not the group count -- one big group still fans
         # out across the pool.
-        use_pool, _ = self._pool_decision(len(cells), batched=True)
+        use_pool, _ = self._pool_decision(len(cells))
         if not use_pool:
-            self.dispatch = _cross_run_label(groups)
-            results: list["CellResult"] = []
-            for group in groups:
-                group_results = many_runner(group)
-                results.extend(group_results)
-                self._emit(group_results)
-            return results
+            return SweepBackend.execute_many(self, cells, many_runner)
 
+        groups = _batch_groups(cells)
         arena = SharedResultArena(max_block_bytes=self.max_block_bytes)
         rung = "shm" if arena.enabled else "pickle"
         queues = _StealingQueues(
@@ -1497,7 +1206,6 @@ class ShardedBackend(SweepBackend):
         spill_dir: str | Path,
         workers: int = 1,
         chunk_size: int | None = None,
-        batch_size: int | None = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be at least 1, got {shard_count}")
@@ -1509,21 +1217,17 @@ class ShardedBackend(SweepBackend):
             raise ValueError(
                 f"shard_count must be at most 9999, got {shard_count}"
             )
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.spill_dir = Path(spill_dir)
         self.workers = workers
-        self.batch_size = batch_size
         self._grid_fingerprint: str | None = None
         self._grid_size: int | None = None
         self._inner: SweepBackend = (
-            MultiprocessingBackend(workers, chunk_size, batch_size)
+            MultiprocessingBackend(workers, chunk_size)
             if workers > 1
             else SerialBackend()
         )
-        self._inner.batch_size = batch_size
 
     def select(self, cells: list["CellSpec"]) -> list["CellSpec"]:
         # The full grid's identity is stamped into the spill file so a
@@ -1541,13 +1245,6 @@ class ShardedBackend(SweepBackend):
         self, cells: Sequence["CellSpec"], runner: CellRunner
     ) -> list["CellResult"]:
         results = self._inner.execute(cells, runner)
-        self.dispatch = f"sharded({self._inner.dispatch})"
-        return results
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        results = self._inner.execute_batch(cells, batch_runner)
         self.dispatch = f"sharded({self._inner.dispatch})"
         return results
 

@@ -62,7 +62,6 @@ from ..runtime.simulator import (
 from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
-    AsyncBackend,
     MultiprocessingBackend,
     SerialBackend,
     ShardedBackend,
@@ -79,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 __all__ = [
     "CellResult",
     "run_cell",
-    "run_cell_batch",
     "run_cell_many",
     "run_sweep",
 ]
@@ -226,10 +224,10 @@ def run_cell(
     registered :class:`~repro.sweep.probes.Probe` whose output lands in
     ``CellResult.extras``.  ``kernel`` optionally shares one
     :class:`~repro.runtime.kernel.RoundKernel` across the cells of a
-    batch (results are identical with or without it).  ``telemetry``
-    activates the run's tracing session in whichever process this
-    lands; the drained kernel sample counters travel back on
-    ``CellResult.metrics``.
+    cross-run group (results are identical with or without it).
+    ``telemetry`` activates the run's tracing session in whichever
+    process this lands; the drained kernel sample counters travel back
+    on ``CellResult.metrics``.
     """
     if telemetry is not None:
         activate(telemetry)
@@ -274,7 +272,6 @@ def _run_cell_cached(
     trace_detail: TraceDetail = "lite",
     probe: str | None = None,
     store: CellStore | None = None,
-    kernel: RoundKernel | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> CellResult:
     """Cache-through cell runner (module level so it pickles).
@@ -288,49 +285,10 @@ def _run_cell_cached(
     if cached is not None:
         return cached
     result = run_cell(
-        cell,
-        trace_detail=trace_detail,
-        probe=probe,
-        kernel=kernel,
-        telemetry=telemetry,
+        cell, trace_detail=trace_detail, probe=probe, telemetry=telemetry
     )
     store.save(result, trace_detail, probe)
     return result
-
-
-def run_cell_batch(
-    cells: list[CellSpec],
-    trace_detail: TraceDetail = "lite",
-    probe: str | None = None,
-    store: CellStore | None = None,
-    telemetry: TelemetryConfig | None = None,
-) -> list[CellResult]:
-    """Execute a batch of cells in-process through one shared kernel.
-
-    The unit of work of batched backends (module level so it pickles):
-    one dispatch runs many cells back to back, reusing the round
-    kernel's scratch buffers and amortizing process dispatch overhead
-    over the whole batch.  Results are bit-identical to per-cell
-    execution -- the kernel carries no simulation state between cells.
-    """
-    if telemetry is not None:
-        activate(telemetry)
-    kernel = RoundKernel()
-    if store is None:
-        return [
-            run_cell(cell, trace_detail=trace_detail, probe=probe, kernel=kernel)
-            for cell in cells
-        ]
-    return [
-        _run_cell_cached(
-            cell,
-            trace_detail=trace_detail,
-            probe=probe,
-            store=store,
-            kernel=kernel,
-        )
-        for cell in cells
-    ]
 
 
 def run_cell_many(
@@ -454,7 +412,6 @@ def _resolve_backend(
     backend: SweepBackend | str | None,
     workers: int,
     chunk_size: int | None,
-    batch_size: int | None = None,
     dispatch: str = "auto",
     cross_run: bool = False,
 ) -> SweepBackend:
@@ -473,28 +430,20 @@ def _resolve_backend(
             # Forcing a pool needs a pool-capable backend even at the
             # default worker count; _pool_decision owns the warning.
             return MultiprocessingBackend(
-                max(workers, 1), chunk_size, batch_size, dispatch_mode=dispatch
+                max(workers, 1), chunk_size, dispatch_mode=dispatch
             )
-        if workers <= 1 and batch_size is None:
-            return SerialBackend()
         if workers <= 1:
-            serial = SerialBackend()
-            serial.batch_size = batch_size
-            return serial
+            return SerialBackend()
         return MultiprocessingBackend(
-            workers, chunk_size, batch_size, dispatch_mode=dispatch
+            workers, chunk_size, dispatch_mode=dispatch
         )
     if isinstance(backend, str):
         if backend == "serial":
-            serial = SerialBackend()
-            serial.batch_size = batch_size
-            return serial
+            return SerialBackend()
         if backend == "multiprocessing":
             return MultiprocessingBackend(
-                max(workers, 1), chunk_size, batch_size, dispatch_mode=dispatch
+                max(workers, 1), chunk_size, dispatch_mode=dispatch
             )
-        if backend == "async":
-            return AsyncBackend(max(workers, 1), dispatch_mode=dispatch)
         if backend == "sharded":
             raise ValueError(
                 "the sharded backend needs shard parameters; pass a "
@@ -503,7 +452,7 @@ def _resolve_backend(
             )
         raise ValueError(
             f"unknown backend {backend!r}; known: serial, multiprocessing, "
-            "async, sharded"
+            "sharded"
         )
     if dispatch != "auto":
         backend.dispatch_mode = dispatch
@@ -518,7 +467,6 @@ def run_sweep(
     backend: SweepBackend | str | None = None,
     cache: CellStore | str | Path | None = None,
     probe: str | None = None,
-    batch_size: int | None = None,
     dispatch: str = "auto",
     progress: ProgressCallback | None = None,
     journal: "SweepJournal | None" = None,
@@ -533,16 +481,9 @@ def run_sweep(
     resolution with any :class:`~repro.sweep.backends.SweepBackend`
     (including :class:`~repro.sweep.backends.ShardedBackend` for
     multi-invocation sweeps) or one of the names ``"serial"`` /
-    ``"multiprocessing"`` / ``"async"`` (the work-queue dispatcher
-    with adaptive chunking).  ``cache`` -- a
+    ``"multiprocessing"``.  ``cache`` -- a
     :class:`~repro.sweep.cache.CellStore` or a directory path -- is
     consulted before executing each cell and written through after.
-    ``batch_size`` switches execution to in-worker batches: one
-    dispatch runs that many cells through a shared round kernel, which
-    amortizes process dispatch on grids of cheap cells (see
-    :func:`run_cell_batch`); when an explicit backend *instance* is
-    passed, the instance's own ``batch_size`` attribute governs
-    batching instead.
 
     ``dispatch`` (one of :data:`~repro.sweep.backends.DISPATCH_MODES`)
     overrides the pool heuristic of pooled backends: ``serial`` forces
@@ -560,17 +501,17 @@ def run_sweep(
     engine instead: cells are partitioned by
     :attr:`~repro.sweep.grid.CellSpec.batch_key` and each compatible
     group advances as one stacked ``(R, n)`` state array (see
-    :func:`run_cell_many`); it takes precedence over ``batch_size``
-    batching and is reflected in the result's ``dispatch`` label.
+    :func:`run_cell_many`) and is reflected in the result's
+    ``dispatch`` label.
     With ``workers > 1`` cross-run sweeps auto-select the
     work-stealing shared-memory backend, which degrades rung by rung
     (shm, pickle pool, in-process serial) without changing results.
 
-    Results are identical for every backend, worker count, batch
-    size, dispatch mode, journal and cache state, and sorted by cell
-    key, so the returned :class:`SweepResult` depends only on the
-    grid (``dispatch`` and ``cache_stats`` are equality-excluded
-    machine properties).
+    Results are identical for every backend, worker count, dispatch
+    mode, journal and cache state, and sorted by cell key, so the
+    returned :class:`SweepResult` depends only on the grid
+    (``workers``, ``dispatch`` and ``cache_stats`` are
+    equality-excluded machine properties).
 
     ``telemetry`` -- a directory path or a
     :class:`~repro.telemetry.TelemetryConfig` -- activates a tracing
@@ -599,8 +540,7 @@ def run_sweep(
         with trace_span("sweep.run", workers=workers) as span:
             final = _run_sweep(
                 grid, workers, trace_detail, chunk_size, backend, cache,
-                probe, batch_size, dispatch, progress, journal, cross_run,
-                tconfig,
+                probe, dispatch, progress, journal, cross_run, tconfig,
             )
             span.set("cells", len(final.cells))
             span.set("dispatch", final.dispatch)
@@ -660,8 +600,6 @@ def _record_sweep_metrics(
     count(f"sweep.dispatch.mode.{record.mode}")
     if record.pooled:
         count("sweep.dispatch.pooled")
-    if record.asynchronous:
-        count("sweep.dispatch.async")
     if record.cross_run:
         count("sweep.dispatch.cross_run")
     if record.sharded:
@@ -707,7 +645,6 @@ def _run_sweep(
     backend: SweepBackend | str | None,
     cache: CellStore | str | Path | None,
     probe: str | None,
-    batch_size: int | None,
     dispatch: str,
     progress: ProgressCallback | None,
     journal: "SweepJournal | None",
@@ -723,8 +660,6 @@ def _run_sweep(
         raise ValueError(f"workers must be non-negative, got {workers}")
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if batch_size is not None and batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if dispatch not in DISPATCH_MODES:
         raise ValueError(
             f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
@@ -745,9 +680,7 @@ def _run_sweep(
 
     if dispatch == "shm":
         cross_run = True
-    resolved = _resolve_backend(
-        backend, workers, chunk_size, batch_size, dispatch, cross_run
-    )
+    resolved = _resolve_backend(backend, workers, chunk_size, dispatch, cross_run)
     if journal is not None and isinstance(resolved, ShardedBackend):
         raise ValueError(
             "resume journals cover whole grids; sharded sweeps already "
@@ -761,9 +694,9 @@ def _run_sweep(
 
     # Every result flows through the reporter exactly once: journal
     # replays and cache hits immediately, executed cells as early as
-    # the backend's granularity allows (per cell serially, per chunk
-    # from the async dispatcher), anything a backend could not emit
-    # early (pool.map) after execution returns.
+    # the backend's granularity allows (per cell serially, per group or
+    # stolen batch cross-run), anything a backend could not emit early
+    # (pool.map) after execution returns.
     total = len(selected)
     done = 0
     reported: set[tuple] = set()
@@ -791,7 +724,6 @@ def _run_sweep(
         else [cell for cell in selected if cell.key not in reported]
     )
 
-    batched = resolved.wants_batches
     resolved.on_result = report
     # Manual span management spares the whole dispatch block a
     # re-indent; the label lands as an attribute once execution is
@@ -802,56 +734,15 @@ def _run_sweep(
     )
     dispatch_span.__enter__()
     try:
+        options = dict(trace_detail=trace_detail, probe=probe, telemetry=tconfig)
+        hits: list[CellResult] = []
+        missing = remaining
         if store is None:
-            runner = partial(
-                run_cell,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            batch_runner = partial(
-                run_cell_batch,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            many_runner = partial(
-                run_cell_many,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            executed = (
-                resolved.execute_many(remaining, many_runner)
-                if cross_run
-                else resolved.execute_batch(remaining, batch_runner)
-                if batched
-                else resolved.execute(remaining, runner)
-            )
+            runner = partial(run_cell, **options)
         else:
-            runner = partial(
-                _run_cell_cached,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            batch_runner = partial(
-                run_cell_batch,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            many_runner = partial(
-                run_cell_many,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            hits: list[CellResult] = []
-            missing: list[CellSpec] = []
+            options["store"] = store
+            runner = partial(_run_cell_cached, **options)
+            missing = []
             for cell in remaining:
                 cached = store.load(cell, trace_detail, probe)
                 store.record(cached is not None)
@@ -861,13 +752,11 @@ def _run_sweep(
                     missing.append(cell)
             for result in hits:
                 report(result)
-            executed = hits + (
-                resolved.execute_many(missing, many_runner)
-                if cross_run
-                else resolved.execute_batch(missing, batch_runner)
-                if batched
-                else resolved.execute(missing, runner)
-            )
+        executed = hits + (
+            resolved.execute_many(missing, partial(run_cell_many, **options))
+            if cross_run
+            else resolved.execute(missing, runner)
+        )
         for result in executed:
             report(result)
     finally:

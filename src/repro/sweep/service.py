@@ -7,7 +7,7 @@ append-only record of completed cells under a manifest that pins the
 grid (by :func:`~repro.sweep.backends.grid_fingerprint`), trace detail
 and probe.  :func:`~repro.sweep.engine.run_sweep` records every result
 the moment it lands -- at the streaming granularity of the backend, so
-an async chunk that finished before a crash is never recomputed -- and
+a pool batch that finished before a crash is never recomputed -- and
 on the next invocation replays the journal, executing only the cells
 still missing.  The resumed aggregate is bit-identical to an
 uninterrupted run: cells are pure functions of their spec and the

@@ -1,7 +1,7 @@
 """Structured parsing of backend dispatch labels.
 
 Every backend records *how* a sweep actually ran in the free-text
-``SweepResult.dispatch`` label (``"batched-parallel (forced)"``,
+``SweepResult.dispatch`` label (``"parallel (forced)"``,
 ``"cross-run-shm(4 batches, max R=16, steals=1)"``, ...).  Tests and
 the telemetry layer used to regex-scrape those strings ad hoc; this
 module is the one place that knows the grammar.  ``parse_dispatch_label``
@@ -14,7 +14,7 @@ instead of silently falling through a regex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["DispatchRecord", "parse_dispatch_label"]
 
@@ -31,8 +31,6 @@ class DispatchRecord:
     raw: str
     mode: str
     pooled: bool = False
-    batched: bool = False
-    asynchronous: bool = False
     cross_run: bool = False
     sharded: bool = False
     forced: bool = False
@@ -47,7 +45,7 @@ class DispatchRecord:
 
 
 _PLAIN = re.compile(
-    r"^(?P<batched>batched-)?(?P<mode>serial|parallel)"
+    r"^(?P<mode>serial|parallel)"
     r"(?: \((?P<qualifier>[^)]*)\))?$"
 )
 _FORCED_CPU = re.compile(r"^forced on (?P<cpus>\d+) usable cpu$")
@@ -79,44 +77,7 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
     match = _SHARDED.match(label)
     if match is not None:
         inner = parse_dispatch_label(match.group("inner"))
-        return DispatchRecord(
-            raw=label,
-            mode=inner.mode,
-            pooled=inner.pooled,
-            batched=inner.batched,
-            asynchronous=inner.asynchronous,
-            cross_run=inner.cross_run,
-            sharded=True,
-            forced=inner.forced,
-            fallback=inner.fallback,
-            rung=inner.rung,
-            batches=inner.batches,
-            max_r=inner.max_r,
-            steals=inner.steals,
-            workers=inner.workers,
-            usable_cpus=inner.usable_cpus,
-            inner=inner,
-        )
-
-    if label.startswith("async-"):
-        inner = parse_dispatch_label(label[len("async-"):])
-        return DispatchRecord(
-            raw=label,
-            mode=inner.mode,
-            pooled=inner.pooled,
-            batched=inner.batched,
-            asynchronous=True,
-            cross_run=inner.cross_run,
-            forced=inner.forced,
-            fallback=inner.fallback,
-            rung=inner.rung,
-            batches=inner.batches,
-            max_r=inner.max_r,
-            steals=inner.steals,
-            workers=inner.workers,
-            usable_cpus=inner.usable_cpus,
-            inner=inner,
-        )
+        return replace(inner, raw=label, sharded=True, inner=inner)
 
     match = _CROSS_RUN_RUNG.match(label)
     if match is not None:
@@ -146,7 +107,6 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
     match = _PLAIN.match(label)
     if match is not None:
         mode = match.group("mode")
-        batched = match.group("batched") is not None
         qualifier = match.group("qualifier")
         forced = False
         fallback = False
@@ -174,7 +134,6 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
             raw=label,
             mode=mode,
             pooled=(mode == "parallel"),
-            batched=batched,
             forced=forced,
             fallback=fallback,
             workers=workers,

@@ -23,18 +23,19 @@ from types import SimpleNamespace
 import pytest
 
 from repro.sweep import (
-    AsyncBackend,
     CellSpec,
     CostModel,
     GridSpec,
+    ShmCrossRunBackend,
     SweepJournal,
     estimate_cell_cost,
     run_cell,
+    run_cell_many,
     run_sweep,
 )
 from repro.sweep.backends import (
     _STATIC_COST_MODEL,
-    _AdaptiveChunker,
+    _StealingQueues,
     _usable_cpus,
 )
 
@@ -206,24 +207,23 @@ class TestElapsedFlow:
 
 
 class TestDispatcherIntegration:
-    def test_chunker_orders_by_fitted_weights(self):
+    def test_stealing_queues_order_by_fitted_weights(self):
         fitted = CostModel(family_weights={"bonomi": 50.0, "witness": 1.0})
         cells = [cell(seed=0), cell(seed=1, family="witness", n=33)]
-        static_first = _AdaptiveChunker(cells, 0.1, 8).next_chunk()
-        fitted_first = _AdaptiveChunker(
-            cells, 0.1, 8, cost_model=fitted
-        ).next_chunk()
+        groups = [[spec] for spec in cells]
+        static_first = _StealingQueues(groups, 1).next_batch(0)
+        fitted_first = _StealingQueues(groups, 1, fitted.estimate).next_batch(0)
         # Static folklore says the big witness cell is heaviest; the
         # (deliberately inverted) fitted weights flip the LPT order.
         assert static_first == [cells[1]]
         assert fitted_first == [cells[0]]
 
-    def test_async_backend_accepts_a_fitted_model(self):
+    def test_shm_backend_accepts_a_fitted_model(self):
         fitted = CostModel(family_weights={"bonomi": 2.0})
-        backend = AsyncBackend(2, cost_model=fitted)
+        backend = ShmCrossRunBackend(2, cost_model=fitted)
         assert backend.cost_model is fitted
-        results = backend.execute(
-            [cell(seed=seed) for seed in range(3)], run_cell
+        results = backend.execute_many(
+            [cell(seed=seed) for seed in range(3)], run_cell_many
         )
         reference = [run_cell(cell(seed=seed)) for seed in range(3)]
         assert sorted(r.key for r in results) == sorted(

@@ -319,7 +319,7 @@ class TestEstimateCellCost:
         assert small < large
 
     def test_relative_ordering_pinned(self):
-        # The LPT schedule the async dispatcher derives from the model:
+        # The LPT schedule the stealing dispatcher derives from the model:
         # a witness ring cell outweighs every same-size bonomi cell.
         specs = [
             cell(family="bonomi"),

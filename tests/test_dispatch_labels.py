@@ -4,10 +4,10 @@ Backends advertise how a sweep actually ran through the free-text
 ``SweepResult.dispatch`` label.  CI scripts and the telemetry layer key
 off those strings, so the grammar is load-bearing: this suite pins down
 ``parse_dispatch_label`` for every label family the backends can emit
-(``serial``, ``batched-parallel (forced)``, ``async-*``,
-``cross-run(...)``, ``cross-run-shm(..., steals=S)``, ``sharded(inner)``)
-and then harvests labels from real small sweeps to prove the parser and
-the backends never drift apart.
+(``serial``, ``parallel (forced)``, ``cross-run(...)``,
+``cross-run-shm(..., steals=S)``, ``sharded(inner)``) and then harvests
+labels from real small sweeps to prove the parser and the backends
+never drift apart.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from tests.helpers import small_grid
 
-from repro.sweep import run_sweep
+from repro.sweep import ShardedBackend, run_sweep
 from repro.telemetry import DispatchRecord, parse_dispatch_label
 
 
@@ -26,13 +26,8 @@ class TestPlainLabels:
     def test_serial(self):
         rec = parse_dispatch_label("serial")
         assert rec.mode == "serial"
-        assert not rec.pooled and not rec.batched and not rec.forced
+        assert not rec.pooled and not rec.forced
         assert rec.inner is None
-
-    def test_batched_serial(self):
-        rec = parse_dispatch_label("batched-serial")
-        assert rec.mode == "serial"
-        assert rec.batched
 
     def test_parallel(self):
         rec = parse_dispatch_label("parallel")
@@ -40,9 +35,9 @@ class TestPlainLabels:
         assert rec.pooled
 
     def test_forced_qualifier(self):
-        rec = parse_dispatch_label("batched-parallel (forced)")
+        rec = parse_dispatch_label("parallel (forced)")
         assert rec.mode == "parallel"
-        assert rec.batched and rec.forced and not rec.fallback
+        assert rec.forced and not rec.fallback
 
     def test_forced_on_one_cpu(self):
         rec = parse_dispatch_label("parallel (forced on 1 usable cpu)")
@@ -93,25 +88,13 @@ class TestCrossRunLabels:
 
 
 class TestWrapperLabels:
-    def test_async_prefix(self):
-        rec = parse_dispatch_label("async-cross-run(3 batches, max R=4)")
-        assert rec.asynchronous and rec.cross_run
-        assert rec.batches == 3
-        assert rec.inner is not None
-        assert not rec.inner.asynchronous
-
-    def test_async_serial(self):
-        rec = parse_dispatch_label("async-serial")
-        assert rec.asynchronous
-        assert rec.mode == "serial"
-
     def test_sharded_wraps_inner(self):
-        rec = parse_dispatch_label("sharded(batched-serial)")
+        rec = parse_dispatch_label("sharded(parallel (forced))")
         assert rec.sharded
-        assert rec.mode == "serial"
-        assert rec.batched
+        assert rec.mode == "parallel"
+        assert rec.forced
         assert isinstance(rec.inner, DispatchRecord)
-        assert rec.inner.raw == "batched-serial"
+        assert rec.inner.raw == "parallel (forced)"
         assert not rec.inner.sharded
 
     def test_sharded_shm(self):
@@ -137,6 +120,9 @@ class TestRejections:
             "cross-run(batches)",
             "parallel (because reasons)",
             "cross-run-mmap(1 batches, max R=1, steals=0)",
+            # Retired packagings: in-worker batches and the async queue.
+            "batched-serial",
+            "async-serial",
         ],
     )
     def test_unknown_labels_raise(self, label):
@@ -161,11 +147,21 @@ class TestHarvestedLabels:
             ({"dispatch": "serial"}, {"mode": "serial"}),
             ({"workers": 1}, {"mode": "serial"}),
             ({"cross_run": True}, {"cross_run": True}),
-            ({"backend": "async"}, {"asynchronous": True}),
+            (
+                {"workers": 2, "dispatch": "pool"},
+                {"pooled": True, "forced": True},
+            ),
+            (
+                {"workers": 2, "backend": "multiprocessing", "cross_run": True,
+                 "dispatch": "pool"},
+                {"pooled": True, "cross_run": True, "rung": None},
+            ),
         ],
     )
     def test_live_label_parses(self, grid, kwargs, expectation):
-        result = run_sweep(grid, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_sweep(grid, **kwargs)
         rec = parse_dispatch_label(result.dispatch)
         for attr, value in expectation.items():
             assert getattr(rec, attr) == value, result.dispatch
@@ -179,3 +175,10 @@ class TestHarvestedLabels:
         assert rec.cross_run and rec.pooled
         assert rec.rung in {"shm", "pickle"}
         assert rec.steals is not None
+
+    def test_live_sharded_labels_parse(self, grid, tmp_path):
+        partial = run_sweep(grid, backend=ShardedBackend(0, 2, tmp_path))
+        rec = parse_dispatch_label(partial.dispatch)
+        assert rec.sharded and rec.inner is not None
+        merged = run_sweep(grid, backend=ShardedBackend(1, 2, tmp_path))
+        assert parse_dispatch_label(merged.dispatch).mode == "merge"

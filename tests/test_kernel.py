@@ -47,10 +47,9 @@ from repro.runtime import (
     compile_msr,
     distinct_inbox_groups,
     run_simulation,
-    simulate_batch,
 )
 from repro.runtime.kernel import inbox_key
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import SynchronousSimulator, simulate_many
 from repro.sweep import CellSpec, run_cell
 
 KERNEL_MODES = [
@@ -458,7 +457,7 @@ class TestCompileMSR:
 
 
 class TestBatchSimulation:
-    """simulate_batch shares one kernel without cross-run leakage."""
+    """simulate_many shares one kernel without cross-run leakage."""
 
     def test_matches_individual_runs(self):
         configs = [
@@ -466,7 +465,7 @@ class TestBatchSimulation:
             for seed in range(5)
         ]
         individual = [run_simulation(c, "lite") for c in configs]
-        batched = simulate_batch(configs)
+        batched = simulate_many(configs, kernel=RoundKernel())
         for one, many in zip(individual, batched):
             _assert_identical(many, one)
 
@@ -477,7 +476,7 @@ class TestBatchSimulation:
             make_mobile_config("M3", f=2, rounds=7, seed=1),
             make_mobile_config("M1", f=1, rounds=5, seed=0),
         ]
-        first, second, repeat = simulate_batch(configs, kernel=kernel)
+        first, second, repeat = simulate_many(configs, kernel=kernel)
         _assert_identical(repeat, first)
         assert second.n != first.n
 

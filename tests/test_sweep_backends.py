@@ -12,6 +12,7 @@ these tests pin down.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -56,6 +57,16 @@ class TestBackendEquivalence:
     def test_unknown_backend_name_rejected(self, grid):
         with pytest.raises(ValueError, match="unknown backend"):
             run_sweep(grid, backend="quantum")
+
+    def test_result_depends_only_on_the_grid(self, grid, reference):
+        # workers is a machine property like dispatch: serial, pooled
+        # and pooled cross-run sweeps of one grid compare equal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pooled = run_sweep(grid, workers=2)
+            stacked = run_sweep(grid, workers=2, cross_run=True)
+        assert pooled.workers == stacked.workers == 2
+        assert reference == pooled == stacked
 
     def test_sharded_by_name_needs_parameters(self, grid):
         with pytest.raises(ValueError, match="shard parameters"):
@@ -240,59 +251,12 @@ class TestMergeValidation:
             merge_shards(tmp_path)
 
 
-class TestBatchedExecution:
-    """batch_size changes work packaging, never results."""
-
-    @pytest.mark.parametrize("batch_size", [1, 3, 7, 100])
-    def test_serial_batches_bit_identical(self, grid, reference, batch_size):
-        assert run_sweep(grid, batch_size=batch_size) == reference
-
-    def test_pooled_batches_bit_identical(self, grid, reference):
-        result = run_sweep(grid, workers=2, batch_size=4)
-        assert result.cells == reference.cells
-        assert result.workers == 2
-
-    def test_backend_instance_batches(self, grid, reference):
-        backend = MultiprocessingBackend(2, batch_size=5)
-        assert run_sweep(grid, backend=backend).cells == reference.cells
-
-    def test_sharded_batches_merge_identically(self, grid, reference, tmp_path):
-        for index in range(3):
-            merged = run_sweep(
-                grid,
-                backend=ShardedBackend(index, 3, tmp_path, batch_size=4),
-            )
-        assert merged == reference
-
-    def test_batched_sweep_with_cache_writes_through(self, grid, reference, tmp_path):
-        from repro.sweep import CellStore
-
-        store = CellStore(tmp_path / "cache")
-        cold = run_sweep(grid, batch_size=4, cache=store)
-        assert cold == reference
-        assert store.misses == len(list(grid.cells()))
-        warm = run_sweep(grid, batch_size=4, cache=store)
-        assert warm == reference
-        assert store.hits == len(list(grid.cells()))
-
-    def test_invalid_batch_size_rejected(self, grid):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_sweep(grid, batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            MultiprocessingBackend(2, batch_size=-1)
-        with pytest.raises(ValueError, match="batch_size"):
-            ShardedBackend(0, 2, "unused", batch_size=0)
-
-
 class TestDispatchDecision:
     """Backends record how cells actually ran, and pools that cannot
     win (one usable CPU) auto-fall back to in-process dispatch."""
 
     def test_serial_dispatch_recorded(self, grid):
         assert run_sweep(grid).dispatch == "serial"
-
-    def test_batched_serial_dispatch_recorded(self, grid):
-        assert run_sweep(grid, batch_size=4).dispatch == "batched-serial"
 
     def test_pool_falls_back_to_serial_on_one_cpu(
         self, grid, reference, monkeypatch
@@ -302,18 +266,6 @@ class TestDispatchDecision:
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
         result = run_sweep(grid, backend=MultiprocessingBackend(workers=4))
         assert result.dispatch.startswith("serial")
-        assert "auto-fallback" in result.dispatch
-        assert result.cells == reference.cells
-
-    def test_batched_pool_falls_back_on_one_cpu(
-        self, grid, reference, monkeypatch
-    ):
-        from repro.sweep import backends
-
-        monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
-        backend = MultiprocessingBackend(workers=4, batch_size=4)
-        result = run_sweep(grid, backend=backend)
-        assert result.dispatch.startswith("batched-serial")
         assert "auto-fallback" in result.dispatch
         assert result.cells == reference.cells
 
@@ -333,4 +285,4 @@ class TestDispatchDecision:
     def test_dispatch_excluded_from_equality(self, reference):
         from dataclasses import replace
 
-        assert replace(reference, dispatch="batched-parallel") == reference
+        assert replace(reference, dispatch="parallel") == reference

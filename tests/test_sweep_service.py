@@ -27,7 +27,6 @@ import pytest
 from tests.helpers import small_grid
 
 from repro.sweep import (
-    AsyncBackend,
     DISPATCH_MODES,
     GridSpec,
     ShardedBackend,
@@ -74,14 +73,16 @@ class TestStreamingAggregation:
         keys = [cell.key for cell, _, _ in events]
         assert sorted(keys) == sorted(c.key for c in reference.cells)
 
-    def test_async_stream_matches_batch(self, grid, reference):
+    def test_shm_stream_matches_batch(self, grid, reference):
         acc = SweepAccumulator(expected=len(reference))
-        run_sweep(
-            grid,
-            workers=4,
-            backend="async",
-            progress=lambda cell, done, total: acc.add(cell),
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_sweep(
+                grid,
+                workers=2,
+                dispatch="shm",
+                progress=lambda cell, done, total: acc.add(cell),
+            )
         assert acc.result().cells == reference.cells
 
     def test_live_summary_is_arrival_order_independent(self, reference):
@@ -103,20 +104,11 @@ class TestStreamingAggregation:
             acc.result()
 
 
-class TestAsyncBackend:
-    def test_async_by_name_matches_serial(self, grid, reference):
-        result = run_sweep(grid, workers=4, backend="async")
-        assert result.cells == reference.cells
-        assert result.dispatch.startswith("async-")
-
-    def test_async_instance_matches_serial(self, grid, reference):
-        result = run_sweep(grid, backend=AsyncBackend(workers=3))
-        assert result.cells == reference.cells
-
+class TestDispatchModes:
     def test_forced_serial_dispatch(self, grid, reference):
-        result = run_sweep(grid, workers=4, backend="async", dispatch="serial")
+        result = run_sweep(grid, workers=4, dispatch="serial")
         assert result.cells == reference.cells
-        assert result.dispatch == "async-serial (forced)"
+        assert result.dispatch == "serial (forced)"
 
     def test_forced_pool_is_bit_identical(self, grid, reference):
         # On one usable CPU the forced pool warns (separately tested);
@@ -224,11 +216,11 @@ class TestSweepJournal:
         assert resumed == reference
         assert journal.completed_count == len(reference)
 
-    def test_async_chunk_failure_resumes_from_recorded_chunks(
+    def test_shm_batch_failure_resumes_from_recorded_batches(
         self, grid, reference, tmp_path
     ):
         # A worker failure surfaces as an exception mid-dispatch; the
-        # chunks that already streamed back stay journaled.
+        # batches that already streamed back stay journaled.
         root = tmp_path / "journal"
 
         def fail_after(limit):
@@ -241,13 +233,15 @@ class TestSweepJournal:
         journal = SweepJournal(root)
         with pytest.raises(RuntimeError, match="injected"):
             try:
-                run_sweep(
-                    grid,
-                    workers=4,
-                    backend="async",
-                    progress=fail_after(3),
-                    journal=journal,
-                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    run_sweep(
+                        grid,
+                        workers=2,
+                        dispatch="shm",
+                        progress=fail_after(3),
+                        journal=journal,
+                    )
             finally:
                 journal.close()
         assert len(journal.results_path.read_text().splitlines()) >= 3

@@ -20,7 +20,6 @@ from tests.helpers import small_grid
 
 from repro.sweep import CellSpec, run_cell, run_sweep
 from repro.telemetry import (
-    DEFAULT_SIZE_EDGES,
     Histogram,
     KernelSampler,
     MetricsRegistry,
@@ -272,23 +271,6 @@ class TestFlightRecorder:
         delta = snapshot_delta(before, get_registry().snapshot())
         assert delta["counters"].get("sweep.cells.error", 0.0) == 0.0
         assert delta["counters"]["sweep.cells.done"] == 12.0
-
-
-class TestChunkSizeHistogram:
-    def test_adaptive_chunker_observes_chunk_sizes(self):
-        from repro.sweep.backends import _AdaptiveChunker
-
-        cells = list(small_grid().cells())
-        chunker = _AdaptiveChunker(cells, 0.15, 8)
-        before = get_registry().snapshot()
-        chunks = []
-        while (chunk := chunker.next_chunk()) is not None:
-            chunks.append(chunk)
-        delta = snapshot_delta(before, get_registry().snapshot())
-        hist = delta["histograms"].get("sweep.chunk.size")
-        assert hist is not None
-        assert hist["edges"] == list(DEFAULT_SIZE_EDGES)
-        assert hist["count"] == len(chunks)
 
 
 class TestCLI:
