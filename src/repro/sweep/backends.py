@@ -707,6 +707,14 @@ def _unlink_block(name: str) -> bool:
         shm = _shared_memory.SharedMemory(name=name)
     except (FileNotFoundError, OSError):
         return False
+    except ValueError:
+        # A worker terminated between creating the block and sizing it
+        # leaves an empty block that cannot be mapped; unlink it by path.
+        try:
+            (Path("/dev/shm") / name.lstrip("/")).unlink()
+        except OSError:
+            return False
+        return True
     try:
         shm.close()
         shm.unlink()
@@ -1160,19 +1168,28 @@ class ShmCrossRunBackend(MultiprocessingBackend):
 
                 for slot in range(self.workers):
                     submit(slot)
-                while in_flight:
-                    slot, batch, outcome, error = completions.get()
-                    in_flight -= 1
-                    if error is not None:
-                        # Pool.__exit__ terminates outstanding work;
-                        # the finally arena.close() sweeps its blocks.
-                        raise error
-                    # Refill the slot before parent-side restore work
-                    # so the pool never idles behind the coordinator.
-                    submit(slot)
-                    batch_results = arena.restore(outcome, batch)
-                    results.extend(batch_results)
-                    self._emit(batch_results)
+                try:
+                    while in_flight:
+                        slot, batch, outcome, error = completions.get()
+                        in_flight -= 1
+                        if error is not None:
+                            raise error
+                        # Refill the slot before parent-side restore work
+                        # so the pool never idles behind the coordinator.
+                        submit(slot)
+                        batch_results = arena.restore(outcome, batch)
+                        results.extend(batch_results)
+                        self._emit(batch_results)
+                except BaseException:
+                    # Let the batches still running land before
+                    # Pool.__exit__ terminates the workers: a worker
+                    # killed mid-send leaves a torn message that blocks
+                    # the pool's result thread forever.  The finally
+                    # arena.close() sweeps the drained batches' blocks.
+                    while in_flight:
+                        completions.get()
+                        in_flight -= 1
+                    raise
         finally:
             self.last_arena_stats = arena.close()
             self.last_steals = queues.steals

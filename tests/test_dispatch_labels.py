@@ -97,6 +97,14 @@ class TestWrapperLabels:
         assert rec.inner.raw == "parallel (forced)"
         assert not rec.inner.sharded
 
+    def test_sharded_in_process_cross_run(self):
+        rec = parse_dispatch_label("sharded(cross-run(3 batches, max R=4))")
+        assert rec.sharded and rec.cross_run
+        assert not rec.pooled
+        assert rec.batches == 3
+        assert rec.inner is not None
+        assert rec.inner.cross_run and not rec.inner.sharded
+
     def test_sharded_shm(self):
         rec = parse_dispatch_label(
             "sharded(cross-run-shm(2 batches, max R=4, steals=1))"

@@ -19,12 +19,17 @@ import pytest
 from tests.helpers import small_grid
 
 from repro.sweep import (
+    CellStore,
     MultiprocessingBackend,
     SerialBackend,
     ShardedBackend,
+    ShmCrossRunBackend,
     merge_shards,
+    run_cell_many,
     run_sweep,
 )
+from repro.sweep.backends import _batch_groups
+from repro.telemetry import parse_dispatch_label
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,10 @@ class TestBackendEquivalence:
     def test_sharded_by_name_needs_parameters(self, grid):
         with pytest.raises(ValueError, match="shard parameters"):
             run_sweep(grid, backend="sharded")
+
+    def test_retired_async_backend_name_rejected(self, grid):
+        with pytest.raises(ValueError, match="unknown backend 'async'"):
+            run_sweep(grid, workers=2, backend="async")
 
 
 class TestChunkSizeValidation:
@@ -251,12 +260,83 @@ class TestMergeValidation:
             merge_shards(tmp_path)
 
 
+class TestCrossRunPackaging:
+    """Cross-run grouping changes work packaging, never results."""
+
+    @pytest.mark.parametrize("group_size", [1, 3, 7, 100])
+    def test_any_grouping_is_bit_identical(self, grid, reference, group_size):
+        cells = sorted(grid.cells(), key=lambda cell: cell.key)
+        results = [
+            result
+            for start in range(0, len(cells), group_size)
+            for result in run_cell_many(cells[start:start + group_size])
+        ]
+        assert list(results) == list(reference.cells)
+
+    def test_backend_instance_pools_groups(self, grid, reference):
+        backend = MultiprocessingBackend(2, dispatch_mode="pool")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_sweep(grid, backend=backend, cross_run=True)
+        assert result.cells == reference.cells
+        assert result.dispatch.endswith(", parallel)")
+
+    def test_sharded_cross_run_merges_identically(
+        self, grid, reference, tmp_path
+    ):
+        for index in range(3):
+            merged = run_sweep(
+                grid,
+                backend=ShardedBackend(index, 3, tmp_path),
+                cross_run=True,
+            )
+        assert merged == reference
+
+    def test_partially_warm_cache_serves_hits_and_runs_misses(
+        self, grid, reference, tmp_path
+    ):
+        store = CellStore(tmp_path / "cache")
+        cells = list(grid.cells())
+        warmed = cells[::2]
+        run_sweep(warmed, cache=store)
+        result = run_sweep(grid, cross_run=True, cache=store)
+        assert result == reference
+        assert result.cache_stats.hits == len(warmed)
+        assert store.misses == len(cells)
+
+    def test_invalid_backend_parameters_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ShmCrossRunBackend(workers=0)
+        with pytest.raises(ValueError, match="dispatch_mode must be one of"):
+            ShmCrossRunBackend(workers=2, dispatch_mode="async")
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            ShardedBackend(0, 2, "unused", workers=2, chunk_size=0)
+
+
 class TestDispatchDecision:
     """Backends record how cells actually ran, and pools that cannot
     win (one usable CPU) auto-fall back to in-process dispatch."""
 
     def test_serial_dispatch_recorded(self, grid):
         assert run_sweep(grid).dispatch == "serial"
+
+    def test_cross_run_serial_dispatch_recorded(self, grid):
+        result = run_sweep(grid, cross_run=True)
+        rec = parse_dispatch_label(result.dispatch)
+        assert rec.cross_run and not rec.pooled
+        assert rec.batches == len(_batch_groups(list(grid.cells())))
+
+    def test_cross_run_pool_falls_back_on_one_cpu(
+        self, grid, reference, monkeypatch
+    ):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
+        backend = MultiprocessingBackend(workers=4)
+        result = run_sweep(grid, backend=backend, cross_run=True)
+        assert result.dispatch.startswith("cross-run(")
+        assert not parse_dispatch_label(result.dispatch).pooled
+        assert result.cells == reference.cells
 
     def test_pool_falls_back_to_serial_on_one_cpu(
         self, grid, reference, monkeypatch

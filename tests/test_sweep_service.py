@@ -30,6 +30,7 @@ from repro.sweep import (
     DISPATCH_MODES,
     GridSpec,
     ShardedBackend,
+    ShmCrossRunBackend,
     SweepAccumulator,
     SweepJournal,
     SweepServer,
@@ -109,6 +110,14 @@ class TestDispatchModes:
         result = run_sweep(grid, workers=4, dispatch="serial")
         assert result.cells == reference.cells
         assert result.dispatch == "serial (forced)"
+
+    def test_shm_instance_matches_serial(self, grid, reference):
+        backend = ShmCrossRunBackend(workers=3, dispatch_mode="shm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_sweep(grid, backend=backend, cross_run=True)
+        assert result.cells == reference.cells
+        assert result.dispatch.startswith(("cross-run-shm(", "cross-run-pickle("))
 
     def test_forced_pool_is_bit_identical(self, grid, reference):
         # On one usable CPU the forced pool warns (separately tested);

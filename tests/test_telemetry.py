@@ -20,6 +20,7 @@ from tests.helpers import small_grid
 
 from repro.sweep import CellSpec, run_cell, run_sweep
 from repro.telemetry import (
+    DEFAULT_SIZE_EDGES,
     Histogram,
     KernelSampler,
     MetricsRegistry,
@@ -271,6 +272,19 @@ class TestFlightRecorder:
         delta = snapshot_delta(before, get_registry().snapshot())
         assert delta["counters"].get("sweep.cells.error", 0.0) == 0.0
         assert delta["counters"]["sweep.cells.done"] == 12.0
+
+
+class TestCellRoundsHistogram:
+    def test_cross_run_sweep_observes_rounds_per_cell(self, tmp_path):
+        grid = small_grid(seeds=1, rounds=4)
+        before = get_registry().snapshot()
+        result = run_sweep(grid, cross_run=True, telemetry=str(tmp_path))
+        delta = snapshot_delta(before, get_registry().snapshot())
+        hist = delta["histograms"].get("sweep.cell.rounds")
+        assert hist is not None
+        assert hist["edges"] == list(DEFAULT_SIZE_EDGES)
+        assert hist["count"] == len(result.cells)
+        assert delta["counters"]["sweep.dispatch.cross_run"] == 1.0
 
 
 class TestCLI:
