@@ -11,7 +11,7 @@ moments.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 from .movement import MovementStrategy, StaticAgents
 from .value_strategies import SplitAttack, ValueStrategy
@@ -120,44 +120,47 @@ class Adversary:
         return self.values.planted_camps(view, sender)
 
     @property
-    def shares_round_outboxes(self) -> bool:
-        """Whether one outbox per round serves every sender.
+    def outbox_class(self) -> Callable[[int], Hashable] | None:
+        """The sender-class key of attack and planted outboxes, or ``None``.
 
-        True when the value strategy declares itself sender-agnostic
-        (see :attr:`ValueStrategy.sender_agnostic`) and no subclass
-        re-routed the per-message hooks.  Fault controllers then build
-        each round's attack (and planted) outbox once and share the
-        mapping across all faulty (cured) processes -- the values are
-        identical by the sender-agnostic contract.
+        The strategy's :meth:`ValueStrategy.sender_class`, unless a
+        subclass re-routes any outbox hook (the override may read
+        ``sender``).  Fault controllers build one outbox per class
+        present in a round and share it across the class's senders --
+        the values are equal by the sender-class contract.
         """
-        return (
-            self.values.sender_agnostic
-            and type(self).attack_message is Adversary.attack_message
-            and type(self).planted_message is Adversary.planted_message
-        )
+        cls = type(self)
+        if (
+            cls.attack_message is not Adversary.attack_message
+            or cls.attack_outbox is not Adversary.attack_outbox
+            or cls.attack_camps is not Adversary.attack_camps
+            or cls.planted_message is not Adversary.planted_message
+            or cls.planted_outbox is not Adversary.planted_outbox
+            or cls.planted_camps is not Adversary.planted_camps
+        ):
+            return None
+        return self.values.sender_class
 
     @property
-    def shares_scalar_values(self) -> bool:
-        """Whether one departure/compute value per view serves every host.
+    def scalar_class(self) -> Callable[[int], Hashable] | None:
+        """The sender-class key of departure and compute values, or ``None``.
 
         Both scalar corruption hooks default to the symmetric attack
-        value ``attack_message(view, pid, None)``; for a sender-agnostic
-        strategy that value is independent of ``pid`` and consumes no
-        per-call randomness, so the fault controllers compute it once
-        per view and fan it out across all cured/occupied processes.
-        Any override of either scalar hook -- on the strategy or on an
-        Adversary subclass -- opts out, because the override may read
-        ``pid``.
+        value ``attack_message(view, pid, None)``, which depends on
+        ``pid`` only through the strategy's sender class.  Any override
+        of either scalar hook -- on the strategy or on an Adversary
+        subclass -- opts out, because the override may read ``pid``.
         """
-        return (
-            self.values.sender_agnostic
-            and type(self).departure_value is Adversary.departure_value
-            and type(self).corrupted_compute is Adversary.corrupted_compute
-            and type(self.values).departure_value
-            is ValueStrategy.departure_value
-            and type(self.values).corrupted_compute
-            is ValueStrategy.corrupted_compute
-        )
+        if (
+            type(self).departure_value is not Adversary.departure_value
+            or type(self).corrupted_compute is not Adversary.corrupted_compute
+            or type(self.values).departure_value
+            is not ValueStrategy.departure_value
+            or type(self.values).corrupted_compute
+            is not ValueStrategy.corrupted_compute
+        ):
+            return None
+        return self.values.sender_class
 
     def corrupted_compute(self, view: AdversaryView, pid: int) -> float:
         """State an occupied process's computation phase ends with."""

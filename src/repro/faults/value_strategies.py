@@ -147,9 +147,7 @@ class CampOutbox(Mapping):
     def __init__(self, camps: RecipientCamps) -> None:
         # Named camp_values (not values): a Mapping's .values() method
         # must stay callable.
-        self.camp_values: Sequence[float] = tuple(
-            float(value) for value in camps.values
-        )
+        self.camp_values: Sequence[float] = tuple(map(float, camps.values))
         self.assignment: Sequence[int] = camps.assignment
 
     def __getitem__(self, pid: int) -> float:
@@ -207,15 +205,25 @@ class CampOutbox(Mapping):
 class ValueStrategy(ABC):
     """Base class for Byzantine value choices."""
 
-    #: Whether this strategy's attack/planted messages depend only on
-    #: the view and the recipient -- never on the *sender* -- and
-    #: consume no per-call randomness.  When True, every faulty sender
-    #: of a round emits the same outbox, so the fault controller builds
-    #: it once and shares it across all agents (the round-planning hot
-    #: path is O(n) instead of O(n*f) for such strategies).  Strategies
-    #: that read ``sender`` or draw from ``view.rng`` per message must
-    #: leave this False.
+    #: Whether this strategy's outputs depend only on the view and the
+    #: recipient -- never on the *sender* -- and consume no per-call
+    #: randomness.  The default :meth:`sender_class` puts every sender
+    #: of such a strategy in one class.  Strategies that read
+    #: ``sender`` or draw from ``view.rng`` must leave this False.
     sender_agnostic: bool = False
+
+    def sender_class(self, sender: int):
+        """The hashable class through which outputs depend on ``sender``.
+
+        Two senders of one class get equal attack and planted outboxes
+        (and camps), departure values and corrupted computes from one
+        view, so fault planning calls each hook once per class present
+        in a round and shares the result across the class.  ``None``
+        opts out: every sender is planned on its own.  The key is a
+        function of ``sender`` alone and consumes no randomness;
+        declaring one promises that no hook draws from ``view.rng``.
+        """
+        return 0 if self.sender_agnostic else None
 
     @abstractmethod
     def attack_message(
@@ -678,14 +686,15 @@ class CrossfireAttack(ValueStrategy):
     hears the minimum, high camp the maximum); odd-indexed agents
     invert it, feeding each camp the opposite extreme.  Each recipient
     thus hears *both* extremes from the attacking coalition, which
-    stresses the reduction from both sides simultaneously while every
-    sender's outbox differs -- the worst case for the fault planner's
-    ``O(n * f)`` outbox contract and therefore the reference workload
-    for recipient-class (camp) planning: the camp *partition* is shared
-    by all senders, only the two camp values swap per sender.
+    stresses the reduction from both sides simultaneously.  The camp
+    *partition* is shared by all senders and the outputs depend on the
+    sender only through its parity, so there are exactly two sender
+    classes: fault planning builds two outboxes, two departure values
+    and two corrupted computes per round however many agents attack.
     """
 
-    sender_agnostic = False
+    def sender_class(self, sender: int) -> int:
+        return sender % 2
 
     def attack_message(
         self, view: AdversaryView, sender: int, recipient: int | None

@@ -128,6 +128,38 @@ class AdversaryView:
         """Identifiers of currently-correct processes."""
         return frozenset(self.correct_values)
 
+    @classmethod
+    def snapshot(
+        cls,
+        round_index: int,
+        n: int,
+        f: int,
+        values: Mapping[int, float],
+        positions: frozenset[int],
+        cured: frozenset[int],
+        rng: random.Random,
+        topology: object | None,
+    ) -> "AdversaryView":
+        """The view ``cls(...)`` would build, with ``correct_values`` lazy.
+
+        Fault controllers build several views per agent-round; filling
+        the instance dict directly skips the frozen dataclass's
+        per-field ``object.__setattr__`` calls.
+        """
+        view = object.__new__(cls)
+        view.__dict__.update(
+            round_index=round_index,
+            n=n,
+            f=f,
+            values=values,
+            positions=positions,
+            cured=cured,
+            correct_values=None,
+            rng=rng,
+            topology=topology,
+        )
+        return view
+
     def correct_range(self) -> Interval:
         """The interval spanned by currently-correct values.
 

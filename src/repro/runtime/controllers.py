@@ -23,6 +23,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,6 +40,7 @@ from ..faults.value_strategies import (
     CampOutbox,
     CrossfireAttack,
     SplitAttack,
+    ValueStrategy,
 )
 from ..faults.view import AdversaryView, batch_correct_ranges
 
@@ -48,6 +50,7 @@ __all__ = [
     "MobileFaultController",
     "StaticMixedController",
     "CrossRunPlanner",
+    "StackPlan",
 ]
 
 
@@ -180,6 +183,39 @@ def _planted_override(
     )
 
 
+def _sender_classes(key, n: int) -> tuple:
+    """Every pid's sender class under ``key`` (all ``None`` without one)."""
+    return (None,) * n if key is None else tuple(map(key, range(n)))
+
+
+def _per_class(cache: dict, key, build, pid: int):
+    """``build(pid)``, shared by every pid of sender class ``key``.
+
+    The first pid of a class builds (and so names any validation error);
+    later pids of the class reuse its result.  A ``None`` key opts out
+    of sharing: the pid builds its own.
+    """
+    if key is None:
+        return build(pid)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = build(pid)
+    return hit
+
+
+def _fan_out(pids, classes, build) -> dict:
+    """``{pid: build(pid)}`` in ``pids`` order, one build per class.
+
+    ``classes[pid]`` is the pid's sender class (see
+    :attr:`~repro.faults.adversary.Adversary.outbox_class`); under the
+    sender-class contract every pid of a class would build an equal
+    value from the same view, so sharing is bit-identical to the per-pid
+    loop and consumes the same (no) randomness.
+    """
+    cache: dict = {}
+    return {pid: _per_class(cache, classes[pid], build, pid) for pid in pids}
+
+
 @dataclass(frozen=True)
 class RoundPlan:
     """Everything fault-related that happens in one round.
@@ -272,12 +308,12 @@ class MobileFaultController(FaultController):
         #: the adversary view (the omniscient adversary reads wiring).
         self.topology = topology
         self._positions: frozenset[int] | None = None
-        # Resolved once per run: whether the adversary's scalar
-        # corruption hooks are pid-independent (see
-        # Adversary.shares_scalar_values), letting the planning hot
-        # path compute each round's departure/compute value once
-        # instead of once per agent.
-        self._shared_scalars = adversary.shares_scalar_values
+        # Resolved once per run: each pid's sender class for outboxes
+        # and for the scalar corruption hooks, so planning calls each
+        # hook once per class present in a round instead of once per
+        # agent.
+        self._outbox_classes = _sender_classes(adversary.outbox_class, n)
+        self._scalar_classes = _sender_classes(adversary.scalar_class, n)
 
     @property
     def positions(self) -> frozenset[int]:
@@ -340,7 +376,16 @@ class MobileFaultController(FaultController):
                 range_mask[list(excluded)] = False
             object.__setattr__(departure_view, "_range_mask", range_mask)
 
-        memory_corruptions = self._departure_values(departure_view, cured)
+        adversary = self.adversary
+        n = self.n
+        memory_corruptions = _fan_out(
+            cured,
+            self._scalar_classes,
+            lambda pid: _checked_value(
+                adversary.departure_value(departure_view, pid),
+                f"departure value for p{pid}",
+            ),
+        )
 
         attack_values = _with_corruptions(values, memory_corruptions)
         attack_view = self._view(round_index, attack_values, positions, cured, rng)
@@ -349,45 +394,23 @@ class MobileFaultController(FaultController):
             # ArrayValues copy -- array-backed either way.
             object.__setattr__(attack_view, "_range_mask", range_mask)
 
-        # Sender-agnostic strategies emit the same outbox from every
-        # agent, so one shared mapping per round serves all of them
-        # (the values would be identical anyway; sharing skips the
-        # rebuild per sender).
-        shared = self.adversary.shares_round_outboxes
-        send_overrides: dict[int, Mapping[int, float]] = {}
-        if shared and positions:
-            # One outbox for every agent: build it once (from the same
-            # first pid the per-sender loop would use) and fan the
-            # reference out at C speed.
-            shared_attack = _attack_override(
-                self.adversary, attack_view, next(iter(positions)), self.n
-            )
-            send_overrides = dict.fromkeys(positions, shared_attack)
-        else:
-            shared_attack: Mapping[int, float] | None = None
-            for pid in positions:
-                if shared_attack is None:
-                    shared_attack = _attack_override(
-                        self.adversary, attack_view, pid, self.n
-                    )
-                send_overrides[pid] = shared_attack
-                if not shared:
-                    shared_attack = None
+        send_overrides = _fan_out(
+            positions,
+            self._outbox_classes,
+            lambda pid: _attack_override(adversary, attack_view, pid, n),
+        )
         if self.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE:
-            shared_planted: Mapping[int, float] | None = None
-            for pid in cured:
-                if shared_planted is None:
-                    shared_planted = _planted_override(
-                        self.adversary, attack_view, pid, self.n
-                    )
-                send_overrides[pid] = shared_planted
-                if not shared:
-                    shared_planted = None
+            send_overrides.update(
+                _fan_out(
+                    cured,
+                    self._outbox_classes,
+                    lambda pid: _planted_override(adversary, attack_view, pid, n),
+                )
+            )
 
         compute_corruptions = self._corrupted_computes(attack_view, positions)
         # The three mappings are freshly built above (never aliased),
-        # so the read-only proxy can wrap them without the defensive
-        # copy `_frozen_mapping` pays for caller-supplied dicts.
+        # so the read-only proxy can wrap them without a defensive copy.
         return RoundPlan(
             round_index=round_index,
             faulty_at_send=positions,
@@ -398,50 +421,17 @@ class MobileFaultController(FaultController):
             compute_corruptions=MappingProxyType(compute_corruptions),
         )
 
-    def _departure_values(self, view, pids) -> dict[int, float]:
-        """Checked departure value per pid; one shared call when legal.
-
-        Bit-identical to the per-pid loop: under the sharing contract
-        the hook is pid-independent and randomness-free, so every call
-        would return the same float anyway.
-        """
-        if not pids:
-            return {}
-        adversary = self.adversary
-        if self._shared_scalars:
-            first = next(iter(pids))
-            value = _checked_value(
-                adversary.departure_value(view, first),
-                f"departure value for p{first}",
-            )
-            return {pid: value for pid in pids}
-        return {
-            pid: _checked_value(
-                adversary.departure_value(view, pid),
-                f"departure value for p{pid}",
-            )
-            for pid in pids
-        }
-
     def _corrupted_computes(self, view, pids) -> dict[int, float]:
-        """Checked corrupted-compute value per pid; shared when legal."""
-        if not pids:
-            return {}
+        """Checked corrupted-compute value per pid, one per class."""
         adversary = self.adversary
-        if self._shared_scalars:
-            first = next(iter(pids))
-            value = _checked_value(
-                adversary.corrupted_compute(view, first),
-                f"corrupted compute for p{first}",
-            )
-            return {pid: value for pid in pids}
-        return {
-            pid: _checked_value(
+        return _fan_out(
+            pids,
+            self._scalar_classes,
+            lambda pid: _checked_value(
                 adversary.corrupted_compute(view, pid),
                 f"corrupted compute for p{pid}",
-            )
-            for pid in pids
-        }
+            ),
+        )
 
     # -- M4 ----------------------------------------------------------------------
 
@@ -454,17 +444,13 @@ class MobileFaultController(FaultController):
             hosts = self._positions
 
         attack_view = self._view(round_index, values, hosts, frozenset(), rng)
-        shared = self.adversary.shares_round_outboxes
-        send_overrides: dict[int, Mapping[int, float]] = {}
-        shared_attack: Mapping[int, float] | None = None
-        for pid in hosts:
-            if shared_attack is None:
-                shared_attack = _attack_override(
-                    self.adversary, attack_view, pid, self.n
-                )
-            send_overrides[pid] = shared_attack
-            if not shared:
-                shared_attack = None
+        adversary = self.adversary
+        n = self.n
+        send_overrides = _fan_out(
+            hosts,
+            self._outbox_classes,
+            lambda pid: _attack_override(adversary, attack_view, pid, n),
+        )
 
         # Agents ride the messages to their next hosts, whose computation
         # phase this round is under agent control.  Vacated hosts are
@@ -480,8 +466,8 @@ class MobileFaultController(FaultController):
             faulty_at_send=hosts,
             cured_at_send=frozenset(),
             positions_after=next_hosts,
-            send_overrides=_frozen_mapping(send_overrides),
-            compute_corruptions=_frozen_mapping(compute_corruptions),
+            send_overrides=MappingProxyType(send_overrides),
+            compute_corruptions=MappingProxyType(compute_corruptions),
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -498,15 +484,8 @@ class MobileFaultController(FaultController):
         # can hold it directly -- no defensive copy -- and leave
         # ``correct_values`` to the view's lazy derivation (strategies
         # that only need correct_range() never pay for the dict).
-        return AdversaryView(
-            round_index=round_index,
-            n=self.n,
-            f=self.f,
-            values=values,
-            positions=positions,
-            cured=cured,
-            rng=rng,
-            topology=self.topology,
+        return AdversaryView.snapshot(
+            round_index, self.n, self.f, values, positions, cured, rng, self.topology
         )
 
     def _check_positions(self, positions: frozenset[int]) -> None:
@@ -514,8 +493,8 @@ class MobileFaultController(FaultController):
             raise ValueError(
                 f"adversary placed {len(positions)} agents, only f={self.f} exist"
             )
-        bad = [pid for pid in positions if pid < 0 or pid >= self.n]
-        if bad:
+        if positions and (min(positions) < 0 or max(positions) >= self.n):
+            bad = [pid for pid in positions if pid < 0 or pid >= self.n]
             raise ValueError(f"adversary placed agents on invalid ids {bad}")
 
 
@@ -545,6 +524,8 @@ class StaticMixedController(FaultController):
         self.adversary = adversary
         self.topology = topology
         self._classes = dict(assignment.items())
+        self._outbox_classes = _sender_classes(adversary.outbox_class, n)
+        self._scalar_classes = _sender_classes(adversary.scalar_class, n)
 
     def plan_round(
         self, round_index: int, values: Mapping[int, float], rng: random.Random
@@ -561,42 +542,46 @@ class StaticMixedController(FaultController):
             topology=self.topology,
         )
 
-        shared = self.adversary.shares_round_outboxes
+        adversary = self.adversary
+        n = self.n
+        classes = self._outbox_classes
+
+        def symmetric(pid: int) -> Mapping[int, float]:
+            value = _checked_value(
+                adversary.attack_message(view, pid, None),
+                f"symmetric message from p{pid}",
+            )
+            return _frozen_mapping({q: value for q in range(n)})
+
+        def asymmetric(pid: int) -> Mapping[int, float]:
+            return _attack_override(adversary, view, pid, n)
+
+        # One loop in class order keeps the overrides' iteration order;
+        # each fault class shares its outboxes per sender class.
         send_overrides: dict[int, Mapping[int, float]] = {}
         forced_silent: set[int] = set()
-        shared_symmetric: Mapping[int, float] | None = None
-        shared_asymmetric: Mapping[int, float] | None = None
+        shared_symmetric: dict = {}
+        shared_asymmetric: dict = {}
         for pid, fault_class in self._classes.items():
             if fault_class is FaultClass.BENIGN:
                 forced_silent.add(pid)
             elif fault_class is FaultClass.SYMMETRIC:
-                if shared_symmetric is None:
-                    value = _checked_value(
-                        self.adversary.attack_message(view, pid, None),
-                        f"symmetric message from p{pid}",
-                    )
-                    shared_symmetric = _frozen_mapping(
-                        {q: value for q in range(self.n)}
-                    )
-                send_overrides[pid] = shared_symmetric
-                if not shared:
-                    shared_symmetric = None
+                send_overrides[pid] = _per_class(
+                    shared_symmetric, classes[pid], symmetric, pid
+                )
             else:
-                if shared_asymmetric is None:
-                    shared_asymmetric = _attack_override(
-                        self.adversary, view, pid, self.n
-                    )
-                send_overrides[pid] = shared_asymmetric
-                if not shared:
-                    shared_asymmetric = None
+                send_overrides[pid] = _per_class(
+                    shared_asymmetric, classes[pid], asymmetric, pid
+                )
 
-        compute_corruptions = {
-            pid: _checked_value(
-                self.adversary.corrupted_compute(view, pid),
+        compute_corruptions = _fan_out(
+            faulty,
+            self._scalar_classes,
+            lambda pid: _checked_value(
+                adversary.corrupted_compute(view, pid),
                 f"corrupted compute for p{pid}",
-            )
-            for pid in faulty
-        }
+            ),
+        )
         return RoundPlan(
             round_index=round_index,
             faulty_at_send=faulty,
@@ -613,34 +598,229 @@ class StaticMixedController(FaultController):
         return f"static-mixed{counts}[{self.adversary.describe()}]"
 
 
+def _flatten(np, collections):
+    """Row index and pid arrays of per-row pid collections.
+
+    ``collections[i]`` is any sized iterable of pids for row ``i``; pids
+    come out in iteration order, row by row, without a Python loop.
+    """
+    lengths = np.fromiter(map(len, collections), np.intp, len(collections))
+    pids = np.fromiter(
+        chain.from_iterable(collections), np.intp, int(lengths.sum())
+    )
+    return np.repeat(np.arange(len(collections)), lengths), pids
+
+
+def _mask(np, shape, collections):
+    """``shape`` boolean mask, True at each row's pids (one scatter)."""
+    rows, pids = _flatten(np, collections)
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, pids] = True
+    return mask
+
+
+def _first_of_class(np, rows, classes, pids, width):
+    """``(row, class, pid)`` for the first pid of each class in a row.
+
+    The inputs are flattened per-row pid collections (see
+    :func:`_flatten`) and each pid's class code below ``width``, so
+    "first" is the pid the per-cell fan-out would build from; the
+    triples come out in that same row-major iteration order.
+    """
+    if not pids.shape[0]:
+        return ()
+    keys = rows * width + classes
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = np.sort(order[starts])
+    return zip(rows[first].tolist(), classes[first].tolist(), pids[first].tolist())
+
+
+def _scatter_values(np, target, mappings) -> None:
+    """Write each row's ``{pid: value}`` mapping into ``target`` at once."""
+    if not any(mappings):
+        return
+    rows, pids = _flatten(np, mappings)
+    target[rows, pids] = np.fromiter(
+        chain.from_iterable(m.values() for m in mappings),
+        np.float64,
+        pids.shape[0],
+    )
+
+
+def _seeded_view(row, round_index, values, correct, interval) -> AdversaryView:
+    """A class-planned row's value view with the batched range seeded."""
+    view = row.controller._view(
+        round_index, values, row.positions, row.cured, row.rng
+    )
+    object.__setattr__(view, "_range_mask", correct)
+    if interval is not None:
+        object.__setattr__(view, "_correct_range", interval)
+    return view
+
+
+class _ArrayRow:
+    """One class-planned run's state while :meth:`CrossRunPlanner.plan_many`
+    plans a round: its movement, views and per-class hook results."""
+
+    __slots__ = (
+        "controller",
+        "classes",
+        "rng",
+        "values",
+        "positions",
+        "cured",
+        "after",
+        "planted",
+        "attack_view",
+        "outboxes",
+        "departures",
+        "computes",
+    )
+
+    def __init__(
+        self, controller, classes, rng, values, positions, cured, after
+    ) -> None:
+        self.controller = controller
+        #: Each pid's sender-class index.
+        self.classes = classes
+        self.rng = rng
+        self.values = values
+        self.positions = positions
+        self.cured = cured
+        self.after = after
+        self.planted = bool(cured) and (
+            controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE
+        )
+        self.attack_view = None
+        #: Outbox per class slot (attack classes, then planted classes).
+        self.outboxes: dict[int, Mapping[int, float]] = {}
+        self.departures: dict[int, float] = {}
+        self.computes: dict[int, float] = {}
+
+    def plan(self, round_index: int, slots: int) -> RoundPlan:
+        """The per-cell :class:`RoundPlan` of this row's round.
+
+        Built only for rows that leave the array path (a scalar-fold
+        fallback, or outboxes the stacked fold cannot express); the
+        mappings equal the per-cell planner's, in the same order.
+        """
+        classes = self.classes
+        outboxes = self.outboxes
+        overrides = {pid: outboxes[classes[pid]] for pid in self.positions}
+        if self.planted:
+            overrides.update(
+                {pid: outboxes[slots + classes[pid]] for pid in self.cured}
+            )
+        departures = self.departures
+        computes = self.computes
+        return RoundPlan(
+            round_index=round_index,
+            faulty_at_send=self.positions,
+            cured_at_send=self.cured,
+            positions_after=self.after,
+            memory_corruptions=MappingProxyType(
+                {pid: departures[classes[pid]] for pid in self.cured}
+            ),
+            send_overrides=MappingProxyType(overrides),
+            compute_corruptions=MappingProxyType(
+                {pid: computes[classes[pid]] for pid in self.after}
+            ),
+        )
+
+
+@dataclass
+class StackPlan:
+    """One round's faults for a stack of runs, as ``(R, n)`` arrays.
+
+    Produced by :meth:`CrossRunPlanner.plan_many`; row ``i`` is the
+    ``i``-th planned run.  The masks and value arrays cover every row.
+    Class-planned rows additionally carry their override traffic as
+    flattened camp values (``extra_*``, in the per-cell
+    ``send_overrides`` order) plus ``camps[i] = (codes, ncamps)`` -- the
+    recipients' camp indices and the camp count -- or ``None`` when no
+    process overrides its sends.  Rows planned through their
+    controller's :meth:`~MobileFaultController.plan_round` (and rows
+    whose outboxes the stacked fold cannot express) carry their
+    :class:`RoundPlan` in ``plans[i]`` instead; :meth:`plan` builds one
+    on demand for any row.
+
+    Attributes
+    ----------
+    patched:
+        The send-phase snapshot: the stack with memory corruptions
+        applied (aliases the input when none landed).
+    silent:
+        Processes that do not broadcast: override senders, forced
+        silence and, where the model is cured-aware, cured processes.
+    garbage, garbage_values:
+        Processes whose computation the agents corrupt, and the values
+        their round ends with.
+    after:
+        Agent hosts at the end of the round (``positions_after``), also
+        as ``positions_after[i]`` frozensets.
+    """
+
+    round_index: int
+    patched: object
+    silent: object
+    garbage: object
+    garbage_values: object
+    after: object
+    positions_after: list
+    plans: list
+    camps: list
+    extra_rows: object
+    extra_cols: object
+    extra_values: object
+    _rows: dict
+    _slots: int
+
+    def plan(self, i: int) -> RoundPlan:
+        """Row ``i``'s :class:`RoundPlan` (built on demand)."""
+        plan = self.plans[i]
+        if plan is None:
+            plan = self._rows[i].plan(self.round_index, self._slots)
+        return plan
+
+
 class CrossRunPlanner:
     """Batched per-round fault planning for R lockstep mobile runs.
 
     The cross-run engine (:func:`repro.runtime.simulator.simulate_many`)
     advances a whole batch of compatible runs on one ``(R, n)`` state
-    matrix; this planner produces each run's :class:`RoundPlan` for a
-    round while hoisting the numpy-heavy pieces of
-    :meth:`MobileFaultController.plan_round` -- exclusion masks,
-    correct-range reductions, memory-corruption patching and split-camp
-    assignment codes -- into single whole-matrix passes.
+    matrix; this planner produces the round's faults for all of them as
+    a :class:`StackPlan` of ``(R, n)`` arrays.
 
-    Bit-identity with per-run planning is preserved by construction:
+    Runs whose adversary declares sender classes and recipient camps
+    (every built-in strategy except ``inertia`` and ``noise``, unless a
+    subclass re-routes a hook) are *class-planned*:
 
-    * every per-run decision (movement, per-sender outboxes, scalar
-      corruption values) still runs through the run's own controller,
-      adversary and RNG stream in the exact per-cell order, so RNG
-      consumption is unchanged;
-    * batched quantities are injected through the same sanctioned
-      seams the per-cell fast path already uses (``_range_mask`` /
-      ``_correct_range`` on :class:`AdversaryView`, the ``camps-split``
-      view memo), and only when the batched value is provably the one
-      the view would derive itself -- signed-zero endpoints and empty
-      masks fall back to the view's own lazy recomputation.
+    * movement runs per run through its controller, consuming each
+      run's RNG stream exactly as the per-cell planner does (the value
+      hooks of a class-declaring strategy consume none);
+    * occupancy, cured, exclusion, silence and garbage masks are built
+      by one scatter each, correct ranges by one masked reduction and
+      split-camp codes by one comparison over the whole stack;
+    * the value hooks run once per sender class present in a run-round
+      (see :meth:`~repro.faults.value_strategies.ValueStrategy.sender_class`),
+      and departures, compute corruptions and override camp values are
+      masked writes from those per-row class tables.
 
-    Runs may mix models, movements and attacks (each row plans through
-    its own controller); they must share ``n``.  Round 0 never reaches
-    the planner -- the engine plans it per run, which also initializes
-    agent positions.
+    Every other run is planned by its own controller's
+    :meth:`MobileFaultController.plan_round` -- the per-cell planner
+    exactly.  Bit-identity with per-run planning follows from the
+    sender-class contract plus the per-cell seams the views are seeded
+    through (``_range_mask`` / ``_correct_range`` and the
+    ``camps-split`` memo), which are only seeded with values the view
+    would derive itself -- signed-zero endpoints and empty masks fall
+    back to the view's own lazy recomputation.
+
+    Runs may mix models, movements and attacks; they must share ``n``.
+    Round 0 never reaches the planner -- the engine plans it per run,
+    which also initializes agent positions.
     """
 
     def __init__(self, controllers, rngs, wrap) -> None:
@@ -659,221 +839,332 @@ class CrossRunPlanner:
             isinstance(c.adversary.values, (SplitAttack, CrossfireAttack))
             for c in self.controllers
         ]
+        # Per run: each pid's sender-class index, or None for runs the
+        # controller plans itself.  Outbox and scalar classes are the
+        # same strategy key wherever neither hook family is re-routed.
+        self._classes: list[tuple[int, ...] | None] = []
+        for controller in self.controllers:
+            keys = controller._outbox_classes
+            if (
+                controller.f == 0
+                or None in keys
+                or keys != controller._scalar_classes
+                or type(controller.adversary.values).attack_camps
+                is ValueStrategy.attack_camps
+            ):
+                self._classes.append(None)
+                continue
+            index = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+            self._classes.append(tuple(map(index.__getitem__, keys)))
+        #: Class-code width: the most classes any run declares.
+        self._slots = max(
+            (max(codes) + 1 for codes in self._classes if codes), default=1
+        )
+        n = self.controllers[0].n if self.controllers else 0
+        self._codes = _np.array(
+            [codes if codes else (0,) * n for codes in self._classes],
+            dtype=_np.intp,
+        ).reshape(len(self.controllers), n)
 
-    def plan_many(self, round_index: int, stack, indices):
+    def plan_many(self, round_index: int, stack, indices) -> StackPlan:
         """Plan ``round_index`` for the runs in ``indices``.
 
         ``stack`` holds one row per entry of ``indices`` (the active
-        runs' current values, pre-corruption).  Returns ``(plans,
-        patched)`` where ``plans`` aligns with ``indices`` and
-        ``patched`` is the stack with each run's memory corruptions
-        applied -- the send-phase snapshot (aliases ``stack`` when no
-        run corrupted memory).  Requires ``round_index >= 1``.
+        runs' current values, pre-corruption); the returned
+        :class:`StackPlan` aligns with it.  Requires ``round_index >= 1``.
         """
         np = _np
         wrap = self._wrap
         count, n = stack.shape
+        shape = (count, n)
+        width = self._slots
         plans: list = [None] * count
-
-        # -- stage 1: per-run movement (pure Python + per-run RNG) ------
-        # info[i] is None (f == 0, trivially planned), an M1-M3 tuple
-        # ("m13", values, positions, cured) or an M4 tuple ("m4",
-        # values, hosts).  M4 consumes no randomness here: its
-        # next_positions draw happens *after* the attack outboxes, in
-        # per-cell order (see _plan_buhrman).
-        info: list = [None] * count
-        mask_rows: list[int] = []
-        mask_cols: list[int] = []
+        rows: dict[int, _ArrayRow] = {}
         for i, r in enumerate(indices):
-            controller = self.controllers[r]
-            rng = self.rngs[r]
             values = wrap(stack[i])
-            if controller.f == 0:
-                plans[i] = controller.plan_round(round_index, values, rng)
-                continue
-            if controller.semantics.moves_with_message:
-                hosts = controller._positions
-                if hosts is None:
-                    hosts = controller.adversary.initial_positions(
-                        controller.n, controller.f, rng
-                    )
-                info[i] = ("m4", values, hosts)
-                excluded = hosts
+            if self._classes[r] is None:
+                plans[i] = self.controllers[r].plan_round(
+                    round_index, values, self.rngs[r]
+                )
             else:
-                if controller._positions is None:
-                    positions = controller.adversary.initial_positions(
-                        controller.n, controller.f, rng
-                    )
-                    cured: frozenset[int] = frozenset()
-                else:
-                    movement_view = controller._view(
-                        round_index, values, controller._positions, frozenset(), rng
-                    )
-                    positions = controller.adversary.next_positions(movement_view)
-                    controller._check_positions(positions)
-                    cured = controller._positions - positions
-                info[i] = ("m13", values, positions, cured)
-                excluded = positions | cured
-            for pid in excluded:
-                mask_rows.append(i)
-                mask_cols.append(pid)
+                rows[i] = self._move(r, round_index, values)
+        codes = self._codes[indices]
 
-        # -- stage 2: batched exclusion masks + correct ranges ----------
-        mask = np.ones((count, n), dtype=bool)
-        if mask_rows:
-            mask[mask_rows, mask_cols] = False
-        # ``batch_correct_ranges`` leaves signed-zero endpoints and
-        # fully-masked rows unseeded (None) for the view's own scalar
-        # rescan; trivial rows (f == 0, already planned) are cleared
-        # here because no view will ever consume their interval.
-        intervals = batch_correct_ranges(stack, mask)
-        for i in range(count):
-            if info[i] is None:
-                intervals[i] = None
-
-        # -- stage 3: per-run departures, batched corruption patch ------
-        corruptions: list[dict[int, float]] = [{}] * count
-        corr_rows: list[int] = []
-        corr_cols: list[int] = []
-        corr_vals: list[float] = []
-        for i, r in enumerate(indices):
-            item = info[i]
-            if item is None or item[0] != "m13":
-                continue
-            _, values, positions, cured = item
-            controller = self.controllers[r]
-            departure_view = controller._view(
-                round_index, values, positions, cured, self.rngs[r]
-            )
-            object.__setattr__(departure_view, "_range_mask", mask[i])
-            if intervals[i] is not None:
-                object.__setattr__(departure_view, "_correct_range", intervals[i])
-            corrupted = controller._departure_values(departure_view, cured)
-            corruptions[i] = corrupted
-            for pid, value in corrupted.items():
-                corr_rows.append(i)
-                corr_cols.append(pid)
-                corr_vals.append(value)
-        if corr_rows:
-            patched = stack.copy()
-            patched[corr_rows, corr_cols] = corr_vals
+        # -- whole-stack masks, one scatter each ------------------------
+        # Per row: override senders, cured and end-of-round hosts (each
+        # flattened once, in iteration order), and whether cured
+        # processes stay silent (cured-aware M1, planted-queue M3).
+        senders: list = []
+        cured_sets: list = []
+        positions_after: list = []
+        is_array = np.zeros(count, dtype=bool)
+        planted = np.zeros(count, dtype=bool)
+        quiet = np.zeros(count, dtype=bool)
+        for i, plan in enumerate(plans):
+            if plan is None:
+                row = rows[i]
+                senders.append(row.positions)
+                cured_sets.append(row.cured)
+                positions_after.append(row.after)
+                is_array[i] = True
+                planted[i] = row.planted
+                quiet[i] = row.planted or row.controller.semantics.cured_aware
+            else:
+                senders.append(plan.send_overrides.keys() | plan.forced_silent)
+                cured_sets.append(plan.cured_at_send)
+                positions_after.append(plan.positions_after)
+                quiet[i] = self.controllers[indices[i]].semantics.cured_aware
+        send_rows, send_pids = _flatten(np, senders)
+        cured_rows, cured_pids = _flatten(np, cured_sets)
+        after_rows, after_pids = _flatten(np, positions_after)
+        occupied = np.zeros(shape, dtype=bool)
+        occupied[send_rows, send_pids] = True
+        cured = np.zeros(shape, dtype=bool)
+        cured[cured_rows, cured_pids] = True
+        after = np.zeros(shape, dtype=bool)
+        after[after_rows, after_pids] = True
+        if len(rows) == count:
+            garbage = after
         else:
-            patched = stack
+            garbage = _mask(
+                np,
+                shape,
+                [
+                    hosts if plan is None else plan.compute_corruptions
+                    for hosts, plan in zip(positions_after, plans)
+                ],
+            )
+        silent = occupied | (cured & quiet[:, None])
+        correct = ~(occupied | cured)
+        intervals = batch_correct_ranges(stack, correct)
 
-        # -- stage 4: batched split-camp codes --------------------------
+        # The class-planned rows' pids, with class codes: attackers,
+        # departing (cured) processes, planted-queue senders, and the
+        # hosts whose computation the agents corrupt.
+        mine = is_array[send_rows]
+        att_rows, att_pids = send_rows[mine], send_pids[mine]
+        mine = is_array[cured_rows]
+        dep_rows, dep_pids = cured_rows[mine], cured_pids[mine]
+        mine = planted[cured_rows]
+        pla_rows, pla_pids = cured_rows[mine], cured_pids[mine]
+        mine = is_array[after_rows]
+        com_rows, com_pids = after_rows[mine], after_pids[mine]
+        att_classes = codes[att_rows, att_pids]
+        dep_classes = codes[dep_rows, dep_pids]
+        pla_classes = codes[pla_rows, pla_pids]
+        com_classes = codes[com_rows, com_pids]
+
+        # -- departures: one hook call per class, one masked write ------
+        patched = stack
+        if dep_pids.shape[0]:
+            departures = np.zeros((count, width))
+            views: dict[int, AdversaryView] = {}
+            for i, c, pid in _first_of_class(
+                np, dep_rows, dep_classes, dep_pids, width
+            ):
+                row = rows[i]
+                view = views.get(i)
+                if view is None:
+                    view = views[i] = _seeded_view(
+                        row, round_index, row.values, correct[i], intervals[i]
+                    )
+                value = _checked_value(
+                    row.controller.adversary.departure_value(view, pid),
+                    f"departure value for p{pid}",
+                )
+                row.departures[c] = value
+                departures[i, c] = value
+            patched = stack.copy()
+            patched[dep_rows, dep_pids] = departures[dep_rows, dep_classes]
+        memory = [{} if plan is None else plan.memory_corruptions for plan in plans]
+        if any(memory):
+            if patched is stack:
+                patched = stack.copy()
+            _scatter_values(np, patched, memory)
+
+        # -- split-camp codes: one comparison over the clean rows -------
         # Corruptions only land on cured (masked-out) pids, so the
-        # attack view's range equals the departure view's bit-for-bit;
-        # the midpoint is therefore known for every clean row and the
-        # bisection comparison of _split_assignment can run as one
-        # whole-matrix pass.  Rows without a pre-seeded interval let
-        # the strategy recompute lazily (per-cell behaviour).
-        codes_rows = [
+        # attack view's range equals the departure view's bit for bit
+        # and the bisection of _split_assignment runs as one pass.
+        # Rows without a seeded interval let the strategy recompute.
+        split_rows = [
             i
             for i, r in enumerate(indices)
-            if info[i] is not None
-            and intervals[i] is not None
-            and self._split_strategy[r]
+            if i in rows and intervals[i] is not None and self._split_strategy[r]
         ]
-        codes_by_row: dict[int, object] = {}
-        if codes_rows:
+        split: dict[int, CampAssignment] = {}
+        if split_rows:
             mids = np.array(
-                [intervals[i].midpoint() for i in codes_rows], dtype=np.float64
+                [intervals[i].midpoint() for i in split_rows], dtype=np.float64
             )
-            codes = (patched[codes_rows] > mids[:, None]).astype("i8")
-            for slot, i in enumerate(codes_rows):
-                codes_by_row[i] = codes[slot]
+            split_codes = (patched[split_rows] > mids[:, None]).astype("i8")
+            for slot, i in enumerate(split_rows):
+                assignment = split[i] = CampAssignment(split_codes[slot].tolist())
+                assignment.array = split_codes[slot]
+        for i, row in rows.items():
+            row.attack_view = _seeded_view(
+                row,
+                round_index,
+                wrap(patched[i]) if row.cured else row.values,
+                correct[i],
+                intervals[i],
+            )
+            assignment = split.get(i)
+            if assignment is not None:
+                # The batched codes are 0/1 over all n recipients by
+                # construction -- valid for the split strategies' two
+                # camps -- so the per-round shape scan is pre-answered.
+                object.__setattr__(
+                    row.attack_view,
+                    "_memo",
+                    {
+                        "camps-split": assignment,
+                        ("camps-assignment-ok", id(assignment), 2): True,
+                    },
+                )
 
-        # -- stage 5: per-run attack outboxes + plan assembly -----------
-        for i, r in enumerate(indices):
-            item = info[i]
-            if item is None:
+        # -- attack and planted outboxes: one per class -----------------
+        # Planted-queue classes take the slots after the attack ones.
+        for i, slot, pid in _first_of_class(
+            np,
+            np.concatenate([att_rows, pla_rows]),
+            np.concatenate([att_classes, pla_classes + width]),
+            np.concatenate([att_pids, pla_pids]),
+            2 * width,
+        ):
+            row = rows[i]
+            override = _planted_override if slot >= width else _attack_override
+            row.outboxes[slot] = override(
+                row.controller.adversary, row.attack_view, pid, n
+            )
+
+        # -- compute corruptions: one per class, one masked write -------
+        garbage_values = np.zeros(shape)
+        if com_pids.shape[0]:
+            computes = np.zeros((count, width))
+            for i, c, pid in _first_of_class(
+                np, com_rows, com_classes, com_pids, width
+            ):
+                row = rows[i]
+                value = _checked_value(
+                    row.controller.adversary.corrupted_compute(row.attack_view, pid),
+                    f"corrupted compute for p{pid}",
+                )
+                row.computes[c] = value
+                computes[i, c] = value
+            garbage_values[com_rows, com_pids] = computes[com_rows, com_classes]
+        _scatter_values(
+            np,
+            garbage_values,
+            [{} if plan is None else plan.compute_corruptions for plan in plans],
+        )
+
+        # -- override camp tables ---------------------------------------
+        # A row stays on the array path when all its outboxes are camps
+        # over one shared assignment (what RoundKernel.batch_rows can
+        # fold); otherwise it carries its RoundPlan like a fallback row.
+        camps: list = [None] * count
+        has_camps = np.zeros(count, dtype=bool)
+        for i, row in rows.items():
+            outboxes = list(row.outboxes.values())
+            if not outboxes:
                 continue
-            controller = self.controllers[r]
-            rng = self.rngs[r]
-            adversary = controller.adversary
-            if item[0] == "m13":
-                _, values, positions, cured = item
-                corrupted = corruptions[i]
-                attack_values = wrap(patched[i]) if corrupted else values
-                attack_view = controller._view(
-                    round_index, attack_values, positions, cured, rng
-                )
-            else:
-                _, values, hosts = item
-                positions = hosts
-                cured = frozenset()
-                corrupted = None
-                attack_view = controller._view(
-                    round_index, values, hosts, frozenset(), rng
-                )
-            object.__setattr__(attack_view, "_range_mask", mask[i])
-            if intervals[i] is not None:
-                object.__setattr__(attack_view, "_correct_range", intervals[i])
-            codes_row = codes_by_row.get(i)
-            if codes_row is not None:
-                assignment = CampAssignment(codes_row.tolist())
-                assignment.array = codes_row
-                object.__setattr__(attack_view, "_memo", {"camps-split": assignment})
+            assignment = getattr(outboxes[0], "assignment", None)
+            if not all(
+                type(o) is CampOutbox and o.assignment is assignment
+                for o in outboxes
+            ):
+                plans[i] = row.plan(round_index, width)
+                continue
+            array = getattr(assignment, "array", None)
+            if array is None:
+                array = np.asarray(assignment, dtype=np.intp)
+            camps[i] = (array, min(len(o.camp_values) for o in outboxes))
+            has_camps[i] = True
+        ncamps = max((entry[1] for entry in camps if entry is not None), default=1)
+        cells = [
+            (i, slot, (outbox.camp_values + (0.0,) * ncamps)[:ncamps])
+            for i, row in rows.items()
+            if camps[i] is not None
+            for slot, outbox in row.outboxes.items()
+        ]
+        table = np.zeros((count, 2 * width, ncamps))
+        if cells:
+            cell_rows, cell_slots, cell_values = zip(*cells)
+            table[list(cell_rows), list(cell_slots)] = cell_values
+        # Each row's extras columns: its attackers in iteration order,
+        # then its planted-queue senders -- the per-cell send_overrides
+        # order, which fixes how +-0.0 ties sort in the fold.
+        att_counts = np.bincount(att_rows, minlength=count)
+        att_cols = (
+            np.arange(att_rows.shape[0])
+            - (np.cumsum(att_counts) - att_counts)[att_rows]
+        )
+        pla_counts = np.bincount(pla_rows, minlength=count)
+        pla_cols = (
+            np.arange(pla_rows.shape[0])
+            - (np.cumsum(pla_counts) - pla_counts)[pla_rows]
+            + att_counts[pla_rows]
+        )
+        extra_rows = np.concatenate([att_rows, pla_rows])
+        extra_cols = np.concatenate([att_cols, pla_cols])
+        extra_slots = np.concatenate([att_classes, pla_classes + width])
+        keep = has_camps[extra_rows]
+        extra_rows = extra_rows[keep]
 
-            shared = adversary.shares_round_outboxes
-            send_overrides: dict[int, Mapping[int, float]] = {}
-            if item[0] == "m13" and shared and positions:
-                shared_attack = _attack_override(
-                    adversary, attack_view, next(iter(positions)), controller.n
-                )
-                send_overrides = dict.fromkeys(positions, shared_attack)
-            else:
-                shared_attack = None
-                for pid in positions:
-                    if shared_attack is None:
-                        shared_attack = _attack_override(
-                            adversary, attack_view, pid, controller.n
-                        )
-                    send_overrides[pid] = shared_attack
-                    if not shared:
-                        shared_attack = None
-            if item[0] == "m13":
-                if controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE:
-                    shared_planted: Mapping[int, float] | None = None
-                    for pid in cured:
-                        if shared_planted is None:
-                            shared_planted = _planted_override(
-                                adversary, attack_view, pid, controller.n
-                            )
-                        send_overrides[pid] = shared_planted
-                        if not shared:
-                            shared_planted = None
-                compute_corruptions = controller._corrupted_computes(
-                    attack_view, positions
-                )
-                plans[i] = RoundPlan(
-                    round_index=round_index,
-                    faulty_at_send=positions,
-                    cured_at_send=cured,
-                    positions_after=positions,
-                    memory_corruptions=MappingProxyType(corrupted),
-                    send_overrides=MappingProxyType(send_overrides),
-                    compute_corruptions=MappingProxyType(compute_corruptions),
-                )
-                controller._positions = positions
-            else:
-                # M4: the agents ride the messages -- draw the next
-                # hosts only now, matching _plan_buhrman's RNG order.
-                movement_view = controller._view(
-                    round_index, values, hosts, frozenset(), rng
-                )
-                next_hosts = adversary.next_positions(movement_view)
-                controller._check_positions(next_hosts)
-                compute_corruptions = controller._corrupted_computes(
-                    attack_view, next_hosts
-                )
-                plans[i] = RoundPlan(
-                    round_index=round_index,
-                    faulty_at_send=hosts,
-                    cured_at_send=frozenset(),
-                    positions_after=next_hosts,
-                    send_overrides=_frozen_mapping(send_overrides),
-                    compute_corruptions=_frozen_mapping(compute_corruptions),
-                )
-                controller._positions = next_hosts
-        return plans, patched
+        return StackPlan(
+            round_index=round_index,
+            patched=patched,
+            silent=silent,
+            garbage=garbage,
+            garbage_values=garbage_values,
+            after=after,
+            positions_after=positions_after,
+            plans=plans,
+            camps=camps,
+            extra_rows=extra_rows,
+            extra_cols=extra_cols[keep],
+            extra_values=table[extra_rows, extra_slots[keep]],
+            _rows=rows,
+            _slots=width,
+        )
+
+    def _move(self, r: int, round_index: int, values) -> _ArrayRow:
+        """Run ``r``'s movement step, exactly as its controller would.
+
+        M4 agents ride the messages, so the controller draws the next
+        hosts after the attack outboxes; no value hook of a
+        class-planned run draws randomness, so drawing them here first
+        consumes the run's stream identically.
+        """
+        controller = self.controllers[r]
+        classes = self._classes[r]
+        rng = self.rngs[r]
+        adversary = controller.adversary
+        empty: frozenset[int] = frozenset()
+        previous = controller._positions
+        if controller.semantics.moves_with_message:
+            hosts = previous
+            if hosts is None:
+                hosts = adversary.initial_positions(controller.n, controller.f, rng)
+            moved = adversary.next_positions(
+                controller._view(round_index, values, hosts, empty, rng)
+            )
+            controller._check_positions(moved)
+            row = _ArrayRow(controller, classes, rng, values, hosts, empty, moved)
+        elif previous is None:
+            positions = adversary.initial_positions(controller.n, controller.f, rng)
+            row = _ArrayRow(
+                controller, classes, rng, values, positions, empty, positions
+            )
+        else:
+            positions = adversary.next_positions(
+                controller._view(round_index, values, previous, empty, rng)
+            )
+            controller._check_positions(positions)
+            cured = previous - positions
+            row = _ArrayRow(
+                controller, classes, rng, values, positions, cured, positions
+            )
+        controller._positions = row.after
+        return row

@@ -38,6 +38,7 @@ diameter trajectories are bit-identical between the two modes.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import Literal
@@ -400,6 +401,22 @@ def simulate_many(
         return traces
 
 
+def _sampled(kernel: RoundKernel, path: str, call, *args):
+    """``call(*args)``, timed into the kernel's sampler on sampled ticks.
+
+    With no sampler attached this is one slot read and a call, like
+    the kernel's own phase shims.
+    """
+    sampler = kernel.telemetry
+    if sampler is None or not sampler.tick(path):
+        return call(*args)
+    start = time.perf_counter()
+    try:
+        return call(*args)
+    finally:
+        sampler.record(path, time.perf_counter() - start)
+
+
 def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
     """The cross-run lite loop: R compatible runs on one (R, n) stack.
 
@@ -472,33 +489,40 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
 
         count = len(active)
         sub = stack[active]
-        plans, patched = planner.plan_many(round_index, sub, active)
+        plan = _sampled(kernel, "plan", planner.plan_many, round_index, sub, active)
+        patched = plan.patched
 
         # -- send phase: one masked stable sort over the whole stack --
-        silent_rows: list[int] = []
-        silent_cols: list[int] = []
-        counts = [0] * count
-        for i, r in enumerate(active):
-            plan = plans[i]
-            silent = set(plan.send_overrides)
-            silent.update(plan.forced_silent)
-            if sims[r]._cured_aware and plan.cured_at_send:
-                silent.update(plan.cured_at_send)
-            counts[i] = n - len(silent)
-            for pid in silent:
-                silent_rows.append(i)
-                silent_cols.append(pid)
-        send_mask = np.ones((count, n), dtype=bool)
-        if silent_rows:
-            send_mask[silent_rows, silent_cols] = False
+        counts = n - plan.silent.sum(axis=1)
         sorted_bcast = np.sort(
-            np.where(send_mask, patched, np.inf), axis=1, kind="stable"
+            np.where(plan.silent, np.inf, patched), axis=1, kind="stable"
         )
 
         # -- receive+compute: width-grouped fold across the runs ------
+        # Class-planned rows fold [broadcasts..., override extras...]
+        # per camp: each row's extras land right after its broadcasts
+        # (override senders never broadcast, so the row fits in n).
+        extra_rows = plan.extra_rows
+        widths = counts + np.bincount(extra_rows, minlength=count)
+        if extra_rows.shape[0]:
+            ncamps = plan.extra_values.shape[1]
+            camp_rows = np.repeat(sorted_bcast[:, None, :], ncamps, axis=1)
+            camp_rows[
+                extra_rows[:, None],
+                np.arange(ncamps),
+                (counts[extra_rows] + plan.extra_cols)[:, None],
+            ] = plan.extra_values
+        counts = counts.tolist()
+        widths = widths.tolist()
         entries: list = [None] * count
         for i in range(count):
-            overrides = plans[i].send_overrides
+            row_plan = plan.plans[i]
+            camps = plan.camps[i]
+            if camps is not None:
+                codes, camp_count = camps
+                entries[i] = (camp_rows[i, :camp_count, : widths[i]], codes, n)
+                continue
+            overrides = row_plan.send_overrides if row_plan is not None else None
             prepared = kernel.batch_rows(
                 np,
                 sorted_bcast[i, : counts[i]],
@@ -507,14 +531,10 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
             if prepared is not None:
                 rows, codes = prepared
                 entries[i] = (rows, codes, n)
-        folded = kernel.fold_rows_many(batch, np, entries)
+        folded = _sampled(kernel, "fold", kernel.fold_rows_many, batch, np, entries)
 
         new_stack = np.empty_like(sub)
-        garbage_rows: list[int] = []
-        garbage_cols: list[int] = []
-        garbage_vals: list[float] = []
         for i, r in enumerate(active):
-            plan = plans[i]
             new_arr = folded[i]
             if new_arr is None:
                 # This run's round isn't batchable (non-camp overrides,
@@ -522,47 +542,32 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
                 # of `_advance_round_vectorized`, canonical errors
                 # included.
                 sim = sims[r]
+                row_plan = plan.plan(i)
                 work = dict(enumerate(patched[i].tolist()))
                 sim._values = work
-                broadcasts = sim._broadcast_values_lite(plan)
+                broadcasts = sim._broadcast_values_lite(row_plan)
                 broadcasts.sort()
-                overrides = plan.send_overrides
+                overrides = row_plan.send_overrides
                 kernel.compute_phase(
                     sim.protocol,
                     sim._lite_evaluate,
                     n,
                     broadcasts,
                     list(overrides.values()) if overrides else None,
-                    plan.compute_corruptions,
+                    row_plan.compute_corruptions,
                     work,
                     False,
                 )
-                for pid, garbage in plan.compute_corruptions.items():
-                    work[pid] = garbage
-                new_stack[i] = np.array(
-                    list(work.values()), dtype=np.float64
-                )
+                new_stack[i] = np.array(list(work.values()), dtype=np.float64)
             else:
                 new_stack[i] = new_arr
-                for pid, garbage in plan.compute_corruptions.items():
-                    garbage_rows.append(i)
-                    garbage_cols.append(pid)
-                    garbage_vals.append(garbage)
-        if garbage_rows:
-            new_stack[garbage_rows, garbage_cols] = garbage_vals
+        new_stack = np.where(plan.garbage, plan.garbage_values, new_stack)
         stack[active] = new_stack
 
         # -- extents + termination: batched reduction, per-run rescue --
-        excl_rows: list[int] = []
-        excl_cols: list[int] = []
         for i, r in enumerate(active):
-            positions_after[r] = plans[i].positions_after
-            for pid in plans[i].positions_after:
-                excl_rows.append(i)
-                excl_cols.append(pid)
-        ext_mask = np.ones((count, n), dtype=bool)
-        if excl_rows:
-            ext_mask[excl_rows, excl_cols] = False
+            positions_after[r] = plan.positions_after[i]
+        ext_mask = ~plan.after
         lows = np.where(ext_mask, new_stack, np.inf).min(axis=1).tolist()
         highs = np.where(ext_mask, new_stack, -np.inf).max(axis=1).tolist()
         for i, r in enumerate(active):
@@ -577,7 +582,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
                 # Signed-zero endpoints / fully-excluded rows: the
                 # per-cell first-wins scan decides.
                 extent = sims[r]._array_extent(
-                    new_stack[i], plans[i].positions_after
+                    new_stack[i], plan.positions_after[i]
                 )
             else:
                 extent = (low, high)

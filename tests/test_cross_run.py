@@ -23,9 +23,16 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests.helpers import small_grid
+from tests.helpers import make_mobile_config, small_grid
 
+from repro.api import movement_strategy, value_strategy
+from repro.faults import get_semantics
+
+from repro.runtime import RoundKernel
+from repro.runtime.controllers import CrossRunPlanner
 from repro.runtime.simulator import run_simulation, simulate_many
 from repro.sweep import (
     CellSpec,
@@ -68,10 +75,17 @@ class TestSimulateManyEquivalence:
     """Runtime-level bit-identity of the stacked engine."""
 
     @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
-    @pytest.mark.parametrize("attack", ["split", "outlier", "oscillating"])
-    def test_models_and_attacks(self, model, attack):
+    @pytest.mark.parametrize(
+        "attack", ["split", "outlier", "oscillating", "crossfire"]
+    )
+    # Oracle termination stops crossfire after round 0 (which runs per
+    # cell), so a fixed budget is what takes it through the stack.
+    @pytest.mark.parametrize("rounds", [None, 8])
+    def test_models_and_attacks(self, model, attack, rounds):
         configs = [
-            cell(model=model, f=2, n=None, attack=attack, seed=seed).to_config()
+            cell(
+                model=model, f=2, n=None, attack=attack, seed=seed, rounds=rounds
+            ).to_config()
             for seed in range(3)
         ]
         many = simulate_many(configs)
@@ -93,6 +107,69 @@ class TestSimulateManyEquivalence:
         for a, b in zip(many, solo):
             assert a.decisions == b.decisions
             assert tuple(a.diameters()) == tuple(b.diameters())
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_class_planned_and_fallback_rows_in_one_stack(
+        self, model, monkeypatch
+    ):
+        # split/crossfire rows are planned as arrays from sender
+        # classes; inertia (no camps) and noise (no classes) rows go
+        # through their own controller -- in the same stack, under
+        # random movement, each row identical to its solo run.
+        attacks = ["split", "crossfire", "inertia", "noise"]
+        configs = [
+            cell(
+                model=model, f=2, n=None, movement="random",
+                attack=attack, seed=seed, rounds=8,
+            ).to_config()
+            for seed in range(2)
+            for attack in attacks
+        ]
+        planned: list = []
+        plan_many = CrossRunPlanner.plan_many
+
+        def spy(planner, round_index, stack, indices):
+            plan = plan_many(planner, round_index, stack, indices)
+            planned.extend(
+                (configs[r].setup.adversary.values.describe(), row is None)
+                for r, row in zip(indices, plan.plans)
+            )
+            return plan
+
+        monkeypatch.setattr(CrossRunPlanner, "plan_many", spy)
+        many = simulate_many(configs)
+        solo = [run_simulation(config) for config in configs]
+        for a, b in zip(many, solo):
+            assert a.decisions == b.decisions
+            assert tuple(a.diameters()) == tuple(b.diameters())
+            assert a.rounds_executed() == b.rounds_executed()
+        kinds = {name.split("(")[0]: arrays for name, arrays in planned}
+        assert kinds == {
+            "split": True, "crossfire": True, "inertia": False, "noise": False,
+        }
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_scalar_fallback_of_class_planned_rows(self, model, monkeypatch):
+        # A round the batched fold rejects takes the per-cell scalar
+        # kernel, which needs the row's RoundPlan: class-planned rows
+        # build theirs on demand from the class tables.
+        monkeypatch.setattr(
+            RoundKernel, "fold_rows_many",
+            lambda self, batch, np, entries: [None] * len(entries),
+        )
+        configs = [
+            cell(
+                model=model, f=2, n=None, movement=movement,
+                attack=attack, seed=1, rounds=6,
+            ).to_config()
+            for attack in ("split", "crossfire", "noise")
+            for movement in ("round-robin", "random")
+        ]
+        many = simulate_many(configs)
+        for config, trace in zip(configs, many):
+            solo = run_simulation(config)
+            assert trace.decisions == solo.decisions
+            assert tuple(trace.diameters()) == tuple(solo.diameters())
 
     def test_mixed_shapes_in_one_call(self):
         # Incompatible configs in one call regroup internally and come
@@ -362,3 +439,59 @@ class TestAccumulatorErrorCells:
         assert by_model["M2"][4:] == clean.summary_rows()[0][4:]
         # A group of only error cells renders placeholder statistics.
         assert by_model["M3"][3:] == ["0/1", "-", "-"]
+
+
+def _bits(trace):
+    """A trace's outputs with every float as its exact bit pattern."""
+    return (
+        {pid: value.hex() for pid, value in trace.decisions.items()},
+        tuple(value.hex() for value in trace.diameters()),
+        trace.rounds_executed(),
+        trace.terminated,
+    )
+
+
+@st.composite
+def _stacks(draw):
+    """A random valid stack: one (model, f, n, algorithm) shape whose rows
+    mix built-in attacks, movements, seeds, round budgets and initial
+    values (signed zeros included, to exercise the tie order)."""
+    model = draw(st.sampled_from(["M1", "M2", "M3", "M4"]))
+    f = draw(st.integers(1, 3))
+    n = get_semantics(model).required_n(f) + draw(st.integers(0, 4))
+    algorithm = draw(st.sampled_from(["ftm", "fta"]))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    return [
+        make_mobile_config(
+            model,
+            f=f,
+            n=n,
+            algorithm=algorithm,
+            movement=movement_strategy(
+                draw(st.sampled_from(["round-robin", "random", "static",
+                                      "target-extremes"]))
+            ),
+            values=value_strategy(
+                draw(st.sampled_from(["split", "outlier", "noise", "echo",
+                                      "oscillating", "inertia", "crossfire"]))
+            ),
+            initial_values=draw(st.lists(value, min_size=n, max_size=n)),
+            rounds=draw(st.integers(1, 8)),
+            seed=draw(st.integers(0, 2**16)),
+        )
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+
+
+class TestStackedDifferential:
+    """Random stacks through ``simulate_many`` vs per-run ``run_simulation``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs=_stacks())
+    def test_simulate_many_matches_run_simulation(self, configs):
+        many = simulate_many(configs)
+        for config, trace in zip(configs, many):
+            assert _bits(trace) == _bits(run_simulation(config, "lite"))

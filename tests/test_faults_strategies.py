@@ -12,6 +12,7 @@ from repro.faults import (
     AlternatingPools,
     EchoCorrect,
     FixedValue,
+    MobileModel,
     OutlierAttack,
     RandomJump,
     RandomNoise,
@@ -21,6 +22,12 @@ from repro.faults import (
     StaticAgents,
     TargetExtremes,
 )
+from repro.faults.value_strategies import (
+    CrossfireAttack,
+    InertiaAttack,
+    OscillatingAttack,
+)
+from repro.runtime.controllers import MobileFaultController
 
 
 def make_view(
@@ -278,3 +285,145 @@ class TestAdversary:
         adversary = Adversary(RoundRobinWalk(), SplitAttack())
         text = adversary.describe()
         assert "round-robin" in text and "split" in text
+
+
+BUILT_IN_STRATEGIES = [
+    FixedValue(2.5),
+    SplitAttack(),
+    SplitAttack(low=0.0, high=1.0),
+    OutlierAttack(),
+    RandomNoise(),
+    EchoCorrect(),
+    OscillatingAttack(),
+    InertiaAttack(),
+    CrossfireAttack(),
+]
+
+
+class TestSenderClasses:
+    """The sender-class contract fault planning shares work through."""
+
+    def _view(self, n=12):
+        rng = random.Random(3)
+        values = {pid: rng.uniform(-1.0, 2.0) for pid in range(n)}
+        return make_view(
+            values=values,
+            positions=frozenset({0, 3, 5, 8}),
+            cured=frozenset({1, 6}),
+            f=4,
+        )
+
+    @pytest.mark.parametrize(
+        "strategy", BUILT_IN_STRATEGIES, ids=lambda s: s.describe()
+    )
+    def test_one_class_gives_equal_outputs(self, strategy):
+        view = self._view()
+        recipients = range(view.n)
+        by_class: dict = {}
+        for sender in range(view.n):
+            key = strategy.sender_class(sender)
+            if key is not None:
+                by_class.setdefault(key, []).append(sender)
+        for senders in by_class.values():
+            first, rest = senders[0], senders[1:]
+
+            def outputs(sender):
+                camps = strategy.attack_camps(view, sender)
+                planted = strategy.planted_camps(view, sender)
+                return (
+                    None if camps is None else (camps.values, camps.assignment),
+                    strategy.attack_outbox(view, sender, recipients),
+                    None if planted is None else (planted.values, planted.assignment),
+                    strategy.planted_outbox(view, sender, recipients),
+                    strategy.departure_value(view, sender),
+                    strategy.corrupted_compute(view, sender),
+                )
+
+            expected = outputs(first)
+            for sender in rest:
+                assert outputs(sender) == expected, (first, sender)
+
+    def test_sender_agnostic_strategies_have_one_class(self):
+        for strategy in BUILT_IN_STRATEGIES:
+            if strategy.sender_agnostic:
+                assert {strategy.sender_class(p) for p in range(9)} == {0}
+
+    def test_crossfire_has_exactly_two_classes(self):
+        strategy = CrossfireAttack()
+        assert {strategy.sender_class(p) for p in range(11)} == {0, 1}
+        view = self._view()
+        even = strategy.attack_camps(view, 0)
+        odd = strategy.attack_camps(view, 1)
+        assert even.assignment is odd.assignment
+        assert even.values == tuple(reversed(odd.values))
+
+    def test_random_noise_declares_no_class(self):
+        strategy = RandomNoise()
+        assert all(strategy.sender_class(p) is None for p in range(5))
+        adversary = Adversary(values=strategy)
+        assert adversary.outbox_class(0) is None
+        assert adversary.scalar_class(0) is None
+
+    def test_adversary_exposes_the_strategy_key(self):
+        adversary = Adversary(values=CrossfireAttack())
+        assert [adversary.outbox_class(p) for p in range(4)] == [0, 1, 0, 1]
+        assert [adversary.scalar_class(p) for p in range(4)] == [0, 1, 0, 1]
+
+    def test_attack_message_override_opts_out_of_outbox_classes(self):
+        class Rerouted(Adversary):
+            def attack_message(self, view, sender, recipient):
+                return float(sender)
+
+        adversary = Rerouted(values=SplitAttack())
+        assert adversary.outbox_class is None
+        # The scalar hooks still go through the strategy untouched.
+        assert adversary.scalar_class(7) == 0
+
+    def test_departure_value_override_opts_out_of_scalar_classes(self):
+        class Departing(Adversary):
+            def departure_value(self, view, pid):
+                return float(pid)
+
+        adversary = Departing(values=SplitAttack())
+        assert adversary.scalar_class is None
+        assert adversary.outbox_class(7) == 0
+
+    def test_strategy_scalar_override_opts_out(self):
+        class Marked(SplitAttack):
+            def departure_value(self, view, pid):
+                return float(pid)
+
+        adversary = Adversary(values=Marked())
+        assert adversary.scalar_class is None
+        assert adversary.outbox_class(2) == 0
+
+    def test_controller_builds_one_outbox_per_class(self):
+        n, f = 13, 4
+        strategy = CrossfireAttack()
+        controller = MobileFaultController(
+            n=n,
+            f=f,
+            model=MobileModel.SASAKI,
+            adversary=Adversary(RoundRobinWalk(), strategy),
+        )
+        values = {pid: pid / (n - 1) for pid in range(n)}
+        rng = random.Random(0)
+        controller.plan_round(0, values, rng)
+        plan = controller.plan_round(1, values, rng)
+        # M3 after one move: f attackers and f cured planted-queue senders.
+        for group in (plan.faulty_at_send, plan.cured_at_send):
+            assert len(group) == f
+            assert len({id(plan.send_overrides[p]) for p in group}) == 2
+        view = AdversaryView(
+            round_index=1,
+            n=n,
+            f=f,
+            values={**values, **plan.memory_corruptions},
+            positions=plan.faulty_at_send,
+            cured=plan.cured_at_send,
+        )
+        for pid, outbox in plan.send_overrides.items():
+            assert dict(outbox) == strategy.attack_outbox(view, pid, range(n))
+        interval = view.correct_range()
+        for pid, value in plan.memory_corruptions.items():
+            assert value == (interval.high if pid % 2 == 0 else interval.low)

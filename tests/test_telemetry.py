@@ -287,6 +287,21 @@ class TestCellRoundsHistogram:
         assert delta["counters"]["sweep.dispatch.cross_run"] == 1.0
 
 
+class TestStackedPlanningTimings:
+    def test_cross_run_sweep_reports_plan_and_fold(self, tmp_path):
+        # The stacked engine's fault planning and multi-run fold are
+        # sampled on the kernel's sampler, next to the phase timings.
+        grid = small_grid(seeds=2, rounds=4)
+        result = run_sweep(grid, cross_run=True, telemetry=str(tmp_path))
+        counters = load_metrics(str(tmp_path))["counters"]
+        for path in ("plan", "fold"):
+            assert counters[f"kernel.{path}.calls"] > 0
+            assert counters[f"kernel.{path}.sampled"] >= 1
+            assert counters[f"kernel.{path}.seconds"] > 0
+        keys = {name for cell in result.cells for name, _ in cell.metrics}
+        assert {"kernel.plan.calls", "kernel.fold.calls"} <= keys
+
+
 class TestCLI:
     def test_sweep_telemetry_flag_and_stats(self, capsys, tmp_path):
         from repro.experiments.cli import main
