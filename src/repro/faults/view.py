@@ -142,7 +142,7 @@ class AdversaryView:
     ) -> "AdversaryView":
         """The view ``cls(...)`` would build, with ``correct_values`` lazy.
 
-        Fault controllers build several views per agent-round; filling
+        Fault controllers build several views per run and round; filling
         the instance dict directly skips the frozen dataclass's
         per-field ``object.__setattr__`` calls.
         """

@@ -23,7 +23,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -599,24 +599,18 @@ class StaticMixedController(FaultController):
 
 
 def _flatten(np, collections):
-    """Row index and pid arrays of per-row pid collections.
+    """Owner index, pid and length arrays of pid collections.
 
-    ``collections[i]`` is any sized iterable of pids for row ``i``; pids
-    come out in iteration order, row by row, without a Python loop.
+    ``collections[k]`` is any sized iterable of pids; ``pids`` lists
+    them in iteration order, collection by collection, and ``owner[j]``
+    is the ``k`` that ``pids[j]`` came from -- built without a Python
+    loop over pids.
     """
     lengths = np.fromiter(map(len, collections), np.intp, len(collections))
     pids = np.fromiter(
         chain.from_iterable(collections), np.intp, int(lengths.sum())
     )
-    return np.repeat(np.arange(len(collections)), lengths), pids
-
-
-def _mask(np, shape, collections):
-    """``shape`` boolean mask, True at each row's pids (one scatter)."""
-    rows, pids = _flatten(np, collections)
-    mask = np.zeros(shape, dtype=bool)
-    mask[rows, pids] = True
-    return mask
+    return np.repeat(np.arange(len(collections)), lengths), pids, lengths
 
 
 def _first_of_class(np, rows, classes, pids, width):
@@ -642,7 +636,7 @@ def _scatter_values(np, target, mappings) -> None:
     """Write each row's ``{pid: value}`` mapping into ``target`` at once."""
     if not any(mappings):
         return
-    rows, pids = _flatten(np, mappings)
+    rows, pids, _ = _flatten(np, mappings)
     target[rows, pids] = np.fromiter(
         chain.from_iterable(m.values() for m in mappings),
         np.float64,
@@ -801,9 +795,9 @@ class CrossRunPlanner:
     * movement runs per run through its controller, consuming each
       run's RNG stream exactly as the per-cell planner does (the value
       hooks of a class-declaring strategy consume none);
-    * occupancy, cured, exclusion, silence and garbage masks are built
-      by one scatter each, correct ranges by one masked reduction and
-      split-camp codes by one comparison over the whole stack;
+    * the occupancy, cured, silence, exclusion and garbage masks come
+      from one scatter, correct ranges from one masked reduction and
+      split-camp codes from one comparison over the whole stack;
     * the value hooks run once per sender class present in a run-round
       (see :meth:`~repro.faults.value_strategies.ValueStrategy.sender_class`),
       and departures, compute corruptions and override camp values are
@@ -890,78 +884,88 @@ class CrossRunPlanner:
                 rows[i] = self._move(r, round_index, values)
         codes = self._codes[indices]
 
-        # -- whole-stack masks, one scatter each ------------------------
-        # Per row: override senders, cured and end-of-round hosts (each
-        # flattened once, in iteration order), and whether cured
-        # processes stay silent (cured-aware M1, planted-queue M3).
-        senders: list = []
-        cured_sets: list = []
-        positions_after: list = []
+        # -- per-row pid collections, flattened in one pass -------------
+        # Five families, each one collection per row, in iteration
+        # order: processes that do not broadcast (override senders,
+        # forced silence), cured processes, end-of-round hosts,
+        # corrupted computations, and -- class-planned rows only -- the
+        # override senders in per-cell send_overrides order (agents,
+        # then planted-queue senders), which fixes how +-0.0 ties sort
+        # in the fold.  ``quiet`` rows keep their cured processes
+        # silent (cured-aware M1, planted-queue M3).
+        families: list[list] = [[], [], [], [], []]
+        silencers, cured_sets, positions_after, garbage_sets, outgoing = families
         is_array = np.zeros(count, dtype=bool)
-        planted = np.zeros(count, dtype=bool)
         quiet = np.zeros(count, dtype=bool)
         for i, plan in enumerate(plans):
             if plan is None:
                 row = rows[i]
-                senders.append(row.positions)
+                silencers.append(row.positions)
                 cured_sets.append(row.cured)
                 positions_after.append(row.after)
+                garbage_sets.append(row.after)
+                outgoing.append(
+                    tuple(row.positions) + tuple(row.cured)
+                    if row.planted
+                    else row.positions
+                )
                 is_array[i] = True
-                planted[i] = row.planted
                 quiet[i] = row.planted or row.controller.semantics.cured_aware
             else:
-                senders.append(plan.send_overrides.keys() | plan.forced_silent)
+                silencers.append(plan.send_overrides.keys() | plan.forced_silent)
                 cured_sets.append(plan.cured_at_send)
                 positions_after.append(plan.positions_after)
+                garbage_sets.append(plan.compute_corruptions)
+                outgoing.append(())
                 quiet[i] = self.controllers[indices[i]].semantics.cured_aware
-        send_rows, send_pids = _flatten(np, senders)
-        cured_rows, cured_pids = _flatten(np, cured_sets)
-        after_rows, after_pids = _flatten(np, positions_after)
-        occupied = np.zeros(shape, dtype=bool)
-        occupied[send_rows, send_pids] = True
-        cured = np.zeros(shape, dtype=bool)
-        cured[cured_rows, cured_pids] = True
-        after = np.zeros(shape, dtype=bool)
-        after[after_rows, after_pids] = True
-        if len(rows) == count:
-            garbage = after
-        else:
-            garbage = _mask(
-                np,
-                shape,
-                [
-                    hosts if plan is None else plan.compute_corruptions
-                    for hosts, plan in zip(positions_after, plans)
-                ],
-            )
-        silent = occupied | (cured & quiet[:, None])
-        correct = ~(occupied | cured)
+        owner, pids, lengths = _flatten(np, list(chain.from_iterable(families)))
+        family, row_of = np.divmod(owner, count)
+        masks = np.zeros((len(families), count, n), dtype=bool)
+        masks[family, row_of, pids] = True
+        senders, cured, after, garbage, _ = masks
+        silent = senders | (cured & quiet[:, None])
+        correct = ~(senders | cured)
         intervals = batch_correct_ranges(stack, correct)
 
-        # The class-planned rows' pids, with class codes: attackers,
-        # departing (cured) processes, planted-queue senders, and the
-        # hosts whose computation the agents corrupt.
-        mine = is_array[send_rows]
-        att_rows, att_pids = send_rows[mine], send_pids[mine]
-        mine = is_array[cured_rows]
-        dep_rows, dep_pids = cured_rows[mine], cured_pids[mine]
-        mine = planted[cured_rows]
-        pla_rows, pla_pids = cured_rows[mine], cured_pids[mine]
-        mine = is_array[after_rows]
-        com_rows, com_pids = after_rows[mine], after_pids[mine]
-        att_classes = codes[att_rows, att_pids]
+        # Class-planned rows' departing (cured), outgoing and garbage
+        # pids with their class slots: departures ``c``, attack outboxes
+        # ``width + c``, planted queues ``2 * width + c``, computes
+        # ``3 * width + c``.
+        sizes = lengths.tolist()
+        ends = list(
+            accumulate(sum(sizes[k : k + count]) for k in range(0, len(sizes), count))
+        )
+        dep = slice(ends[0], ends[1])
+        com = slice(ends[1], ends[2])
+        out = slice(ends[3], ends[4])
+        mine = is_array[row_of[dep]]
+        dep_rows, dep_pids = row_of[dep][mine], pids[dep][mine]
+        mine = is_array[row_of[com]]
+        com_rows, com_pids = row_of[com][mine], pids[com][mine]
+        out_rows, out_pids = row_of[out], pids[out]
         dep_classes = codes[dep_rows, dep_pids]
-        pla_classes = codes[pla_rows, pla_pids]
         com_classes = codes[com_rows, com_pids]
+        out_slots = codes[out_rows, out_pids] + width * cured[out_rows, out_pids]
+        firsts = list(
+            _first_of_class(
+                np,
+                np.concatenate([dep_rows, out_rows, com_rows]),
+                np.concatenate(
+                    [dep_classes, out_slots + width, com_classes + 3 * width]
+                ),
+                np.concatenate([dep_pids, out_pids, com_pids]),
+                4 * width,
+            )
+        )
 
         # -- departures: one hook call per class, one masked write ------
         patched = stack
         if dep_pids.shape[0]:
             departures = np.zeros((count, width))
             views: dict[int, AdversaryView] = {}
-            for i, c, pid in _first_of_class(
-                np, dep_rows, dep_classes, dep_pids, width
-            ):
+            for i, c, pid in firsts:
+                if c >= width:
+                    break
                 row = rows[i]
                 view = views.get(i)
                 if view is None:
@@ -1023,36 +1027,28 @@ class CrossRunPlanner:
                     },
                 )
 
-        # -- attack and planted outboxes: one per class -----------------
-        # Planted-queue classes take the slots after the attack ones.
-        for i, slot, pid in _first_of_class(
-            np,
-            np.concatenate([att_rows, pla_rows]),
-            np.concatenate([att_classes, pla_classes + width]),
-            np.concatenate([att_pids, pla_pids]),
-            2 * width,
-        ):
+        # -- outboxes and compute corruptions: one per class ------------
+        computes = np.zeros((count, width))
+        for i, slot, pid in firsts:
+            if slot < width:
+                continue
             row = rows[i]
-            override = _planted_override if slot >= width else _attack_override
-            row.outboxes[slot] = override(
-                row.controller.adversary, row.attack_view, pid, n
-            )
-
-        # -- compute corruptions: one per class, one masked write -------
-        garbage_values = np.zeros(shape)
-        if com_pids.shape[0]:
-            computes = np.zeros((count, width))
-            for i, c, pid in _first_of_class(
-                np, com_rows, com_classes, com_pids, width
-            ):
-                row = rows[i]
+            if slot < 3 * width:
+                slot -= width
+                override = _planted_override if slot >= width else _attack_override
+                row.outboxes[slot] = override(
+                    row.controller.adversary, row.attack_view, pid, n
+                )
+            else:
+                c = slot - 3 * width
                 value = _checked_value(
                     row.controller.adversary.corrupted_compute(row.attack_view, pid),
                     f"corrupted compute for p{pid}",
                 )
                 row.computes[c] = value
                 computes[i, c] = value
-            garbage_values[com_rows, com_pids] = computes[com_rows, com_classes]
+        garbage_values = np.zeros(shape)
+        garbage_values[com_rows, com_pids] = computes[com_rows, com_classes]
         _scatter_values(
             np,
             garbage_values,
@@ -1092,25 +1088,11 @@ class CrossRunPlanner:
         if cells:
             cell_rows, cell_slots, cell_values = zip(*cells)
             table[list(cell_rows), list(cell_slots)] = cell_values
-        # Each row's extras columns: its attackers in iteration order,
-        # then its planted-queue senders -- the per-cell send_overrides
-        # order, which fixes how +-0.0 ties sort in the fold.
-        att_counts = np.bincount(att_rows, minlength=count)
-        att_cols = (
-            np.arange(att_rows.shape[0])
-            - (np.cumsum(att_counts) - att_counts)[att_rows]
-        )
-        pla_counts = np.bincount(pla_rows, minlength=count)
-        pla_cols = (
-            np.arange(pla_rows.shape[0])
-            - (np.cumsum(pla_counts) - pla_counts)[pla_rows]
-            + att_counts[pla_rows]
-        )
-        extra_rows = np.concatenate([att_rows, pla_rows])
-        extra_cols = np.concatenate([att_cols, pla_cols])
-        extra_slots = np.concatenate([att_classes, pla_classes + width])
-        keep = has_camps[extra_rows]
-        extra_rows = extra_rows[keep]
+        out_sizes = sizes[-count:]
+        out_starts = [end - size for end, size in zip(accumulate(out_sizes), out_sizes)]
+        out_cols = np.arange(out_pids.shape[0]) - np.repeat(out_starts, out_sizes)
+        keep = has_camps[out_rows]
+        extra_rows = out_rows[keep]
 
         return StackPlan(
             round_index=round_index,
@@ -1123,8 +1105,8 @@ class CrossRunPlanner:
             plans=plans,
             camps=camps,
             extra_rows=extra_rows,
-            extra_cols=extra_cols[keep],
-            extra_values=table[extra_rows, extra_slots[keep]],
+            extra_cols=out_cols[keep],
+            extra_values=table[extra_rows, out_slots[keep]],
             _rows=rows,
             _slots=width,
         )

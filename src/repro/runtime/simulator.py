@@ -350,10 +350,11 @@ def simulate_many(
     work.
 
     Results are **bit-identical** to :func:`run_simulation` over each
-    config: per-run decisions (movement, outboxes, RNG streams)
-    still run through each run's own controller in per-cell order, and
-    batched quantities are injected only where provably equal to the
-    per-run derivation (the equivalence suite pins this).  Configs that
+    config: movement consumes each run's RNG stream in per-cell order,
+    value hooks run once per sender class (equal across the class by
+    the sender-class contract), and batched quantities are injected
+    only where provably equal to the per-run derivation (the
+    equivalence suite pins this).  Configs that
     don't qualify -- full traces, stateful families, partial graphs,
     static-mixed setups -- silently fall back to their normal
     :meth:`SynchronousSimulator.run` path, in input order.
