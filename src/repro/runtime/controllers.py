@@ -616,10 +616,10 @@ def _flatten(np, collections):
 def _first_of_class(np, rows, classes, pids, width):
     """``(row, class, pid)`` for the first pid of each class in a row.
 
-    The inputs are flattened per-row pid collections (see
-    :func:`_flatten`) and each pid's class code below ``width``, so
-    "first" is the pid the per-cell fan-out would build from; the
-    triples come out in that same row-major iteration order.
+    The inputs are flattened pid collections (see :func:`_flatten`) in
+    iteration order, with each pid's row and class code below
+    ``width``, so "first" is the pid the per-cell fan-out would build
+    from.  The triples come out in the order of those first pids.
     """
     if not pids.shape[0]:
         return ()

@@ -325,6 +325,22 @@ class RoundKernel:
             return None
         return compile_msr_batch(function)
 
+    def sampled(self, path: str, call, *args):
+        """``call(*args)``, timed into the attached sampler on sampled ticks.
+
+        The phase entry points and the stacked engine's planning and
+        fold go through this; with no sampler attached it is one slot
+        read and a call.
+        """
+        sampler = self.telemetry
+        if sampler is None or not sampler.tick(path):
+            return call(*args)
+        start = time.perf_counter()
+        try:
+            return call(*args)
+        finally:
+            sampler.record(path, time.perf_counter() - start)
+
     def compute_phase_batch(
         self,
         batch: BatchMSREvaluator,
@@ -334,20 +350,11 @@ class RoundKernel:
         n: int,
     ):
         """Sampling shim over :meth:`_compute_phase_batch` (the real
-        vectorized phase).  With no sampler attached this is one slot
-        read and a tail call."""
-        sampler = self.telemetry
-        if sampler is None or not sampler.tick("batch"):
-            return self._compute_phase_batch(
-                batch, np, broadcasts_arr, override_outboxes, n
-            )
-        start = time.perf_counter()
-        try:
-            return self._compute_phase_batch(
-                batch, np, broadcasts_arr, override_outboxes, n
-            )
-        finally:
-            sampler.record("batch", time.perf_counter() - start)
+        vectorized phase)."""
+        return self.sampled(
+            "batch", self._compute_phase_batch,
+            batch, np, broadcasts_arr, override_outboxes, n,
+        )
 
     def _compute_phase_batch(
         self,
@@ -544,24 +551,14 @@ class RoundKernel:
         override_senders: Sequence[int] | None = None,
     ) -> float:
         """Sampling shim over :meth:`_compute_phase` (the real scalar
-        phase).  With no sampler attached this is one slot read and a
-        tail call."""
-        sampler = self.telemetry
-        if sampler is None or not sampler.tick("scalar"):
-            return self._compute_phase(
-                protocol, evaluate, n, broadcasts, override_outboxes,
-                compute_corruptions, values, need_diameter, topology,
-                broadcast_by_sender, override_senders,
-            )
-        start = time.perf_counter()
-        try:
-            return self._compute_phase(
-                protocol, evaluate, n, broadcasts, override_outboxes,
-                compute_corruptions, values, need_diameter, topology,
-                broadcast_by_sender, override_senders,
-            )
-        finally:
-            sampler.record("scalar", time.perf_counter() - start)
+        phase)."""
+        return self.sampled(
+            "scalar",
+            self._compute_phase,
+            protocol, evaluate, n, broadcasts, override_outboxes,
+            compute_corruptions, values, need_diameter, topology,
+            broadcast_by_sender, override_senders,
+        )
 
     def _compute_phase(
         self,

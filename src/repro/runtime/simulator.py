@@ -38,7 +38,6 @@ diameter trajectories are bit-identical between the two modes.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import Literal
@@ -354,10 +353,10 @@ def simulate_many(
     value hooks run once per sender class (equal across the class by
     the sender-class contract), and batched quantities are injected
     only where provably equal to the per-run derivation (the
-    equivalence suite pins this).  Configs that
-    don't qualify -- full traces, stateful families, partial graphs,
-    static-mixed setups -- silently fall back to their normal
-    :meth:`SynchronousSimulator.run` path, in input order.
+    equivalence suite pins this).  Configs that don't qualify -- full
+    traces, stateful families, partial graphs, static-mixed setups --
+    silently fall back to their normal :meth:`SynchronousSimulator.run`
+    path, in input order.
 
     ``out`` -- a :class:`RunBatchOut`, typically views over a
     shared-memory block -- receives every finished run's condensed
@@ -400,22 +399,6 @@ def simulate_many(
             for slot, trace in zip(slots, traces):
                 out.write(slot, trace)
         return traces
-
-
-def _sampled(kernel: RoundKernel, path: str, call, *args):
-    """``call(*args)``, timed into the kernel's sampler on sampled ticks.
-
-    With no sampler attached this is one slot read and a call, like
-    the kernel's own phase shims.
-    """
-    sampler = kernel.telemetry
-    if sampler is None or not sampler.tick(path):
-        return call(*args)
-    start = time.perf_counter()
-    try:
-        return call(*args)
-    finally:
-        sampler.record(path, time.perf_counter() - start)
 
 
 def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
@@ -490,7 +473,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
 
         count = len(active)
         sub = stack[active]
-        plan = _sampled(kernel, "plan", planner.plan_many, round_index, sub, active)
+        plan = kernel.sampled("plan", planner.plan_many, round_index, sub, active)
         patched = plan.patched
 
         # -- send phase: one masked stable sort over the whole stack --
@@ -532,7 +515,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
             if prepared is not None:
                 rows, codes = prepared
                 entries[i] = (rows, codes, n)
-        folded = _sampled(kernel, "fold", kernel.fold_rows_many, batch, np, entries)
+        folded = kernel.sampled("fold", kernel.fold_rows_many, batch, np, entries)
 
         new_stack = np.empty_like(sub)
         for i, r in enumerate(active):
