@@ -30,6 +30,11 @@ from tests.helpers import make_mobile_config, small_grid
 
 from repro.api import movement_strategy, value_strategy
 from repro.faults import get_semantics
+from repro.faults.value_strategies import (
+    CrossfireAttack,
+    RecipientCamps,
+    SplitAttack,
+)
 
 from repro.runtime import RoundKernel
 from repro.runtime.controllers import CrossRunPlanner
@@ -170,6 +175,49 @@ class TestSimulateManyEquivalence:
             solo = run_simulation(config)
             assert trace.decisions == solo.decisions
             assert tuple(trace.diameters()) == tuple(solo.diameters())
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_outboxes_the_fold_cannot_express(self, model, monkeypatch):
+        # Class-planned rows whose round yields no camps, or camps over
+        # different partitions, carry a RoundPlan through the generic
+        # batch_rows / scalar route instead of the array path.
+        class CampsOnEvenRounds(CrossfireAttack):
+            def attack_camps(self, view, sender):
+                if view.round_index % 2:
+                    return None
+                return super().attack_camps(view, sender)
+
+        class PartitionPerClass(CrossfireAttack):
+            def attack_camps(self, view, sender):
+                camps = super().attack_camps(view, sender)
+                return RecipientCamps(camps.values, tuple(camps.assignment))
+
+        # Round-robin on an even ring keeps one even and one odd agent
+        # (two crossfire classes, hence two partitions) in every round.
+        strategies = [CampsOnEvenRounds(), SplitAttack(), PartitionPerClass()]
+        configs = [
+            make_mobile_config(
+                model, f=2, n=16, values=values, rounds=6, seed=seed,
+            )
+            for seed, values in enumerate(strategies)
+        ]
+        routes: list = []
+        plan_many = CrossRunPlanner.plan_many
+
+        def spy(planner, round_index, stack, indices):
+            plan = plan_many(planner, round_index, stack, indices)
+            routes.append((round_index, [row is None for row in plan.plans]))
+            return plan
+
+        monkeypatch.setattr(CrossRunPlanner, "plan_many", spy)
+        many = simulate_many(configs)
+        for config, trace in zip(configs, many):
+            solo = run_simulation(config)
+            assert trace.decisions == solo.decisions
+            assert tuple(trace.diameters()) == tuple(solo.diameters())
+        assert routes
+        for round_index, arrays in routes:
+            assert arrays == [round_index % 2 == 0, True, False]
 
     def test_mixed_shapes_in_one_call(self):
         # Incompatible configs in one call regroup internally and come
