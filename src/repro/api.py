@@ -208,7 +208,6 @@ def sweep_grid(
     topologies=DEFAULT_TOPOLOGY,
     workers: int = 1,
     trace_detail: str = "lite",
-    chunk_size: int | None = None,
     backend=None,
     cache=None,
     probe: str | None = None,
@@ -230,7 +229,9 @@ def sweep_grid(
     families on partial graphs) are pruned from the grid, so
     head-to-head comparisons like witness-on-ring vs bonomi-on-complete
     ride one grid.  ``workers > 1``
-    distributes cells over a process pool; ``trace_detail`` selects the
+    ships cross-run groups (compatible cells, same shape differing only
+    in seed) to the zero-copy shared-memory stealing pool
+    (:class:`~repro.sweep.ShmCrossRunBackend`); ``trace_detail`` selects the
     simulator path (the default trace-lite fast path is bit-identical
     on decisions and diameters).  ``backend`` overrides the execution
     strategy (a :class:`~repro.sweep.SweepBackend` instance or one of
@@ -241,15 +242,12 @@ def sweep_grid(
     each cell's ``extras``.  ``dispatch``, ``progress`` and ``journal``
     forward to :func:`repro.sweep.run_sweep`: the pool-heuristic
     override, a streaming ``(result, done, total)`` callback, and a
-    :class:`~repro.sweep.SweepJournal` for resumable sweeps.
-    ``cross_run=True`` routes execution through the cross-run
-    vectorized engine: compatible cells (same shape, differing only in
-    seed) advance together as one stacked ``(R, n)`` state array,
+    :class:`~repro.sweep.SweepJournal` for resumable sweeps;
+    ``dispatch="pool"`` forces the pool outright.  ``cross_run=True``
+    runs in-process sweeps through the cross-run vectorized engine
+    too: each group advances as one stacked ``(R, n)`` state array,
     bit-identical to per-cell execution (see
-    :func:`repro.sweep.run_cell_many`); with ``workers > 1`` it
-    auto-selects the zero-copy shared-memory stealing pool
-    (:class:`~repro.sweep.ShmCrossRunBackend`), and ``dispatch="shm"``
-    forces that pool outright.  Returns a
+    :func:`repro.sweep.run_cell_many`).  Returns a
     :class:`~repro.sweep.SweepResult`.
 
     >>> import repro
@@ -279,7 +277,6 @@ def sweep_grid(
         grid,
         workers=workers,
         trace_detail=trace_detail,
-        chunk_size=chunk_size,
         backend=backend,
         cache=cache,
         probe=probe,

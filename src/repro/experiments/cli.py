@@ -218,7 +218,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "advance compatible cells (same shape, differing only in "
             "seed) together as one stacked (R, n) state array -- the "
             "cross-run vectorized engine; fastest for grids of many "
-            "seeds per scenario (results are identical)"
+            "seeds per scenario (results are identical; pooled sweeps "
+            "always run cross-run groups)"
         ),
     )
     parser.add_argument(
@@ -232,21 +233,21 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         choices=["serial", "multiprocessing", "sharded"],
         default=None,
         help=(
-            "execution backend (default: serial, or multiprocessing when "
-            "--workers > 1); 'sharded' requires --shard"
+            "execution backend (default: serial, or multiprocessing -- "
+            "the shared-memory work-stealing pool of cross-run groups -- "
+            "when --workers > 1); 'sharded' requires --shard"
         ),
     )
     parser.add_argument(
         "--dispatch",
-        choices=["auto", "serial", "pool", "shm"],
+        choices=["auto", "serial", "pool"],
         default="auto",
         help=(
             "override the pool heuristic: 'serial' forces in-process "
-            "execution, 'pool' forces worker processes even on one "
-            "usable CPU (with a warning), 'shm' forces the zero-copy "
-            "shared-memory cross-run pool with work stealing (implies "
-            "--cross-run; results are identical under every mode, "
-            "this is a testing/benchmarking knob)"
+            "execution, 'pool' forces the shared-memory work-stealing "
+            "pool of cross-run groups even on one usable CPU (with a "
+            "warning); results are identical under every mode, this is "
+            "a testing/benchmarking knob"
         ),
     )
     parser.add_argument(

@@ -6,10 +6,10 @@ executes such families.  Declare a family as a :class:`GridSpec`
 epsilon and seed axes) or as an explicit list of :class:`CellSpec`
 cells (including static-mixed and lower-bound *scenarios*), run it
 with :func:`run_sweep` -- through a pluggable
-:class:`~repro.sweep.backends.SweepBackend` (serial, multiprocessing,
-the work-stealing shared-memory :class:`ShmCrossRunBackend`, or
-deterministic shards across hosts), against an optional content-addressed :class:`CellStore`
-cell cache -- and aggregate the :class:`SweepResult` into the harness's
+:class:`~repro.sweep.backends.SweepBackend` (serial, the work-stealing
+shared-memory :class:`ShmCrossRunBackend` pool of cross-run groups, or
+deterministic shards across hosts), against an optional
+content-addressed :class:`CellStore` cell cache -- and aggregate the :class:`SweepResult` into the harness's
 tables and series, batched or streaming (:class:`SweepAccumulator`).
 The service layer adds resumable sweeps (:class:`SweepJournal`) and the
 ``sweep serve`` daemon (:class:`SweepServer`), which answers warm-cache

@@ -7,7 +7,7 @@ and grouped summaries) and :class:`repro.analysis.Series` diameter
 trajectories (the "figures" of the terminal harness).
 
 :class:`SweepAccumulator` is the *incremental* builder behind streaming
-execution: cells are added one by one as chunks, shards or journal
+execution: cells are added one by one as batches, shards or journal
 replays complete, group statistics update as they land, and
 :meth:`SweepAccumulator.snapshot` yields at any moment the exact
 :class:`SweepResult` a batch merge of the same cells would have
@@ -43,14 +43,15 @@ class SweepResult:
     :class:`repro.sweep.backends.ShardedBackend`).
 
     ``dispatch`` records how the cells were actually executed --
-    ``"serial"``, ``"parallel"``, a ``"cross-run..."`` batch label, or
-    a fallback label when a pooled backend decided a pool could not win
-    (e.g. one usable CPU) and ran in-process instead.  It is excluded
-    from equality: the decision is a property of the executing machine,
-    not of the result, and warm-cache reruns must compare equal to the
-    cold runs that produced them.  ``workers`` and ``cache_stats`` are
-    excluded for the same reason: the parallelism that ran the sweep,
-    and the executing invocation's
+    ``"serial"`` for per-cell in-process runs, or a ``"cross-run..."``
+    batch label whose form shows whether the groups ran in-process or
+    on which pool rung (a pooled backend that decided a pool could not
+    win, e.g. on one usable CPU, runs its groups in-process).  It is
+    excluded from equality: the decision is a property of the
+    executing machine, not of the result, and warm-cache reruns must
+    compare equal to the cold runs that produced them.  ``workers`` and
+    ``cache_stats`` are excluded for the same reason: the parallelism
+    that ran the sweep, and the executing invocation's
     :class:`~repro.sweep.cache.CacheStats` traffic counters (``None``
     when no cell cache was attached).
     """

@@ -6,7 +6,8 @@ cares *how* cells run.  A backend answers three questions:
 
 * :meth:`SweepBackend.select` -- which cells of the grid does this
   invocation own?  (All of them, except for sharded execution.)
-* :meth:`SweepBackend.execute` -- how do the owned, uncached cells run?
+* :meth:`SweepBackend.execute_many` (or, in-process only, per-cell
+  :meth:`SweepBackend.execute`) -- how do the owned, uncached cells run?
 * :meth:`SweepBackend.finalize` -- how do the results become a
   :class:`~repro.sweep.aggregate.SweepResult`?
 
@@ -109,10 +110,8 @@ __all__ = [
 #: :meth:`MultiprocessingBackend._pool_decision`; ``serial`` forces
 #: in-process execution; ``pool`` forces worker processes even where a
 #: pool cannot win (1 usable CPU), with a warning -- the knob that
-#: makes pool code paths testable on single-CPU CI boxes; ``shm``
-#: forces the shared-memory cross-run pool (same warning on one CPU)
-#: and implies ``cross_run=True`` in :func:`~repro.sweep.run_sweep`.
-DISPATCH_MODES = ("auto", "serial", "pool", "shm")
+#: makes pool code paths testable on single-CPU CI boxes.
+DISPATCH_MODES = ("auto", "serial", "pool")
 
 CellRunner = Callable[["CellSpec"], "CellResult"]
 #: Cross-run group runner: a batch-compatible cell group in, results
@@ -227,15 +226,19 @@ def _usable_cpus() -> int:
 
 
 class SweepBackend:
-    """Base execution strategy; subclasses override :meth:`execute`.
+    """Base execution strategy.
 
     ``workers`` is the parallelism the backend reports into
-    ``SweepResult.workers`` (1 for serial execution).  Cross-run sweeps
-    call :meth:`execute_many` instead, whose unit of work is one
-    ``batch_key`` group run on a shared round kernel.
+    ``SweepResult.workers`` (1 for serial execution).  Cross-run
+    sweeps, and every sweep on a :attr:`pooled` backend, call
+    :meth:`execute_many`, whose unit of work is one ``batch_key``
+    group run on a shared round kernel; the rest call :meth:`execute`.
     """
 
     workers: int = 1
+    #: Whether the backend can ship work to worker processes.  Pooled
+    #: backends take only cross-run groups (:meth:`execute_many`).
+    pooled: bool = False
     #: How the last :meth:`execute`/:meth:`execute_many` actually
     #: dispatched its cells; copied into ``SweepResult.dispatch``.
     dispatch: str = "serial"
@@ -312,40 +315,34 @@ class SerialBackend(SweepBackend):
 
 
 class MultiprocessingBackend(SweepBackend):
-    """Chunked execution across a local ``multiprocessing`` pool.
+    """Cross-run groups across a local ``multiprocessing`` pool.
 
-    ``chunk_size`` defaults to ~4 chunks per worker, balancing
-    scheduling overhead against stragglers.  Grids of one cell (or a
-    single worker) run inline -- a pool cannot help there.
+    Each ``batch_key`` group is one pickled pool task.  A pool that
+    cannot win (one worker, one group, one usable CPU) runs the groups
+    inline instead.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: int | None = None,
-        dispatch_mode: str = "auto",
-    ) -> None:
+    pooled = True
+
+    def __init__(self, workers: int, dispatch_mode: str = "auto") -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         if dispatch_mode not in DISPATCH_MODES:
             raise ValueError(
                 f"dispatch_mode must be one of {DISPATCH_MODES}, "
                 f"got {dispatch_mode!r}"
             )
         self.workers = workers
-        self.chunk_size = chunk_size
         self.dispatch_mode = dispatch_mode
 
-    def _pool_decision(self, tasks: int) -> tuple[bool, str]:
-        """Whether a pool can win for ``tasks`` dispatch units, and why.
+    def _pool_decision(self, tasks: int) -> bool:
+        """Whether a pool can win for ``tasks`` dispatch units.
 
         A single usable CPU is the canonical lost cause: worker
         processes merely time-slice the same core, so every fork,
-        pickle and IPC round-trip is pure overhead.
-        Those invocations auto-fall back to in-process dispatch; the
-        label records the decision in ``SweepResult.dispatch``.
+        pickle and IPC round-trip is pure overhead.  Those invocations
+        fall back to in-process dispatch, which the ``cross-run(...)``
+        label (no rung, no ``parallel``) records.
 
         :attr:`dispatch_mode` overrides the heuristic: ``serial``
         always runs in-process, ``pool`` always dispatches to workers
@@ -353,11 +350,9 @@ class MultiprocessingBackend(SweepBackend):
         usable CPU exists, so pool code paths stay testable on 1-CPU
         CI boxes at an explicitly acknowledged cost.
         """
-        if self.dispatch_mode == "serial":
-            return False, "serial (forced)"
-        if tasks < 1:
-            return False, "serial"
-        if self.dispatch_mode in ("pool", "shm"):
+        if self.dispatch_mode == "serial" or tasks < 1:
+            return False
+        if self.dispatch_mode == "pool":
             cpus = _usable_cpus()
             if cpus < 2:
                 # Counted so the CLI can surface a one-line warning
@@ -372,29 +367,8 @@ class MultiprocessingBackend(SweepBackend):
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                return True, f"parallel (forced on {cpus} usable cpu)"
-            return True, "parallel (forced)"
-        if self.workers <= 1 or tasks <= 1:
-            return False, "serial"
-        cpus = _usable_cpus()
-        if cpus < 2:
-            return False, (
-                f"serial (auto-fallback: {self.workers} workers "
-                f"on {cpus} usable cpu)"
-            )
-        return True, "parallel"
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        use_pool, self.dispatch = self._pool_decision(len(cells))
-        if not use_pool:
-            return [runner(cell) for cell in cells]
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = max(1, math.ceil(len(cells) / (self.workers * 4)))
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return pool.map(runner, cells, chunksize=chunk_size)
+            return True
+        return self.workers > 1 and tasks > 1 and _usable_cpus() >= 2
 
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
@@ -408,8 +382,7 @@ class MultiprocessingBackend(SweepBackend):
         cannot win.
         """
         groups = _batch_groups(cells)
-        use_pool, _ = self._pool_decision(len(groups))
-        if not use_pool:
+        if not self._pool_decision(len(groups)):
             return SweepBackend.execute_many(self, cells, many_runner)
         self.dispatch = _cross_run_label(groups, ", parallel")
         with multiprocessing.Pool(processes=self.workers) as pool:
@@ -598,17 +571,21 @@ def plan_shm_layout(
 ) -> ShmBatchLayout | None:
     """The stacked shared-memory layout of one cross-run batch.
 
-    ``None`` when no layout can be planned -- an unknown model leaves
-    ``n`` unresolvable, so the batch rides the pickle fallback (where
-    its config-build error surfaces per cell as usual).  Batches are
-    normally one ``batch_key`` group (uniform shape); mixed batches
-    are sized to their widest member, which only wastes bytes.
+    ``None`` when no layout can be planned, so the batch rides the
+    pickle fallback: an unknown model leaves ``n`` unresolvable (its
+    config-build error surfaces per cell as usual), and scenarios other
+    than ``mobile`` derive ``n`` from their own parameters (a ``stall``
+    cell runs at ``n_Mi - 1 + extra``).  Batches are normally one
+    ``batch_key`` group (uniform shape); mixed batches are sized to
+    their widest member, which only wastes bytes.
     """
     if not cells:
         return None
     n = 0
     diameter_cap = 0
     for cell in cells:
+        if cell.scenario != "mobile":
+            return None
         cell_n = cell.n
         if cell_n is None:
             try:
@@ -1131,8 +1108,7 @@ class ShmCrossRunBackend(MultiprocessingBackend):
         # Batches split by run index, so the parallelism bound is the
         # cell count, not the group count -- one big group still fans
         # out across the pool.
-        use_pool, _ = self._pool_decision(len(cells))
-        if not use_pool:
+        if not self._pool_decision(len(cells)):
             return SweepBackend.execute_many(self, cells, many_runner)
 
         groups = _batch_groups(cells)
@@ -1209,8 +1185,9 @@ class ShardedBackend(SweepBackend):
     ``shard_count`` -- a pure function of the grid, independent of cell
     order or cache state, so concurrent invocations never overlap.  The
     owned cells run through ``inner`` (serial by default, a
-    :class:`MultiprocessingBackend` when ``workers > 1``), the shard's
-    results spill to ``spill_dir/shard-IIII-of-NNNN.json``, and
+    :class:`ShmCrossRunBackend` when ``workers > 1``, which also takes
+    the sweep's ``dispatch`` mode), the shard's results spill to
+    ``spill_dir/shard-IIII-of-NNNN.json``, and
     :meth:`finalize` returns the merged full-grid result once all
     shards are present -- or a partial result (``complete=False``)
     holding only this shard's cells while siblings are outstanding.
@@ -1222,7 +1199,6 @@ class ShardedBackend(SweepBackend):
         shard_count: int,
         spill_dir: str | Path,
         workers: int = 1,
-        chunk_size: int | None = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be at least 1, got {shard_count}")
@@ -1241,10 +1217,20 @@ class ShardedBackend(SweepBackend):
         self._grid_fingerprint: str | None = None
         self._grid_size: int | None = None
         self._inner: SweepBackend = (
-            MultiprocessingBackend(workers, chunk_size)
-            if workers > 1
-            else SerialBackend()
+            ShmCrossRunBackend(workers) if workers > 1 else SerialBackend()
         )
+
+    @property
+    def pooled(self) -> bool:
+        return self._inner.pooled
+
+    @property
+    def dispatch_mode(self) -> str:
+        return self._inner.dispatch_mode
+
+    @dispatch_mode.setter
+    def dispatch_mode(self, mode: str) -> None:
+        self._inner.dispatch_mode = mode
 
     def select(self, cells: list["CellSpec"]) -> list["CellSpec"]:
         # The full grid's identity is stamped into the spill file so a

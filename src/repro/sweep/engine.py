@@ -8,15 +8,15 @@ primitives, optionally augmented by a named probe.
 
 :func:`run_sweep` itself no longer knows how cells run: execution is
 delegated to a pluggable :class:`~repro.sweep.backends.SweepBackend`
-(serial, multiprocessing pool, or deterministic shards for fanning a
-grid across hosts), and every backend consults an optional
-content-addressed :class:`~repro.sweep.cache.CellStore` before
+(serial, a work-stealing pool of cross-run groups, or deterministic
+shards for fanning a grid across hosts), and every backend consults an
+optional content-addressed :class:`~repro.sweep.cache.CellStore` before
 executing a cell and writes through after.
 
 Determinism contract: a cell's result is a pure function of the cell.
 Every stochastic component draws from ``derive_rng(seed, ...)`` streams
 seeded by stable strings, so worker processes reproduce bit-identical
-results regardless of start method, worker count, chunking, scheduling
+results regardless of start method, worker count, grouping, scheduling
 order, shard assignment or cache state.  :func:`run_sweep` additionally
 sorts results by cell key, making the aggregate independent of the
 execution strategy.  The determinism, backend and cache test suites
@@ -62,7 +62,6 @@ from ..runtime.simulator import (
 from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
-    MultiprocessingBackend,
     SerialBackend,
     ShardedBackend,
     ShmCrossRunBackend,
@@ -409,41 +408,17 @@ def run_cell_many(
 
 
 def _resolve_backend(
-    backend: SweepBackend | str | None,
-    workers: int,
-    chunk_size: int | None,
-    dispatch: str = "auto",
-    cross_run: bool = False,
+    backend: SweepBackend | str | None, workers: int, dispatch: str
 ) -> SweepBackend:
+    """The sweep's backend: the shm pool if it may use workers, else serial."""
     if backend is None:
-        if dispatch == "shm":
-            # Forcing the shared-memory rung needs the stealing
-            # backend at any worker count; _pool_decision owns the
-            # one-CPU warning.
-            return ShmCrossRunBackend(max(workers, 1), dispatch_mode=dispatch)
-        if cross_run and workers > 1 and dispatch != "serial":
-            # Parallel cross-run sweeps default to the zero-copy
-            # stealing backend; it degrades rung by rung (pickle pool,
-            # in-process serial) wherever shm or the pool cannot win.
-            return ShmCrossRunBackend(workers, dispatch_mode=dispatch)
-        if dispatch == "pool" and workers <= 1:
-            # Forcing a pool needs a pool-capable backend even at the
-            # default worker count; _pool_decision owns the warning.
-            return MultiprocessingBackend(
-                max(workers, 1), chunk_size, dispatch_mode=dispatch
-            )
-        if workers <= 1:
-            return SerialBackend()
-        return MultiprocessingBackend(
-            workers, chunk_size, dispatch_mode=dispatch
-        )
+        pooled = dispatch == "pool" or (workers > 1 and dispatch != "serial")
+        backend = "multiprocessing" if pooled else "serial"
     if isinstance(backend, str):
         if backend == "serial":
             return SerialBackend()
         if backend == "multiprocessing":
-            return MultiprocessingBackend(
-                max(workers, 1), chunk_size, dispatch_mode=dispatch
-            )
+            return ShmCrossRunBackend(max(workers, 1), dispatch_mode=dispatch)
         if backend == "sharded":
             raise ValueError(
                 "the sharded backend needs shard parameters; pass a "
@@ -454,8 +429,6 @@ def _resolve_backend(
             f"unknown backend {backend!r}; known: serial, multiprocessing, "
             "sharded"
         )
-    if dispatch != "auto":
-        backend.dispatch_mode = dispatch
     return backend
 
 
@@ -463,7 +436,6 @@ def run_sweep(
     grid: GridSpec | Iterable[CellSpec],
     workers: int = 1,
     trace_detail: TraceDetail = "lite",
-    chunk_size: int | None = None,
     backend: SweepBackend | str | None = None,
     cache: CellStore | str | Path | None = None,
     probe: str | None = None,
@@ -475,37 +447,33 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell of ``grid`` through a backend, via the cell cache.
 
-    ``workers <= 1`` runs in-process; more workers distribute cells
-    over a ``multiprocessing`` pool in chunks (``chunk_size`` defaults
-    to ~4 chunks per worker).  ``backend`` overrides that default
-    resolution with any :class:`~repro.sweep.backends.SweepBackend`
-    (including :class:`~repro.sweep.backends.ShardedBackend` for
-    multi-invocation sweeps) or one of the names ``"serial"`` /
-    ``"multiprocessing"``.  ``cache`` -- a
+    ``workers <= 1`` runs in-process; more workers ship cross-run
+    groups (see :func:`run_cell_many`) to the work-stealing
+    shared-memory pool of
+    :class:`~repro.sweep.backends.ShmCrossRunBackend`, which degrades
+    rung by rung (shm, pickle pool, in-process) without changing
+    results.  ``backend`` overrides that default resolution with any
+    :class:`~repro.sweep.backends.SweepBackend` (including
+    :class:`~repro.sweep.backends.ShardedBackend` for multi-invocation
+    sweeps) or one of the names ``"serial"`` / ``"multiprocessing"``
+    (the pool).  ``cache`` -- a
     :class:`~repro.sweep.cache.CellStore` or a directory path -- is
     consulted before executing each cell and written through after.
 
     ``dispatch`` (one of :data:`~repro.sweep.backends.DISPATCH_MODES`)
-    overrides the pool heuristic of pooled backends: ``serial`` forces
-    in-process execution, ``pool`` forces worker processes even on one
-    usable CPU (with a warning), and ``shm`` forces the zero-copy
-    shared-memory cross-run pool (implying ``cross_run=True``; see
-    :class:`~repro.sweep.backends.ShmCrossRunBackend`).  ``progress``
+    overrides the pool heuristic of pooled backends for this call only:
+    ``serial`` forces in-process execution, ``pool`` forces the worker
+    pool even on one usable CPU (with a warning).  ``progress``
     is called as
     ``progress(result, done, total)`` for every result exactly once,
     as early as the backend's reporting granularity allows.
     ``journal`` -- a :class:`~repro.sweep.service.SweepJournal` --
     replays cells completed by an interrupted earlier invocation and
     records each fresh result as it lands, making the sweep resumable.
-    ``cross_run`` routes execution through the cross-run vectorized
-    engine instead: cells are partitioned by
-    :attr:`~repro.sweep.grid.CellSpec.batch_key` and each compatible
-    group advances as one stacked ``(R, n)`` state array (see
-    :func:`run_cell_many`) and is reflected in the result's
-    ``dispatch`` label.
-    With ``workers > 1`` cross-run sweeps auto-select the
-    work-stealing shared-memory backend, which degrades rung by rung
-    (shm, pickle pool, in-process serial) without changing results.
+    ``cross_run`` chooses the cross-run engine for in-process sweeps
+    too: each compatible group advances as one stacked ``(R, n)``
+    state array instead of cell by cell, as the result's ``dispatch``
+    label records.  Pooled sweeps always run cross-run groups.
 
     Results are identical for every backend, worker count, dispatch
     mode, journal and cache state, and sorted by cell key, so the
@@ -539,8 +507,8 @@ def run_sweep(
     try:
         with trace_span("sweep.run", workers=workers) as span:
             final = _run_sweep(
-                grid, workers, trace_detail, chunk_size, backend, cache,
-                probe, dispatch, progress, journal, cross_run, tconfig,
+                grid, workers, trace_detail, backend, cache, probe,
+                dispatch, progress, journal, cross_run, tconfig,
             )
             span.set("cells", len(final.cells))
             span.set("dispatch", final.dispatch)
@@ -604,10 +572,6 @@ def _record_sweep_metrics(
         count("sweep.dispatch.cross_run")
     if record.sharded:
         count("sweep.dispatch.sharded")
-    if record.forced:
-        count("sweep.dispatch.forced")
-    if record.fallback:
-        count("sweep.dispatch.auto_fallback")
     if record.rung is not None:
         count(f"sweep.shm.rung.{record.rung}")
     if record.steals is not None:
@@ -641,7 +605,6 @@ def _run_sweep(
     grid: GridSpec | Iterable[CellSpec],
     workers: int,
     trace_detail: TraceDetail,
-    chunk_size: int | None,
     backend: SweepBackend | str | None,
     cache: CellStore | str | Path | None,
     probe: str | None,
@@ -658,8 +621,6 @@ def _run_sweep(
         )
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
-    if chunk_size is not None and chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if dispatch not in DISPATCH_MODES:
         raise ValueError(
             f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
@@ -678,9 +639,7 @@ def _run_sweep(
             raise ValueError(f"duplicate grid cell: {cell.describe()}")
         seen.add(cell.key)
 
-    if dispatch == "shm":
-        cross_run = True
-    resolved = _resolve_backend(backend, workers, chunk_size, dispatch, cross_run)
+    resolved = _resolve_backend(backend, workers, dispatch)
     if journal is not None and isinstance(resolved, ShardedBackend):
         raise ValueError(
             "resume journals cover whole grids; sharded sweeps already "
@@ -733,6 +692,11 @@ def _run_sweep(
         "sweep.dispatch", backend=type(resolved).__name__
     )
     dispatch_span.__enter__()
+    # A dispatch override applies to this call only: a caller's backend
+    # instance keeps its own mode for later sweeps.
+    own_mode = resolved.dispatch_mode
+    if dispatch != "auto":
+        resolved.dispatch_mode = dispatch
     try:
         options = dict(trace_detail=trace_detail, probe=probe, telemetry=tconfig)
         hits: list[CellResult] = []
@@ -754,15 +718,16 @@ def _run_sweep(
                 report(result)
         executed = hits + (
             resolved.execute_many(missing, partial(run_cell_many, **options))
-            if cross_run
+            if cross_run or resolved.pooled
             else resolved.execute(missing, runner)
         )
         for result in executed:
             report(result)
     finally:
+        resolved.dispatch_mode = own_mode
+        resolved.on_result = None
         dispatch_span.set("label", resolved.dispatch)
         dispatch_span.__exit__(None, None, None)
-        resolved.on_result = None
     final = resolved.finalize(journaled + executed, trace_detail, probe)
     if store is not None:
         final = replace(final, cache_stats=store.snapshot())

@@ -1,7 +1,7 @@
 """Structured parsing of backend dispatch labels.
 
 Every backend records *how* a sweep actually ran in the free-text
-``SweepResult.dispatch`` label (``"parallel (forced)"``,
+``SweepResult.dispatch`` label (``"serial"``,
 ``"cross-run-shm(4 batches, max R=16, steals=1)"``, ...).  Tests and
 the telemetry layer used to regex-scrape those strings ad hoc; this
 module is the one place that knows the grammar.  ``parse_dispatch_label``
@@ -33,25 +33,13 @@ class DispatchRecord:
     pooled: bool = False
     cross_run: bool = False
     sharded: bool = False
-    forced: bool = False
-    fallback: bool = False
     rung: str | None = None
     batches: int | None = None
     max_r: int | None = None
     steals: int | None = None
-    workers: int | None = None
-    usable_cpus: int | None = None
     inner: "DispatchRecord | None" = field(default=None, repr=False)
 
 
-_PLAIN = re.compile(
-    r"^(?P<mode>serial|parallel)"
-    r"(?: \((?P<qualifier>[^)]*)\))?$"
-)
-_FORCED_CPU = re.compile(r"^forced on (?P<cpus>\d+) usable cpu$")
-_FALLBACK = re.compile(
-    r"^auto-fallback: (?P<workers>\d+) workers on (?P<cpus>\d+) usable cpu$"
-)
 _CROSS_RUN = re.compile(
     r"^cross-run\((?P<batches>\d+) batches, max R=(?P<max_r>\d+)"
     r"(?P<parallel>, parallel)?\)$"
@@ -71,6 +59,8 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
     if not isinstance(label, str) or not label:
         raise ValueError(f"not a dispatch label: {label!r}")
 
+    if label == "serial":
+        return DispatchRecord(raw=label, mode="serial")
     if label == "sharded-merge":
         return DispatchRecord(raw=label, mode="merge", sharded=True)
 
@@ -102,42 +92,6 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
             cross_run=True,
             batches=int(match.group("batches")),
             max_r=int(match.group("max_r")),
-        )
-
-    match = _PLAIN.match(label)
-    if match is not None:
-        mode = match.group("mode")
-        qualifier = match.group("qualifier")
-        forced = False
-        fallback = False
-        workers = None
-        cpus = None
-        if qualifier is not None:
-            if qualifier == "forced":
-                forced = True
-            else:
-                forced_cpu = _FORCED_CPU.match(qualifier)
-                auto = _FALLBACK.match(qualifier)
-                if forced_cpu is not None:
-                    forced = True
-                    cpus = int(forced_cpu.group("cpus"))
-                elif auto is not None:
-                    fallback = True
-                    workers = int(auto.group("workers"))
-                    cpus = int(auto.group("cpus"))
-                else:
-                    raise ValueError(
-                        f"unknown dispatch qualifier {qualifier!r} "
-                        f"in label {label!r}"
-                    )
-        return DispatchRecord(
-            raw=label,
-            mode=mode,
-            pooled=(mode == "parallel"),
-            forced=forced,
-            fallback=fallback,
-            workers=workers,
-            usable_cpus=cpus,
         )
 
     raise ValueError(f"unknown dispatch label: {label!r}")

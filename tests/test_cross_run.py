@@ -20,6 +20,7 @@ families and topologies by their real relative expense.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -47,6 +48,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.backends import estimate_cell_cost
+from repro.telemetry import parse_dispatch_label
 
 
 def cell(seed=0, **overrides):
@@ -245,6 +247,27 @@ class TestSimulateManyEquivalence:
             assert tuple(a.diameters()) == tuple(b.diameters())
 
 
+def group_sweep(grid, arm, **kwargs):
+    """Sweep ``grid`` on the cross-run group path of one ``arm``."""
+    with warnings.catch_warnings():
+        # The forced pool warns on one usable CPU; results must not care.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_sweep(grid, **arm, **kwargs)
+    record = parse_dispatch_label(result.dispatch)
+    assert record.cross_run
+    assert record.pooled == ("workers" in arm), result.dispatch
+    return result
+
+
+#: The two ways a sweep reaches the group path: in-process cross-run,
+#: and a default (non-cross-run) sweep on a forced worker pool.
+GROUP_ARMS = pytest.mark.parametrize(
+    "arm",
+    [{"cross_run": True}, {"workers": 2, "dispatch": "pool"}],
+    ids=["in-process", "pool"],
+)
+
+
 class TestCrossRunSweep:
     """Sweep-level bit-identity and routing of ``cross_run=True``."""
 
@@ -273,7 +296,8 @@ class TestCrossRunSweep:
         # Compare-excluded, like every dispatch label.
         assert result == reference
 
-    def test_scenario_axes(self):
+    @GROUP_ARMS
+    def test_scenario_axes(self, arm):
         grid = GridSpec(
             models=("M2", "M3"),
             fs=(2,),
@@ -285,11 +309,12 @@ class TestCrossRunSweep:
             max_rounds=25,
         )
         base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        cross = group_sweep(grid, arm)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
-    def test_mixed_families_fall_back_per_family(self):
+    @GROUP_ARMS
+    def test_mixed_families_fall_back_per_family(self, arm):
         grid = GridSpec(
             models=("M2",),
             fs=(2,),
@@ -299,11 +324,12 @@ class TestCrossRunSweep:
             max_rounds=20,
         )
         base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        cross = group_sweep(grid, arm)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
-    def test_mixed_topologies(self):
+    @GROUP_ARMS
+    def test_mixed_topologies(self, arm):
         grid = GridSpec(
             models=("M2",),
             fs=(1,),
@@ -313,7 +339,7 @@ class TestCrossRunSweep:
             max_rounds=15,
         )
         base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        cross = group_sweep(grid, arm)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
@@ -321,11 +347,12 @@ class TestCrossRunSweep:
         result = run_sweep(grid, workers=4, cross_run=True)
         assert result.cells == reference.cells
 
-    def test_error_cells_keep_per_cell_attribution(self):
+    @GROUP_ARMS
+    def test_error_cells_keep_per_cell_attribution(self, arm):
         cells = [cell(seed=seed) for seed in range(2)]
         cells.append(cell(n=5, seed=9))  # below the M2 resilience bound
         base = run_sweep(cells)
-        cross = run_sweep(cells, cross_run=True)
+        cross = group_sweep(cells, arm)
         assert cross.cells == base.cells
         errors = cross.errors()
         assert len(errors) == 1 and errors[0].spec.n == 5
@@ -338,10 +365,11 @@ class TestCrossRunSweep:
         assert cold.cache_stats.misses == len(grid)
         assert warm.cache_stats.hits == len(grid)
 
-    def test_full_detail_falls_back_per_run(self):
+    @GROUP_ARMS
+    def test_full_detail_falls_back_per_run(self, arm):
         cells = [cell(seed=seed, max_rounds=10) for seed in range(2)]
         base = run_sweep(cells, trace_detail="full")
-        cross = run_sweep(cells, trace_detail="full", cross_run=True)
+        cross = group_sweep(cells, arm, trace_detail="full")
         assert cross.cells == base.cells
 
 

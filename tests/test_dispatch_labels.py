@@ -4,7 +4,7 @@ Backends advertise how a sweep actually ran through the free-text
 ``SweepResult.dispatch`` label.  CI scripts and the telemetry layer key
 off those strings, so the grammar is load-bearing: this suite pins down
 ``parse_dispatch_label`` for every label family the backends can emit
-(``serial``, ``parallel (forced)``, ``cross-run(...)``,
+(``serial``, ``cross-run(...)``,
 ``cross-run-shm(..., steals=S)``, ``sharded(inner)``) and then harvests
 labels from real small sweeps to prove the parser and the backends
 never drift apart.
@@ -18,7 +18,7 @@ import pytest
 
 from tests.helpers import small_grid
 
-from repro.sweep import ShardedBackend, run_sweep
+from repro.sweep import MultiprocessingBackend, ShardedBackend, run_sweep
 from repro.telemetry import DispatchRecord, parse_dispatch_label
 
 
@@ -26,32 +26,8 @@ class TestPlainLabels:
     def test_serial(self):
         rec = parse_dispatch_label("serial")
         assert rec.mode == "serial"
-        assert not rec.pooled and not rec.forced
+        assert not rec.pooled and not rec.cross_run
         assert rec.inner is None
-
-    def test_parallel(self):
-        rec = parse_dispatch_label("parallel")
-        assert rec.mode == "parallel"
-        assert rec.pooled
-
-    def test_forced_qualifier(self):
-        rec = parse_dispatch_label("parallel (forced)")
-        assert rec.mode == "parallel"
-        assert rec.forced and not rec.fallback
-
-    def test_forced_on_one_cpu(self):
-        rec = parse_dispatch_label("parallel (forced on 1 usable cpu)")
-        assert rec.forced
-        assert rec.usable_cpus == 1
-
-    def test_auto_fallback(self):
-        rec = parse_dispatch_label(
-            "serial (auto-fallback: 4 workers on 1 usable cpu)"
-        )
-        assert rec.mode == "serial"
-        assert rec.fallback and not rec.forced
-        assert rec.workers == 4
-        assert rec.usable_cpus == 1
 
 
 class TestCrossRunLabels:
@@ -89,12 +65,12 @@ class TestCrossRunLabels:
 
 class TestWrapperLabels:
     def test_sharded_wraps_inner(self):
-        rec = parse_dispatch_label("sharded(parallel (forced))")
+        rec = parse_dispatch_label("sharded(serial)")
         assert rec.sharded
-        assert rec.mode == "parallel"
-        assert rec.forced
+        assert rec.mode == "serial"
+        assert not rec.pooled
         assert isinstance(rec.inner, DispatchRecord)
-        assert rec.inner.raw == "parallel (forced)"
+        assert rec.inner.raw == "serial"
         assert not rec.inner.sharded
 
     def test_sharded_in_process_cross_run(self):
@@ -127,6 +103,13 @@ class TestRejections:
             "quantum",
             "cross-run(batches)",
             "parallel (because reasons)",
+            # Retired per-cell pool labels and their qualifiers.
+            "parallel",
+            "parallel (forced)",
+            "parallel (forced on 1 usable cpu)",
+            "serial (forced)",
+            "serial (auto-fallback: 4 workers on 1 usable cpu)",
+            "sharded(parallel (forced))",
             "cross-run-mmap(1 batches, max R=1, steals=0)",
             # Retired packagings: in-worker batches and the async queue.
             "batched-serial",
@@ -157,11 +140,10 @@ class TestHarvestedLabels:
             ({"cross_run": True}, {"cross_run": True}),
             (
                 {"workers": 2, "dispatch": "pool"},
-                {"pooled": True, "forced": True},
+                {"pooled": True, "cross_run": True},
             ),
             (
-                {"workers": 2, "backend": "multiprocessing", "cross_run": True,
-                 "dispatch": "pool"},
+                {"backend": MultiprocessingBackend(2), "dispatch": "pool"},
                 {"pooled": True, "cross_run": True, "rung": None},
             ),
         ],
@@ -178,7 +160,7 @@ class TestHarvestedLabels:
         monkeypatch.setenv("REPRO_CPUS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = run_sweep(grid, workers=2, dispatch="shm")
+            result = run_sweep(grid, workers=2, dispatch="pool")
         rec = parse_dispatch_label(result.dispatch)
         assert rec.cross_run and rec.pooled
         assert rec.rung in {"shm", "pickle"}

@@ -82,23 +82,10 @@ class TestBackendEquivalence:
             run_sweep(grid, workers=2, backend="async")
 
 
-class TestChunkSizeValidation:
-    @pytest.mark.parametrize("chunk_size", [0, -1, -100])
-    def test_run_sweep_rejects_nonpositive_chunk_size(self, grid, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
-            run_sweep(grid, workers=2, chunk_size=chunk_size)
-
-    def test_backend_constructor_rejects_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
-            MultiprocessingBackend(workers=2, chunk_size=0)
-
+class TestBackendValidation:
     def test_backend_constructor_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             MultiprocessingBackend(workers=0)
-
-    def test_explicit_positive_chunk_size_is_accepted(self, grid, reference):
-        result = run_sweep(grid, workers=2, chunk_size=3)
-        assert result.cells == reference.cells
 
 
 class TestShardPartition:
@@ -309,13 +296,12 @@ class TestCrossRunPackaging:
             ShmCrossRunBackend(workers=0)
         with pytest.raises(ValueError, match="dispatch_mode must be one of"):
             ShmCrossRunBackend(workers=2, dispatch_mode="async")
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
-            ShardedBackend(0, 2, "unused", workers=2, chunk_size=0)
 
 
 class TestDispatchDecision:
-    """Backends record how cells actually ran, and pools that cannot
-    win (one usable CPU) auto-fall back to in-process dispatch."""
+    """Backends record how cells actually ran, pools take cross-run
+    groups, and pools that cannot win (one usable CPU) fall back to
+    in-process dispatch."""
 
     def test_serial_dispatch_recorded(self, grid):
         assert run_sweep(grid).dispatch == "serial"
@@ -344,9 +330,9 @@ class TestDispatchDecision:
         from repro.sweep import backends
 
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
-        result = run_sweep(grid, backend=MultiprocessingBackend(workers=4))
-        assert result.dispatch.startswith("serial")
-        assert "auto-fallback" in result.dispatch
+        result = run_sweep(grid, workers=4)
+        rec = parse_dispatch_label(result.dispatch)
+        assert rec.cross_run and not rec.pooled
         assert result.cells == reference.cells
 
     def test_pool_used_when_cpus_allow(self, grid, reference, monkeypatch):
@@ -354,13 +340,47 @@ class TestDispatchDecision:
 
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
         result = run_sweep(grid, backend=MultiprocessingBackend(workers=2))
-        assert result.dispatch == "parallel"
+        rec = parse_dispatch_label(result.dispatch)
+        assert rec.cross_run and rec.pooled and rec.rung is None
         assert result.cells == reference.cells
 
     def test_single_cell_grid_is_serial_without_fallback_label(self, grid):
         cells = list(grid.cells())[:1]
         result = run_sweep(cells, backend=MultiprocessingBackend(workers=4))
-        assert result.dispatch == "serial"
+        assert result.dispatch == "cross-run(1 batches, max R=1)"
+
+    def test_sharded_pool_honours_dispatch(self, grid, reference, tmp_path):
+        backend = ShardedBackend(0, 2, tmp_path, workers=2)
+        result = run_sweep(grid, backend=backend, dispatch="serial")
+        rec = parse_dispatch_label(result.dispatch)
+        assert rec.sharded and rec.cross_run
+        assert rec.pooled is False
+        assert backend.dispatch_mode == "auto"
+        owned = {cell.key for cell in result.cells}
+        assert result.cells == tuple(
+            cell for cell in reference.cells if cell.key in owned
+        )
+
+    def test_dispatch_override_lasts_one_call(self, grid, monkeypatch):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
+        backend = MultiprocessingBackend(workers=2)
+        forced = run_sweep(grid, backend=backend, dispatch="serial")
+        assert not parse_dispatch_label(forced.dispatch).pooled
+        assert backend.dispatch_mode == "auto"
+        later = run_sweep(grid, backend=backend)
+        assert parse_dispatch_label(later.dispatch).pooled
+
+    def test_dispatch_override_restored_on_error(self, grid):
+        backend = MultiprocessingBackend(workers=2)
+
+        def fail(result, done, total):
+            raise RuntimeError("injected progress failure")
+
+        with pytest.raises(RuntimeError, match="injected"):
+            run_sweep(grid, backend=backend, dispatch="serial", progress=fail)
+        assert backend.dispatch_mode == "auto"
 
     def test_dispatch_excluded_from_equality(self, reference):
         from dataclasses import replace

@@ -90,10 +90,6 @@ class TestParallelVsSerial:
         parallel = run_sweep(grid, workers=2, trace_detail="full")
         assert parallel.cells == serial_full.cells
 
-    def test_chunking_is_irrelevant(self, grid, serial_lite):
-        chunked = run_sweep(grid, workers=2, trace_detail="lite", chunk_size=1)
-        assert chunked.cells == serial_lite.cells
-
 
 class TestSimulatorLevelEquivalence:
     """The fast path agrees with the full path on raw simulator runs."""

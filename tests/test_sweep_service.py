@@ -40,6 +40,7 @@ from repro.sweep import (
     run_sweep,
     submit_sweep,
 )
+from repro.telemetry import parse_dispatch_label
 
 
 def _usable_cpus() -> int:
@@ -81,7 +82,7 @@ class TestStreamingAggregation:
             run_sweep(
                 grid,
                 workers=2,
-                dispatch="shm",
+                dispatch="pool",
                 progress=lambda cell, done, total: acc.add(cell),
             )
         assert acc.result().cells == reference.cells
@@ -109,10 +110,10 @@ class TestDispatchModes:
     def test_forced_serial_dispatch(self, grid, reference):
         result = run_sweep(grid, workers=4, dispatch="serial")
         assert result.cells == reference.cells
-        assert result.dispatch == "serial (forced)"
+        assert result.dispatch == "serial"
 
     def test_shm_instance_matches_serial(self, grid, reference):
-        backend = ShmCrossRunBackend(workers=3, dispatch_mode="shm")
+        backend = ShmCrossRunBackend(workers=3, dispatch_mode="pool")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             result = run_sweep(grid, backend=backend, cross_run=True)
@@ -126,7 +127,7 @@ class TestDispatchModes:
             warnings.simplefilter("ignore", RuntimeWarning)
             result = run_sweep(grid, workers=2, dispatch="pool")
         assert result.cells == reference.cells
-        assert "forced" in result.dispatch
+        assert result.dispatch.startswith(("cross-run-shm(", "cross-run-pickle("))
 
     def test_forced_pool_on_one_cpu_warns(self, grid):
         if _usable_cpus() >= 2:
@@ -135,7 +136,7 @@ class TestDispatchModes:
             run_sweep(grid, workers=2, dispatch="pool")
 
     def test_unknown_dispatch_mode_rejected(self, grid):
-        assert DISPATCH_MODES == ("auto", "serial", "pool", "shm")
+        assert DISPATCH_MODES == ("auto", "serial", "pool")
         with pytest.raises(ValueError, match="dispatch"):
             run_sweep(grid, dispatch="bogus")
 
@@ -247,7 +248,7 @@ class TestSweepJournal:
                     run_sweep(
                         grid,
                         workers=2,
-                        dispatch="shm",
+                        dispatch="pool",
                         progress=fail_after(3),
                         journal=journal,
                     )
@@ -368,7 +369,7 @@ class TestSweepServer:
         assert warm["computed"] == 0
         # Every cell came from the store, so the engine had nothing to
         # dispatch: the warm answer never touches a worker pool.
-        assert "parallel" not in warm["dispatch"]
+        assert not parse_dispatch_label(warm["dispatch"]).pooled
         assert warm["summary"] == cold["summary"]
 
     def test_healthz_reports_liveness(self, server):

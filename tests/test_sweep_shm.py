@@ -16,7 +16,7 @@ The zero-copy parallel path has three layers, each gated here:
   per-cell reference paths, and no leaked ``/dev/shm`` blocks after
   success, worker error, or a SIGINT-style parent interrupt.
 
-Everything runs under forced ``dispatch="shm"`` so the pool paths are
+Everything runs under forced ``dispatch="pool"`` so the pool paths are
 exercised even on single-CPU CI boxes (the forced-pool warning is
 expected and suppressed).
 """
@@ -52,6 +52,7 @@ from repro.sweep.backends import (
     _shared_memory,
 )
 from repro.runtime.simulator import ShmBatchLayout
+from repro.telemetry import parse_dispatch_label
 
 pytestmark = pytest.mark.skipif(
     _shared_memory is None, reason="multiprocessing.shared_memory unavailable"
@@ -103,7 +104,7 @@ def shm_sweep(grid, **kwargs):
     kwargs.setdefault("workers", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_sweep(grid, dispatch="shm", **kwargs)
+        return run_sweep(grid, dispatch="pool", **kwargs)
 
 
 def shm_entries() -> set[str]:
@@ -198,6 +199,21 @@ class TestPlanShmLayout:
     def test_fixed_rounds_bound_the_diameter_cap(self):
         layout = plan_shm_layout([cell(rounds=7, max_rounds=60)])
         assert layout.diameter_cap == 8
+
+    def test_scenario_sized_cells_ride_the_pickle_rung(self):
+        # A stall cell runs at n_Mi - 1 + extra, not at its own n: a
+        # layout sized from the cell would be too narrow.
+        specs = [
+            cell(
+                n=None, scenario="stall", params={"extra": extra},
+                rounds=5, seed=seed,
+            )
+            for extra in (2, 3)
+            for seed in range(2)
+        ]
+        result = shm_sweep(specs)
+        assert result.cells == run_sweep(specs).cells
+        assert parse_dispatch_label(result.dispatch).pooled
 
 
 class TestSharedResultArena:
@@ -458,7 +474,7 @@ class TestExactlyOnceReporting:
     def test_slow_workers_stay_exactly_once(self):
         specs = list(small_grid().cells())
         reference = [run_cell(spec) for spec in specs]
-        backend = ShmCrossRunBackend(2, dispatch_mode="shm")
+        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
         emitted = []
         backend.on_result = lambda result: emitted.append(result.key)
         with warnings.catch_warnings():
@@ -475,7 +491,7 @@ class TestExactlyOnceReporting:
 
     def test_crashing_worker_never_double_delivers(self):
         specs = list(small_grid().cells())
-        backend = ShmCrossRunBackend(2, dispatch_mode="shm")
+        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
         emitted = []
         backend.on_result = lambda result: emitted.append(result.key)
         before = shm_entries()
@@ -500,7 +516,7 @@ class TestArenaLeaks:
 
     def test_no_blocks_leak_on_worker_error(self):
         specs = list(small_grid().cells())
-        backend = ShmCrossRunBackend(2, dispatch_mode="shm")
+        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
         before = shm_entries()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
