@@ -19,6 +19,33 @@ from .view import AdversaryView
 
 __all__ = ["Adversary"]
 
+#: The per-run value hooks a batched ``class_values`` override stands in
+#: for: re-routing any of them below the override opts out of it.
+_VALUE_HOOKS = (
+    "sender_class",
+    "attack_message",
+    "attack_outbox",
+    "attack_camps",
+    "planted_message",
+    "planted_outbox",
+    "planted_camps",
+    "departure_value",
+    "corrupted_compute",
+)
+
+
+def _batched_hook(cls: type, name: str, base: type, hooks: tuple):
+    """``cls``'s batched hook ``name``, or ``base``'s default.
+
+    The override stands in for the per-run ``hooks`` as the class that
+    defines it wrote them; a subclass that re-routes any of them gets
+    the default, which calls the per-run hooks.
+    """
+    owner = next(klass for klass in cls.__mro__ if name in vars(klass))
+    if all(getattr(cls, hook) is getattr(owner, hook) for hook in hooks):
+        return getattr(owner, name)
+    return getattr(base, name)
+
 
 class Adversary:
     """A complete adversary: where agents go and what they make hosts say."""
@@ -161,6 +188,34 @@ class Adversary:
         ):
             return None
         return self.values.sender_class
+
+    @property
+    def class_values_hook(self):
+        """The batched hook that plans this adversary's class values.
+
+        The strategy's :meth:`ValueStrategy.class_values`, unless a
+        subclass re-routes any per-run value hook below the class that
+        overrides it; then the per-row default.  Meaningful only where
+        :attr:`outbox_class` and :attr:`scalar_class` are not ``None``.
+        """
+        return _batched_hook(
+            type(self.values), "class_values", ValueStrategy, _VALUE_HOOKS
+        )
+
+    @property
+    def movement_hook(self):
+        """The batched movement step of this adversary's runs, or ``None``.
+
+        The movement's :meth:`MovementStrategy.next_hosts`, unless its
+        class re-routes :meth:`MovementStrategy.next_positions` below
+        the override (then the per-row default); ``None`` when an
+        Adversary subclass re-routes :meth:`next_positions`.
+        """
+        if type(self).next_positions is not Adversary.next_positions:
+            return None
+        return _batched_hook(
+            type(self.movement), "next_hosts", MovementStrategy, ("next_positions",)
+        )
 
     def corrupted_compute(self, view: AdversaryView, pid: int) -> float:
         """State an occupied process's computation phase ends with."""

@@ -46,6 +46,38 @@ class MovementStrategy(ABC):
     def next_positions(self, view: AdversaryView) -> frozenset[int]:
         """Agent positions for the next movement step."""
 
+    @classmethod
+    def next_hosts(cls, group):
+        """The next movement step of a group of stacked runs, as masks.
+
+        The cross-run planner calls this once per round for each group
+        of runs whose movements share this hook.  ``group`` carries
+        ``strategies`` (one per row), ``hosts`` (the rows' current
+        agent hosts as an ``(rows, n)`` bool array), ``n``, ``f`` (an
+        int array, one per row), ``view(k)`` (row ``k``'s movement view,
+        exactly as its controller would build it) and ``masks_of``
+        (rows' next positions as masks, each checked like the
+        controller's).  Returns the next hosts as an ``(rows, n)`` bool
+        array.
+
+        The default steps each row through its own
+        :meth:`next_positions`, so strategies that draw randomness
+        consume each run's stream in per-run order.  An override must
+        equal that step on every row, and :meth:`next_positions` must
+        depend on the view only through ``positions``, ``n`` and ``f``:
+        the planner rebuilds a row's position set, when a consumer
+        needs one in per-run iteration order, by replaying
+        :meth:`next_positions`.  A subclass that re-routes
+        :meth:`next_positions` gets this default instead of its
+        parent's override.
+        """
+        return group.masks_of(
+            [
+                strategy.next_positions(group.view(k))
+                for k, strategy in enumerate(group.strategies)
+            ]
+        )
+
     def describe(self) -> str:
         """Short name used in experiment tables."""
         return type(self).__name__
@@ -78,6 +110,10 @@ class StaticAgents(MovementStrategy):
     def next_positions(self, view: AdversaryView) -> frozenset[int]:
         return view.positions
 
+    @classmethod
+    def next_hosts(cls, group):
+        return group.hosts
+
     def describe(self) -> str:
         return "static"
 
@@ -103,14 +139,34 @@ class RoundRobinWalk(MovementStrategy):
         stride = self.stride if self.stride is not None else max(view.f, 1)
         positions = view.positions
         if _np is not None and len(positions) >= 32:
-            # Same set, computed in one vector op: frozenset equality
-            # (and iteration order, which hashes by value for small
-            # ints) is independent of construction order.
+            # Same set, computed in one vector op.  A frozenset's
+            # iteration order does depend on insertion order when ints
+            # collide in its table (list(frozenset([1, 9])) is [1, 9],
+            # list(frozenset([9, 1])) is [9, 1]); both branches agree
+            # because both insert in ``positions`` order.
             stepped = _np.fromiter(positions, dtype=_np.int64, count=len(positions))
             moved = frozenset(((stepped + stride) % view.n).tolist())
         else:
             moved = frozenset((pid + stride) % view.n for pid in positions)
         return self._validate(moved, view.n, view.f)
+
+    @classmethod
+    def next_hosts(cls, group):
+        # One column roll per row: j hosts an agent after the step iff
+        # (j - stride) % n hosted one before.
+        strides = _np.array(
+            [
+                max(f, 1) if strategy.stride is None else strategy.stride
+                for strategy, f in zip(group.strategies, group.f.tolist())
+            ]
+        )
+        hosts = group.hosts
+        n = group.n
+        if (strides == strides[0]).all():
+            split = n - int(strides[0]) % n
+            return _np.concatenate((hosts[:, split:], hosts[:, :split]), axis=1)
+        sources = (_np.arange(n) - strides[:, None]) % n
+        return hosts[_np.arange(strides.shape[0])[:, None], sources]
 
     def describe(self) -> str:
         return f"round-robin(stride={self.stride or 'f'})"

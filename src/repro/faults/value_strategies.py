@@ -27,10 +27,16 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+try:  # numpy is optional: only the batched class hooks need it.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised only without numpy
+    _np = None
+
 from .view import AdversaryView
 
 __all__ = [
     "ValueStrategy",
+    "ClassValues",
     "RecipientCamps",
     "CampOutbox",
     "FixedValue",
@@ -202,6 +208,59 @@ class CampOutbox(Mapping):
         )
 
 
+@dataclass(frozen=True)
+class ClassValues:
+    """A group's class values from :meth:`ValueStrategy.class_values`.
+
+    Row ``k`` of each table is the group's row ``k``; column ``c`` is
+    the sender class of pid ``group.senders[c]``.
+
+    Attributes
+    ----------
+    departures, computes:
+        ``(rows, classes)`` departure values and corrupted computes.
+    camps:
+        ``(rows, classes, camps)`` camp values of the attack outboxes,
+        which are also the M3 planted queues.
+    assignment:
+        How recipients map to camps, shared by every row and class:
+        ``"zero"`` (one camp), ``"parity"`` (recipient id parity) or
+        ``"split"`` (camp 1 above the correct-range midpoint of the
+        send-phase values).
+    """
+
+    departures: object
+    computes: object
+    camps: object
+    assignment: str
+
+
+def _class_tables(departures, camps, assignment: str) -> ClassValues:
+    """Broadcast per-row values of a one-class strategy to its tables.
+
+    ``departures`` is one value per row (also the corrupted compute);
+    ``camps`` lists one per-row array per camp.
+    """
+    table = departures[:, None]
+    return ClassValues(
+        table, table, _np.stack(camps, axis=1)[:, None, :], assignment
+    )
+
+
+def _row_params(group, name: str, fallback):
+    """Each row's strategy parameter ``name``, ``fallback`` where ``None``."""
+    params = [getattr(strategy, name) for strategy in group.strategies]
+    if all(param is None for param in params):
+        return fallback
+    return _np.array(
+        [
+            default if param is None else param
+            for param, default in zip(params, fallback.tolist())
+        ],
+        dtype=_np.float64,
+    )
+
+
 class ValueStrategy(ABC):
     """Base class for Byzantine value choices."""
 
@@ -334,6 +393,36 @@ class ValueStrategy(ABC):
         """State an occupied process ends the round with."""
         return self.departure_value(view, pid)
 
+    @classmethod
+    def class_values(cls, group) -> ClassValues | None:
+        """Every class value of a group of stacked runs, in one call.
+
+        The cross-run planner calls this once per round for each group
+        of class-planned runs whose strategies share this hook and
+        sender classes.  ``group`` carries ``strategies`` (one per row),
+        the rows' correct-range endpoints ``low`` and ``high`` (float64
+        arrays; every endpoint finite and non-zero -- rows without such
+        a range take the per-row route instead), ``round_index``,
+        ``senders`` (the first pid of each sender class) and
+        ``plan_row(k)``, which plans row ``k`` through its own views.
+
+        An override returns :class:`ClassValues` equal, entry for entry,
+        to what the per-run hooks would build from a view with that
+        correct range: values that depend on a row only through its
+        range, the round and the strategy's own parameters, and camps
+        assigned in one of the kinds :class:`ClassValues` names.  A
+        subclass that re-routes any per-run value hook gets this default
+        instead of its parent's override (see
+        :attr:`~repro.faults.adversary.Adversary.class_values_hook`).
+
+        The default plans each row through its own views -- every hook
+        in per-cell order, canonical errors included -- and returns
+        ``None``.
+        """
+        for k in range(len(group.strategies)):
+            group.plan_row(k)
+        return None
+
     def describe(self) -> str:
         """Short name used in experiment tables."""
         return type(self).__name__
@@ -410,6 +499,13 @@ class FixedValue(ValueStrategy):
             values=(self.value,), assignment=_zero_assignment(view)
         )
 
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        value = _np.array(
+            [strategy.value for strategy in group.strategies], dtype=_np.float64
+        )
+        return _class_tables(value, [value], "zero")
+
     def describe(self) -> str:
         return f"fixed({self.value:g})"
 
@@ -481,10 +577,18 @@ class SplitAttack(ValueStrategy):
             values=(low, high), assignment=_split_assignment(view)
         )
 
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        low = _row_params(group, "low", group.low)
+        high = _row_params(group, "high", group.high)
+        return _class_tables(high, [low, high], "split")
+
     def describe(self) -> str:
         if self.low is None and self.high is None:
             return "split(range)"
-        return f"split({self.low:g},{self.high:g})"
+        low = "range" if self.low is None else f"{self.low:g}"
+        high = "range" if self.high is None else f"{self.high:g}"
+        return f"split({low},{high})"
 
 
 class OutlierAttack(ValueStrategy):
@@ -529,6 +633,15 @@ class OutlierAttack(ValueStrategy):
             values=(interval.high + self.magnitude, interval.low - self.magnitude),
             assignment=_parity_assignment(view),
         )
+
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        magnitude = _np.array(
+            [strategy.magnitude for strategy in group.strategies],
+            dtype=_np.float64,
+        )
+        above = group.high + magnitude
+        return _class_tables(above, [above, group.low - magnitude], "parity")
 
     def describe(self) -> str:
         return f"outlier({self.magnitude:g})"
@@ -587,6 +700,12 @@ class EchoCorrect(ValueStrategy):
             values=(view.correct_midpoint(),), assignment=_zero_assignment(view)
         )
 
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        # Interval.midpoint's arithmetic, element-wise.
+        midpoint = (group.low + group.high) / 2.0
+        return _class_tables(midpoint, [midpoint], "zero")
+
     def describe(self) -> str:
         return "echo-correct"
 
@@ -626,6 +745,11 @@ class OscillatingAttack(ValueStrategy):
         return RecipientCamps(
             values=(value,), assignment=_zero_assignment(view)
         )
+
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        value = group.low if group.round_index % 2 == 0 else group.high
+        return _class_tables(value, [value], "zero")
 
     def describe(self) -> str:
         return "oscillating"
@@ -744,6 +868,19 @@ class CrossfireAttack(ValueStrategy):
         return RecipientCamps(
             values=values, assignment=_split_assignment(view)
         )
+
+    @classmethod
+    def class_values(cls, group) -> ClassValues:
+        # Column c is the class of sender group.senders[c]: even senders
+        # depart high and feed (low, high); odd ones the reverse.
+        even = _np.array([sender % 2 == 0 for sender in group.senders])
+        low = group.low[:, None]
+        high = group.high[:, None]
+        departures = _np.where(even, high, low)
+        camps = _np.stack(
+            [_np.where(even, low, high), departures], axis=2
+        )
+        return ClassValues(departures, departures, camps, "split")
 
     def describe(self) -> str:
         return "crossfire"

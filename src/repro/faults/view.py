@@ -25,31 +25,28 @@ __all__ = ["AdversaryView", "batch_correct_ranges"]
 
 
 def batch_correct_ranges(stack, mask):
-    """Correct-range intervals for a whole stack of runs at once.
+    """Correct-range endpoints for a whole stack of runs at once.
 
     The cross-run planner's batched companion to
     :meth:`AdversaryView._correct_range_from_array`: one masked min/max
     reduction over the ``(R, n)`` value ``stack`` (``mask`` True where a
-    process is currently correct) yields every run's interval in a
+    process is currently correct) yields every run's endpoints in a
     single numpy pass.  Masked min/max merely *select* elements, so the
     floats are bit-identical to the view's own per-run reduction.
 
-    An entry is ``None`` -- deferring to the view's lazy first-wins
-    scalar rescan, exactly the per-cell behaviour -- when an endpoint
-    is ``0.0`` (either signed zero under numpy's reductions) or the
-    row is fully masked (``inf`` endpoints).  Callers seed surviving
-    intervals onto views as ``_correct_range`` and leave the rest for
+    Returns ``(low, high, exact)`` float64 and bool arrays.  ``exact``
+    is False -- deferring to the view's lazy first-wins scalar rescan,
+    exactly the per-cell behaviour -- where an endpoint is ``0.0``
+    (either signed zero under numpy's reductions) or the row is fully
+    masked (``inf`` endpoints).  Callers seed exact intervals onto
+    views as ``_correct_range`` and leave the rest for
     :meth:`AdversaryView.correct_range` to recompute.
     """
-    inf = float("inf")
-    lows = _np.where(mask, stack, inf).min(axis=1).tolist()
-    highs = _np.where(mask, stack, -inf).max(axis=1).tolist()
-    return [
-        None
-        if low == 0.0 or high == 0.0 or low == inf or high == -inf
-        else Interval(low, high)
-        for low, high in zip(lows, highs)
-    ]
+    inf = _np.inf
+    low = _np.where(mask, stack, inf).min(axis=1)
+    high = _np.where(mask, stack, -inf).max(axis=1)
+    exact = (low != 0.0) & (high != 0.0) & (low != inf) & (high != -inf)
+    return low, high, exact
 
 
 class _LazyCorrectValues:

@@ -23,7 +23,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -43,6 +43,7 @@ from ..faults.value_strategies import (
     ValueStrategy,
 )
 from ..faults.view import AdversaryView, batch_correct_ranges
+from ..msr.multiset import Interval
 
 __all__ = [
     "RoundPlan",
@@ -188,6 +189,20 @@ def _sender_classes(key, n: int) -> tuple:
     return (None,) * n if key is None else tuple(map(key, range(n)))
 
 
+def _class_keys(adversary: Adversary, n: int) -> tuple[tuple, tuple]:
+    """Each pid's outbox and scalar sender class, resolved once per run.
+
+    The two keys are the same strategy key wherever neither hook family
+    is re-routed (every built-in strategy), and then share one tuple.
+    """
+    outbox_key = adversary.outbox_class
+    scalar_key = adversary.scalar_class
+    outbox = _sender_classes(outbox_key, n)
+    if scalar_key == outbox_key:
+        return outbox, outbox
+    return outbox, _sender_classes(scalar_key, n)
+
+
 def _per_class(cache: dict, key, build, pid: int):
     """``build(pid)``, shared by every pid of sender class ``key``.
 
@@ -312,8 +327,7 @@ class MobileFaultController(FaultController):
         # and for the scalar corruption hooks, so planning calls each
         # hook once per class present in a round instead of once per
         # agent.
-        self._outbox_classes = _sender_classes(adversary.outbox_class, n)
-        self._scalar_classes = _sender_classes(adversary.scalar_class, n)
+        self._outbox_classes, self._scalar_classes = _class_keys(adversary, n)
 
     @property
     def positions(self) -> frozenset[int]:
@@ -524,8 +538,7 @@ class StaticMixedController(FaultController):
         self.adversary = adversary
         self.topology = topology
         self._classes = dict(assignment.items())
-        self._outbox_classes = _sender_classes(adversary.outbox_class, n)
-        self._scalar_classes = _sender_classes(adversary.scalar_class, n)
+        self._outbox_classes, self._scalar_classes = _class_keys(adversary, n)
 
     def plan_round(
         self, round_index: int, values: Mapping[int, float], rng: random.Random
@@ -613,82 +626,100 @@ def _flatten(np, collections):
     return np.repeat(np.arange(len(collections)), lengths), pids, lengths
 
 
-def _first_of_class(np, rows, classes, pids, width):
-    """``(row, class, pid)`` for the first pid of each class in a row.
-
-    The inputs are flattened pid collections (see :func:`_flatten`) in
-    iteration order, with each pid's row and class code below
-    ``width``, so "first" is the pid the per-cell fan-out would build
-    from.  The triples come out in the order of those first pids.
-    """
-    if not pids.shape[0]:
-        return ()
-    keys = rows * width + classes
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.ones(ordered.shape[0], dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    first = np.sort(order[starts])
-    return zip(rows[first].tolist(), classes[first].tolist(), pids[first].tolist())
-
-
-def _scatter_values(np, target, mappings) -> None:
-    """Write each row's ``{pid: value}`` mapping into ``target`` at once."""
+def _scatter_rows(np, target, rows, mappings) -> None:
+    """Write each ``{pid: value}`` mapping into its row of ``target``."""
     if not any(mappings):
         return
-    rows, pids, _ = _flatten(np, mappings)
-    target[rows, pids] = np.fromiter(
+    owner, pids, _ = _flatten(np, mappings)
+    target[np.asarray(rows, dtype=np.intp)[owner], pids] = np.fromiter(
         chain.from_iterable(m.values() for m in mappings),
         np.float64,
         pids.shape[0],
     )
 
 
-def _seeded_view(row, round_index, values, correct, interval) -> AdversaryView:
+def _seeded_view(
+    controller, round_index, values, positions, cured, rng, correct, interval
+) -> AdversaryView:
     """A class-planned row's value view with the batched range seeded."""
-    view = row.controller._view(
-        round_index, values, row.positions, row.cured, row.rng
-    )
+    view = controller._view(round_index, values, positions, cured, rng)
     object.__setattr__(view, "_range_mask", correct)
     if interval is not None:
         object.__setattr__(view, "_correct_range", interval)
     return view
 
 
-class _ArrayRow:
-    """One class-planned run's state while :meth:`CrossRunPlanner.plan_many`
-    plans a round: its movement, views and per-class hook results."""
+def _gather(table, codes):
+    """``table[i, codes[i, j]]`` for every row ``i`` and pid ``j``.
+
+    A one-class table is returned as is: it broadcasts over the pids.
+    """
+    count, width = table.shape
+    if width == 1:
+        return table
+    return table.take(codes + (_np.arange(count) * width)[:, None])
+
+
+def _whole(rows, count: int):
+    """``rows`` as an index, or a full slice when it names all ``count``.
+
+    ``rows`` holds unique row numbers, sorted unless the caller indexes
+    both sides of an assignment with it, so a full-size ``rows`` selects
+    exactly what the (cheaper) full slice does.
+    """
+    return slice(None) if rows.shape[0] == count else rows
+
+
+def _groups(gids, hooks):
+    """``(hook, members)`` for each group id in ``gids``.
+
+    ``members`` selects the group's entries of ``gids``: a full slice
+    when one group covers them all (the common case), else an index
+    array.
+    """
+    if not gids.shape[0]:
+        return []
+    first = int(gids[0])
+    if (gids == first).all():
+        return [(hooks[first], slice(None))]
+    return [
+        (hooks[gid], _np.flatnonzero(gids == gid))
+        for gid in dict.fromkeys(gids.tolist())
+    ]
+
+
+def _interned(keys: list) -> tuple[list, list]:
+    """Per-entry group ids of ``keys`` and the distinct keys by id."""
+    ids: dict = {}
+    gids = [ids.setdefault(key, len(ids)) for key in keys]
+    return gids, list(ids)
+
+
+class _RowRecord:
+    """One class-planned row's round as the per-cell planner sees it.
+
+    Built by the per-row route: the position sets in per-run iteration
+    order and one hook result per class slot.
+    """
 
     __slots__ = (
-        "controller",
         "classes",
-        "rng",
-        "values",
         "positions",
         "cured",
         "after",
         "planted",
-        "attack_view",
         "outboxes",
         "departures",
         "computes",
     )
 
-    def __init__(
-        self, controller, classes, rng, values, positions, cured, after
-    ) -> None:
-        self.controller = controller
+    def __init__(self, classes, positions, cured, after, planted) -> None:
         #: Each pid's sender-class index.
         self.classes = classes
-        self.rng = rng
-        self.values = values
         self.positions = positions
         self.cured = cured
         self.after = after
-        self.planted = bool(cured) and (
-            controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE
-        )
-        self.attack_view = None
+        self.planted = planted
         #: Outbox per class slot (attack classes, then planted classes).
         self.outboxes: dict[int, Mapping[int, float]] = {}
         self.departures: dict[int, float] = {}
@@ -697,9 +728,7 @@ class _ArrayRow:
     def plan(self, round_index: int, slots: int) -> RoundPlan:
         """The per-cell :class:`RoundPlan` of this row's round.
 
-        Built only for rows that leave the array path (a scalar-fold
-        fallback, or outboxes the stacked fold cannot express); the
-        mappings equal the per-cell planner's, in the same order.
+        The mappings equal the per-cell planner's, in the same order.
         """
         classes = self.classes
         outboxes = self.outboxes
@@ -725,21 +754,184 @@ class _ArrayRow:
         )
 
 
+class _Round:
+    """One :meth:`CrossRunPlanner.plan_many` call's shared state."""
+
+    __slots__ = (
+        "index",
+        "stack",
+        "runs",
+        "wrap",
+        "correct",
+        "low",
+        "high",
+        "exact",
+        "departures",
+        "computes",
+        "camp_values",
+        "camp_codes",
+        "camp_counts",
+        "plans",
+        "records",
+        "row_extras",
+        "sets",
+        "_values",
+    )
+
+    def __init__(self, index, stack, runs, wrap, width) -> None:
+        count = stack.shape[0]
+        self.index = index
+        self.stack = stack
+        self.runs = runs
+        self.wrap = wrap
+        self.departures = _np.zeros((count, width))
+        self.computes = _np.zeros((count, width))
+        #: Batched rows' attack camp values per class, ``(count, width, C)``.
+        self.camp_values = None
+        #: Each row's recipient camp codes and camp count (0: no camps).
+        self.camp_codes = _np.zeros(stack.shape, dtype=_np.intp)
+        self.camp_counts = _np.zeros(count, dtype=_np.intp)
+        self.plans: list = [None] * count
+        #: Per-row route results: a row's record, and its override extras
+        #: in per-cell order.
+        self.records: dict[int, _RowRecord] = {}
+        self.row_extras: dict[int, list] = {}
+        #: Run -> (positions before, positions after) this round's move,
+        #: as per-run frozensets, once a consumer asked for them.
+        self.sets: dict[int, tuple] = {}
+        self._values: dict[int, object] = {}
+
+    def values(self, i: int):
+        """Row ``i``'s pre-corruption values as an array-backed Mapping."""
+        values = self._values.get(i)
+        if values is None:
+            values = self._values[i] = self.wrap(self.stack[i])
+        return values
+
+    def interval(self, i: int) -> Interval | None:
+        """Row ``i``'s batched correct range, ``None`` where the view
+        must rescan (a signed-zero endpoint or no correct process)."""
+        if not self.exact[i]:
+            return None
+        return Interval(float(self.low[i]), float(self.high[i]))
+
+
+class _Layout:
+    """Per-run constants of one active-run set (see
+    :meth:`CrossRunPlanner._layout`), aligned with the stack rows."""
+
+    __slots__ = (
+        "key",
+        "runs",
+        "planned",
+        "fallback",
+        "rows",
+        "class_runs",
+        "move_groups",
+        "value_groups",
+        "f",
+        "m4",
+        "quiet",
+        "planted",
+        "codes",
+    )
+
+
+class _MoveGroup:
+    """The rows one :meth:`MovementStrategy.next_hosts` call steps."""
+
+    __slots__ = (
+        "strategies", "hosts", "n", "f", "stepped", "_planner", "_round", "_rows"
+    )
+
+    def __init__(self, planner, rnd, group, hosts) -> None:
+        rows, self.strategies, self.f = group
+        self.hosts = hosts
+        self.n = hosts.shape[1]
+        #: Whether the rows stepped through :meth:`masks_of`, which keeps
+        #: their position sets current.
+        self.stepped = False
+        self._planner = planner
+        self._round = rnd
+        self._rows = rows
+
+    def view(self, k: int) -> AdversaryView:
+        """Row ``k``'s movement view, as its controller builds it."""
+        planner = self._planner
+        rnd = self._round
+        i = int(self._rows[k])
+        r = int(rnd.runs[i])
+        return planner.controllers[r]._view(
+            rnd.index,
+            rnd.values(i),
+            planner._settled(rnd, i),
+            frozenset(),
+            planner.rngs[r],
+        )
+
+    def masks_of(self, positions_list):
+        """The rows' next ``positions`` as masks, each checked and kept
+        as the run's per-run position set."""
+        planner = self._planner
+        rnd = self._round
+        masks = _np.zeros_like(self.hosts)
+        for k, positions in enumerate(positions_list):
+            i = int(self._rows[k])
+            r = int(rnd.runs[i])
+            planner.controllers[r]._check_positions(positions)
+            masks[k, list(positions)] = True
+            rnd.sets[r] = (planner._settled(rnd, i), positions)
+            planner._sets[r] = positions
+        self.stepped = True
+        return masks
+
+
+class _ValueGroup:
+    """The rows one :meth:`ValueStrategy.class_values` call plans."""
+
+    __slots__ = (
+        "strategies",
+        "low",
+        "high",
+        "round_index",
+        "senders",
+        "_planner",
+        "_round",
+        "_rows",
+    )
+
+    def __init__(self, planner, rnd, rows, senders, strategies) -> None:
+        self.strategies = strategies
+        self.low = rnd.low[rows]
+        self.high = rnd.high[rows]
+        self.round_index = rnd.index
+        self.senders = senders
+        self._planner = planner
+        self._round = rnd
+        self._rows = rows
+
+    def plan_row(self, k: int) -> None:
+        """Plan row ``k`` through its own views (the per-row route)."""
+        self._planner._plan_row(self._round, int(self._rows[k]))
+
+
 @dataclass
 class StackPlan:
     """One round's faults for a stack of runs, as ``(R, n)`` arrays.
 
     Produced by :meth:`CrossRunPlanner.plan_many`; row ``i`` is the
     ``i``-th planned run.  The masks and value arrays cover every row.
-    Class-planned rows additionally carry their override traffic as
-    flattened camp values (``extra_*``, in the per-cell
-    ``send_overrides`` order) plus ``camps[i] = (codes, ncamps)`` -- the
-    recipients' camp indices and the camp count -- or ``None`` when no
-    process overrides its sends.  Rows planned through their
-    controller's :meth:`~MobileFaultController.plan_round` (and rows
-    whose outboxes the stacked fold cannot express) carry their
-    :class:`RoundPlan` in ``plans[i]`` instead; :meth:`plan` builds one
-    on demand for any row.
+    Class-planned rows carry their override traffic as flattened camp
+    values (``extra_*``; each row's override senders in pid order, or
+    in the per-cell ``send_overrides`` order where that order can
+    matter) plus ``camp_codes[i]`` -- the recipients' camp indices --
+    and ``camp_counts[i]``, the camp count (``0`` when no process
+    overrides its sends).  ``plans[i]`` is ``None`` for those array
+    rows; rows
+    planned through their controller's
+    :meth:`~MobileFaultController.plan_round` (and rows whose outboxes
+    the stacked fold cannot express) carry their :class:`RoundPlan`
+    there instead.  :meth:`plan` builds one on demand for any row.
 
     Attributes
     ----------
@@ -753,8 +945,7 @@ class StackPlan:
         Processes whose computation the agents corrupt, and the values
         their round ends with.
     after:
-        Agent hosts at the end of the round (``positions_after``), also
-        as ``positions_after[i]`` frozensets.
+        Agent hosts at the end of the round (``positions_after``).
     """
 
     round_index: int
@@ -763,20 +954,19 @@ class StackPlan:
     garbage: object
     garbage_values: object
     after: object
-    positions_after: list
     plans: list
-    camps: list
+    camp_codes: object
+    camp_counts: object
     extra_rows: object
     extra_cols: object
     extra_values: object
-    _rows: dict
-    _slots: int
+    _plan_row: object
 
     def plan(self, i: int) -> RoundPlan:
         """Row ``i``'s :class:`RoundPlan` (built on demand)."""
         plan = self.plans[i]
         if plan is None:
-            plan = self._rows[i].plan(self.round_index, self._slots)
+            plan = self._plan_row(i)
         return plan
 
 
@@ -790,18 +980,37 @@ class CrossRunPlanner:
 
     Runs whose adversary declares sender classes and recipient camps
     (every built-in strategy except ``inertia`` and ``noise``, unless a
-    subclass re-routes a hook) are *class-planned*:
+    subclass re-routes a hook) are *class-planned*.  The planner keeps
+    their agent hosts as an ``(R, n)`` bool mask and builds each round
+    from whole-stack array operations plus one call per group of rows:
 
-    * movement runs per run through its controller, consuming each
-      run's RNG stream exactly as the per-cell planner does (the value
-      hooks of a class-declaring strategy consume none);
-    * the occupancy, cured, silence, exclusion and garbage masks come
-      from one scatter, correct ranges from one masked reduction and
-      split-camp codes from one comparison over the whole stack;
-    * the value hooks run once per sender class present in a run-round
-      (see :meth:`~repro.faults.value_strategies.ValueStrategy.sender_class`),
-      and departures, compute corruptions and override camp values are
-      masked writes from those per-row class tables.
+    * movement is one :meth:`~repro.faults.movement.MovementStrategy.next_hosts`
+      call per movement type (round-robin is a column roll, static the
+      identity; other strategies step each run through its own
+      ``next_positions``, consuming its RNG stream exactly as the
+      per-cell planner does -- the value hooks of a class-declaring
+      strategy consume none);
+    * cured, silence, exclusion and garbage masks are mask algebra,
+      correct ranges one masked reduction and split-camp codes one
+      comparison over the whole stack;
+    * class values come from one
+      :meth:`~repro.faults.value_strategies.ValueStrategy.class_values`
+      call per strategy type and sender-class layout, and departures,
+      compute corruptions and override camp values are gathers from
+      those per-row class tables.
+
+    A row takes the *per-row route* -- its own views and per-run hooks
+    in per-cell order, what the base ``class_values`` runs -- when its
+    strategy declares no batched hook (or a subclass re-routes one of
+    its per-run hooks), when its batched correct range is unknown (a
+    signed-zero endpoint or no correct process: the view rescans), or
+    when its batched tables hold a non-finite value (the per-run hooks
+    then raise the canonical error) or a signed zero camp value (whose
+    fold order follows ``send_overrides``).  Per-run position sets are
+    built only where a consumer reads them: the per-row route and
+    :meth:`StackPlan.plan` replay the movement's ``next_positions`` to
+    get them in per-run iteration order, and :meth:`sync_positions`
+    hands each controller its final hosts.
 
     Every other run is planned by its own controller's
     :meth:`MobileFaultController.plan_round` -- the per-cell planner
@@ -809,12 +1018,12 @@ class CrossRunPlanner:
     sender-class contract plus the per-cell seams the views are seeded
     through (``_range_mask`` / ``_correct_range`` and the
     ``camps-split`` memo), which are only seeded with values the view
-    would derive itself -- signed-zero endpoints and empty masks fall
-    back to the view's own lazy recomputation.
+    would derive itself.
 
     Runs may mix models, movements and attacks; they must share ``n``.
     Round 0 never reaches the planner -- the engine plans it per run,
-    which also initializes agent positions.
+    which also initializes agent positions.  ``routes`` counts the
+    run-rounds each route planned.
     """
 
     def __init__(self, controllers, rngs, wrap) -> None:
@@ -824,11 +1033,14 @@ class CrossRunPlanner:
                     "CrossRunPlanner requires MobileFaultControllers, got "
                     f"{type(controller).__name__}"
                 )
+        np = _np
         self.controllers = list(controllers)
         self.rngs = list(rngs)
         #: Array-backed Mapping constructor (ArrayValues, injected to
         #: avoid a circular import with the simulator module).
         self._wrap = wrap
+        #: Run-rounds planned per route.
+        self.routes = {"batched": 0, "per_row": 0, "plan_round": 0}
         self._split_strategy = [
             isinstance(c.adversary.values, (SplitAttack, CrossfireAttack))
             for c in self.controllers
@@ -837,28 +1049,65 @@ class CrossRunPlanner:
         # controller plans itself.  Outbox and scalar classes are the
         # same strategy key wherever neither hook family is re-routed.
         self._classes: list[tuple[int, ...] | None] = []
+        move_keys: list = []
+        value_keys: list = []
         for controller in self.controllers:
+            adversary = controller.adversary
             keys = controller._outbox_classes
+            movement = adversary.movement_hook
             if (
                 controller.f == 0
+                or movement is None
                 or None in keys
                 or keys != controller._scalar_classes
-                or type(controller.adversary.values).attack_camps
-                is ValueStrategy.attack_camps
+                or type(adversary.values).attack_camps is ValueStrategy.attack_camps
             ):
                 self._classes.append(None)
+                move_keys.append(None)
+                value_keys.append(None)
                 continue
-            index = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+            distinct = list(dict.fromkeys(keys))
+            index = {key: code for code, key in enumerate(distinct)}
             self._classes.append(tuple(map(index.__getitem__, keys)))
+            move_keys.append(movement)
+            # Each class by its first sender, as the batched hooks see it.
+            senders = tuple(map(keys.index, distinct))
+            value_keys.append((adversary.class_values_hook, senders))
+        move_gids, self._move_hooks = _interned(move_keys)
+        value_gids, self._value_hooks = _interned(value_keys)
+        self._move_gid = np.array(move_gids, dtype=np.intp)
+        self._value_gid = np.array(value_gids, dtype=np.intp)
         #: Class-code width: the most classes any run declares.
         self._slots = max(
             (max(codes) + 1 for codes in self._classes if codes), default=1
         )
+        count = len(self.controllers)
         n = self.controllers[0].n if self.controllers else 0
-        self._codes = _np.array(
+        self._codes = np.array(
             [codes if codes else (0,) * n for codes in self._classes],
-            dtype=_np.intp,
-        ).reshape(len(self.controllers), n)
+            dtype=np.intp,
+        ).reshape(count, n)
+        semantics = [c.semantics for c in self.controllers]
+        self._planned = np.array([c is not None for c in self._classes], dtype=bool)
+        self._f = np.array([c.f for c in self.controllers], dtype=np.intp)
+        self._m4 = np.array([s.moves_with_message for s in semantics], dtype=bool)
+        self._planted = np.array(
+            [s.cured_send is CuredSendBehavior.PLANTED_QUEUE for s in semantics],
+            dtype=bool,
+        )
+        #: Cured processes stay silent: cured-aware models, and M3's
+        #: planted queues (class-planned rows only).
+        self._aware = np.array([s.cured_aware for s in semantics], dtype=bool)
+        self._quiet = self._aware | (self._planted & self._planned)
+        #: Class-planned runs' agent hosts after the last planned round.
+        self._hosts = np.zeros((count, n), dtype=bool)
+        #: Per-run position sets in per-run iteration order, each
+        #: ``_lag`` batched movement steps behind ``_hosts``.
+        self._sets: list[frozenset[int] | None] = [None] * count
+        self._lag = np.zeros(count, dtype=np.intp)
+        #: Runs whose positions the planner has taken over from round 0.
+        self._ready = np.zeros(count, dtype=bool)
+        self._last_layout: _Layout | None = None
 
     def plan_many(self, round_index: int, stack, indices) -> StackPlan:
         """Plan ``round_index`` for the runs in ``indices``.
@@ -868,232 +1117,115 @@ class CrossRunPlanner:
         :class:`StackPlan` aligns with it.  Requires ``round_index >= 1``.
         """
         np = _np
-        wrap = self._wrap
         count, n = stack.shape
-        shape = (count, n)
         width = self._slots
-        plans: list = [None] * count
-        rows: dict[int, _ArrayRow] = {}
-        for i, r in enumerate(indices):
-            values = wrap(stack[i])
-            if self._classes[r] is None:
-                plans[i] = self.controllers[r].plan_round(
-                    round_index, values, self.rngs[r]
-                )
-            else:
-                rows[i] = self._move(r, round_index, values)
-        codes = self._codes[indices]
-
-        # -- per-row pid collections, flattened in one pass -------------
-        # Five families, each one collection per row, in iteration
-        # order: processes that do not broadcast (override senders,
-        # forced silence), cured processes, end-of-round hosts,
-        # corrupted computations, and -- class-planned rows only -- the
-        # override senders in per-cell send_overrides order (agents,
-        # then planted-queue senders), which fixes how +-0.0 ties sort
-        # in the fold.  ``quiet`` rows keep their cured processes
-        # silent (cured-aware M1, planted-queue M3).
-        families: list[list] = [[], [], [], [], []]
-        silencers, cured_sets, positions_after, garbage_sets, outgoing = families
-        is_array = np.zeros(count, dtype=bool)
-        quiet = np.zeros(count, dtype=bool)
-        for i, plan in enumerate(plans):
-            if plan is None:
-                row = rows[i]
-                silencers.append(row.positions)
-                cured_sets.append(row.cured)
-                positions_after.append(row.after)
-                garbage_sets.append(row.after)
-                outgoing.append(
-                    tuple(row.positions) + tuple(row.cured)
-                    if row.planted
-                    else row.positions
-                )
-                is_array[i] = True
-                quiet[i] = row.planted or row.controller.semantics.cured_aware
-            else:
-                silencers.append(plan.send_overrides.keys() | plan.forced_silent)
-                cured_sets.append(plan.cured_at_send)
-                positions_after.append(plan.positions_after)
-                garbage_sets.append(plan.compute_corruptions)
-                outgoing.append(())
-                quiet[i] = self.controllers[indices[i]].semantics.cured_aware
-        owner, pids, lengths = _flatten(np, list(chain.from_iterable(families)))
-        family, row_of = np.divmod(owner, count)
-        masks = np.zeros((len(families), count, n), dtype=bool)
-        masks[family, row_of, pids] = True
-        senders, cured, after, garbage, _ = masks
-        silent = senders | (cured & quiet[:, None])
-        correct = ~(senders | cured)
-        intervals = batch_correct_ranges(stack, correct)
-
-        # Class-planned rows' departing (cured), outgoing and garbage
-        # pids with their class slots: departures ``c``, attack outboxes
-        # ``width + c``, planted queues ``2 * width + c``, computes
-        # ``3 * width + c``.
-        sizes = lengths.tolist()
-        ends = list(
-            accumulate(sum(sizes[k : k + count]) for k in range(0, len(sizes), count))
-        )
-        dep = slice(ends[0], ends[1])
-        com = slice(ends[1], ends[2])
-        out = slice(ends[3], ends[4])
-        mine = is_array[row_of[dep]]
-        dep_rows, dep_pids = row_of[dep][mine], pids[dep][mine]
-        mine = is_array[row_of[com]]
-        com_rows, com_pids = row_of[com][mine], pids[com][mine]
-        out_rows, out_pids = row_of[out], pids[out]
-        dep_classes = codes[dep_rows, dep_pids]
-        com_classes = codes[com_rows, com_pids]
-        out_slots = codes[out_rows, out_pids] + width * cured[out_rows, out_pids]
-        firsts = list(
-            _first_of_class(
-                np,
-                np.concatenate([dep_rows, out_rows, com_rows]),
-                np.concatenate(
-                    [dep_classes, out_slots + width, com_classes + 3 * width]
-                ),
-                np.concatenate([dep_pids, out_pids, com_pids]),
-                4 * width,
+        layout = self._layout(indices)
+        runs = layout.runs
+        rnd = _Round(round_index, stack, runs, self._wrap, width)
+        plans = rnd.plans
+        fallback = layout.fallback
+        for i in fallback:
+            r = indices[i]
+            plans[i] = self.controllers[r].plan_round(
+                round_index, rnd.values(i), self.rngs[r]
             )
-        )
+        self.routes["plan_round"] += len(fallback)
+        rows = layout.rows
+        class_runs = layout.class_runs
 
-        # -- departures: one hook call per class, one masked write ------
+        # -- movement: one next_hosts call per movement type -------------
+        whole = class_runs.shape[0] == self._hosts.shape[0]
+        prev = self._hosts if whole else self._hosts[class_runs]
+        moved = np.empty_like(prev)
+        for hook, members, group in layout.move_groups:
+            step = _MoveGroup(self, rnd, group, prev[members])
+            moved[members] = hook(step)
+            if not step.stepped:
+                self._lag[class_runs[members]] += 1
+        placed = moved.sum(axis=1)
+        if (placed > layout.f).any():
+            k = int(np.flatnonzero(placed > layout.f)[0])
+            raise ValueError(
+                f"adversary placed {int(placed[k])} agents, "
+                f"only f={int(layout.f[k])} exist"
+            )
+        if whole:
+            self._hosts = moved
+        else:
+            self._hosts[class_runs] = moved
+
+        # -- masks: agents send, vacated hosts are cured (M1-M3) ---------
+        # M4 agents ride the messages: the senders are the previous
+        # hosts and nobody is cured at send time.
+        m4 = layout.m4
+        senders = np.where(m4, prev, moved)
+        cured = prev & ~moved & ~m4
+        after = garbage = moved
+        if fallback:
+            masks = np.zeros((4, count, n), dtype=bool)
+            masks[0, rows] = senders
+            masks[1, rows] = cured
+            masks[2, rows] = masks[3, rows] = moved
+            families = [
+                [
+                    plans[i].send_overrides.keys() | plans[i].forced_silent
+                    for i in fallback
+                ],
+                [plans[i].cured_at_send for i in fallback],
+                [plans[i].positions_after for i in fallback],
+                [plans[i].compute_corruptions for i in fallback],
+            ]
+            owner, pids, _ = _flatten(np, list(chain.from_iterable(families)))
+            family, slot = np.divmod(owner, len(fallback))
+            masks[family, np.array(fallback, dtype=np.intp)[slot], pids] = True
+            senders, cured, after, garbage = masks
+        silent = senders | (cured & layout.quiet)
+        rnd.correct = correct = ~(senders | cured)
+        rnd.low, rnd.high, rnd.exact = batch_correct_ranges(stack, correct)
+
+        # -- class values: one class_values call per group ---------------
+        inexact = layout.planned & ~rnd.exact
+        if not inexact.any():
+            value_groups = layout.value_groups
+        else:
+            for i in np.flatnonzero(inexact).tolist():
+                self._plan_row(rnd, i)
+            value_groups = self._value_groups(
+                runs, np.flatnonzero(layout.planned & rnd.exact)
+            )
+        batched = []
+        for (hook, first), group_rows, strategies in value_groups:
+            tables = hook(_ValueGroup(self, rnd, group_rows, first, strategies))
+            if tables is not None:
+                batched.append((group_rows, tables))
+        kinds = self._fill_tables(rnd, batched)
+        self.routes["per_row"] += len(rnd.records)
+
+        # -- departures and compute corruptions: gathers by class --------
+        # Fallback rows' class tables are zero; their own corruption maps,
+        # which cover their cured and garbage pids, overwrite them.
+        codes = layout.codes
         patched = stack
-        if dep_pids.shape[0]:
-            departures = np.zeros((count, width))
-            views: dict[int, AdversaryView] = {}
-            for i, c, pid in firsts:
-                if c >= width:
-                    break
-                row = rows[i]
-                view = views.get(i)
-                if view is None:
-                    view = views[i] = _seeded_view(
-                        row, round_index, row.values, correct[i], intervals[i]
-                    )
-                value = _checked_value(
-                    row.controller.adversary.departure_value(view, pid),
-                    f"departure value for p{pid}",
-                )
-                row.departures[c] = value
-                departures[i, c] = value
-            patched = stack.copy()
-            patched[dep_rows, dep_pids] = departures[dep_rows, dep_classes]
-        memory = [{} if plan is None else plan.memory_corruptions for plan in plans]
+        if cured.any():
+            patched = np.where(cured, _gather(rnd.departures, codes), stack)
+        memory = [plans[i].memory_corruptions for i in fallback]
         if any(memory):
             if patched is stack:
                 patched = stack.copy()
-            _scatter_values(np, patched, memory)
-
-        # -- split-camp codes: one comparison over the clean rows -------
-        # Corruptions only land on cured (masked-out) pids, so the
-        # attack view's range equals the departure view's bit for bit
-        # and the bisection of _split_assignment runs as one pass.
-        # Rows without a seeded interval let the strategy recompute.
-        split_rows = [
-            i
-            for i, r in enumerate(indices)
-            if i in rows and intervals[i] is not None and self._split_strategy[r]
-        ]
-        split: dict[int, CampAssignment] = {}
-        if split_rows:
-            mids = np.array(
-                [intervals[i].midpoint() for i in split_rows], dtype=np.float64
-            )
-            split_codes = (patched[split_rows] > mids[:, None]).astype("i8")
-            for slot, i in enumerate(split_rows):
-                assignment = split[i] = CampAssignment(split_codes[slot].tolist())
-                assignment.array = split_codes[slot]
-        for i, row in rows.items():
-            row.attack_view = _seeded_view(
-                row,
-                round_index,
-                wrap(patched[i]) if row.cured else row.values,
-                correct[i],
-                intervals[i],
-            )
-            assignment = split.get(i)
-            if assignment is not None:
-                # The batched codes are 0/1 over all n recipients by
-                # construction -- valid for the split strategies' two
-                # camps -- so the per-round shape scan is pre-answered.
-                object.__setattr__(
-                    row.attack_view,
-                    "_memo",
-                    {
-                        "camps-split": assignment,
-                        ("camps-assignment-ok", id(assignment), 2): True,
-                    },
-                )
-
-        # -- outboxes and compute corruptions: one per class ------------
-        computes = np.zeros((count, width))
-        for i, slot, pid in firsts:
-            if slot < width:
-                continue
-            row = rows[i]
-            if slot < 3 * width:
-                slot -= width
-                override = _planted_override if slot >= width else _attack_override
-                row.outboxes[slot] = override(
-                    row.controller.adversary, row.attack_view, pid, n
-                )
-            else:
-                c = slot - 3 * width
-                value = _checked_value(
-                    row.controller.adversary.corrupted_compute(row.attack_view, pid),
-                    f"corrupted compute for p{pid}",
-                )
-                row.computes[c] = value
-                computes[i, c] = value
-        garbage_values = np.zeros(shape)
-        garbage_values[com_rows, com_pids] = computes[com_rows, com_classes]
-        _scatter_values(
+            _scatter_rows(np, patched, fallback, memory)
+        garbage_values = np.where(garbage, _gather(rnd.computes, codes), 0.0)
+        _scatter_rows(
             np,
             garbage_values,
-            [{} if plan is None else plan.compute_corruptions for plan in plans],
+            fallback,
+            [plans[i].compute_corruptions for i in fallback],
         )
 
-        # -- override camp tables ---------------------------------------
-        # A row stays on the array path when all its outboxes are camps
-        # over one shared assignment (what RoundKernel.batch_rows can
-        # fold); otherwise it carries its RoundPlan like a fallback row.
-        camps: list = [None] * count
-        has_camps = np.zeros(count, dtype=bool)
-        for i, row in rows.items():
-            outboxes = list(row.outboxes.values())
-            if not outboxes:
-                continue
-            assignment = getattr(outboxes[0], "assignment", None)
-            if not all(
-                type(o) is CampOutbox and o.assignment is assignment
-                for o in outboxes
-            ):
-                plans[i] = row.plan(round_index, width)
-                continue
-            array = getattr(assignment, "array", None)
-            if array is None:
-                array = np.asarray(assignment, dtype=np.intp)
-            camps[i] = (array, min(len(o.camp_values) for o in outboxes))
-            has_camps[i] = True
-        ncamps = max((entry[1] for entry in camps if entry is not None), default=1)
-        cells = [
-            (i, slot, (outbox.camp_values + (0.0,) * ncamps)[:ncamps])
-            for i, row in rows.items()
-            if camps[i] is not None
-            for slot, outbox in row.outboxes.items()
-        ]
-        table = np.zeros((count, 2 * width, ncamps))
-        if cells:
-            cell_rows, cell_slots, cell_values = zip(*cells)
-            table[list(cell_rows), list(cell_slots)] = cell_values
-        out_sizes = sizes[-count:]
-        out_starts = [end - size for end, size in zip(accumulate(out_sizes), out_sizes)]
-        out_cols = np.arange(out_pids.shape[0]) - np.repeat(out_starts, out_sizes)
-        keep = has_camps[out_rows]
-        extra_rows = out_rows[keep]
-
+        # -- override camp tables ----------------------------------------
+        outgoing = senders | (cured & layout.planted)
+        extra_rows, extra_cols, extra_values = self._extras(
+            rnd, kinds, patched, outgoing, codes
+        )
         return StackPlan(
             round_index=round_index,
             patched=patched,
@@ -1101,52 +1233,343 @@ class CrossRunPlanner:
             garbage=garbage,
             garbage_values=garbage_values,
             after=after,
-            positions_after=positions_after,
             plans=plans,
-            camps=camps,
+            camp_codes=rnd.camp_codes,
+            camp_counts=rnd.camp_counts,
             extra_rows=extra_rows,
-            extra_cols=out_cols[keep],
-            extra_values=table[extra_rows, out_slots[keep]],
-            _rows=rows,
-            _slots=width,
+            extra_cols=extra_cols,
+            extra_values=extra_values,
+            _plan_row=lambda i: self._row_plan(rnd, i),
         )
 
-    def _move(self, r: int, round_index: int, values) -> _ArrayRow:
-        """Run ``r``'s movement step, exactly as its controller would.
+    def sync_positions(self) -> None:
+        """Hand each class-planned run's agent hosts to its controller.
 
-        M4 agents ride the messages, so the controller draws the next
-        hosts after the attack outboxes; no value hook of a
-        class-planned run draws randomness, so drawing them here first
-        consumes the run's stream identically.
+        The planner keeps them as masks while it plans; this builds
+        :attr:`MobileFaultController.positions` once, when the runs end.
         """
+        np = _np
+        for r in np.flatnonzero(self._ready).tolist():
+            positions = self._sets[r]
+            if self._lag[r]:
+                positions = frozenset(np.flatnonzero(self._hosts[r]).tolist())
+            self.controllers[r]._positions = positions
+
+    # -- helpers -----------------------------------------------------------------
+
+    def _layout(self, indices) -> "_Layout":
+        """The per-run constants of the active runs ``indices``.
+
+        Gathered once per active set (it changes only when runs
+        terminate); the first call also takes over agent positions from
+        the controllers' round 0.
+        """
+        np = _np
+        key = tuple(indices)
+        layout = self._last_layout
+        if layout is not None and layout.key == key:
+            return layout
+        layout = self._last_layout = _Layout()
+        layout.key = key
+        runs = layout.runs = np.asarray(indices, dtype=np.intp)
+        planned = layout.planned = self._planned[runs]
+        layout.fallback = np.flatnonzero(~planned).tolist()
+        rows = layout.rows = np.flatnonzero(planned)
+        class_runs = layout.class_runs = runs[rows]
+        self._start(class_runs)
+        layout.move_groups = []
+        for hook, members in _groups(self._move_gid[class_runs], self._move_hooks):
+            group_runs = class_runs[members]
+            movements = [self.controllers[r].adversary.movement for r in group_runs]
+            group = (rows[members], movements, self._f[group_runs])
+            layout.move_groups.append((hook, members, group))
+        layout.f = self._f[class_runs]
+        layout.m4 = self._m4[class_runs][:, None]
+        layout.quiet = self._quiet[runs][:, None]
+        layout.planted = self._planted[runs][:, None]
+        layout.codes = self._codes[runs]
+        layout.value_groups = self._value_groups(runs, rows)
+        return layout
+
+    def _value_groups(self, runs, rows) -> list:
+        """``(hook key, rows, strategies)`` of each value group in ``rows``."""
+        groups = []
+        for key, members in _groups(self._value_gid[runs[rows]], self._value_hooks):
+            group_rows = rows[members]
+            controllers = [self.controllers[r] for r in runs[group_rows]]
+            strategies = [controller.adversary.values for controller in controllers]
+            groups.append((key, group_rows, strategies))
+        return groups
+
+    def _start(self, runs) -> None:
+        """Take over agent positions from the controllers' round 0."""
+        fresh = runs[~self._ready[runs]].tolist()
+        for r in fresh:
+            positions = self.controllers[r].positions
+            self._sets[r] = positions
+            self._hosts[r, list(positions)] = True
+        self._ready[fresh] = True
+
+    def _replay(self, rnd: _Round, i: int, positions, steps: int):
+        """``positions`` after ``steps`` of row ``i``'s ``next_positions``."""
+        r = int(rnd.runs[i])
         controller = self.controllers[r]
-        classes = self._classes[r]
-        rng = self.rngs[r]
+        movement = controller.adversary.movement
+        for _ in range(steps):
+            positions = movement.next_positions(
+                controller._view(
+                    rnd.index, rnd.values(i), positions, frozenset(), self.rngs[r]
+                )
+            )
+        return positions
+
+    def _settled(self, rnd: _Round, i: int):
+        """Row ``i``'s agent hosts before this round's move, as a set."""
+        r = int(rnd.runs[i])
+        lag = int(self._lag[r])
+        if lag:
+            self._sets[r] = self._replay(rnd, i, self._sets[r], lag)
+            self._lag[r] = 0
+        return self._sets[r]
+
+    def _row_sets(self, rnd: _Round, i: int):
+        """Row ``i``'s ``(positions, cured, after)`` in per-run order."""
+        r = int(rnd.runs[i])
+        hit = rnd.sets.get(r)
+        if hit is None:
+            # Moved by a batched step this round: replay up to it.
+            lag = int(self._lag[r])
+            before = self._replay(rnd, i, self._sets[r], lag - 1)
+            now = self._replay(rnd, i, before, 1)
+            self._sets[r] = now
+            self._lag[r] = 0
+            hit = rnd.sets[r] = (before, now)
+        before, now = hit
+        if self._m4[r]:
+            return before, frozenset(), now
+        return now, before - now, now
+
+    def _fill_tables(self, rnd: _Round, batched: list) -> dict:
+        """Write the groups' class tables into the round.
+
+        Rows whose tables hold a non-finite value or a signed-zero camp
+        value take the per-row route instead.  Returns the rows that
+        stay batched, by assignment kind.
+        """
+        np = _np
+        kinds: dict[str, list] = {}
+        if not batched:
+            return kinds
+        count = rnd.stack.shape[0]
+        ncamps = max(np.shape(tables.camps)[2] for _, tables in batched)
+        camp_values = rnd.camp_values = np.zeros((count, self._slots, ncamps))
+        for rows, tables in batched:
+            departures = np.asarray(tables.departures, dtype=np.float64)
+            computes = np.asarray(tables.computes, dtype=np.float64)
+            camps = np.asarray(tables.camps, dtype=np.float64)
+            camp_ok = np.isfinite(camps) & (camps != 0.0)
+            clean = np.isfinite(departures)
+            if computes is not departures:
+                clean &= np.isfinite(computes)
+            if not (camp_ok.all() and clean.all()):
+                ok = camp_ok.all(axis=(1, 2)) & clean.all(axis=1)
+                for i in rows[~ok].tolist():
+                    self._plan_row(rnd, i)
+                rows = rows[ok]
+                departures, computes, camps = departures[ok], computes[ok], camps[ok]
+            _, classes, camp_count = camps.shape
+            kinds.setdefault(tables.assignment, []).append(rows)
+            rows = _whole(rows, count)
+            rnd.departures[rows, :classes] = departures
+            rnd.computes[rows, :classes] = computes
+            camp_values[rows, :classes, :camp_count] = camps
+            rnd.camp_counts[rows] = camp_count
+        self.routes["batched"] += sum(
+            rows.shape[0] for parts in kinds.values() for rows in parts
+        )
+        return kinds
+
+    def _extras(self, rnd: _Round, kinds: dict, patched, outgoing, codes):
+        """Batched rows' camp codes, and the override extras of the stack.
+
+        Batched rows lay their override senders out in pid order: their
+        camp values are non-zero, so equal values are bit-identical and
+        the order cannot change the stable fold.  Per-row rows keep the
+        per-cell ``send_overrides`` order.
+        """
+        np = _np
+        rows_parts, cols_parts, values_parts = [], [], []
+        if kinds:
+            count, n = patched.shape
+            camp_codes = rnd.camp_codes
+            lanes = outgoing
+            batched = None
+            covered = sum(part.shape[0] for parts in kinds.values() for part in parts)
+            if covered < count:
+                batched = np.zeros(count, dtype=bool)
+                for parts in kinds.values():
+                    for part in parts:
+                        batched[part] = True
+                lanes = outgoing & batched[:, None]
+            sending = lanes.any(axis=1)
+            if not sending.all():
+                # Rows without override senders fold their broadcasts alone.
+                idle = ~sending if batched is None else batched & ~sending
+                rnd.camp_counts[idle] = 0
+            for kind, parts in kinds.items():
+                rows = _whole(
+                    parts[0] if len(parts) == 1 else np.concatenate(parts), count
+                )
+                if kind == "split":
+                    # Interval.midpoint's arithmetic, element-wise.
+                    midpoints = (rnd.low[rows] + rnd.high[rows]) / 2.0
+                    camp_codes[rows] = patched[rows] > midpoints[:, None]
+                elif kind == "parity":
+                    camp_codes[rows] = np.arange(n) % 2
+            # Row-major: each row's senders are contiguous, and a row's
+            # first sender sits where searchsorted finds its row.
+            rows, pids = np.nonzero(lanes)
+            rows_parts.append(rows)
+            firsts = np.searchsorted(rows, rows)
+            cols_parts.append(np.arange(rows.shape[0]) - firsts)
+            if rnd.camp_values.shape[1] == 1:
+                values_parts.append(rnd.camp_values[rows, 0])
+            else:
+                values_parts.append(rnd.camp_values[rows, codes[rows, pids]])
+        for i, extras in rnd.row_extras.items():
+            rows_parts.append(np.full(len(extras), i, dtype=np.intp))
+            cols_parts.append(np.arange(len(extras)))
+            values_parts.append(
+                np.array(extras, dtype=np.float64).reshape(len(extras), -1)
+            )
+        if not rows_parts:
+            return (
+                np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=np.intp),
+                np.zeros((0, 1)),
+            )
+        if len(values_parts) == 1:
+            return rows_parts[0], cols_parts[0], values_parts[0]
+        ncamps = max(part.shape[1] for part in values_parts)
+        values = np.zeros((sum(part.shape[0] for part in values_parts), ncamps))
+        start = 0
+        for part in values_parts:
+            values[start : start + part.shape[0], : part.shape[1]] = part
+            start += part.shape[0]
+        return np.concatenate(rows_parts), np.concatenate(cols_parts), values
+
+    def _plan_row(self, rnd: _Round, i: int) -> None:
+        """Plan class-planned row ``i`` through its own views.
+
+        The per-cell planner's order exactly: departures (one hook call
+        per class present among the cured, first pid first), then attack
+        outboxes, planted queues and compute corruptions, each checked
+        like the per-cell planner's -- canonical errors included.
+        """
+        np = _np
+        r = int(rnd.runs[i])
+        controller = self.controllers[r]
         adversary = controller.adversary
-        empty: frozenset[int] = frozenset()
-        previous = controller._positions
-        if controller.semantics.moves_with_message:
-            hosts = previous
-            if hosts is None:
-                hosts = adversary.initial_positions(controller.n, controller.f, rng)
-            moved = adversary.next_positions(
-                controller._view(round_index, values, hosts, empty, rng)
+        rng = self.rngs[r]
+        n = controller.n
+        width = self._slots
+        classes = self._classes[r]
+        positions, cured, after = self._row_sets(rnd, i)
+        record = rnd.records[i] = _RowRecord(
+            classes, positions, cured, after, bool(cured) and bool(self._planted[r])
+        )
+        correct = rnd.correct[i]
+        interval = rnd.interval(i)
+        values = rnd.values(i)
+        departures = record.departures
+        if cured:
+            view = _seeded_view(
+                controller, rnd.index, values, positions, cured, rng, correct, interval
             )
-            controller._check_positions(moved)
-            row = _ArrayRow(controller, classes, rng, values, hosts, empty, moved)
-        elif previous is None:
-            positions = adversary.initial_positions(controller.n, controller.f, rng)
-            row = _ArrayRow(
-                controller, classes, rng, values, positions, empty, positions
+            for pid in cured:
+                c = classes[pid]
+                if c not in departures:
+                    departures[c] = _checked_value(
+                        adversary.departure_value(view, pid),
+                        f"departure value for p{pid}",
+                    )
+            patched = rnd.stack[i].copy()
+            patched[list(cured)] = [departures[classes[pid]] for pid in cured]
+            values = rnd.wrap(patched)
+        view = _seeded_view(
+            controller, rnd.index, values, positions, cured, rng, correct, interval
+        )
+        if interval is not None and self._split_strategy[r]:
+            # Corruptions only land on cured (masked-out) pids, so the
+            # departure view's range is the attack view's bit for bit.
+            split = (values.array > interval.midpoint()).astype("i8")
+            assignment = CampAssignment(split.tolist())
+            assignment.array = split
+            # The codes are 0/1 over all n recipients by construction --
+            # valid for the split strategies' two camps -- so the
+            # per-round shape scan is pre-answered.
+            object.__setattr__(
+                view,
+                "_memo",
+                {
+                    "camps-split": assignment,
+                    ("camps-assignment-ok", id(assignment), 2): True,
+                },
             )
-        else:
-            positions = adversary.next_positions(
-                controller._view(round_index, values, previous, empty, rng)
-            )
-            controller._check_positions(positions)
-            cured = previous - positions
-            row = _ArrayRow(
-                controller, classes, rng, values, positions, cured, positions
-            )
-        controller._positions = row.after
-        return row
+        outboxes = record.outboxes
+        for pid in positions:
+            c = classes[pid]
+            if c not in outboxes:
+                outboxes[c] = _attack_override(adversary, view, pid, n)
+        if record.planted:
+            for pid in cured:
+                slot = width + classes[pid]
+                if slot not in outboxes:
+                    outboxes[slot] = _planted_override(adversary, view, pid, n)
+        computes = record.computes
+        for pid in after:
+            c = classes[pid]
+            if c not in computes:
+                computes[c] = _checked_value(
+                    adversary.corrupted_compute(view, pid),
+                    f"corrupted compute for p{pid}",
+                )
+        if departures:
+            rnd.departures[i, list(departures)] = list(departures.values())
+        if computes:
+            rnd.computes[i, list(computes)] = list(computes.values())
+
+        # A row stays on the array path when all its outboxes are camps
+        # over one shared assignment (what the stacked fold expresses);
+        # otherwise it carries its RoundPlan like a fallback row.
+        boxes = list(outboxes.values())
+        if not boxes:
+            return
+        assignment = getattr(boxes[0], "assignment", None)
+        if not all(
+            type(box) is CampOutbox and box.assignment is assignment for box in boxes
+        ):
+            rnd.plans[i] = record.plan(rnd.index, width)
+            return
+        codes = getattr(assignment, "array", None)
+        if codes is None:
+            codes = np.asarray(assignment, dtype=np.intp)
+        ncamps = min(len(box.camp_values) for box in boxes)
+        extras = [outboxes[classes[pid]].camp_values[:ncamps] for pid in positions]
+        if record.planted:
+            extras += [
+                outboxes[width + classes[pid]].camp_values[:ncamps] for pid in cured
+            ]
+        rnd.camp_codes[i] = codes
+        rnd.camp_counts[i] = ncamps
+        rnd.row_extras[i] = extras
+
+    def _row_plan(self, rnd: _Round, i: int) -> RoundPlan:
+        """Row ``i``'s per-cell :class:`RoundPlan`.
+
+        A batched row is planned again through the per-row route, which
+        builds the same values through the per-run hooks.
+        """
+        if i not in rnd.records:
+            self._plan_row(rnd, i)
+        return rnd.records[i].plan(rnd.index, self._slots)

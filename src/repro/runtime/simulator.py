@@ -349,14 +349,17 @@ def simulate_many(
     work.
 
     Results are **bit-identical** to :func:`run_simulation` over each
-    config: movement consumes each run's RNG stream in per-cell order,
-    value hooks run once per sender class (equal across the class by
-    the sender-class contract), and batched quantities are injected
-    only where provably equal to the per-run derivation (the
-    equivalence suite pins this).  Configs that don't qualify -- full
-    traces, stateful families, partial graphs, static-mixed setups --
-    silently fall back to their normal :meth:`SynchronousSimulator.run`
-    path, in input order.
+    config: fault planning (:class:`CrossRunPlanner`) keeps agent hosts
+    as ``(R, n)`` masks and calls the batched movement and class-value
+    hooks once per group of runs, movement that draws randomness
+    consumes each run's RNG stream in per-cell order, and batched
+    quantities are used only where provably equal to the per-run
+    derivation -- other rows take the per-run hooks (the equivalence
+    suite pins this).  The ``sim.many`` span records the run-rounds
+    each planner route planned as ``planned``.  Configs that don't
+    qualify -- full traces, stateful families, partial graphs,
+    static-mixed setups -- silently fall back to their normal
+    :meth:`SynchronousSimulator.run` path, in input order.
 
     ``out`` -- a :class:`RunBatchOut`, typically views over a
     shared-memory block -- receives every finished run's condensed
@@ -381,6 +384,7 @@ def simulate_many(
             else:
                 groups.setdefault(key, []).append(index)
         stacked = 0
+        routes = {"batched": 0, "per_row": 0, "plan_round": 0}
         for indices in groups.values():
             if len(indices) == 1:
                 # A batch of one gains nothing from stacking; the
@@ -390,10 +394,12 @@ def simulate_many(
                 continue
             stacked += 1
             for index, trace in zip(
-                indices, _run_lite_many([sims[i] for i in indices])
+                indices, _run_lite_many([sims[i] for i in indices], routes)
             ):
                 traces[index] = trace
         span.set("stacked_groups", stacked)
+        # Run-rounds planned per CrossRunPlanner route.
+        span.set("planned", routes)
         if out is not None:
             slots = range(len(sims)) if out_slots is None else out_slots
             for slot, trace in zip(slots, traces):
@@ -401,7 +407,9 @@ def simulate_many(
         return traces
 
 
-def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
+def _run_lite_many(
+    sims: list[SynchronousSimulator], routes: dict
+) -> list[LiteTrace]:
     """The cross-run lite loop: R compatible runs on one (R, n) stack.
 
     Bit-identity with `_run_lite_vectorized` per run rests on the same
@@ -411,7 +419,10 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
     signed-zero/degenerate endpoint falls back to the per-cell scalar
     rescan -- plus the :class:`CrossRunPlanner`'s per-run RNG ordering
     contract.  Round 0 always runs per cell: it needs the per-inbox
-    received diameter and seeds each run's agent positions.
+    received diameter and seeds each run's agent positions.  Agent hosts
+    stay ``(R, n)`` masks; position sets are built only for the
+    signed-zero extent rescue.  ``routes`` accumulates the planner's
+    run-rounds per route.
     """
     np = _np
     first = sims[0]
@@ -428,7 +439,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
     all_pids = frozenset(range(n))
     extents: list[list] = [[] for _ in range(run_count)]
     initially_nonfaulty = [all_pids] * run_count
-    positions_after: list[frozenset[int]] = [frozenset()] * run_count
+    hosts_after = np.zeros((run_count, n), dtype=bool)
     terminated = [False] * run_count
     max_rounds = [sim.config.max_rounds for sim in sims]
     planner = CrossRunPlanner(
@@ -455,7 +466,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
                 )
                 stack[r] = arr_after
                 initially_nonfaulty[r] = all_pids - plan.faulty_at_send
-                positions_after[r] = plan.positions_after
+                hosts_after[r, list(plan.positions_after)] = True
                 extent = sim._array_extent(arr_after, plan.positions_after)
                 extents[r].append(extent)
                 diameter = 0.0 if extent is None else extent[1] - extent[0]
@@ -498,14 +509,18 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
             ] = plan.extra_values
         counts = counts.tolist()
         widths = widths.tolist()
+        camp_counts = plan.camp_counts.tolist()
         entries: list = [None] * count
         for i in range(count):
-            row_plan = plan.plans[i]
-            camps = plan.camps[i]
-            if camps is not None:
-                codes, camp_count = camps
-                entries[i] = (camp_rows[i, :camp_count, : widths[i]], codes, n)
+            camp_count = camp_counts[i]
+            if camp_count:
+                entries[i] = (
+                    camp_rows[i, :camp_count, : widths[i]],
+                    plan.camp_codes[i],
+                    n,
+                )
                 continue
+            row_plan = plan.plans[i]
             overrides = row_plan.send_overrides if row_plan is not None else None
             prepared = kernel.batch_rows(
                 np,
@@ -549,8 +564,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
         stack[active] = new_stack
 
         # -- extents + termination: batched reduction, per-run rescue --
-        for i, r in enumerate(active):
-            positions_after[r] = plan.positions_after[i]
+        hosts_after[active] = plan.after
         ext_mask = ~plan.after
         lows = np.where(ext_mask, new_stack, np.inf).min(axis=1).tolist()
         highs = np.where(ext_mask, new_stack, -np.inf).max(axis=1).tolist()
@@ -566,7 +580,7 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
                 # Signed-zero endpoints / fully-excluded rows: the
                 # per-cell first-wins scan decides.
                 extent = sims[r]._array_extent(
-                    new_stack[i], plan.positions_after[i]
+                    new_stack[i], frozenset(np.flatnonzero(plan.after[i]).tolist())
                 )
             else:
                 extent = (low, high)
@@ -584,12 +598,15 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
                 terminated[r] = True
         round_index += 1
 
+    planner.sync_positions()
+    for route, planned in planner.routes.items():
+        routes[route] += planned
     traces = []
     for r, sim in enumerate(sims):
         final = stack[r].tolist()
         sim._values = dict(enumerate(final))
         decisions = {
-            pid: final[pid] for pid in sorted(all_pids - positions_after[r])
+            pid: final[pid] for pid in np.flatnonzero(~hosts_after[r]).tolist()
         }
         traces.append(
             LiteTrace(

@@ -19,9 +19,11 @@ families and topologies by their real relative expense.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,16 +31,23 @@ from hypothesis import strategies as st
 
 from tests.helpers import make_mobile_config, small_grid
 
+import repro.api
 from repro.api import movement_strategy, value_strategy
-from repro.faults import get_semantics
+from repro.faults import RoundRobinWalk, StaticAgents, get_semantics
 from repro.faults.value_strategies import (
     CrossfireAttack,
+    FixedValue,
+    OutlierAttack,
     RecipientCamps,
     SplitAttack,
 )
 from repro.runtime import RoundKernel
 from repro.runtime.controllers import CrossRunPlanner
-from repro.runtime.simulator import run_simulation, simulate_many
+from repro.runtime.simulator import (
+    SynchronousSimulator,
+    run_simulation,
+    simulate_many,
+)
 from repro.sweep import (
     CellSpec,
     GridSpec,
@@ -48,7 +57,12 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.backends import estimate_cell_cost
-from repro.telemetry import parse_dispatch_label
+from repro.telemetry import (
+    configure,
+    deactivate,
+    load_trace_events,
+    parse_dispatch_label,
+)
 
 
 def cell(seed=0, **overrides):
@@ -527,6 +541,103 @@ class TestAccumulatorErrorCells:
         assert by_model["M3"][3:] == ["0/1", "-", "-"]
 
 
+# -- the mask planner: batched, per-row and plan_round routes -------------
+
+_MOVEMENTS = ["static", "round-robin", "random", "target-extremes"]
+_ATTACKS = ["split", "outlier", "noise", "echo", "oscillating", "inertia", "crossfire"]
+
+
+class _ReroutedCrossfire(CrossfireAttack):
+    """Crossfire re-routing a per-run value hook: planned per row."""
+
+    def attack_camps(self, view, sender):
+        return super().attack_camps(view, sender)
+
+
+class _LateNaN(SplitAttack):
+    """Split whose symmetric value (departures, computes) turns NaN from
+    round ``start`` on; re-routing attack_message keeps it class-planned."""
+
+    start = 3
+
+    def attack_message(self, view, sender, recipient):
+        if view.round_index >= self.start:
+            return math.nan
+        return super().attack_message(view, sender, recipient)
+
+
+class _LateNaNBatched(_LateNaN):
+    """The same output through a batched hook: its tables turn NaN."""
+
+    @classmethod
+    def class_values(cls, group):
+        tables = SplitAttack.class_values.__func__(cls, group)
+        if group.round_index >= cls.start:
+            tables.departures[:] = math.nan
+        return tables
+
+
+@st.composite
+def _attacks(draw):
+    kind = draw(
+        st.sampled_from(_ATTACKS + ["split-bounds", "outlier-magnitude", "rerouted"])
+    )
+    if kind == "split-bounds":
+        bound = st.one_of(
+            st.none(),
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+        )
+        return SplitAttack(draw(bound), draw(bound))
+    if kind == "outlier-magnitude":
+        return OutlierAttack(draw(st.floats(0.25, 8.0)))
+    if kind == "rerouted":
+        return _ReroutedCrossfire()
+    return value_strategy(kind)
+
+
+@st.composite
+def _stacks(draw):
+    """A random valid stack: one (model, f, n, algorithm) shape whose rows
+    mix movements, attacks (parameterized and re-routed ones too), seeds,
+    round budgets and initial values -- signed zeros included, to
+    exercise the tie order, and a third of the stacks symmetric around
+    0, so correct ranges and camp values hit +-0.0."""
+    model = draw(st.sampled_from(["M1", "M2", "M3", "M4"]))
+    f = draw(st.integers(1, 3))
+    n = get_semantics(model).required_n(f) + draw(st.integers(0, 4))
+    algorithm = draw(st.sampled_from(["ftm", "fta"]))
+    symmetric = draw(st.integers(0, 2)) == 0
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+
+    def initial_values():
+        if not symmetric:
+            return draw(st.lists(value, min_size=n, max_size=n))
+        half = draw(
+            st.lists(value.map(abs), min_size=n // 2, max_size=n // 2)
+        )
+        middle = [draw(st.sampled_from([0.0, -0.0]))] * (n % 2)
+        return [-v for v in reversed(half)] + middle + half
+
+    return [
+        make_mobile_config(
+            model,
+            f=f,
+            n=n,
+            algorithm=algorithm,
+            movement=movement_strategy(draw(st.sampled_from(_MOVEMENTS))),
+            values=draw(_attacks()),
+            initial_values=initial_values(),
+            rounds=draw(st.integers(1, 8)),
+            seed=draw(st.integers(0, 2**16)),
+        )
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+
+
 def _bits(trace):
     """A trace's outputs with every float as its exact bit pattern."""
     return (
@@ -537,47 +648,225 @@ def _bits(trace):
     )
 
 
-@st.composite
-def _stacks(draw):
-    """A random valid stack: one (model, f, n, algorithm) shape whose rows
-    mix built-in attacks, movements, seeds, round budgets and initial
-    values (signed zeros included, to exercise the tie order)."""
-    model = draw(st.sampled_from(["M1", "M2", "M3", "M4"]))
-    f = draw(st.integers(1, 3))
-    n = get_semantics(model).required_n(f) + draw(st.integers(0, 4))
-    algorithm = draw(st.sampled_from(["ftm", "fta"]))
-    value = st.one_of(
-        st.sampled_from([0.0, -0.0]),
-        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
-    )
-    return [
-        make_mobile_config(
-            model,
-            f=f,
-            n=n,
-            algorithm=algorithm,
-            movement=movement_strategy(
-                draw(st.sampled_from(["round-robin", "random", "static",
-                                      "target-extremes"]))
-            ),
-            values=value_strategy(
-                draw(st.sampled_from(["split", "outlier", "noise", "echo",
-                                      "oscillating", "inertia", "crossfire"]))
-            ),
-            initial_values=draw(st.lists(value, min_size=n, max_size=n)),
-            rounds=draw(st.integers(1, 8)),
-            seed=draw(st.integers(0, 2**16)),
-        )
-        for _ in range(draw(st.integers(2, 5)))
-    ]
+def _stacked_runs(configs):
+    """``simulate_many`` traces, each run's final controller positions,
+    and the planners that planned the stacks."""
+    sims: list = []
+    planners: list = []
+    sim_init = SynchronousSimulator.__init__
+    planner_init = CrossRunPlanner.__init__
+
+    def track_sim(self, *args, **kwargs):
+        sim_init(self, *args, **kwargs)
+        sims.append(self)
+
+    def track_planner(self, *args, **kwargs):
+        planner_init(self, *args, **kwargs)
+        planners.append(self)
+
+    with mock.patch.object(SynchronousSimulator, "__init__", track_sim), \
+            mock.patch.object(CrossRunPlanner, "__init__", track_planner):
+        traces = simulate_many(configs)
+    return traces, [sim.controller.positions for sim in sims], planners
+
+
+def _assert_runs_match_solo(configs):
+    """Stacked runs equal their per-run ``run_simulation`` bit for bit,
+    final agent positions included; returns the planners."""
+    traces, positions, planners = _stacked_runs(configs)
+    for config, trace, final in zip(configs, traces, positions):
+        sim = SynchronousSimulator(config, trace_detail="lite")
+        solo = sim.run()
+        assert _bits(trace) == _bits(solo)
+        assert final == sim.controller.positions
+    return planners
 
 
 class TestStackedDifferential:
     """Random stacks through ``simulate_many`` vs per-run ``run_simulation``."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(configs=_stacks())
     def test_simulate_many_matches_run_simulation(self, configs):
-        many = simulate_many(configs)
-        for config, trace in zip(configs, many):
-            assert _bits(trace) == _bits(run_simulation(config, "lite"))
+        _assert_runs_match_solo(configs)
+
+
+class TestPerRowRoute:
+    """Rows the batched tables cannot plan match their solo runs too."""
+
+    def test_symmetric_stack_takes_the_per_row_route(self):
+        # Symmetric values put 0.0 at the correct midpoint (echo camps)
+        # and, once converged, at the range endpoints: those rows are
+        # planned per row and still match their solo runs.
+        n = 17
+        values = [(pid - n // 2) / 4 for pid in range(n)]
+        configs = [
+            make_mobile_config(
+                model, f=2, n=n, values=strategy, initial_values=values,
+                rounds=10, seed=seed,
+            )
+            for model in ("M2", "M4")
+            for seed, strategy in enumerate(
+                [value_strategy("echo"), SplitAttack(), CrossfireAttack()]
+            )
+        ]
+        planners = _assert_runs_match_solo(configs)
+        assert sum(planner.routes["per_row"] for planner in planners) > 0
+
+    def test_signed_zero_camp_values_take_the_per_row_route(self):
+        # A zero camp value could sort either way against a -0.0
+        # broadcast: those rows keep the per-cell override order.
+        configs = [
+            make_mobile_config(
+                "M3", f=2, n=13, values=strategy, rounds=6, seed=seed,
+                initial_values=[
+                    -2.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, -3.0, 4.0,
+                    -4.0, 0.75,
+                ],
+            )
+            for seed, strategy in enumerate(
+                [FixedValue(0.0), SplitAttack(0.0, 1.0), SplitAttack()]
+            )
+        ]
+        planners = _assert_runs_match_solo(configs)
+        # Two zero-camp rows per row over five stacked rounds; the plain
+        # split row stays batched.
+        assert planners[0].routes == {"batched": 5, "per_row": 10, "plan_round": 0}
+
+
+class TestBatchedMovement:
+    def test_too_many_hosts_are_rejected(self):
+        # The batched step's count check is the controller's, on masks.
+        class Swarm(RoundRobinWalk):
+            @classmethod
+            def next_hosts(cls, group):
+                return group.hosts | True
+
+        configs = [
+            make_mobile_config("M2", f=2, n=17, movement=Swarm(), rounds=4, seed=seed)
+            for seed in range(2)
+        ]
+        with pytest.raises(ValueError, match="placed 17 agents, only f=2 exist"):
+            simulate_many(configs)
+
+    def test_rows_without_agents_fold_their_broadcasts(self):
+        configs = [
+            make_mobile_config(
+                model, f=2, n=17, movement=StaticAgents([]), rounds=4, seed=seed
+            )
+            for model in ("M2", "M4")
+            for seed in range(2)
+        ]
+        _assert_runs_match_solo(configs)
+
+
+class TestLateNonFiniteOutput:
+    """Class-planned rows raise the per-cell planner's canonical error."""
+
+    @pytest.mark.parametrize("strategy", [_LateNaN, _LateNaNBatched])
+    @pytest.mark.parametrize(
+        "model, context",
+        [
+            ("M1", "departure value for p4"),
+            ("M2", "departure value for p4"),
+            ("M3", "departure value for p4"),
+            ("M4", "corrupted compute for p8"),
+        ],
+    )
+    def test_simulate_many_raises_the_per_cell_error(self, model, context, strategy):
+        configs = [
+            make_mobile_config(model, f=2, n=16, values=strategy(), rounds=6, seed=seed)
+            for seed in range(3)
+        ]
+        with pytest.raises(ValueError) as solo:
+            run_simulation(configs[0])
+        with pytest.raises(ValueError) as many:
+            simulate_many(configs)
+        assert str(many.value) == str(solo.value)
+        assert f"({context})" in str(solo.value)
+
+    @pytest.mark.parametrize("strategy", [_LateNaN, _LateNaNBatched])
+    @pytest.mark.parametrize(
+        "model, start, context",
+        [
+            ("M2", 9, "departure value for p16"),
+            ("M4", 7, "corrupted compute for p16"),
+        ],
+    )
+    def test_error_names_the_per_run_first_pid(self, model, start, context, strategy):
+        # Round-robin over n=17 wraps the agents onto {16, 0}, built by
+        # inserting 16 first.  16 and 0 share a hash slot, so the set
+        # iterates as [16, 0], not in pid order: the per-cell planner
+        # names p16, and so must the replayed per-run sets.
+        late = type("Late", (strategy,), {"start": start})
+        configs = [
+            make_mobile_config(model, f=2, n=17, values=late(), rounds=12, seed=seed)
+            for seed in range(2)
+        ]
+        with pytest.raises(ValueError) as solo:
+            run_simulation(configs[0])
+        with pytest.raises(ValueError) as many:
+            simulate_many(configs)
+        assert str(many.value) == str(solo.value)
+        assert f"({context})" in str(solo.value)
+
+    def test_cross_run_sweep_keeps_per_cell_attribution(self, monkeypatch):
+        monkeypatch.setitem(repro.api._ATTACKS, "late-nan", _LateNaN)
+        cells = [
+            cell(model=model, f=2, n=16, attack=attack, seed=seed, rounds=6)
+            for model in ("M2", "M4")
+            for attack in ("late-nan", "split")
+            for seed in range(2)
+        ]
+        base = run_sweep(cells)
+        cross = run_sweep(cells, cross_run=True)
+        assert parse_dispatch_label(cross.dispatch).cross_run
+        assert cross.cells == base.cells
+        errors = {result.spec: result.error for result in cross.errors()}
+        assert set(errors) == {spec for spec in cells if spec.attack == "late-nan"}
+        for spec, error in errors.items():
+            context = {
+                "M2": "departure value for p4", "M4": "corrupted compute for p8"
+            }[spec.model]
+            assert f"({context})" in error
+
+
+class TestPlannerRoutesOnSpan:
+    """``sim.many`` records the run-rounds each planner route planned."""
+
+    @staticmethod
+    def planned(configs, tmp_path):
+        configure(str(tmp_path))
+        try:
+            simulate_many(configs)
+        finally:
+            deactivate()
+        [span] = [
+            event for event in load_trace_events(tmp_path)
+            if event.get("name") == "sim.many"
+        ]
+        return span["attrs"]["planned"]
+
+    def test_round_robin_split_crossfire_is_all_batched(self, tmp_path):
+        configs = [
+            make_mobile_config(
+                model, f=2, values=value_strategy(attack), rounds=6, seed=seed
+            )
+            for model in ("M1", "M2", "M3", "M4")
+            for attack in ("split", "crossfire")
+            for seed in range(2)
+        ]
+        planned = self.planned(configs, tmp_path)
+        # Four stacks of four runs, five stacked rounds each.
+        assert planned == {"batched": 4 * 4 * 5, "per_row": 0, "plan_round": 0}
+
+    def test_noise_and_inertia_rows_count_as_plan_round(self, tmp_path):
+        configs = [
+            make_mobile_config(
+                "M2", f=2, values=value_strategy(attack), rounds=4, seed=seed
+            )
+            for attack in ("noise", "inertia", "split")
+            for seed in range(2)
+        ]
+        planned = self.planned(configs, tmp_path)
+        assert planned == {"batched": 2 * 3, "per_row": 0, "plan_round": 4 * 3}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -22,10 +24,13 @@ from repro.faults import (
     StaticAgents,
     TargetExtremes,
 )
+from repro.faults.movement import MovementStrategy
+from repro.faults.view import batch_correct_ranges
 from repro.faults.value_strategies import (
     CrossfireAttack,
     InertiaAttack,
     OscillatingAttack,
+    ValueStrategy,
 )
 from repro.runtime.controllers import MobileFaultController
 
@@ -427,3 +432,139 @@ class TestSenderClasses:
         interval = view.correct_range()
         for pid, value in plan.memory_corruptions.items():
             assert value == (interval.high if pid % 2 == 0 else interval.low)
+
+
+class TestBatchCorrectRanges:
+    def test_signed_zero_and_empty_rows_are_left_to_the_view(self):
+        # Either signed zero could win numpy's min/max, and a fully
+        # masked row has no range: the view rescans those rows.
+        stack = np.array(
+            [[0.5, -1.0, 2.0], [0.0, -0.0, 1.0], [3.0, 4.0, -0.0], [1.0, 2.0, 3.0]]
+        )
+        mask = np.ones((4, 3), dtype=bool)
+        mask[3] = False
+        low, high, exact = batch_correct_ranges(stack, mask)
+        assert exact.tolist() == [True, False, False, False]
+        assert (low[0], high[0]) == (-1.0, 2.0)
+
+
+class TestSenderClassTuples:
+    def test_equal_keys_share_one_tuple(self):
+        controller = MobileFaultController(
+            n=9, f=2, model=MobileModel.GARAY,
+            adversary=Adversary(values=CrossfireAttack()),
+        )
+        assert controller._outbox_classes == (0, 1) * 4 + (0,)
+        assert controller._scalar_classes is controller._outbox_classes
+
+    def test_rerouted_scalar_hook_keeps_its_own_tuple(self):
+        class Departing(Adversary):
+            def departure_value(self, view, pid):
+                return float(pid)
+
+        controller = MobileFaultController(
+            n=5, f=1, model=MobileModel.GARAY,
+            adversary=Departing(values=SplitAttack()),
+        )
+        assert controller._outbox_classes == (0,) * 5
+        assert controller._scalar_classes == (None,) * 5
+
+
+class TestBatchedHooks:
+    """The stacked planner's batched hooks equal the per-run hooks."""
+
+    STRATEGIES = [
+        SplitAttack(),
+        SplitAttack(-3.0, None),
+        OutlierAttack(2.5),
+        EchoCorrect(),
+        OscillatingAttack(),
+        FixedValue(1.5),
+        CrossfireAttack(),
+    ]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("round_index", [1, 2])
+    def test_class_values_match_the_per_run_hooks(self, strategy, round_index):
+        n = 8
+        rows = [(-1.0, 0.5), (0.25, 3.0)]
+        senders = (0, 1) if isinstance(strategy, CrossfireAttack) else (0,)
+        group = SimpleNamespace(
+            strategies=[strategy] * len(rows),
+            low=np.array([low for low, _ in rows]),
+            high=np.array([high for _, high in rows]),
+            round_index=round_index,
+            senders=senders,
+        )
+        tables = type(strategy).class_values(group)
+        for k, (low, high) in enumerate(rows):
+            values = {pid: low + (high - low) * pid / (n - 1) for pid in range(n)}
+            view = make_view(
+                values=values, positions=frozenset(), round_index=round_index
+            )
+            assert view.correct_range().low == low
+            for c, sender in enumerate(senders):
+                camps = strategy.attack_camps(view, sender)
+                assert tables.departures[k, c] == strategy.departure_value(view, sender)
+                assert tables.computes[k, c] == strategy.corrupted_compute(view, sender)
+                assert tuple(tables.camps[k, c]) == tuple(camps.values)
+            midpoint = view.correct_midpoint()
+            expected = {
+                "zero": (0,) * n,
+                "parity": tuple(pid % 2 for pid in range(n)),
+                "split": tuple(int(values[pid] > midpoint) for pid in range(n)),
+            }[tables.assignment]
+            assert tuple(camps.assignment) == expected
+
+    def test_rerouted_value_hook_gets_the_per_row_default(self):
+        class Rerouted(CrossfireAttack):
+            def attack_camps(self, view, sender):
+                return super().attack_camps(view, sender)
+
+        class Tuned(CrossfireAttack):
+            pass
+
+        assert Adversary(values=CrossfireAttack()).class_values_hook == (
+            CrossfireAttack.class_values
+        )
+        def hook(strategy):
+            return Adversary(values=strategy).class_values_hook
+
+        assert hook(Tuned()) == CrossfireAttack.class_values
+        assert hook(Rerouted()) == ValueStrategy.class_values
+        assert Adversary(values=InertiaAttack()).class_values_hook == (
+            ValueStrategy.class_values
+        )
+
+    def test_round_robin_next_hosts_is_a_column_roll(self):
+        n = 11
+        hosts = np.zeros((3, n), dtype=bool)
+        hosts[0, [0, 1]] = hosts[1, [9, 10]] = hosts[2, [4]] = True
+        strategies = [RoundRobinWalk(), RoundRobinWalk(), RoundRobinWalk(stride=3)]
+        f = np.array([2, 2, 1])
+        group = SimpleNamespace(strategies=strategies, hosts=hosts, n=n, f=f)
+        moved = RoundRobinWalk.next_hosts(group)
+        for k, strategy in enumerate(strategies):
+            view = make_view(
+                values={pid: 0.0 for pid in range(n)},
+                positions=frozenset(np.flatnonzero(hosts[k]).tolist()),
+                f=int(f[k]),
+            )
+            assert frozenset(np.flatnonzero(moved[k]).tolist()) == (
+                strategy.next_positions(view)
+            )
+
+    def test_movement_hook_resolution(self):
+        class Walk(RoundRobinWalk):
+            def next_positions(self, view):
+                return super().next_positions(view)
+
+        class Moving(Adversary):
+            def next_positions(self, view):
+                return super().next_positions(view)
+
+        assert Adversary(RoundRobinWalk()).movement_hook == RoundRobinWalk.next_hosts
+        assert Adversary(StaticAgents()).movement_hook == StaticAgents.next_hosts
+        assert Adversary(RandomJump()).movement_hook == MovementStrategy.next_hosts
+        assert Adversary(Walk()).movement_hook == MovementStrategy.next_hosts
+        assert Moving(RoundRobinWalk()).movement_hook is None
