@@ -125,9 +125,13 @@ class ProtocolFamily(ABC):
         Families whose protocol phases span several communication
         rounds return ``False`` mid-phase so the termination rule is
         only consulted at phase boundaries.  Every simulator driver
-        (full, lite, stateful) checks it; both in-tree families run one
-        phase per round.  ``max_rounds`` still caps the run regardless,
-        so a buggy always-``False`` schedule cannot loop forever.
+        (full, lite, stateful) checks it.  No in-tree family overrides
+        it: bonomi and tseng run one phase per round, and the witness
+        family's phase length depends on the run's graph, so it gates
+        phases per run in
+        :meth:`~repro.runtime.witness.WitnessProtocol.decision_ready`
+        instead.  ``max_rounds`` still caps the run regardless, so a
+        buggy always-``False`` schedule cannot loop forever.
         """
         return True
 

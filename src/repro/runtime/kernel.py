@@ -316,11 +316,21 @@ class RoundKernel:
         it only engages when all three toggles are on -- turning either
         scalar toggle off is a request for the reference semantics.
         """
-        if not (self.vectorized and self.group_inboxes and self.flat_msr):
-            return None
         if not protocol.pid_independent_compute:
             return None
-        function = getattr(protocol, "function", None)
+        return self.batch_for(getattr(protocol, "function", None))
+
+    def batch_for(self, function) -> BatchMSREvaluator | None:
+        """The batched evaluator for ``function`` in the fast mode.
+
+        ``None`` unless all three toggles are on and ``function`` is an
+        :class:`~repro.msr.base.MSRFunction` with batch stage hooks.
+        Stateful families whose folds are pid-independent by
+        construction (the witness relay) resolve their array rounds
+        through this directly.
+        """
+        if not (self.vectorized and self.group_inboxes and self.flat_msr):
+            return None
         if not isinstance(function, MSRFunction):
             return None
         return compile_msr_batch(function)

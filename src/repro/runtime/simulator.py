@@ -1283,8 +1283,8 @@ class SynchronousSimulator:
                 # plan's corruptions.
                 values_before = dict(values)
                 values_before.update(plan.memory_corruptions)
-            max_received_diameter = protocol.run_round(
-                plan, self._cured_aware, first_round
+            max_received_diameter = self.kernel.sampled(
+                "round", protocol.run_round, plan, self._cured_aware, first_round
             )
             if first_round:
                 self._first_round_received_diameter = max_received_diameter

@@ -27,9 +27,22 @@ Tables are re-sent whole each round rather than as one-shot deltas:
 verified claims keep flowing, so a node whose gossip memory a
 departing agent scrambled mid-phase re-verifies its neighborhood from
 the repeats instead of starving at the fold, and a temporarily
-fault-heavy neighborhood only *delays* verification by a round.  Per
-round the work is O(edges x verified claims) with an early-out for
-already-verified origins.
+fault-heavy neighborhood only *delays* verification by a round.
+
+**Cost.**  Two bit-identical round bodies exist.  The dict body keeps
+each node's table as an ``origin -> value`` dict and tallies relays per
+``(origin, value)`` key: O(edges x verified claims) Python work per
+round.  It is the reference, and it runs for full traces and whenever
+the round kernel is not in its fast mode (``vectorized``,
+``group_inboxes`` and ``flat_msr`` all on).  Lite runs in the fast mode
+take the array round instead: tables are an ``(n, n)`` claim matrix
+with held/excluded masks, first-hand receipts are one masked copy, the
+witness count for each distinct relayed value of an origin is one
+adjacency-matrix product, and the fold sorts every row once and
+combines rows through the batch MSR hooks.  A round goes back to the
+dict body when it holds a non-finite or ``-0.0`` claim, or when a
+phase-end fold is too thin for the batch hooks (so the canonical error
+is raised).
 
 **Witness verification.**  A node ``i`` verifies a claim ``(o, x)``
 when
@@ -96,6 +109,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..faults.value_strategies import CampOutbox
 from ..msr.base import MSRFunction
 from ..msr.multiset import ValueMultiset
 from .families import ProtocolFamily, register_family
@@ -103,12 +117,29 @@ from .kernel import RoundKernel, compile_msr
 from .protocol import StatefulRoundProtocol
 from .trace import BroadcastOutbox
 
+try:  # numpy is optional: without it every round takes the dict body.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised only without numpy
+    _np = None
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topology import Topology
     from .config import SimulationConfig
     from .controllers import RoundPlan
 
 __all__ = ["WitnessFamily", "WitnessProtocol"]
+
+
+def _diagonal(matrix):
+    """A writable view of a contiguous square matrix's diagonal."""
+    return matrix.ravel()[:: matrix.shape[0] + 1]
+
+
+def _rows_of(row, n: int):
+    """An ``(n, len(row))`` matrix whose every row is ``row``."""
+    matrix = _np.empty((n, len(row)), dtype=row.dtype)
+    matrix[:] = row
+    return matrix
 
 
 class WitnessProtocol(StatefulRoundProtocol):
@@ -147,6 +178,22 @@ class WitnessProtocol(StatefulRoundProtocol):
         self._kernel: RoundKernel | None = None
         self._evaluate = None
         self._grouped = True
+        # Array-round state (fast kernel mode, lite runs): claims[q, o]
+        # is q's verified value for origin o where held[q, o];
+        # excluded[q, o] marks the dict body's ``None`` entries (None
+        # while nothing is excluded), and stamps[q, o] orders a row's
+        # entries as the dict body inserts them -- needed only to
+        # rebuild the dicts for a routed mid-phase round, so None on
+        # one-round phases.
+        self._batch = None
+        self._adjacency = None
+        self._claims = None
+        self._held = None
+        self._excluded = None
+        self._stamps = None
+        self._serial = 0
+        self._pick_counts = None
+        self._pick_table = None
 
     # -- StatefulRoundProtocol interface ---------------------------------------
 
@@ -158,6 +205,25 @@ class WitnessProtocol(StatefulRoundProtocol):
         # kernel's distinct-inbox toggle for the equivalence suite.
         self._grouped = kernel.group_inboxes
         self._verified = [{} for _ in range(self.n)]
+        # Full traces record the dict body's wire activity, so only
+        # lite runs take the array round.
+        self._batch = (
+            kernel.batch_for(self.function)
+            if _np is not None and not self.recording
+            else None
+        )
+        if self._batch is not None:
+            np = _np
+            n = self.n
+            self._adjacency = self.topology.adjacency_matrix()
+            self._adjacency_f = self._adjacency.astype(np.float64)
+            self._columns = np.arange(n, dtype=np.int64)
+            self._rows = np.arange(n, dtype=np.intp)
+            self._everyone = np.ones(n, dtype=bool)
+            # -2: not resolved yet (see _resolve_picks).
+            self._pick_counts = np.full(n + 1, -2, dtype=np.intp)
+            self._pick_table = np.zeros((n + 1, n), dtype=np.intp)
+            self._arrays_from_tables()
 
     def start(self, initial_values: Sequence[float]) -> None:
         self._values = {
@@ -177,6 +243,15 @@ class WitnessProtocol(StatefulRoundProtocol):
     def run_round(
         self, plan: "RoundPlan", cured_aware: bool, need_diameter: bool
     ) -> float:
+        if self._batch is None or self.recording:
+            return self._run_round_scalar(plan, cured_aware, need_diameter)
+        return self._run_round_arrays(plan, cured_aware, need_diameter)
+
+    def _run_round_scalar(
+        self, plan: "RoundPlan", cured_aware: bool, need_diameter: bool
+    ) -> float:
+        """The reference round on per-node claim dicts (also the
+        full-trace recording path)."""
         n, f = self.n, self.f
         values = self._values
         verified = self._verified
@@ -418,6 +493,395 @@ class WitnessProtocol(StatefulRoundProtocol):
                 "applications": applications_rec,
             }
         return max_diameter
+
+    # -- the array round (fast kernel mode, lite runs) ---------------------------
+
+    def _run_round_arrays(
+        self, plan: "RoundPlan", cured_aware: bool, need_diameter: bool
+    ) -> float:
+        """One round of the dict body as whole-matrix operations.
+
+        Bit-identical to :meth:`_run_round_scalar`; rounds whose result
+        would hinge on what the arrays do not model rebuild the dicts
+        and run the dict body instead: non-finite claims, ``-0.0``
+        claims (the dict body's float-keyed tallies and stable sorts
+        keep whichever signed zero they met first, and its ``fsum``
+        folds turn ``-0.0`` means into ``0.0``), or a strict fold the
+        batch hooks cannot evaluate.  No state is committed until the
+        round is known to stay on the arrays.
+        """
+        np = _np
+        n = self.n
+        values = self._values
+        offset = plan.round_index % self.phase_length
+        # Insertion stamps only matter for rebuilding a mid-phase
+        # round's dicts, so one-round phases (the complete graph) skip
+        # them.
+        track = self.phase_length > 1
+        base = self._serial * (2 * n + 2)
+        memory = plan.memory_corruptions
+        overrides = plan.send_overrides
+
+        # Senders that gossip their tables: not adversary-run, not
+        # silent, not aware-cured.
+        relay = self._everyone.copy()
+        muted = list(plan.forced_silent)
+        if cured_aware:
+            muted.extend(plan.cured_at_send)
+        if muted:
+            relay[muted] = False
+        if overrides:
+            relay[list(overrides)] = False
+
+        if offset == 0:
+            claims, held, stamps = self._phase_start(
+                memory, cured_aware, relay, overrides, base, track
+            )
+            excluded = None
+        else:
+            claims, held, excluded, stamps = self._receive(
+                memory, cured_aware, relay, overrides, base, track
+            )
+        if np.count_nonzero(np.isfinite(claims)) != n * n:
+            return self._route_scalar(plan, cured_aware, need_diameter)
+        zeros = (claims == 0.0) & held
+        if np.count_nonzero(zeros) and np.signbit(claims[zeros]).any():
+            return self._route_scalar(plan, cured_aware, need_diameter)
+
+        max_diameter = 0.0
+        if need_diameter:
+            low = np.where(held, claims, np.inf).min(axis=1)
+            high = np.where(held, claims, -np.inf).max(axis=1)
+            spread = float((high - low).max())
+            if spread > 0.0:
+                max_diameter = spread
+
+        # The fold: rows sort once, padded with +inf past their width.
+        # The reduction bounds and the picked positions depend on the
+        # width alone (see _resolve_picks), so rows picking the same
+        # number of values are gathered and combined in one pass.
+        strict = offset == self.phase_length - 1
+        compute_corruptions = plan.compute_corruptions
+        if compute_corruptions:
+            rows = np.array(
+                [q for q in range(n) if q not in compute_corruptions],
+                dtype=np.intp,
+            )
+        else:
+            rows = self._rows
+        widths = held.sum(axis=1)[rows]
+        counts = self._pick_counts[widths]
+        kinds = set(counts.tolist())
+        if -2 in kinds:
+            self._resolve_picks(widths[counts == -2].tolist())
+            counts = self._pick_counts[widths]
+            kinds = set(counts.tolist())
+        if strict and -1 in kinds:
+            return self._route_scalar(plan, cured_aware, need_diameter)
+        padded = np.where(held, claims, np.inf)
+        padded.sort(axis=1, kind="stable")
+        folded_pids: list[int] = []
+        folded: list[float] = []
+        for count in kinds:
+            if len(kinds) == 1:
+                group, group_widths = rows, widths
+            else:
+                chosen = counts == count
+                group, group_widths = rows[chosen], widths[chosen]
+            if count < 0:
+                self._fold_thin(padded, group, group_widths, folded_pids, folded)
+                continue
+            selected = padded[
+                group[:, None], self._pick_table[group_widths, :count]
+            ]
+            folded_pids.extend(group.tolist())
+            folded.extend(self._batch.combine(selected))
+
+        # Commit.
+        for pid, corrupted in memory.items():
+            values[pid] = corrupted
+        for q, result in zip(folded_pids, folded):
+            if result == result:
+                values[q] = result
+        # An aware-cured node restored by its fold re-claims its own
+        # entry (see the dict body).
+        unclaimed = ~held.diagonal()
+        if excluded is not None:
+            unclaimed &= ~excluded.diagonal()
+        if np.count_nonzero(unclaimed):
+            restored = [
+                (q, result)
+                for q, result in zip(folded_pids, folded)
+                if unclaimed[q] and result == result
+            ]
+            for q, result in restored:
+                claims[q, q] = result
+                held[q, q] = True
+                if track:
+                    stamps[q, q] = base + 2 * n + 1
+        for pid, garbage in compute_corruptions.items():
+            values[pid] = garbage
+        self._claims = claims
+        self._held = held
+        self._excluded = excluded
+        self._stamps = stamps
+        self._serial += 1
+        return max_diameter
+
+    def _phase_start(self, memory, cured_aware, relay, overrides, base, track):
+        """Phase-start tables plus this round's first-hand receipts.
+
+        Every table restarts from its node's own claim, so row ``q`` is
+        the vector of own claims, masked to what ``q`` hears first-hand
+        (adversary-run senders' columns carry their lies instead).
+        Nothing is relayed yet: relays carry only verified claims of
+        origins other than the sender.
+        """
+        np = _np
+        n = self.n
+        own = np.fromiter(self._values.values(), float, n)
+        claiming = self._everyone.copy()
+        for pid, corrupted in memory.items():
+            if cured_aware:
+                claiming[pid] = False
+            else:
+                own[pid] = corrupted
+        claims = _rows_of(own, n)
+        offered = relay & claiming
+        if overrides:
+            offered = _rows_of(offered, n)
+            self._write_lies(overrides, claims, offered)
+            _diagonal(claims)[:] = own
+        held = self._adjacency & offered
+        _diagonal(held)[:] = claiming
+        stamps = None
+        if track:
+            stamps = np.where(held, self._columns + (base + 1), 0)
+            _diagonal(stamps)[:] = 0
+        return claims, held, stamps
+
+    def _receive(self, memory, cured_aware, relay, overrides, base, track):
+        """Mid-phase first-hand receipts and witness counts."""
+        np = _np
+        n = self.n
+        claims = self._claims.copy()
+        held = self._held.copy()
+        excluded = self._excluded
+        stamps = self._stamps.copy() if track else None
+        for pid, corrupted in memory.items():
+            if cured_aware:
+                held[pid, pid] = False
+            else:
+                known = held[pid, pid] or (
+                    excluded is not None and excluded[pid, pid]
+                )
+                if track and not known:
+                    stamps[pid, pid] = base
+                claims[pid, pid] = corrupted
+                held[pid, pid] = True
+
+        # First-hand receipts fill only unverified slots: slot (q, s)
+        # takes s's own claim, or s's lie towards q.
+        open_slots = ~held if excluded is None else ~(held | excluded)
+        offers = claims.diagonal()
+        offered = relay & held.diagonal()
+        if overrides:
+            offers = _rows_of(offers, n)
+            offered = _rows_of(offered, n)
+            self._write_lies(overrides, offers, offered)
+        first = self._adjacency & offered & open_slots
+        relayed = held & relay[:, None]
+        _diagonal(relayed)[:] = False
+        claims = np.where(first, offers, claims)
+        held = held | first
+        if track:
+            stamps = np.where(first, self._columns + (base + 1), stamps)
+
+        if np.count_nonzero(relayed):
+            open_slots &= ~first
+            _diagonal(open_slots)[:] = False
+            claims, held, excluded, stamps = self._witness(
+                claims, held, excluded, stamps, relayed, open_slots, base
+            )
+        return claims, held, excluded, stamps
+
+    def _witness(self, claims, held, excluded, stamps, relayed, open_slots, base):
+        """Verify ``open_slots`` from ``relayed`` (sender, origin) claims.
+
+        Each origin column's distinct relayed values are coded one at a
+        time (the lowest relaying sender's value first); one adjacency
+        product per code counts, per recipient, the neighbors that
+        relayed it.  A slot verifies when exactly one code reaches
+        ``f + 1`` witnesses and is excluded when two do.  ``claims`` is
+        this round's own array: witnessed values land in open slots,
+        which no relayed claim occupies.
+        """
+        np = _np
+        columns = self._columns
+        threshold = self.f + 1
+        qualified = np.zeros(claims.shape, dtype=np.int64)
+        pending = relayed
+        while np.count_nonzero(pending):
+            reference = claims[pending.argmax(axis=0), columns]
+            code = pending & (claims == reference)
+            pending ^= code
+            hit = (self._adjacency_f @ code >= threshold) & open_slots
+            np.copyto(claims, reference, where=hit)
+            qualified += hit
+        won = qualified == 1
+        lost = qualified > 1
+        settled = won | lost
+        if np.count_nonzero(settled):
+            held = held | won
+            if np.count_nonzero(lost):
+                excluded = lost if excluded is None else excluded | lost
+            if stamps is not None:
+                stamps = np.where(
+                    settled, columns + (base + 1 + self.n), stamps
+                )
+        return claims, held, excluded, stamps
+
+    def _write_lies(self, overrides, offers, offered) -> None:
+        """Write each adversary-run sender's outbox into its column of
+        ``offers``/``offered``.
+
+        Camp outboxes sharing one assignment (every sender of a round,
+        under the camp strategies) are read together: one table of
+        camp values, indexed by the assignment's codes.  Any other
+        outbox is read recipient by recipient.
+        """
+        np = _np
+        n = self.n
+        camp_groups: dict[int, tuple] = {}
+        singles = []
+        for sender, outbox in overrides.items():
+            if type(outbox) is CampOutbox and len(outbox.assignment) == n:
+                group = camp_groups.get(id(outbox.assignment))
+                if group is None:
+                    group = camp_groups[id(outbox.assignment)] = (
+                        outbox.assignment, [], []
+                    )
+                group[1].append(sender)
+                group[2].append(outbox)
+            else:
+                singles.append((sender, outbox))
+        for assignment, senders, outboxes in camp_groups.values():
+            codes = getattr(assignment, "array", None)
+            if codes is None:
+                codes = np.asarray(assignment, dtype=np.intp)
+            try:
+                # Ragged camp lists, or codes outside them, take the
+                # per-recipient read (which mirrors CampOutbox.get).
+                table = np.array(
+                    [outbox.camp_values for outbox in outboxes],
+                    dtype=np.float64,
+                )
+                lies = table.take(codes, axis=1)
+            except (ValueError, IndexError):
+                singles.extend(zip(senders, outboxes))
+                continue
+            columns = np.array(senders, dtype=np.intp)
+            offers[:, columns] = lies.T
+            offered[:, columns] = True
+        for sender, outbox in singles:
+            for q in range(n):
+                value = outbox.get(q)
+                offered[q, sender] = value is not None
+                if value is not None:
+                    offers[q, sender] = float(value)
+
+    def _resolve_picks(self, widths) -> None:
+        """Tabulate the sorted-row positions the batch fold picks at
+        each of ``widths``: ``_pick_counts[w]`` positions, listed in
+        ``_pick_table[w]``, or a count of -1 where the batch bounds
+        have no answer (too thin).  Selections pick by position alone
+        (the batch hook contract), so selecting from a row of positions
+        names them.
+        """
+        for width in set(widths):
+            bounds = self._batch.bounds(width) if width else None
+            if bounds is None or bounds[1] <= bounds[0]:
+                self._pick_counts[width] = -1
+                continue
+            positions = _np.arange(width, dtype=_np.intp).reshape(1, width)
+            picked = self._batch.select(positions, *bounds)[0]
+            self._pick_counts[width] = len(picked)
+            self._pick_table[width, : len(picked)] = picked
+
+    def _fold_thin(self, padded, rows, widths, pids, results) -> None:
+        """Mid-phase folds of rows too thin for the batch bounds: the
+        flat evaluator per row; rows it rejects, and empty rows, keep
+        their estimate."""
+        evaluate = self._evaluate
+        for q, width in zip(rows.tolist(), widths.tolist()):
+            if not width:
+                continue
+            accepted = padded[q, :width].tolist()
+            try:
+                if evaluate is not None:
+                    result = evaluate(accepted)
+                else:
+                    result = self.function.apply_value(
+                        ValueMultiset.from_trusted_floats(accepted)
+                    )
+            except ValueError:
+                continue
+            pids.append(q)
+            results.append(result)
+
+    def _route_scalar(
+        self, plan: "RoundPlan", cured_aware: bool, need_diameter: bool
+    ) -> float:
+        """Run this round on the dict body from the committed arrays."""
+        self._tables_from_arrays()
+        result = self._run_round_scalar(plan, cured_aware, need_diameter)
+        self._arrays_from_tables()
+        return result
+
+    def _tables_from_arrays(self) -> None:
+        """Rebuild the per-node claim dicts, in insertion order."""
+        np = _np
+        claims = self._claims.tolist()
+        stamps = self._stamps
+        tables = []
+        known = self._held
+        if self._excluded is not None:
+            known = known | self._excluded
+        for q in range(self.n):
+            order = np.flatnonzero(known[q])
+            if stamps is not None:
+                order = order[np.argsort(stamps[q, order], kind="stable")]
+            held = self._held[q]
+            tables.append(
+                {
+                    origin: claims[q][origin] if held[origin] else None
+                    for origin in order.tolist()
+                }
+            )
+        self._verified = tables
+
+    def _arrays_from_tables(self) -> None:
+        """Load the array state from the per-node claim dicts."""
+        np = _np
+        n = self.n
+        claims = np.zeros((n, n))
+        held = np.zeros((n, n), dtype=bool)
+        excluded = np.zeros((n, n), dtype=bool)
+        stamps = np.zeros((n, n), dtype=np.int64)
+        base = self._serial * (2 * n + 2)
+        for q, table in enumerate(self._verified):
+            for position, (origin, value) in enumerate(table.items()):
+                stamps[q, origin] = base + position
+                if value is None:
+                    excluded[q, origin] = True
+                else:
+                    claims[q, origin] = value
+                    held[q, origin] = True
+        self._claims = claims
+        self._held = held
+        self._excluded = excluded if excluded.any() else None
+        self._stamps = stamps
+        self._serial += 1
 
     def __repr__(self) -> str:
         return (

@@ -162,6 +162,23 @@ class Topology:
             object.__setattr__(self, "_is_complete", cached)
         return cached
 
+    def adjacency_matrix(self):
+        """The adjacency as a read-only ``(n, n)`` numpy bool matrix.
+
+        ``matrix[p, q]`` is True when ``q`` is a neighbor of ``p`` (no
+        self-links).  Built on first use and cached; needs numpy.
+        """
+        cached = self.__dict__.get("_adjacency")
+        if cached is None:
+            import numpy as np
+
+            cached = np.zeros((self.n, self.n), dtype=bool)
+            for pid, hood in enumerate(self.neighbor_sets):
+                cached[pid, list(hood)] = True
+            cached.setflags(write=False)
+            object.__setattr__(self, "_adjacency", cached)
+        return cached
+
     # -- connectivity ----------------------------------------------------------
 
     def _eccentricities(self) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ import pytest
 
 from tests.helpers import small_grid
 
-from repro.sweep import CellSpec, run_cell, run_sweep
+from repro.sweep import CellSpec, GridSpec, run_cell, run_sweep
 from repro.telemetry import (
     DEFAULT_SIZE_EDGES,
     Histogram,
@@ -232,6 +232,27 @@ class TestTracedSweep:
         assert "sweep.cells.done" in text
         assert "sweep.run" in text
         assert "sweep.cell.seconds" in text
+
+
+class TestTracedStatefulSweep:
+    def test_witness_cells_carry_round_samples(self, tmp_path):
+        """Stateful families' rounds go through the kernel sampler, so a
+        traced witness sweep reports their sampled round timings."""
+        grid = GridSpec(
+            models=("M1",),
+            fs=(1,),
+            ns=(9,),
+            families=("witness",),
+            topologies=("complete", "ring:2"),
+            seeds=(0,),
+            rounds=4,
+        )
+        result = run_sweep(grid, telemetry=str(tmp_path))
+        assert len(result.cells) == 2
+        for cell in result.cells:
+            metrics = dict(cell.metrics)
+            assert metrics["kernel.round.calls"] == 4.0
+            assert metrics["kernel.round.seconds"] > 0.0
 
 
 class TestTraceSpanInert:

@@ -291,6 +291,8 @@ WITNESS_KERNEL_MODES = [
     pytest.param(dict(group_inboxes=False, flat_msr=False), id="reference"),
     pytest.param(dict(group_inboxes=True, flat_msr=False), id="grouped"),
     pytest.param(dict(group_inboxes=False, flat_msr=True), id="flat"),
+    # All three toggles on: the array round.
+    pytest.param(dict(), id="vectorized"),
 ]
 
 
@@ -357,7 +359,7 @@ class TestWitnessFamily:
             seed=7,
             rounds=12,
         )
-        reference = _witness_lite(config, group_inboxes=True, flat_msr=True)
+        reference = _witness_lite(config, vectorized=False)
         trace = _witness_lite(config, **options)
         assert trace.round_extents == reference.round_extents
         assert trace.decisions == reference.decisions
