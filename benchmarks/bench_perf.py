@@ -117,8 +117,10 @@ def test_lite_vs_full_speedup(benchmark, record_artifact, record_bench):
 
 
 def run_sized_kernel(n: int, vectorized: bool, model: str = "M3"):
-    """One lite run with the vectorized engine explicitly on or off."""
-    from repro.runtime import RoundKernel
+    """One lite run on the array engine or, when ``vectorized`` is
+    false, on the scalar grouped + flat kernel (numpy hidden)."""
+    import contextlib
+
     from repro.runtime.simulator import SynchronousSimulator
 
     config = mobile_config(
@@ -131,12 +133,14 @@ def run_sized_kernel(n: int, vectorized: bool, model: str = "M3"):
         rounds=ROUNDS,
         seed=0,
     )
-    kernel = RoundKernel(
-        group_inboxes=True, flat_msr=True, vectorized=vectorized
-    )
-    return SynchronousSimulator(
-        config, trace_detail="lite", kernel=kernel
-    ).run()
+    if vectorized:
+        hidden = contextlib.nullcontext()
+    else:
+        from tests.helpers import without_numpy
+
+        hidden = without_numpy()
+    with hidden:
+        return SynchronousSimulator(config, trace_detail="lite").run()
 
 
 def test_vectorized_throughput(benchmark, record_artifact, record_bench):

@@ -32,8 +32,13 @@ Both layers are bit-identical to the object path: ``math.fsum`` is
 exactly rounded (container-independent), selections pick by increasing
 index from a sorted array, and degenerate inputs (empty inbox, size
 below the resilience bound) fall back to the object path so canonical
-errors are raised verbatim.  The equivalence suite runs every scenario
-family with each layer toggled off to prove it.
+errors are raised verbatim.  With numpy present the fast mode goes one
+step further and folds every distinct inbox of a round in one array
+pass (:meth:`RoundKernel.compute_phase_batch`).  The kernel therefore
+has exactly two modes: *fast* (all of the above, each layer engaging
+where its preconditions hold) and *reference* (the per-recipient
+object path).  The equivalence suite runs every scenario family in
+both modes, and in the fast mode with numpy hidden, to prove it.
 
 A :class:`RoundKernel` owns only reusable scratch state, so one
 instance can serve many simulations: ``simulate_many`` runs a whole
@@ -147,7 +152,7 @@ def compile_msr_batch(function: MSRFunction) -> BatchMSREvaluator | None:
     lacks a batch hook (value-dependent reductions, custom stages);
     callers then stay on the scalar paths.  Results are bit-identical
     to the scalar flat evaluator row by row -- the equivalence suite
-    sweeps the toggle to prove it.
+    compares the fast mode with and without numpy to prove it.
     """
     reduction = function.reduction
     selection = function.selection
@@ -166,10 +171,7 @@ def compile_msr_batch(function: MSRFunction) -> BatchMSREvaluator | None:
 
 
 def inbox_key(
-    pid: int,
-    override_outboxes: Sequence[Mapping[int, float]],
-    outbox_senders: Sequence[int] | None = None,
-    neighborhood: frozenset[int] | None = None,
+    pid: int, override_outboxes: Sequence[Mapping[int, float]]
 ) -> tuple:
     """The override delta recipient ``pid`` sees, as a grouping key.
 
@@ -178,25 +180,9 @@ def inbox_key(
     graph) and the same sequence of override values -- this tuple.
     Outbox order is the plan's iteration order, identical for every
     recipient of a round.
-
-    Under a restricted communication graph the key additionally
-    filters by reachability: ``neighborhood`` is the recipient's
-    neighbor set and ``outbox_senders`` names each outbox's sender, so
-    only overrides that can physically reach ``pid`` discriminate.
-    (The neighborhood itself must then join the key -- see
-    :func:`distinct_inbox_groups` -- because the shared broadcast list
-    is no longer shared.)
     """
-    if neighborhood is None:
-        return tuple(
-            float(outbox[pid]) for outbox in override_outboxes if pid in outbox
-        )
-    if outbox_senders is None:
-        raise ValueError("neighborhood-restricted keys need outbox_senders")
     return tuple(
-        float(outbox[pid])
-        for sender, outbox in zip(outbox_senders, override_outboxes)
-        if (sender == pid or sender in neighborhood) and pid in outbox
+        float(outbox[pid]) for outbox in override_outboxes if pid in outbox
     )
 
 
@@ -204,8 +190,6 @@ def distinct_inbox_groups(
     n: int,
     override_outboxes: Sequence[Mapping[int, float]] | None,
     excluded: frozenset[int] | set[int] = frozenset(),
-    neighborhoods: Sequence[frozenset[int]] | None = None,
-    outbox_senders: Sequence[int] | None = None,
 ) -> dict[tuple, list[int]]:
     """Group recipients ``0..n-1`` by their effective-inbox key.
 
@@ -215,33 +199,12 @@ def distinct_inbox_groups(
     single-pass equivalent of evaluating one representative per group.
     Exposed for the property tests that pin down the grouping
     invariant.
-
-    With ``neighborhoods`` (one frozenset per pid, from a
-    :class:`~repro.topology.Topology`), the grouping becomes
-    neighbor-aware: the key is ``(hearing set, restricted override
-    delta)`` where the hearing set is ``N(pid) | {pid}`` -- the
-    broadcasters this recipient can physically receive.  Two
-    recipients merge only when they hear the same broadcasters *and*
-    the same reachable overrides.  On the complete graph every hearing
-    set is the full vertex set, so the key collapses to the original
-    override tuple and the fast case stays fast.
     """
     groups: dict[tuple, list[int]] = {}
     for pid in range(n):
         if pid in excluded:
             continue
-        if neighborhoods is None:
-            key = (
-                inbox_key(pid, override_outboxes) if override_outboxes else ()
-            )
-        else:
-            hood = neighborhoods[pid]
-            delta = (
-                inbox_key(pid, override_outboxes, outbox_senders, hood)
-                if override_outboxes
-                else ()
-            )
-            key = (hood | {pid}, delta)
+        key = inbox_key(pid, override_outboxes) if override_outboxes else ()
         group = groups.get(key)
         if group is None:
             groups[key] = [pid]
@@ -255,41 +218,28 @@ class RoundKernel:
 
     Holds only scratch state (the insort buffer), so a single instance
     can be shared across rounds, simulations and whole sweep batches.
-    The two toggles exist for the equivalence suite: with both off the
-    kernel degrades to the pre-kernel per-recipient object path, which
-    the tests use as the in-tree reference implementation.
 
     Parameters
     ----------
-    group_inboxes:
-        Evaluate once per distinct effective inbox (requires the
-        protocol to declare ``pid_independent_compute``) instead of
-        once per recipient.
-    flat_msr:
-        Evaluate MSR functions through :func:`compile_msr`'s flat
-        evaluator instead of the ``ValueMultiset`` object path.
-    vectorized:
-        Evaluate whole batches of distinct inboxes per round with
-        array-shaped state (:meth:`prepare_batch` /
-        :meth:`compute_phase_batch`) when numpy is available.  Implies
-        nothing on its own -- the simulator additionally requires the
-        grouped+flat toggles, a complete topology and broadcast send
-        semantics, and falls back to the scalar paths (which remain the
-        bit-identity reference) whenever any precondition fails.
+    reference:
+        ``False`` (the default) is the fast mode: recipients are
+        grouped by distinct effective inbox where the protocol declares
+        ``pid_independent_compute``, MSR functions fold through
+        :func:`compile_msr`'s flat evaluator where every stage has a
+        flat hook, and -- when numpy imports and the simulator's array
+        preconditions hold (complete graph, broadcast sends, batch
+        stage hooks) -- whole rounds fold as arrays through
+        :meth:`prepare_batch` / :meth:`compute_phase_batch`.  ``True``
+        is the in-tree reference implementation the equivalence suites
+        compare against: the per-recipient ``ValueMultiset`` object
+        path, ``step()`` for full traces, and the stateful families'
+        per-recipient (tseng) and unmemoized dict (witness) bodies.
     """
 
-    __slots__ = ("group_inboxes", "flat_msr", "vectorized", "telemetry", "_buffer")
+    __slots__ = ("reference", "telemetry", "_buffer")
 
-    def __init__(
-        self,
-        *,
-        group_inboxes: bool = True,
-        flat_msr: bool = True,
-        vectorized: bool = True,
-    ) -> None:
-        self.group_inboxes = group_inboxes
-        self.flat_msr = flat_msr
-        self.vectorized = vectorized
+    def __init__(self, *, reference: bool = False) -> None:
+        self.reference = reference
         # A repro.telemetry KernelSampler when a tracing session wants
         # sampled phase timings; None keeps the phase entry points on
         # the single-slot-read fast path.
@@ -302,7 +252,7 @@ class RoundKernel:
         Called once per simulation, not per round: compilation is cheap
         but not free, and the evaluator is immutable.
         """
-        if not (self.flat_msr and protocol.pid_independent_compute):
+        if self.reference or not protocol.pid_independent_compute:
             return None
         function = getattr(protocol, "function", None)
         if not isinstance(function, MSRFunction):
@@ -310,12 +260,7 @@ class RoundKernel:
         return compile_msr(function)
 
     def prepare_batch(self, protocol: VotingProtocol) -> BatchMSREvaluator | None:
-        """Resolve the batched evaluator for a run's protocol (or ``None``).
-
-        The vectorized engine subsumes the grouped and flat layers, so
-        it only engages when all three toggles are on -- turning either
-        scalar toggle off is a request for the reference semantics.
-        """
+        """Resolve the batched evaluator for a run's protocol (or ``None``)."""
         if not protocol.pid_independent_compute:
             return None
         return self.batch_for(getattr(protocol, "function", None))
@@ -323,15 +268,13 @@ class RoundKernel:
     def batch_for(self, function) -> BatchMSREvaluator | None:
         """The batched evaluator for ``function`` in the fast mode.
 
-        ``None`` unless all three toggles are on and ``function`` is an
+        ``None`` in the reference mode or unless ``function`` is an
         :class:`~repro.msr.base.MSRFunction` with batch stage hooks.
         Stateful families whose folds are pid-independent by
         construction (the witness relay) resolve their array rounds
         through this directly.
         """
-        if not (self.vectorized and self.group_inboxes and self.flat_msr):
-            return None
-        if not isinstance(function, MSRFunction):
+        if self.reference or not isinstance(function, MSRFunction):
             return None
         return compile_msr_batch(function)
 
@@ -556,9 +499,6 @@ class RoundKernel:
         compute_corruptions: Mapping[int, float],
         values: dict[int, float],
         need_diameter: bool,
-        topology=None,
-        broadcast_by_sender: Mapping[int, float] | None = None,
-        override_senders: Sequence[int] | None = None,
     ) -> float:
         """Sampling shim over :meth:`_compute_phase` (the real scalar
         phase)."""
@@ -566,8 +506,7 @@ class RoundKernel:
             "scalar",
             self._compute_phase,
             protocol, evaluate, n, broadcasts, override_outboxes,
-            compute_corruptions, values, need_diameter, topology,
-            broadcast_by_sender, override_senders,
+            compute_corruptions, values, need_diameter,
         )
 
     def _compute_phase(
@@ -580,9 +519,6 @@ class RoundKernel:
         compute_corruptions: Mapping[int, float],
         values: dict[int, float],
         need_diameter: bool,
-        topology=None,
-        broadcast_by_sender: Mapping[int, float] | None = None,
-        override_senders: Sequence[int] | None = None,
     ) -> float:
         """Run the receive+compute phase for every non-occupied process.
 
@@ -592,29 +528,8 @@ class RoundKernel:
         Writes each computed value into ``values`` and returns the
         maximum received-multiset diameter (0.0 unless
         ``need_diameter``, which only the first round asks for).
-
-        ``topology`` (a non-complete :class:`~repro.topology.Topology`)
-        switches to neighbor-aware assembly: inboxes are restricted to
-        each recipient's hearing set and memoization is keyed per
-        neighborhood, which needs the per-sender broadcast values
-        (``broadcast_by_sender``) and each override outbox's sender id
-        (``override_senders``).  A ``None`` or complete topology takes
-        the exact pre-topology code below -- bit-identical and fast.
         """
-        if topology is not None and not topology.is_complete:
-            return self._compute_phase_restricted(
-                protocol,
-                evaluate,
-                n,
-                broadcast_by_sender if broadcast_by_sender is not None else {},
-                override_outboxes,
-                override_senders,
-                compute_corruptions,
-                values,
-                need_diameter,
-                topology,
-            )
-        grouped = self.group_inboxes and protocol.pid_independent_compute
+        grouped = not self.reference and protocol.pid_independent_compute
         compute_value = protocol.compute_value
         wrap = ValueMultiset.from_trusted_floats
         buffer = self._buffer
@@ -723,8 +638,8 @@ class RoundKernel:
                     max_diameter = hit[1]
             return max_diameter
 
-        # Per-recipient path: pid-dependent protocols, and the
-        # reference mode of the equivalence suite.
+        # Per-recipient path: pid-dependent protocols and the
+        # reference mode.
         for pid in range(n):
             if pid in compute_corruptions:
                 continue
@@ -745,85 +660,4 @@ class RoundKernel:
                 diameter = inbox[-1] - inbox[0] if inbox else 0.0
                 if diameter > max_diameter:
                     max_diameter = diameter
-        return max_diameter
-
-    def _compute_phase_restricted(
-        self,
-        protocol: VotingProtocol,
-        evaluate: FlatEvaluator | None,
-        n: int,
-        broadcast_by_sender: Mapping[int, float],
-        override_outboxes: Sequence[Mapping[int, float]] | None,
-        override_senders: Sequence[int] | None,
-        compute_corruptions: Mapping[int, float],
-        values: dict[int, float],
-        need_diameter: bool,
-        topology,
-    ) -> float:
-        """Neighbor-aware receive+compute under a restricted topology.
-
-        There is no shared broadcast list here: each recipient hears
-        only the broadcasters in its hearing set ``N(pid) | {pid}``, so
-        inboxes are assembled per hearing set and the distinct-inbox
-        memoization is keyed ``(hearing set, reachable override
-        delta)``.  Recipients with identical hearing sets and deltas
-        (every pid on the complete graph; symmetric clusters elsewhere)
-        still share one MSR evaluation; a ring degrades gracefully to
-        one evaluation per node.
-        """
-        if override_outboxes and override_senders is None:
-            raise ValueError(
-                "restricted compute_phase needs override_senders naming "
-                "each override outbox's sender"
-            )
-        grouped = self.group_inboxes and protocol.pid_independent_compute
-        compute_value = protocol.compute_value
-        wrap = ValueMultiset.from_trusted_floats
-        buffer = self._buffer
-        max_diameter = 0.0
-        neighbor_sets = topology.neighbor_sets
-        cache: dict[tuple, tuple[float, float]] | None = {} if grouped else None
-
-        for pid in range(n):
-            if pid in compute_corruptions:
-                continue
-            hood = neighbor_sets[pid]
-            delta: tuple = ()
-            if override_outboxes:
-                delta = tuple(
-                    float(outbox[pid])
-                    for sender, outbox in zip(override_senders, override_outboxes)
-                    if (sender == pid or sender in hood) and pid in outbox
-                )
-            if cache is not None:
-                # The hearing set (not the bare neighbor set) is the
-                # broadcast filter: two pids share an inbox exactly
-                # when N(p)|{p} and the reachable deltas coincide.
-                key = (hood | {pid}, delta)
-                hit = cache.get(key)
-                if hit is not None:
-                    values[pid] = hit[0]
-                    if need_diameter and hit[1] > max_diameter:
-                        max_diameter = hit[1]
-                    continue
-            buffer[:] = [
-                value
-                for sender, value in broadcast_by_sender.items()
-                if sender == pid or sender in hood
-            ]
-            buffer.sort()
-            for value in delta:
-                insort(buffer, value)
-            inbox: Sequence[float] = buffer
-            result = (
-                evaluate(inbox)
-                if evaluate is not None
-                else compute_value(pid, wrap(inbox))
-            )
-            diameter = inbox[-1] - inbox[0] if inbox else 0.0
-            if cache is not None:
-                cache[key] = (result, diameter)
-            values[pid] = result
-            if need_diameter and diameter > max_diameter:
-                max_diameter = diameter
         return max_diameter

@@ -147,11 +147,11 @@ class StatefulRoundProtocol(ABC):
     def reset(self, kernel: "RoundKernel") -> None:
         """(Re)initialize per-node state for a fresh run.
 
-        ``kernel`` supplies shared scratch buffers and the
-        ``group_inboxes`` / ``flat_msr`` evaluation toggles, which
-        stateful families honour exactly like the scalar kernel path
-        (the equivalence suites flip them to obtain the in-tree
-        reference implementation).
+        ``kernel`` supplies shared scratch buffers and the evaluation
+        mode: in the fast mode stateful families group recipients and
+        fold through flat or array evaluators like the scalar kernel
+        path; ``kernel.reference`` asks for the per-recipient object
+        path the equivalence suites compare against.
         """
 
     @abstractmethod

@@ -312,6 +312,24 @@ class ArrayValues(Mapping):
     __hash__ = None  # mutable-adjacent snapshot: unhashable, like dict
 
 
+def _scan_extent(items, excluded) -> tuple[float, float] | None:
+    """First-wins ``(min, max)`` of the ``(pid, value)`` pairs outside
+    ``excluded``, or ``None`` when every pid is excluded.
+
+    The reference extent scan: of equal values the lowest pid's wins,
+    which fixes the sign of a ``0.0``/``-0.0`` endpoint.
+    """
+    low = high = None
+    for pid, value in items:
+        if pid in excluded:
+            continue
+        if low is None or value < low:
+            low = value
+        if high is None or value > high:
+            high = value
+    return None if low is None else (low, high)
+
+
 def run_simulation(
     config: SimulationConfig,
     trace_detail: TraceDetail = "full",
@@ -605,30 +623,13 @@ def _run_lite_many(
     for r, sim in enumerate(sims):
         final = stack[r].tolist()
         sim._values = dict(enumerate(final))
-        decisions = {
-            pid: final[pid] for pid in np.flatnonzero(~hosts_after[r]).tolist()
-        }
         traces.append(
-            LiteTrace(
-                n=n,
-                f=sim.config.f,
-                model=sim._setup_model(sim.config),
-                algorithm_name=sim.config.algorithm.name,
-                epsilon=sim.config.epsilon,
-                initial_values=MappingProxyType(
-                    {
-                        pid: float(v)
-                        for pid, v in enumerate(sim.config.initial_values)
-                    }
-                ),
-                initially_nonfaulty=initially_nonfaulty[r],
-                round_extents=tuple(extents[r]),
-                decisions=decisions,
-                terminated=terminated[r],
-                controller_description=(
-                    f"{sim.controller.describe()} | {sim.config.describe()} "
-                    "| trace_detail=lite"
-                ),
+            sim._lite_trace(
+                final,
+                frozenset(np.flatnonzero(hosts_after[r]).tolist()),
+                initially_nonfaulty[r],
+                extents[r],
+                terminated[r],
             )
         )
     return traces
@@ -661,6 +662,20 @@ class SynchronousSimulator:
         # The communication graph of the run; the complete default
         # leaves every path below byte-identical to pre-topology code.
         self.topology = config.resolve_topology()
+        if not (
+            self.topology.is_complete
+            or isinstance(self.protocol, StatefulRoundProtocol)
+        ):
+            # Scalar protocols fold every process's broadcast: there is
+            # no neighbor-aware round for them, at either trace detail.
+            raise ValueError(
+                f"the {self.family.name!r} family builds a scalar "
+                f"VotingProtocol, which runs on the complete communication "
+                f"graph only; topology {self.topology.spec!r} is not "
+                "complete -- partially-connected runs need a "
+                "StatefulRoundProtocol family with its own relay rounds, "
+                "e.g. family='witness' (arXiv:1206.0089)"
+            )
         self.network = SynchronousNetwork(config.n, topology=self.topology)
         self.controller = self._build_controller(config, self.topology)
         self._adversary_rng = derive_rng(config.seed, "adversary")
@@ -806,10 +821,6 @@ class SynchronousSimulator:
         positions_after: frozenset[int] = frozenset()
         kernel = self.kernel
         evaluate = kernel.prepare(self.protocol)
-        # In-tree scalar families require the complete graph, so this
-        # is normally None; a future relay-capable VotingProtocol rides
-        # the kernel's neighbor-aware path through the same loop.
-        restricted = None if self.topology.is_complete else self.topology
 
         for _ in range(self.config.max_rounds):
             round_index = self._round_index
@@ -820,16 +831,8 @@ class SynchronousSimulator:
                 self._values[pid] = corrupted
 
             overrides = plan.send_overrides
-            override_outboxes = list(overrides.values()) if overrides else None
-            if restricted is None:
-                broadcasts = self._broadcast_values_lite(plan)
-                broadcasts.sort()
-                broadcast_map = None
-                override_senders = None
-            else:
-                broadcasts = []
-                broadcast_map = self._broadcast_map_lite(plan)
-                override_senders = list(overrides) if overrides else None
+            broadcasts = self._broadcast_values_lite(plan)
+            broadcasts.sort()
             compute_corruptions = plan.compute_corruptions
             first_round = round_index == 0
             max_received_diameter = kernel.compute_phase(
@@ -837,13 +840,10 @@ class SynchronousSimulator:
                 evaluate,
                 n,
                 broadcasts,
-                override_outboxes,
+                list(overrides.values()) if overrides else None,
                 compute_corruptions,
                 self._values,
                 first_round,
-                topology=restricted,
-                broadcast_by_sender=broadcast_map,
-                override_senders=override_senders,
             )
             for pid, garbage in compute_corruptions.items():
                 self._values[pid] = garbage
@@ -853,16 +853,9 @@ class SynchronousSimulator:
                 initially_nonfaulty = frozenset(range(n)) - plan.faulty_at_send
 
             positions_after = plan.positions_after
-            low = high = None
-            for pid, value in self._values.items():
-                if pid in positions_after:
-                    continue
-                if low is None or value < low:
-                    low = value
-                if high is None or value > high:
-                    high = value
-            extents.append(None if low is None else (low, high))
-            nonfaulty_diameter = 0.0 if low is None else high - low
+            extent = _scan_extent(self._values.items(), positions_after)
+            extents.append(extent)
+            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
 
             self._round_index += 1
             if self.family.decision_ready(round_index) and termination.should_stop(
@@ -873,25 +866,44 @@ class SynchronousSimulator:
                 terminated = True
                 break
 
-        decisions = {
-            pid: self._values[pid]
-            for pid in sorted(frozenset(range(n)) - positions_after)
-        }
+        return self._lite_trace(
+            self._values, positions_after, initially_nonfaulty, extents,
+            terminated,
+        )
+
+    def _lite_trace(
+        self,
+        values,
+        excluded: frozenset[int],
+        initially_nonfaulty: frozenset[int],
+        extents: list[tuple[float, float] | None],
+        terminated: bool,
+    ) -> LiteTrace:
+        """This run's :class:`LiteTrace`.
+
+        Every lite driver ends here.  ``values`` is indexable by pid;
+        decisions are its entries outside ``excluded`` (the final agent
+        hosts), in pid order.
+        """
+        config = self.config
+        n = config.n
         return LiteTrace(
             n=n,
-            f=self.config.f,
-            model=self._setup_model(self.config),
-            algorithm_name=self.config.algorithm.name,
-            epsilon=self.config.epsilon,
+            f=config.f,
+            model=self._setup_model(config),
+            algorithm_name=config.algorithm.name,
+            epsilon=config.epsilon,
             initial_values=MappingProxyType(
-                {pid: float(v) for pid, v in enumerate(self.config.initial_values)}
+                {pid: float(v) for pid, v in enumerate(config.initial_values)}
             ),
             initially_nonfaulty=initially_nonfaulty,
             round_extents=tuple(extents),
-            decisions=decisions,
+            decisions={
+                pid: values[pid] for pid in range(n) if pid not in excluded
+            },
             terminated=terminated,
             controller_description=(
-                f"{self.controller.describe()} | {self.config.describe()} "
+                f"{self.controller.describe()} | {config.describe()} "
                 "| trace_detail=lite"
             ),
         )
@@ -901,13 +913,14 @@ class SynchronousSimulator:
     def _vectorized_setup(self):
         """The batched MSR evaluator when the array engine applies.
 
-        Returns ``None`` (staying on the scalar reference paths) unless
-        every precondition holds: numpy importable, complete topology
-        (one shared broadcast list per round), exactly the MSR
+        Returns ``None`` (staying on the scalar paths) unless every
+        precondition holds: numpy importable, a scalar protocol (which
+        :meth:`__init__` admits on the complete graph only, so there is
+        one shared broadcast list per round), exactly the MSR
         broadcast-send rule (so the silence mask is ``overrides |
         forced_silent | aware-cured``), and batchable MSR stages per
         :meth:`RoundKernel.prepare_batch` -- which also encodes the
-        kernel's ``vectorized``/``group_inboxes``/``flat_msr`` toggles.
+        kernel's mode (``None`` in the reference mode).
         """
         if _np is None:
             return None
@@ -915,8 +928,6 @@ class SynchronousSimulator:
         if isinstance(protocol, StatefulRoundProtocol):
             return None
         if type(protocol).send_value is not MSRVotingProtocol.send_value:
-            return None
-        if not self.topology.is_complete:
             return None
         return self.kernel.prepare_batch(protocol)
 
@@ -1040,15 +1051,7 @@ class SynchronousSimulator:
         low = sub.min()
         high = sub.max()
         if low == 0.0 or high == 0.0:
-            low = high = None
-            for pid, value in enumerate(arr.tolist()):
-                if pid in excluded:
-                    continue
-                if low is None or value < low:
-                    low = value
-                if high is None or value > high:
-                    high = value
-            return (low, high)
+            return _scan_extent(enumerate(arr.tolist()), excluded)
         return (float(low), float(high))
 
     def _run_lite_vectorized(self, batch) -> LiteTrace:
@@ -1089,27 +1092,8 @@ class SynchronousSimulator:
 
         final = arr.tolist()
         self._values = dict(enumerate(final))
-        decisions = {
-            pid: final[pid]
-            for pid in sorted(frozenset(range(n)) - positions_after)
-        }
-        return LiteTrace(
-            n=n,
-            f=self.config.f,
-            model=self._setup_model(self.config),
-            algorithm_name=self.config.algorithm.name,
-            epsilon=self.config.epsilon,
-            initial_values=MappingProxyType(
-                {pid: float(v) for pid, v in enumerate(self.config.initial_values)}
-            ),
-            initially_nonfaulty=initially_nonfaulty,
-            round_extents=tuple(extents),
-            decisions=decisions,
-            terminated=terminated,
-            controller_description=(
-                f"{self.controller.describe()} | {self.config.describe()} "
-                "| trace_detail=lite"
-            ),
+        return self._lite_trace(
+            final, positions_after, initially_nonfaulty, extents, terminated
         )
 
     def _run_full_vectorized(self, batch) -> Trace:
@@ -1217,24 +1201,6 @@ class SynchronousSimulator:
                 broadcasts.append(value)
         return broadcasts
 
-    def _broadcast_map_lite(self, plan: RoundPlan) -> dict[int, float]:
-        """Per-sender broadcast values for topology-restricted rounds.
-
-        Same send rule as :meth:`_broadcast_values_lite`, but keyed by
-        sender: under a restricted graph each recipient hears only a
-        subset of broadcasters, so the kernel needs sender identity to
-        assemble per-neighborhood inboxes.
-        """
-        broadcast_map: dict[int, float] = {}
-        for pid in range(self.config.n):
-            if pid in plan.send_overrides or pid in plan.forced_silent:
-                continue
-            aware_cured = self._cured_aware and pid in plan.cured_at_send
-            value = self.protocol.send_value(pid, self._values[pid], aware_cured)
-            if value is not None:
-                broadcast_map[pid] = value
-        return broadcast_map
-
     # -- the stateful multi-round driver ---------------------------------------
 
     def _run_stateful(self) -> Trace | LiteTrace:
@@ -1328,16 +1294,9 @@ class SynchronousSimulator:
                 trace.rounds.append(record)
 
             positions_after = plan.positions_after
-            low = high = None
-            for pid, value in values.items():
-                if pid in positions_after:
-                    continue
-                if low is None or value < low:
-                    low = value
-                if high is None or value > high:
-                    high = value
-            extents.append(None if low is None else (low, high))
-            nonfaulty_diameter = 0.0 if low is None else high - low
+            extent = _scan_extent(values.items(), positions_after)
+            extents.append(extent)
+            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
 
             self._round_index += 1
             # Both schedules must agree the round is a decision point:
@@ -1359,27 +1318,8 @@ class SynchronousSimulator:
             trace.terminated = terminated
             trace.decisions = dict(trace.final_round.nonfaulty_values_after())
             return trace
-        decisions = {
-            pid: values[pid]
-            for pid in sorted(frozenset(range(n)) - positions_after)
-        }
-        return LiteTrace(
-            n=n,
-            f=self.config.f,
-            model=self._setup_model(self.config),
-            algorithm_name=self.config.algorithm.name,
-            epsilon=self.config.epsilon,
-            initial_values=MappingProxyType(
-                {pid: float(v) for pid, v in enumerate(self.config.initial_values)}
-            ),
-            initially_nonfaulty=initially_nonfaulty,
-            round_extents=tuple(extents),
-            decisions=decisions,
-            terminated=terminated,
-            controller_description=(
-                f"{self.controller.describe()} | {self.config.describe()} "
-                f"| trace_detail={self.trace_detail}"
-            ),
+        return self._lite_trace(
+            values, positions_after, initially_nonfaulty, extents, terminated
         )
 
     # -- phases ----------------------------------------------------------------

@@ -74,9 +74,10 @@ values form one shared sorted list per round; recipients are grouped by
 the O(f) per-recipient deltas (override values, per-recipient
 acceptance bits) and the MSR function is evaluated once per distinct
 effective inbox through :func:`~repro.runtime.kernel.compile_msr`'s
-flat evaluator.  The kernel's ``group_inboxes`` / ``flat_msr`` toggles
-are honoured, giving the equivalence suite a per-recipient object-path
-reference implementation.
+flat evaluator.  A kernel in its reference mode
+(``RoundKernel(reference=True)``) evaluates every recipient on the
+``ValueMultiset`` object path instead, which is the per-recipient
+reference implementation the equivalence suite compares against.
 
 ``trace_detail="full"`` runs through the same round driver with the
 protocol's ``recording`` flag on: each round deposits a wire record --
@@ -146,7 +147,7 @@ class TsengProtocol(StatefulRoundProtocol):
 
     def reset(self, kernel: RoundKernel) -> None:
         self._kernel = kernel
-        self._evaluate = compile_msr(self.function) if kernel.flat_msr else None
+        self._evaluate = None if kernel.reference else compile_msr(self.function)
         # Budget-relaxed variants of the MSR function, one per possible
         # per-receiver rejection count, built lazily (most rounds reject
         # nobody).  ``None`` support means the reduction carries no
@@ -171,11 +172,7 @@ class TsengProtocol(StatefulRoundProtocol):
                 base.combiner,
                 name=f"{base.name}[-{masked}]",
             )
-            evaluate = (
-                compile_msr(function)
-                if self._kernel is None or self._kernel.flat_msr
-                else None
-            )
+            evaluate = None if self._kernel.reference else compile_msr(function)
             hit = (function, evaluate)
             self._variants[masked] = hit
         return hit
@@ -343,8 +340,7 @@ class TsengProtocol(StatefulRoundProtocol):
         per distinct inbox and shared by every recipient in the group;
         its stages document the post-filter multiset actually folded.
         """
-        kernel = self._kernel
-        grouped = kernel is None or kernel.group_inboxes
+        grouped = not self._kernel.reference
         adaptive = self._adaptive
         values = self._values
         buffer = self._buffer

@@ -32,17 +32,18 @@ fault-heavy neighborhood only *delays* verification by a round.
 **Cost.**  Two bit-identical round bodies exist.  The dict body keeps
 each node's table as an ``origin -> value`` dict and tallies relays per
 ``(origin, value)`` key: O(edges x verified claims) Python work per
-round.  It is the reference, and it runs for full traces and whenever
-the round kernel is not in its fast mode (``vectorized``,
-``group_inboxes`` and ``flat_msr`` all on).  Lite runs in the fast mode
-take the array round instead: tables are an ``(n, n)`` claim matrix
-with held/excluded masks, first-hand receipts are one masked copy, the
-witness count for each distinct relayed value of an origin is one
-adjacency-matrix product, and the fold sorts every row once and
-combines rows through the batch MSR hooks.  A round goes back to the
-dict body when it holds a non-finite or ``-0.0`` claim, or when a
-phase-end fold is too thin for the batch hooks (so the canonical error
-is raised).
+round.  It runs for full traces, without numpy, and in the round
+kernel's reference mode (``RoundKernel(reference=True)``), where it
+also drops its fold memo and folds on the ``ValueMultiset`` object
+path -- the reference the equivalence suites compare against.  Lite
+runs in the fast mode take the array round instead: tables are an
+``(n, n)`` claim matrix with held/excluded masks, first-hand receipts
+are one masked copy, the witness count for each distinct relayed value
+of an origin is one adjacency-matrix product, and the fold sorts every
+row once and combines rows through the batch MSR hooks.  A round goes
+back to the dict body when it holds a non-finite or ``-0.0`` claim, or
+when a phase-end fold is too thin for the batch hooks (so the canonical
+error is raised).
 
 **Witness verification.**  A node ``i`` verifies a claim ``(o, x)``
 when
@@ -199,11 +200,11 @@ class WitnessProtocol(StatefulRoundProtocol):
 
     def reset(self, kernel: RoundKernel) -> None:
         self._kernel = kernel
-        self._evaluate = compile_msr(self.function) if kernel.flat_msr else None
-        # group_inboxes governs the fold memo (identical accepted
-        # multisets share one MSR evaluation), mirroring the scalar
-        # kernel's distinct-inbox toggle for the equivalence suite.
-        self._grouped = kernel.group_inboxes
+        self._evaluate = None if kernel.reference else compile_msr(self.function)
+        # The fold memo (identical accepted multisets share one MSR
+        # evaluation) is off in the reference mode, like the scalar
+        # kernel's distinct-inbox grouping.
+        self._grouped = not kernel.reference
         self._verified = [{} for _ in range(self.n)]
         # Full traces record the dict body's wire activity, so only
         # lite runs take the array round.

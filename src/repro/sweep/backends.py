@@ -76,6 +76,7 @@ try:  # shared_memory is stdlib but absent on exotic builds.
 except Exception:  # pragma: no cover - exercised only without the module
     _shared_memory = None
 
+from ..runtime import simulator as _simulator
 from ..runtime.simulator import ShmBatchLayout
 from ..telemetry import count
 from .aggregate import SweepResult
@@ -758,8 +759,8 @@ class SharedResultArena:
     never outlive the sweep that commissioned them.
 
     :meth:`plan` returns ``None`` -- routing the batch to the pickle
-    rung -- when ``shared_memory`` is unavailable, the layout is
-    unplannable, or the block would exceed ``max_block_bytes``.
+    rung -- when ``shared_memory`` or numpy is unavailable, the layout
+    is unplannable, or the block would exceed ``max_block_bytes``.
     """
 
     def __init__(self, max_block_bytes: int = _DEFAULT_MAX_BLOCK_BYTES) -> None:
@@ -785,8 +786,13 @@ class SharedResultArena:
 
     @property
     def enabled(self) -> bool:
-        """Whether this build can take the shared-memory rung at all."""
-        return _shared_memory is not None
+        """Whether this build can take the shared-memory rung at all.
+
+        Result rows are numpy views over the block
+        (:meth:`ShmBatchLayout.attach`), so without numpy every batch
+        rides the pickle rung.
+        """
+        return _shared_memory is not None and _simulator._np is not None
 
     def plan(self, cells: Sequence["CellSpec"]) -> _ShmRequest | None:
         """A block request for one batch, or ``None`` for pickle."""

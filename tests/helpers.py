@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 from repro.core.mapping import msr_trim_parameter
 from repro.faults import Adversary, get_semantics
 from repro.faults.movement import RoundRobinWalk
@@ -10,9 +13,11 @@ from repro.msr import ValueMultiset, make_algorithm
 from repro.runtime import (
     FixedRounds,
     MobileFaultSetup,
+    RoundKernel,
     SimulationConfig,
     run_simulation,
 )
+from repro.runtime.simulator import SynchronousSimulator
 from repro.sweep import GridSpec
 
 
@@ -87,3 +92,57 @@ def small_grid(seeds=2, rounds=6):
         seeds=tuple(range(seeds)),
         rounds=rounds,
     )
+
+
+@contextlib.contextmanager
+def without_numpy():
+    """Run the block as if numpy were not installed.
+
+    Every ``repro`` module probes for numpy once, at import, into a
+    module-level ``_np``; this sets each of them to ``None`` and
+    restores them on exit.  Inside the block the scalar fast paths run
+    for real: the grouped + flat round kernel, the witness dict body
+    with its fold memo, and the pickle rung of pooled sweeps (forked
+    workers inherit the hidden state).  A context manager rather than
+    a fixture, so a Hypothesis test can enter it per example.
+    """
+    import repro.sweep.backends  # noqa: F401  (imports every probing module)
+
+    saved = [
+        (module, module._np)
+        for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(module, "_np", None) is not None
+    ]
+    for module, _ in saved:
+        module._np = None
+    try:
+        yield
+    finally:
+        for module, np in saved:
+            module._np = np
+
+
+#: The round-kernel modes the equivalence suites compare:
+#: ``reference`` is the per-recipient object path, ``fast`` the default
+#: kernel (the array engine wherever it engages), ``no-numpy`` the fast
+#: mode with numpy hidden -- the only place the scalar grouped + flat
+#: engine runs for real.
+KERNEL_MODES = ("reference", "fast", "no-numpy")
+
+#: The modes compared against the reference.
+FAST_MODES = KERNEL_MODES[1:]
+
+
+def run_in_mode(config, mode="fast", trace_detail="lite"):
+    """Run ``config`` in one of :data:`KERNEL_MODES`."""
+    if mode not in KERNEL_MODES:
+        raise ValueError(f"unknown kernel mode {mode!r}")
+    hidden = without_numpy() if mode == "no-numpy" else contextlib.nullcontext()
+    with hidden:
+        simulator = SynchronousSimulator(
+            config,
+            trace_detail=trace_detail,
+            kernel=RoundKernel(reference=mode == "reference"),
+        )
+        return simulator.run()

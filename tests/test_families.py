@@ -34,17 +34,10 @@ from repro.runtime import (
     register_family,
     run_simulation,
 )
-from repro.runtime.simulator import SynchronousSimulator
 from repro.sweep import CellSpec, CellStore, GridSpec, run_cell, run_sweep
+from tests.helpers import FAST_MODES, run_in_mode
 
 ALL_MODELS = ("M1", "M2", "M3", "M4")
-
-
-def _tseng_lite(config, **kernel_options):
-    simulator = SynchronousSimulator(
-        config, trace_detail="lite", kernel=RoundKernel(**kernel_options)
-    )
-    return simulator.run()
 
 
 class TestRegistry:
@@ -187,16 +180,8 @@ class TestTsengProperties:
         )
 
     @pytest.mark.parametrize("model", ALL_MODELS)
-    @pytest.mark.parametrize(
-        "options",
-        [
-            dict(group_inboxes=False, flat_msr=False),
-            dict(group_inboxes=True, flat_msr=False),
-            dict(group_inboxes=False, flat_msr=True),
-        ],
-        ids=["reference", "grouped", "flat"],
-    )
-    def test_kernel_toggles_bit_identical(self, model, options):
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_kernel_modes_bit_identical(self, model, mode):
         """The distinct-inbox fast path of the stateful driver agrees
         with its per-recipient object-path reference."""
         for attack in ("split", "outlier", "crossfire"):
@@ -204,11 +189,11 @@ class TestTsengProperties:
                 model=model, f=2, attack=attack, seed=7,
                 family="tseng", rounds=10,
             )
-            fast = _tseng_lite(config, group_inboxes=True, flat_msr=True)
-            other = _tseng_lite(config, **options)
-            assert fast.round_extents == other.round_extents
-            assert repr(fast.round_extents) == repr(other.round_extents)
-            assert fast.decisions == other.decisions
+            reference = run_in_mode(config, "reference")
+            trace = run_in_mode(config, mode)
+            assert trace.round_extents == reference.round_extents
+            assert repr(trace.round_extents) == repr(reference.round_extents)
+            assert trace.decisions == reference.decisions
 
     def test_full_detail_matches_lite_trajectory(self):
         config = mobile_config(model="M2", f=1, family="tseng")

@@ -1,15 +1,17 @@
 """The round kernel: equivalence, grouping and flat-math guarantees.
 
 The trace-lite hot path now runs through
-:class:`repro.runtime.kernel.RoundKernel`, which layers two
-optimizations over the per-recipient reference loop: distinct-inbox
-memoization and flat-array MSR evaluation.  Both must be *bit-identical*
-to the reference; this suite proves it three ways:
+:class:`repro.runtime.kernel.RoundKernel`, whose fast mode layers
+distinct-inbox memoization, flat-array MSR evaluation and (with numpy)
+the array round engine over the per-recipient reference loop.  The
+fast mode must be *bit-identical* to the reference mode; this suite
+proves it three ways:
 
 * **scenario equivalence** -- every scenario family (mobile M1-M4,
   static-mixed, stall, mixed-stall), every algorithm, and adversaries
   with per-recipient send overrides and forced-silent processes, run
-  with each kernel layer toggled on and off, asserting identical
+  in the reference mode, the fast mode, and the fast mode with numpy
+  hidden (the scalar grouped + flat engine), asserting identical
   ``LiteTrace`` fields (and against the full-trace path);
 * **grouping property** -- randomized override patterns never let the
   distinct-inbox grouping merge two recipients whose effective inboxes
@@ -26,7 +28,7 @@ import random
 
 import pytest
 
-from tests.helpers import make_mobile_config, small_grid
+from tests.helpers import FAST_MODES, run_in_mode, make_mobile_config, small_grid
 
 from repro.faults.value_strategies import (
     CampOutbox,
@@ -52,38 +54,6 @@ from repro.runtime.kernel import inbox_key
 from repro.runtime.simulator import SynchronousSimulator, simulate_many
 from repro.sweep import CellSpec, run_cell
 
-KERNEL_MODES = [
-    pytest.param(
-        dict(group_inboxes=False, flat_msr=False, vectorized=False),
-        id="reference",
-    ),
-    pytest.param(
-        dict(group_inboxes=True, flat_msr=False, vectorized=False),
-        id="grouped",
-    ),
-    pytest.param(
-        dict(group_inboxes=False, flat_msr=True, vectorized=False), id="flat"
-    ),
-    pytest.param(
-        dict(group_inboxes=True, flat_msr=True, vectorized=False),
-        id="grouped+flat",
-    ),
-    pytest.param(
-        dict(group_inboxes=True, flat_msr=True, vectorized=True),
-        id="vectorized",
-    ),
-]
-
-#: The scalar reference: every optimization layer off.
-REFERENCE_MODE = dict(group_inboxes=False, flat_msr=False, vectorized=False)
-
-
-def _lite(config, **kernel_options):
-    simulator = SynchronousSimulator(
-        config, trace_detail="lite", kernel=RoundKernel(**kernel_options)
-    )
-    return simulator.run()
-
 
 def _assert_identical(trace, reference):
     assert trace.round_extents == reference.round_extents
@@ -95,6 +65,33 @@ def _assert_identical(trace, reference):
     assert repr(sorted(trace.decisions.items())) == repr(
         sorted(reference.decisions.items())
     )
+
+
+def _assert_full_identical(trace, reference):
+    """Full traces agree round by round: placements, memories, the
+    multisets each process folded and every MSR result."""
+    assert repr(sorted(trace.decisions.items())) == repr(
+        sorted(reference.decisions.items())
+    )
+    assert repr(trace.diameters()) == repr(reference.diameters())
+    assert trace.initially_nonfaulty == reference.initially_nonfaulty
+    assert trace.terminated == reference.terminated
+    assert len(trace.rounds) == len(reference.rounds)
+    for record, expected in zip(trace.rounds, reference.rounds):
+        assert record.faulty_at_send == expected.faulty_at_send
+        assert record.positions_after == expected.positions_after
+        for field in ("values_before", "values_after"):
+            assert repr(sorted(getattr(record, field).items())) == repr(
+                sorted(getattr(expected, field).items())
+            )
+        assert sorted(record.received) == sorted(expected.received)
+        for pid in expected.received:
+            assert record.received[pid] == expected.received[pid]
+        assert {
+            pid: repr(app.result) for pid, app in record.applications.items()
+        } == {
+            pid: repr(app.result) for pid, app in expected.applications.items()
+        }
 
 
 def _scenario_cells():
@@ -154,12 +151,24 @@ class TestScenarioEquivalence:
     @pytest.mark.parametrize(
         "cell", _scenario_cells(), ids=lambda cell: cell.describe()
     )
-    @pytest.mark.parametrize("options", KERNEL_MODES[1:])
-    def test_lite_traces_bit_identical(self, cell, options):
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_lite_traces_bit_identical(self, cell, mode):
         config = cell.to_config()
-        reference = _lite(config, **REFERENCE_MODE)
-        trace = _lite(config, **options)
+        reference = run_in_mode(config, "reference")
+        trace = run_in_mode(config, mode)
         _assert_identical(trace, reference)
+
+    @pytest.mark.parametrize(
+        "cell", _scenario_cells(), ids=lambda cell: cell.describe()
+    )
+    def test_full_traces_bit_identical(self, cell):
+        """The fast mode's array recorder against ``step()``, which full
+        traces take in the reference mode."""
+        config = cell.to_config()
+        _assert_full_identical(
+            run_in_mode(config, trace_detail="full"),
+            run_in_mode(config, "reference", trace_detail="full"),
+        )
 
     @pytest.mark.parametrize(
         "cell", _scenario_cells(), ids=lambda cell: cell.describe()
@@ -173,13 +182,13 @@ class TestScenarioEquivalence:
         assert lite.rounds_executed() == full.rounds_executed()
 
     @pytest.mark.parametrize("algorithm", ["ftm", "fta", "dolev", "median-trim"])
-    @pytest.mark.parametrize("options", KERNEL_MODES[1:])
-    def test_every_algorithm(self, algorithm, options):
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_every_algorithm(self, algorithm, mode):
         config = make_mobile_config(
             "M3", f=2, algorithm=algorithm, rounds=10, seed=1
         )
-        reference = _lite(config, **REFERENCE_MODE)
-        _assert_identical(_lite(config, **options), reference)
+        reference = run_in_mode(config, "reference")
+        _assert_identical(run_in_mode(config, mode), reference)
 
     @pytest.mark.parametrize(
         "strategy",
@@ -195,10 +204,11 @@ class TestScenarioEquivalence:
         ],
         ids=lambda s: s.describe(),
     )
-    def test_every_strategy(self, strategy):
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_every_strategy(self, strategy, mode):
         config = make_mobile_config("M2", f=2, values=strategy, rounds=10, seed=7)
-        reference = _lite(config, **REFERENCE_MODE)
-        _assert_identical(_lite(config), reference)
+        reference = run_in_mode(config, "reference")
+        _assert_identical(run_in_mode(config, mode), reference)
 
     def test_forced_silent_and_overrides_mixed(self):
         """Static-mixed combines silence, shared and per-pid overrides."""
@@ -216,16 +226,17 @@ class TestScenarioEquivalence:
             params={"a": 2, "s": 1, "b": 1},
         )
         config = cell.to_config()
-        reference = _lite(config, **REFERENCE_MODE)
-        _assert_identical(_lite(config), reference)
+        reference = run_in_mode(config, "reference")
+        _assert_identical(run_in_mode(config), reference)
+        _assert_identical(run_in_mode(config, "no-numpy"), reference)
         full = run_simulation(config, "full")
-        assert full.decisions == _lite(config).decisions
+        assert full.decisions == run_in_mode(config).decisions
 
 
 class TestVectorizedEquivalence:
     """The numpy batch engine is bit-identical wherever it engages --
-    and identical-by-fallback wherever a precondition (stateful driver,
-    partial topology) routes the round back to the scalar kernel."""
+    and identical-by-fallback wherever a precondition routes the round
+    back to the scalar kernel."""
 
     @pytest.mark.parametrize("family", ["bonomi", "tseng", "witness"])
     @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
@@ -237,9 +248,9 @@ class TestVectorizedEquivalence:
                 model=model, f=2, attack=attack, seed=5,
                 rounds=8, family=family,
             )
-            reference = _lite(config, **REFERENCE_MODE)
-            _assert_identical(_lite(config, vectorized=True), reference)
-            _assert_identical(_lite(config, vectorized=False), reference)
+            reference = run_in_mode(config, "reference")
+            _assert_identical(run_in_mode(config), reference)
+            _assert_identical(run_in_mode(config, "no-numpy"), reference)
 
     @pytest.mark.parametrize("movement", ["round-robin", "random", "target-extremes"])
     def test_movements_bit_identical(self, movement):
@@ -248,21 +259,41 @@ class TestVectorizedEquivalence:
         config = mobile_config(
             model="M3", f=2, movement=movement, seed=11, rounds=10
         )
-        reference = _lite(config, **REFERENCE_MODE)
-        _assert_identical(_lite(config, vectorized=True), reference)
+        reference = run_in_mode(config, "reference")
+        _assert_identical(run_in_mode(config), reference)
+        _assert_identical(run_in_mode(config, "no-numpy"), reference)
 
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
     @pytest.mark.parametrize("spec", ["ring:2", "torus:3x3"])
-    def test_partial_topology_falls_back_bit_identical(self, spec):
-        """Partial graphs fail the vectorized preconditions; the fallback
-        must be the bit-identical scalar restricted path, silently."""
+    def test_partial_topology_bit_identical(self, spec, model):
+        """Partial graphs run the witness relay: its array round and
+        its numpy-less dict body both match the reference."""
         from repro.api import mobile_config
 
         config = mobile_config(
-            model="M1", f=1, n=9, family="witness", topology=spec,
+            model=model, f=1, n=9, family="witness", topology=spec,
             seed=4, rounds=6,
         )
-        reference = _lite(config, **REFERENCE_MODE)
-        _assert_identical(_lite(config, vectorized=True), reference)
+        reference = run_in_mode(config, "reference")
+        _assert_identical(run_in_mode(config), reference)
+        _assert_identical(run_in_mode(config, "no-numpy"), reference)
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("family", ["tseng", "witness"])
+    def test_stateful_full_traces_bit_identical(self, family, model, mode):
+        """Stateful full traces record in every mode: the grouped and
+        memoized folds against the per-recipient reference bodies."""
+        from repro.api import mobile_config
+
+        config = mobile_config(
+            model=model, f=2, attack="crossfire", seed=3, rounds=6,
+            family=family,
+        )
+        _assert_full_identical(
+            run_in_mode(config, mode, trace_detail="full"),
+            run_in_mode(config, "reference", trace_detail="full"),
+        )
 
     def test_full_trace_matches_vectorized_lite_per_family(self):
         """Full-detail runs (scalar bookkeeping) and vectorized lite runs
@@ -273,7 +304,7 @@ class TestVectorizedEquivalence:
             config = mobile_config(
                 model="M2", f=2, seed=9, rounds=8, family=family
             )
-            lite = _lite(config, vectorized=True)
+            lite = run_in_mode(config)
             full = run_simulation(config, "full")
             assert lite.decisions == full.decisions
             assert lite.diameters() == full.diameters()
@@ -394,8 +425,9 @@ class TestDistinctInboxGrouping:
             config = make_mobile_config(
                 "M3", f=3, values=RandomNoise(), rounds=8, seed=seed
             )
-            reference = _lite(config, **REFERENCE_MODE)
-            _assert_identical(_lite(config), reference)
+            reference = run_in_mode(config, "reference")
+            _assert_identical(run_in_mode(config), reference)
+            _assert_identical(run_in_mode(config, "no-numpy"), reference)
 
 
 class TestCompileMSR:
@@ -487,172 +519,41 @@ class TestBatchSimulation:
 
 
 class TestTopologyKernel:
-    """Neighbor-aware grouping: complete-graph bit-identity + partitions.
+    """Topology specs and the scalar kernel.
 
-    The kernel's restricted path assembles inboxes per hearing set
-    ``N(pid) | {pid}`` and memoizes per neighborhood.  On the complete
-    graph that must be *bit-identical* to the pre-topology fast path
-    (same sorted multisets, same fsum order), and on arbitrary graphs
-    the grouping must never merge recipients whose effective inboxes
-    differ.
+    The scalar kernel folds one shared broadcast list, so it runs on
+    the complete graph only: a spec that resolves to the complete graph
+    changes nothing, and a scalar family on a partial graph is refused
+    up front (the witness relay family serves partial graphs).
     """
 
-    def _round_inputs(self, rng, n):
-        """Random lite-round inputs: per-sender broadcasts + overrides."""
-        broadcast_by_sender = {
-            pid: rng.uniform(-2.0, 2.0)
-            for pid in range(n)
-            if rng.random() < 0.85
-        }
-        override_senders = []
-        override_outboxes = []
-        for sender in rng.sample(range(n), rng.randrange(0, max(1, n // 3))):
-            if rng.random() < 0.5:
-                outbox = {q: rng.uniform(-2, 2) for q in range(n)}
-            else:
-                targeted = rng.sample(range(n), rng.randrange(0, n))
-                outbox = {q: rng.uniform(-2, 2) for q in targeted}
-            override_senders.append(sender)
-            override_outboxes.append(outbox)
-            broadcast_by_sender.pop(sender, None)
-        return broadcast_by_sender, override_senders, override_outboxes
-
-    @pytest.mark.parametrize("algorithm", ["ftm", "fta", "dolev", "median-trim"])
-    def test_complete_topology_bit_identical_to_fast_path(self, algorithm):
-        from repro.runtime.protocol import MSRVotingProtocol
-        from repro.topology import complete
-
-        n = 13
-        protocol = MSRVotingProtocol(make_algorithm(algorithm, 1))
-        rng = random.Random(42)
-        for trial in range(40):
-            broadcast_by_sender, senders, outboxes = self._round_inputs(rng, n)
-            kernel_fast = RoundKernel()
-            kernel_topo = RoundKernel()
-            fast_values: dict[int, float] = {}
-            topo_values: dict[int, float] = {}
-            broadcasts = sorted(broadcast_by_sender.values())
-            evaluate = kernel_fast.prepare(protocol)
-            diameter_fast = kernel_fast.compute_phase(
-                protocol,
-                evaluate,
-                n,
-                broadcasts,
-                outboxes or None,
-                {},
-                fast_values,
-                True,
-            )
-            # The restricted path is forced by calling it directly with
-            # the complete graph (compute_phase would short-circuit).
-            diameter_topo = kernel_topo._compute_phase_restricted(
-                protocol,
-                kernel_topo.prepare(protocol),
-                n,
-                broadcast_by_sender,
-                outboxes or None,
-                senders or None,
-                {},
-                topo_values,
-                True,
-                complete(n),
-            )
-            assert repr(sorted(topo_values.items())) == repr(
-                sorted(fast_values.items())
-            )
-            assert repr(diameter_topo) == repr(diameter_fast)
-
-    @pytest.mark.parametrize("spec", ["ring:2", "random-regular:4:5", "torus:3x4"])
-    def test_restricted_grouping_matches_per_recipient_reference(self, spec):
-        from repro.runtime.protocol import MSRVotingProtocol
-        from repro.topology import topology_from_spec
-
-        n = 12
-        topology = topology_from_spec(spec, n)
-        protocol = MSRVotingProtocol(make_algorithm("ftm", 1))
-        rng = random.Random(7)
-        for trial in range(40):
-            broadcast_by_sender, senders, outboxes = self._round_inputs(rng, n)
-            grouped: dict[int, float] = {}
-            reference: dict[int, float] = {}
-            for options, values in (
-                (dict(group_inboxes=True, flat_msr=True), grouped),
-                (dict(group_inboxes=False, flat_msr=False), reference),
-            ):
-                kernel = RoundKernel(**options)
-                try:
-                    kernel.compute_phase(
-                        protocol,
-                        kernel.prepare(protocol),
-                        n,
-                        [],
-                        outboxes or None,
-                        {},
-                        values,
-                        False,
-                        topology=topology,
-                        broadcast_by_sender=broadcast_by_sender,
-                        override_senders=senders or None,
-                    )
-                except ValueError:
-                    # Sparse neighborhoods can starve the trim; both
-                    # modes must then fail identically.
-                    values["error"] = True  # type: ignore[index]
-            assert repr(sorted(grouped.items(), key=repr)) == repr(
-                sorted(reference.items(), key=repr)
-            )
-
-    def test_partition_property_over_random_regular_neighborhoods(self):
-        """Neighbor-keyed grouping is a true partition on random graphs."""
-        from repro.topology import random_regular
-
-        rng = random.Random(2026)
-        for trial in range(60):
-            n = rng.randrange(6, 16)
-            d = rng.choice([3, 4, 5])
-            if (n * d) % 2 or d >= n:
-                continue
-            topology = random_regular(n, d, seed=trial)
-            hoods = topology.neighbor_sets
-            outboxes = []
-            senders = []
-            for sender in rng.sample(range(n), rng.randrange(0, 4)):
-                targeted = rng.sample(range(n), rng.randrange(0, n))
-                outboxes.append({q: rng.uniform(-1, 1) for q in targeted})
-                senders.append(sender)
-            excluded = frozenset(rng.sample(range(n), rng.randrange(0, n // 2)))
-            groups = distinct_inbox_groups(
-                n,
-                outboxes or None,
-                excluded,
-                neighborhoods=hoods,
-                outbox_senders=senders or None,
-            )
-            seen: set[int] = set()
-            for (hearing, delta), pids in groups.items():
-                for pid in pids:
-                    assert pid not in excluded
-                    # Every member shares the hearing set and the
-                    # reachable override delta -- the restricted
-                    # effective-inbox invariant.
-                    assert hoods[pid] | {pid} == hearing
-                    assert (
-                        inbox_key(pid, outboxes, senders, hoods[pid]) == delta
-                    )
-                seen.update(pids)
-            assert seen == set(range(n)) - excluded
-            assert len(groups) == len(set(groups))
-
-    def test_complete_graph_hearing_sets_collapse_to_one_group(self):
-        from repro.topology import complete
-
-        topology = complete(9)
-        groups = distinct_inbox_groups(
-            9, None, neighborhoods=topology.neighbor_sets
+    def test_scalar_family_on_a_partial_graph_is_refused(self):
+        from repro.api import mobile_config
+        from repro.runtime.families import (
+            _REGISTRY,
+            BonomiFamily,
+            register_family,
         )
-        assert len(groups) == 1
-        ((hearing, delta),) = groups.keys()
-        assert hearing == frozenset(range(9)) and delta == ()
+
+        class PartialScalar(BonomiFamily):
+            name = "partial-scalar-probe"
+            requires_complete = False
+
+        register_family(PartialScalar())
+        try:
+            config = mobile_config(
+                model="M1", f=1, n=9, family="partial-scalar-probe",
+                topology="ring:2", rounds=4,
+            )
+            for detail in ("lite", "full"):
+                with pytest.raises(ValueError) as raised:
+                    SynchronousSimulator(config, trace_detail=detail)
+                message = str(raised.value)
+                assert "'partial-scalar-probe' family" in message
+                assert "topology 'ring:2'" in message
+                assert "complete communication graph only" in message
+        finally:
+            _REGISTRY.pop("partial-scalar-probe")
 
     @pytest.mark.parametrize(
         "model,attack",

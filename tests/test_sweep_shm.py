@@ -53,6 +53,7 @@ from repro.sweep.backends import (
 )
 from repro.runtime.simulator import ShmBatchLayout
 from repro.telemetry import parse_dispatch_label
+from tests.helpers import without_numpy
 
 pytestmark = pytest.mark.skipif(
     _shared_memory is None, reason="multiprocessing.shared_memory unavailable"
@@ -266,6 +267,26 @@ class TestSharedResultArena:
         assert stats.unlinked == 1
         # Idempotent.
         assert arena.close() == stats
+
+    def test_without_numpy_batches_ride_the_pickle_rung(self):
+        """Result rows are numpy views, so a numpy-less build must skip
+        the shm rung -- pooled, the sweep still equals the serial one."""
+        grid = GridSpec(
+            models=("M1", "M3"),
+            fs=(1,),
+            families=("bonomi", "tseng", "witness"),
+            topologies=("complete", "ring:3"),
+            attacks=("split", "outlier"),
+            seeds=range(2),
+            rounds=10,
+        )
+        with without_numpy():
+            assert not SharedResultArena().enabled
+            pooled = shm_sweep(grid)
+            serial = run_sweep(grid, dispatch="serial")
+        assert pooled.dispatch.startswith("cross-run-pickle("), pooled.dispatch
+        assert_cells_identical(pooled.cells, serial.cells)
+        assert pooled.cells == run_sweep(grid, dispatch="serial").cells
 
     def test_closed_arena_refuses_new_plans(self):
         arena = SharedResultArena()

@@ -21,11 +21,11 @@ import math
 
 import pytest
 
-from tests.helpers import make_mobile_config
+from tests.helpers import FAST_MODES, make_mobile_config, run_in_mode
 
 from repro.api import mobile_config
 from repro.faults.view import AdversaryView
-from repro.runtime import RoundKernel, run_simulation
+from repro.runtime import run_simulation
 from repro.runtime.network import SynchronousNetwork
 from repro.runtime.simulator import SynchronousSimulator
 from repro.topology import (
@@ -287,22 +287,6 @@ class TestAdversaryViewNeighborhoods:
         assert controller.topology is config.resolve_topology()
 
 
-WITNESS_KERNEL_MODES = [
-    pytest.param(dict(group_inboxes=False, flat_msr=False), id="reference"),
-    pytest.param(dict(group_inboxes=True, flat_msr=False), id="grouped"),
-    pytest.param(dict(group_inboxes=False, flat_msr=True), id="flat"),
-    # All three toggles on: the array round.
-    pytest.param(dict(), id="vectorized"),
-]
-
-
-def _witness_lite(config, **kernel_options):
-    simulator = SynchronousSimulator(
-        config, trace_detail="lite", kernel=RoundKernel(**kernel_options)
-    )
-    return simulator.run()
-
-
 class TestWitnessFamily:
     @pytest.mark.parametrize("topology", ["ring:3", "random-regular:6:1", "complete"])
     def test_converges_on_connected_graphs(self, topology):
@@ -348,10 +332,13 @@ class TestWitnessFamily:
         assert trace.rounds_executed() % phase == 0
         assert trace.rounds_executed() >= 5
 
-    @pytest.mark.parametrize("options", WITNESS_KERNEL_MODES)
-    def test_kernel_toggles_bit_identical(self, options):
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_kernel_modes_bit_identical(self, mode, model):
+        """The array round (fast) and the memoized flat dict body
+        (no-numpy) match the unmemoized object-path dict body."""
         config = mobile_config(
-            model="M2",
+            model=model,
             f=1,
             n=13,
             family="witness",
@@ -359,8 +346,8 @@ class TestWitnessFamily:
             seed=7,
             rounds=12,
         )
-        reference = _witness_lite(config, vectorized=False)
-        trace = _witness_lite(config, **options)
+        reference = run_in_mode(config, "reference")
+        trace = run_in_mode(config, mode)
         assert trace.round_extents == reference.round_extents
         assert trace.decisions == reference.decisions
         assert repr(sorted(trace.decisions.items())) == repr(

@@ -1,13 +1,13 @@
 """The witness family's array round against its dict body.
 
-With the round kernel in its fast mode (``vectorized``, ``group_inboxes``
-and ``flat_msr`` all on) lite witness runs advance on claim matrices:
-adjacency products count witnesses and the phase fold runs width-grouped
-through the batch MSR hooks.  The dict body stays the reference (and the
-full-trace path); these tests pin the array round to it bit for bit --
-trajectories, decisions (``repr`` included, so signed zeros count),
-termination and error text -- and check the seams where the array round
-hands a round back to the dict body.
+With the round kernel in its fast mode and numpy present, lite witness
+runs advance on claim matrices: adjacency products count witnesses and
+the phase fold runs width-grouped through the batch MSR hooks.  The
+dict body stays the reference (and the full-trace path, and the only
+path without numpy); these tests pin the array round to the numpy-less
+dict body bit for bit -- trajectories, decisions (``repr`` included, so
+signed zeros count), termination and error text -- and check the seams
+where the array round hands a round back to the dict body.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.faults import get_semantics
 from repro.runtime import RoundKernel
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.witness import WitnessProtocol
+from tests.helpers import run_in_mode, without_numpy
 
 ATTACKS = (
     "split", "outlier", "noise", "echo", "oscillating", "inertia", "crossfire",
@@ -30,13 +31,10 @@ ATTACKS = (
 MOVEMENTS = ("round-robin", "random", "target-extremes")
 
 
-def _outcome(config, **kernel_options):
+def _outcome(config, mode="fast"):
     """Everything a lite run reports, or its error text."""
-    simulator = SynchronousSimulator(
-        config, trace_detail="lite", kernel=RoundKernel(**kernel_options)
-    )
     try:
-        trace = simulator.run()
+        trace = run_in_mode(config, mode)
     except ValueError as exc:
         return ("error", str(exc))
     return (
@@ -50,7 +48,7 @@ def _outcome(config, **kernel_options):
 
 def _assert_paths_agree(config):
     arrays = _outcome(config)
-    assert arrays == _outcome(config, vectorized=False)
+    assert arrays == _outcome(config, "no-numpy")
     return arrays
 
 
@@ -128,9 +126,9 @@ class TestArrayRoundDifferential:
 
 
 class TestArrayRoundSeams:
-    def _protocol(self, config, **kernel_options):
+    def _protocol(self, config, reference=False):
         simulator = SynchronousSimulator(
-            config, trace_detail="lite", kernel=RoundKernel(**kernel_options)
+            config, trace_detail="lite", kernel=RoundKernel(reference=reference)
         )
         simulator.run()
         return simulator.protocol
@@ -141,8 +139,10 @@ class TestArrayRoundSeams:
             rounds=6,
         )
         assert self._protocol(config)._batch is not None
-        for option in ("vectorized", "group_inboxes", "flat_msr"):
-            assert self._protocol(config, **{option: False})._batch is None
+        assert self._protocol(config, reference=True)._batch is None
+        with without_numpy():
+            protocol = self._protocol(config)
+        assert protocol._batch is None and protocol._grouped
 
     def test_full_traces_take_the_dict_body(self):
         config = mobile_config(
