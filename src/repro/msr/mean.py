@@ -69,13 +69,22 @@ class ArithmeticMean(Combiner):
 
     def flat_combine_batch(self, selected) -> list[float]:
         width = selected.shape[1]
+        if width > 2:
+            return [math.fsum(row) / width for row in selected.tolist()]
+        # A single value and (a + b) / 2 are correctly rounded, hence
+        # equal to fsum(row) / width -- up to the sign of a zero: fsum
+        # sums onto +0.0, so a row of -0.0 values means +0.0 there.
+        # Zero results take fsum.
         if width == 1:
-            return selected[:, 0].tolist()
-        if width == 2:
-            # (a + b) / 2 is correctly rounded, hence bit-identical to
-            # fsum([a, b]) / 2 -- no fsum loop needed for pair means.
-            return ((selected[:, 0] + selected[:, 1]) / 2.0).tolist()
-        return [math.fsum(row) / width for row in selected.tolist()]
+            means = selected[:, 0]
+        else:
+            means = (selected[:, 0] + selected[:, 1]) / 2.0
+        results = means.tolist()
+        if not means.all():
+            for i, mean in enumerate(results):
+                if mean == 0.0:
+                    results[i] = math.fsum(selected[i].tolist()) / width
+        return results
 
     def describe(self) -> str:
         return "arithmetic mean"

@@ -1020,10 +1020,14 @@ class CrossRunPlanner:
     ``camps-split`` memo), which are only seeded with values the view
     would derive itself.
 
+    Round 0 is planned here like any later round.  Each class-planned
+    run places its agents through ``adversary.initial_positions`` (in
+    run order, on its own RNG); M1-M3 agents stay put, so nobody is
+    cured, and M4 agents ride the round-0 messages as in later rounds.
+    Fallback runs' ``plan_round(0, ...)`` places their own agents.
+
     Runs may mix models, movements and attacks; they must share ``n``.
-    Round 0 never reaches the planner -- the engine plans it per run,
-    which also initializes agent positions.  ``routes`` counts the
-    run-rounds each route planned.
+    ``routes`` counts the run-rounds each route planned.
     """
 
     def __init__(self, controllers, rngs, wrap) -> None:
@@ -1105,8 +1109,6 @@ class CrossRunPlanner:
         #: ``_lag`` batched movement steps behind ``_hosts``.
         self._sets: list[frozenset[int] | None] = [None] * count
         self._lag = np.zeros(count, dtype=np.intp)
-        #: Runs whose positions the planner has taken over from round 0.
-        self._ready = np.zeros(count, dtype=bool)
         self._last_layout: _Layout | None = None
 
     def plan_many(self, round_index: int, stack, indices) -> StackPlan:
@@ -1114,7 +1116,8 @@ class CrossRunPlanner:
 
         ``stack`` holds one row per entry of ``indices`` (the active
         runs' current values, pre-corruption); the returned
-        :class:`StackPlan` aligns with it.  Requires ``round_index >= 1``.
+        :class:`StackPlan` aligns with it.  Each run's first call must
+        be its round 0, which places its agents.
         """
         np = _np
         count, n = stack.shape
@@ -1134,10 +1137,15 @@ class CrossRunPlanner:
         class_runs = layout.class_runs
 
         # -- movement: one next_hosts call per movement type -------------
+        # Round 0 places the agents; of its rows only M4's move (with
+        # the messages), the others keep their initial hosts.
+        move_groups = layout.move_groups
+        if round_index == 0:
+            move_groups = self._place(rnd, layout)
         whole = class_runs.shape[0] == self._hosts.shape[0]
         prev = self._hosts if whole else self._hosts[class_runs]
-        moved = np.empty_like(prev)
-        for hook, members, group in layout.move_groups:
+        moved = prev.copy() if round_index == 0 else np.empty_like(prev)
+        for hook, members, group in move_groups:
             step = _MoveGroup(self, rnd, group, prev[members])
             moved[members] = hook(step)
             if not step.stepped:
@@ -1249,7 +1257,7 @@ class CrossRunPlanner:
         :attr:`MobileFaultController.positions` once, when the runs end.
         """
         np = _np
-        for r in np.flatnonzero(self._ready).tolist():
+        for r in np.flatnonzero(self._planned).tolist():
             positions = self._sets[r]
             if self._lag[r]:
                 positions = frozenset(np.flatnonzero(self._hosts[r]).tolist())
@@ -1261,8 +1269,7 @@ class CrossRunPlanner:
         """The per-run constants of the active runs ``indices``.
 
         Gathered once per active set (it changes only when runs
-        terminate); the first call also takes over agent positions from
-        the controllers' round 0.
+        terminate).
         """
         np = _np
         key = tuple(indices)
@@ -1276,13 +1283,7 @@ class CrossRunPlanner:
         layout.fallback = np.flatnonzero(~planned).tolist()
         rows = layout.rows = np.flatnonzero(planned)
         class_runs = layout.class_runs = runs[rows]
-        self._start(class_runs)
-        layout.move_groups = []
-        for hook, members in _groups(self._move_gid[class_runs], self._move_hooks):
-            group_runs = class_runs[members]
-            movements = [self.controllers[r].adversary.movement for r in group_runs]
-            group = (rows[members], movements, self._f[group_runs])
-            layout.move_groups.append((hook, members, group))
+        layout.move_groups = self._move_groups(rows, class_runs)
         layout.f = self._f[class_runs]
         layout.m4 = self._m4[class_runs][:, None]
         layout.quiet = self._quiet[runs][:, None]
@@ -1301,14 +1302,45 @@ class CrossRunPlanner:
             groups.append((key, group_rows, strategies))
         return groups
 
-    def _start(self, runs) -> None:
-        """Take over agent positions from the controllers' round 0."""
-        fresh = runs[~self._ready[runs]].tolist()
-        for r in fresh:
-            positions = self.controllers[r].positions
+    def _move_groups(self, rows, class_runs, among=None) -> list:
+        """``(hook, members, group)`` of each movement type.
+
+        ``members`` indexes ``class_runs``; ``among`` (an index into
+        ``class_runs``) restricts the groups to those class rows.
+        """
+        picked = class_runs if among is None else class_runs[among]
+        groups = []
+        for hook, members in _groups(self._move_gid[picked], self._move_hooks):
+            if among is not None:
+                members = among[members]
+            group_runs = class_runs[members]
+            movements = [self.controllers[r].adversary.movement for r in group_runs]
+            group = (rows[members], movements, self._f[group_runs])
+            groups.append((hook, members, group))
+        return groups
+
+    def _place(self, rnd: _Round, layout: "_Layout") -> list:
+        """Place the class-planned runs' round-0 agents, in run order.
+
+        Returns the movement groups of round 0: its M4 rows only.  The
+        other rows' round-0 position sets are ``(initial, initial)``, so
+        the per-row route sees no movement step to replay.
+        """
+        class_runs = layout.class_runs
+        m4 = self._m4
+        for r in class_runs.tolist():
+            controller = self.controllers[r]
+            positions = controller.adversary.initial_positions(
+                controller.n, controller.f, self.rngs[r]
+            )
             self._sets[r] = positions
             self._hosts[r, list(positions)] = True
-        self._ready[fresh] = True
+            if not m4[r]:
+                rnd.sets[r] = (positions, positions)
+        moving = _np.flatnonzero(m4[class_runs])
+        if moving.shape[0] == class_runs.shape[0]:
+            return layout.move_groups
+        return self._move_groups(layout.rows, class_runs, moving)
 
     def _replay(self, rnd: _Round, i: int, positions, steps: int):
         """``positions`` after ``steps`` of row ``i``'s ``next_positions``."""

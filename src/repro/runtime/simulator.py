@@ -360,11 +360,12 @@ def simulate_many(
     the per-cell vectorized preconditions (numpy, complete topology,
     broadcast sends, batchable MSR stages) -- into one ``(R, n)``
     float64 state matrix and advances all of them in lockstep: one
-    whole-matrix pass per round for exclusion masks, correct ranges,
-    corruption patches, the broadcast sort and the width-grouped MSR
-    fold (see :meth:`RoundKernel.fold_rows_many`).  Runs that terminate
-    early drop out of the active set, so converged rows stop costing
-    work.
+    whole-matrix pass per round, round 0 included, for agent placement
+    and movement, exclusion masks, correct ranges, corruption patches,
+    the broadcast sort and the width-grouped MSR fold (see
+    :meth:`RoundKernel.fold_rows_many`), which in round 0 also yields
+    each run's largest received diameter.  Runs that terminate early
+    drop out of the active set, so converged rows stop costing work.
 
     Results are **bit-identical** to :func:`run_simulation` over each
     config: fault planning (:class:`CrossRunPlanner`) keeps agent hosts
@@ -425,6 +426,33 @@ def simulate_many(
         return traces
 
 
+def _received_diameter(np, entry, garbage) -> float:
+    """The largest received-multiset diameter of one folded round.
+
+    ``entry`` is the run's ``(rows, codes, n)`` fold entry: one inbox row
+    per camp (unsorted), ``codes`` each recipient's camp, or ``None``
+    when every recipient folds row 0.  Only camps with a computing
+    (non-``garbage``) recipient count, as in the scalar kernel.  A row's
+    ``max - min`` equals its sorted ``inbox[-1] - inbox[0]`` up to the
+    sign of a zero span, which the ``0.0`` floor absorbs as the scalar
+    kernel's strict ``>`` against its ``0.0`` start does.  It calls no
+    numpy function that imports a submodule on first use (``np.unique``
+    imports ``numpy.ma``): every forked sweep worker would pay that.
+    """
+    rows, codes, _ = entry
+    computing = ~garbage
+    if codes is None:
+        if not computing.any():
+            return 0.0
+        rows = rows[:1]
+    else:
+        present = np.zeros(rows.shape[0], dtype=bool)
+        present[codes[computing]] = True
+        rows = rows[present]
+    spans = (rows.max(axis=1) - rows.min(axis=1)).tolist()
+    return max((span for span in spans if span > 0.0), default=0.0)
+
+
 def _run_lite_many(
     sims: list[SynchronousSimulator], routes: dict
 ) -> list[LiteTrace]:
@@ -436,10 +464,12 @@ def _run_lite_many(
     min/max reductions *select* elements (no arithmetic), and every
     signed-zero/degenerate endpoint falls back to the per-cell scalar
     rescan -- plus the :class:`CrossRunPlanner`'s per-run RNG ordering
-    contract.  Round 0 always runs per cell: it needs the per-inbox
-    received diameter and seeds each run's agent positions.  Agent hosts
-    stay ``(R, n)`` masks; position sets are built only for the
-    signed-zero extent rescue.  ``routes`` accumulates the planner's
+    contract.  Round 0 runs on the stack like every later round: the
+    planner places the agents, and each folded run's received diameter
+    (what :class:`~repro.runtime.termination.EstimatedRounds` budgets
+    from) comes from its fold entry's camp rows (`_received_diameter`).
+    Agent hosts stay ``(R, n)`` masks; position sets are built only for
+    the signed-zero extent rescue.  ``routes`` accumulates the planner's
     run-rounds per route.
     """
     np = _np
@@ -476,30 +506,7 @@ def _run_lite_many(
         ]
         if not active:
             break
-        if round_index == 0:
-            for r in active:
-                sim = sims[r]
-                plan, _, arr_after = sim._advance_round_vectorized(
-                    sim._cross_run_batch, stack[r], True
-                )
-                stack[r] = arr_after
-                initially_nonfaulty[r] = all_pids - plan.faulty_at_send
-                hosts_after[r, list(plan.positions_after)] = True
-                extent = sim._array_extent(arr_after, plan.positions_after)
-                extents[r].append(extent)
-                diameter = 0.0 if extent is None else extent[1] - extent[0]
-                sim._round_index = 1
-                if sim.family.decision_ready(
-                    round_index
-                ) and sim.config.termination.should_stop(
-                    round_index,
-                    diameter,
-                    sim._first_round_received_diameter,
-                ):
-                    terminated[r] = True
-            round_index += 1
-            continue
-
+        first_round = round_index == 0
         count = len(active)
         sub = stack[active]
         plan = kernel.sampled("plan", planner.plan_many, round_index, sub, active)
@@ -565,7 +572,7 @@ def _run_lite_many(
                 broadcasts = sim._broadcast_values_lite(row_plan)
                 broadcasts.sort()
                 overrides = row_plan.send_overrides
-                kernel.compute_phase(
+                received = kernel.compute_phase(
                     sim.protocol,
                     sim._lite_evaluate,
                     n,
@@ -573,11 +580,20 @@ def _run_lite_many(
                     list(overrides.values()) if overrides else None,
                     row_plan.compute_corruptions,
                     work,
-                    False,
+                    first_round,
                 )
                 new_stack[i] = np.array(list(work.values()), dtype=np.float64)
             else:
                 new_stack[i] = new_arr
+                if first_round:
+                    received = _received_diameter(np, entries[i], plan.garbage[i])
+            if first_round:
+                sims[r]._first_round_received_diameter = received
+                # Round 0 cures nobody and mobile runs force no silence,
+                # so its silent processes are exactly the initial hosts.
+                initially_nonfaulty[r] = all_pids - frozenset(
+                    np.flatnonzero(plan.silent[i]).tolist()
+                )
         new_stack = np.where(plan.garbage, plan.garbage_values, new_stack)
         stack[active] = new_stack
 

@@ -19,10 +19,16 @@ families and topologies by their real relative expense.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -41,8 +47,8 @@ from repro.faults.value_strategies import (
     RecipientCamps,
     SplitAttack,
 )
-from repro.runtime import RoundKernel
-from repro.runtime.controllers import CrossRunPlanner
+from repro.runtime import EstimatedRounds, RoundKernel
+from repro.runtime.controllers import CrossRunPlanner, MobileFaultController
 from repro.runtime.simulator import (
     SynchronousSimulator,
     run_simulation,
@@ -121,9 +127,10 @@ class TestSimulateManyEquivalence:
         "attack", ["split", "outlier", "oscillating", "crossfire"]
     )
     def test_models_and_attacks_fixed_rounds(self, model, attack):
-        # Oracle termination stops crossfire after round 0 (which runs
-        # per cell), so a fixed budget is what takes it through the
-        # stack: M3 plants queues, M1 keeps cured processes silent.
+        # Oracle termination stops crossfire after round 0, which
+        # neither moves nor cures, so a fixed budget is what takes it
+        # through the later rounds: M3 plants queues, M1 keeps cured
+        # processes silent.
         self._assert_stack_matches_solo(model, attack, rounds=8)
 
     @pytest.mark.parametrize(
@@ -649,8 +656,8 @@ def _bits(trace):
 
 
 def _stacked_runs(configs):
-    """``simulate_many`` traces, each run's final controller positions,
-    and the planners that planned the stacks."""
+    """``simulate_many`` traces, the simulators that ran them, and the
+    planners that planned the stacks."""
     sims: list = []
     planners: list = []
     sim_init = SynchronousSimulator.__init__
@@ -667,19 +674,31 @@ def _stacked_runs(configs):
     with mock.patch.object(SynchronousSimulator, "__init__", track_sim), \
             mock.patch.object(CrossRunPlanner, "__init__", track_planner):
         traces = simulate_many(configs)
-    return traces, [sim.controller.positions for sim in sims], planners
+    return traces, sims, planners
 
 
-def _assert_runs_match_solo(configs):
+def _received(sim) -> str:
+    """A run's round-0 received diameter as its exact bit pattern."""
+    return sim._first_round_received_diameter.hex()
+
+
+def _assert_runs_match_solo(configs, solo_configs=None):
     """Stacked runs equal their per-run ``run_simulation`` bit for bit,
-    final agent positions included; returns the planners."""
-    traces, positions, planners = _stacked_runs(configs)
-    for config, trace, final in zip(configs, traces, positions):
+    round-0 received diameters and final agent positions included;
+    returns what :func:`_stacked_runs` does.
+
+    ``solo_configs`` (default: ``configs``) are the configs the solo runs
+    use: fresh equal copies where a config holds run state, as
+    :class:`EstimatedRounds` does.
+    """
+    traces, stacked, planners = _stacked_runs(configs)
+    for config, trace, run in zip(solo_configs or configs, traces, stacked):
         sim = SynchronousSimulator(config, trace_detail="lite")
         solo = sim.run()
         assert _bits(trace) == _bits(solo)
-        assert final == sim.controller.positions
-    return planners
+        assert _received(run) == _received(sim)
+        assert run.controller.positions == sim.controller.positions
+    return traces, stacked, planners
 
 
 class TestStackedDifferential:
@@ -710,7 +729,7 @@ class TestPerRowRoute:
                 [value_strategy("echo"), SplitAttack(), CrossfireAttack()]
             )
         ]
-        planners = _assert_runs_match_solo(configs)
+        _, _, planners = _assert_runs_match_solo(configs)
         assert sum(planner.routes["per_row"] for planner in planners) > 0
 
     def test_signed_zero_camp_values_take_the_per_row_route(self):
@@ -728,10 +747,10 @@ class TestPerRowRoute:
                 [FixedValue(0.0), SplitAttack(0.0, 1.0), SplitAttack()]
             )
         ]
-        planners = _assert_runs_match_solo(configs)
-        # Two zero-camp rows per row over five stacked rounds; the plain
-        # split row stays batched.
-        assert planners[0].routes == {"batched": 5, "per_row": 10, "plan_round": 0}
+        _, _, planners = _assert_runs_match_solo(configs)
+        # Two zero-camp rows per row over all six rounds (round 0 is
+        # stacked too); the plain split row stays batched.
+        assert planners[0].routes == {"batched": 6, "per_row": 12, "plan_round": 0}
 
 
 class TestBatchedMovement:
@@ -857,8 +876,9 @@ class TestPlannerRoutesOnSpan:
             for seed in range(2)
         ]
         planned = self.planned(configs, tmp_path)
-        # Four stacks of four runs, five stacked rounds each.
-        assert planned == {"batched": 4 * 4 * 5, "per_row": 0, "plan_round": 0}
+        # Four stacks of four runs, six stacked rounds each (round 0
+        # included).
+        assert planned == {"batched": 4 * 4 * 6, "per_row": 0, "plan_round": 0}
 
     def test_noise_and_inertia_rows_count_as_plan_round(self, tmp_path):
         configs = [
@@ -869,4 +889,140 @@ class TestPlannerRoutesOnSpan:
             for seed in range(2)
         ]
         planned = self.planned(configs, tmp_path)
-        assert planned == {"batched": 2 * 3, "per_row": 0, "plan_round": 4 * 3}
+        # Two split runs batched and four noise/inertia runs through
+        # their controllers, over all four rounds (round 0 included).
+        assert planned == {"batched": 2 * 4, "per_row": 0, "plan_round": 4 * 4}
+
+
+# -- round 0 on the stack -------------------------------------------------------
+
+
+def _estimated(model, f, n, attack, movement, seed, initial_values=None):
+    """A config under :class:`EstimatedRounds`, the one rule that reads
+    the round-0 received diameter (fresh per call: the rule keeps its
+    budget once set)."""
+    return make_mobile_config(
+        model,
+        f=f,
+        n=n,
+        movement=movement_strategy(movement),
+        values=value_strategy(attack),
+        initial_values=initial_values,
+        seed=seed,
+        termination=EstimatedRounds(epsilon=1e-3, contraction=0.5),
+    )
+
+
+class TestRoundZeroOnTheStack:
+    """``plan_many`` plans round 0 and the stacked fold yields its
+    received diameter: stacked runs equal their solo runs."""
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("f, n", [(2, None), (16, 97)], ids=["f2", "f16-n97"])
+    def test_estimated_rounds_match_per_run(self, model, f, n):
+        # One stack per model and size mixing class-planned (split,
+        # crossfire, outlier) and controller-planned (noise, inertia)
+        # rows under batched and per-run movement.
+        def configs():
+            return [
+                _estimated(model, f, n, attack, movement, seed)
+                for attack in ("split", "crossfire", "outlier", "noise", "inertia")
+                for movement in ("round-robin", "random")
+                for seed in range(2)
+            ]
+
+        traces, sims, planners = _assert_runs_match_solo(configs(), configs())
+        assert len(planners) == 1
+        assert all(sim._first_round_received_diameter > 0.0 for sim in sims)
+        # The budget, not a cap, ended every run.
+        assert all(trace.terminated for trace in traces)
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_signed_zero_endpoint_plans_round_zero_per_row(self, model, monkeypatch):
+        # Zero-valued correct processes leave the batched correct range
+        # unknown, so round 0 takes the per-row route.  Under random
+        # movement a replayed movement step would draw from the run's
+        # RNG: those rows must see their initial hosts, unmoved.
+        values = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0] + [
+            (pid + 1) / 8 for pid in range(get_semantics(model).required_n(2) - 6)
+        ]
+
+        def configs():
+            return [
+                _estimated(model, 2, None, attack, "random", seed, values)
+                for attack in ("split", "crossfire")
+                for seed in range(3)
+            ]
+
+        per_row_rounds: list = []
+        plan_row = CrossRunPlanner._plan_row
+
+        def spy(planner, rnd, i):
+            per_row_rounds.append(rnd.index)
+            return plan_row(planner, rnd, i)
+
+        monkeypatch.setattr(CrossRunPlanner, "_plan_row", spy)
+        _assert_runs_match_solo(configs(), configs())
+        assert per_row_rounds.count(0) == 6
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_class_planned_stack_never_plans_or_folds_per_cell(
+        self, model, monkeypatch
+    ):
+        calls: list = []
+        for owner, name in (
+            (MobileFaultController, "plan_round"),
+            (RoundKernel, "compute_phase"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        configs = [
+            _estimated(model, 2, None, attack, movement, seed)
+            for attack in ("split", "crossfire")
+            for movement in ("round-robin", "random")
+            for seed in range(2)
+        ]
+        traces, _, planners = _stacked_runs(configs)
+        assert calls == []
+        assert planners[0].routes["plan_round"] == 0
+        assert sum(trace.rounds_executed() for trace in traces) == sum(
+            planners[0].routes.values()
+        )
+
+
+class TestNoLazyImports:
+    def test_stacked_sweep_imports_nothing_new(self):
+        # A forked sweep worker inherits only what its parent imported:
+        # a numpy function that imports a submodule on first use (as
+        # np.unique does numpy.ma) would charge every fresh worker.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.sweep import GridSpec, run_sweep
+            grid = GridSpec(
+                models=("M1", "M4"), fs=(2,), attacks=("split", "crossfire", "noise"),
+                seeds=tuple(range(3)), rounds=6,
+            )
+            run_sweep(grid)
+            before = set(sys.modules)
+            result = run_sweep(grid, cross_run=True)
+            assert result.dispatch.startswith("cross-run"), result.dispatch
+            print(json.dumps(sorted(set(sys.modules) - before)))
+            """
+        )
+        src = str(Path(repro.api.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -129,3 +129,19 @@ class TestCombiners:
     def test_combiners_agree_on_pairs(self):
         pair = ms(1.0, 3.0)
         assert ArithmeticMean()(pair) == MedianCombiner()(pair)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-0.0], [0.0], [-0.0, -0.0], [-0.0, 0.0], [0.5, -0.5], [-1.5, 0.5],
+            [-5e-324, 0.0],  # the pair mean underflows to -0.0 either way
+        ],
+    )
+    def test_batch_mean_keeps_the_flat_sign_of_zero(self, row):
+        # fsum sums onto +0.0: the array arithmetic of one- and
+        # two-value batches must not keep a -0.0 the flat form drops.
+        np = pytest.importorskip("numpy")
+        mean = ArithmeticMean()
+        [batched] = mean.flat_combine_batch(np.array([row]))
+        assert batched.hex() == mean.flat_combine(row).hex()
+        assert batched.hex() == mean(ValueMultiset(row)).hex()
