@@ -32,6 +32,13 @@ Three families ship in-tree:
     Wang (arXiv:1206.0089); see :mod:`repro.runtime.witness`.  The
     first family whose :meth:`ProtocolFamily.check_topology` accepts
     non-complete communication graphs (:mod:`repro.topology`).
+
+Where a stateful family provably folds the bonomi multiset -- the
+paper's own reduction, every process ending up with an MSR fold --
+it says so through :meth:`ProtocolFamily.lite_equivalent`: tseng under
+M1/M3/M4 and witness under M1/M2, both on the complete graph.  The
+cross-run engine stacks those lite runs as bonomi rows; every other
+path runs the family's own protocol.
 """
 
 from __future__ import annotations
@@ -139,6 +146,20 @@ class ProtocolFamily(ABC):
         """Worst-case per-round diameter contraction factor, if known."""
         return None
 
+    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
+        """The scalar family whose lite run ``config`` provably equals.
+
+        A stateful family returns a family name where its rounds
+        reduce, value for value, to that family's fold under
+        ``config`` (model, topology); the cross-run engine then stacks
+        the run as that family's row
+        (:func:`~repro.runtime.simulator.simulate_many`).  Results
+        still carry this family's name, and single runs, full traces
+        and the reference kernel keep the family's own driver.  The
+        default, ``None``, declares nothing.
+        """
+        return None
+
     def describe(self) -> str:
         """Short description for tables and CLI banners."""
         return self.name
@@ -172,6 +193,22 @@ class BonomiFamily(ProtocolFamily):
 
     def describe(self) -> str:
         return "bonomi (MSR voting, arXiv:1604.03871)"
+
+
+def bonomi_on_complete(config: "SimulationConfig", models) -> str | None:
+    """``"bonomi"`` for a mobile ``config`` under one of ``models`` on
+    the complete graph, else ``None``: the shared shape of the
+    stateful families' :meth:`ProtocolFamily.lite_equivalent`."""
+    from .config import MobileFaultSetup
+
+    setup = config.setup
+    if (
+        isinstance(setup, MobileFaultSetup)
+        and setup.model in models
+        and config.resolve_topology().is_complete
+    ):
+        return "bonomi"
+    return None
 
 
 _REGISTRY: dict[str, ProtocolFamily] = {}

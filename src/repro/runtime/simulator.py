@@ -375,9 +375,18 @@ def simulate_many(
     quantities are used only where provably equal to the per-run
     derivation -- other rows take the per-run hooks (the equivalence
     suite pins this).  The ``sim.many`` span records the run-rounds
-    each planner route planned as ``planned``.  Configs that don't
-    qualify -- full traces, stateful families, partial graphs,
-    static-mixed setups -- silently fall back to their normal
+    each planner route planned as ``planned``.
+
+    A stateful family's lite run stacks too where its family declares
+    it equivalent to a scalar family
+    (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`:
+    tseng under M1/M3/M4, witness under M1/M2, complete graph): it
+    keys and folds as that family's row, and its trace keeps its own
+    family.  A declared run left alone in its group takes its own
+    driver, which beats the per-cell vectorized engine on single
+    small runs.  Configs that don't qualify -- full traces, undeclared
+    stateful families, partial graphs, static-mixed setups, the
+    reference kernel, no numpy -- silently fall back to their normal
     :meth:`SynchronousSimulator.run` path, in input order.
 
     ``out`` -- a :class:`RunBatchOut`, typically views over a
@@ -407,7 +416,8 @@ def simulate_many(
         for indices in groups.values():
             if len(indices) == 1:
                 # A batch of one gains nothing from stacking; the
-                # per-cell vectorized path is the same computation.
+                # per-cell vectorized path is the same computation (and
+                # a declared stateful run keeps its own driver).
                 index = indices[0]
                 traces[index] = sims[index].run()
                 continue
@@ -479,6 +489,8 @@ def _run_lite_many(
     batch = first._cross_run_batch
     run_count = len(sims)
     for sim in sims:
+        # A declared-equivalent stateful run folds as its scalar family.
+        sim.protocol = sim._cross_run_protocol
         sim._lite_evaluate = sim.kernel.prepare(sim.protocol)
     stack = np.array(
         [[sim._values[pid] for pid in range(n)] for sim in sims],
@@ -926,7 +938,7 @@ class SynchronousSimulator:
 
     # -- the vectorized array engine --------------------------------------------
 
-    def _vectorized_setup(self):
+    def _vectorized_setup(self, protocol=None):
         """The batched MSR evaluator when the array engine applies.
 
         Returns ``None`` (staying on the scalar paths) unless every
@@ -936,11 +948,13 @@ class SynchronousSimulator:
         broadcast-send rule (so the silence mask is ``overrides |
         forced_silent | aware-cured``), and batchable MSR stages per
         :meth:`RoundKernel.prepare_batch` -- which also encodes the
-        kernel's mode (``None`` in the reference mode).
+        kernel's mode (``None`` in the reference mode).  ``protocol``
+        defaults to the run's own.
         """
         if _np is None:
             return None
-        protocol = self.protocol
+        if protocol is None:
+            protocol = self.protocol
         if isinstance(protocol, StatefulRoundProtocol):
             return None
         if type(protocol).send_value is not MSRVotingProtocol.send_value:
@@ -956,24 +970,38 @@ class SynchronousSimulator:
         same mobile model -- so their rounds can share one width-grouped
         fold (:meth:`RoundKernel.fold_rows_many`) and one batch
         evaluator.  Movement, attack, seeds and termination may differ
-        freely: those stay per-run.  ``None`` means the run must stay
-        on its per-cell path (non-lite detail, stateful family, static
-        setup, or a failed vectorized precondition).
+        freely: those stay per-run.  A stateful family's run keys as
+        the scalar family it declares equivalent
+        (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`),
+        whose protocol `_run_lite_many` then runs in its place.  ``None``
+        means the run must stay on its per-cell path (non-lite detail,
+        undeclared stateful family, static setup, or a failed
+        vectorized precondition -- numpy missing or the reference
+        kernel).
         """
         if self.trace_detail != "lite":
             return None
         if not isinstance(self.controller, MobileFaultController):
             return None
-        batch = self._vectorized_setup()
+        family = self.family
+        protocol = self.protocol
+        if isinstance(protocol, StatefulRoundProtocol):
+            declared = family.lite_equivalent(self.config)
+            if declared is None:
+                return None
+            family = get_family(declared)
+            protocol = family.build_protocol(self.config)
+        batch = self._vectorized_setup(protocol)
         if batch is None:
             return None
         self._cross_run_batch = batch
+        self._cross_run_protocol = protocol
         config = self.config
         return (
             config.n,
             config.f,
             config.algorithm.name,
-            config.family,
+            family.name,
             self._setup_model(config),
         )
 

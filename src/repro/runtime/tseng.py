@@ -53,6 +53,18 @@ correspondingly relaxed trim -- never slower to converge, and in
 cured-heavy executions measurably faster; the family-comparison
 experiment quantifies the gap.
 
+**Where the filter never fires.**  A broadcaster's float claim always
+equals what it put on the wire last round, unless a departing agent
+scrambled its send-memory this round *and* it broadcasts anyway --
+an unaware cured node broadcasting its state, which only M2 has.
+Under M1 cured nodes are silent, so next round they claim ``bottom``;
+under M3 they send the agent's planted queue, an adversary-controlled
+send that also leaves ``bottom``; under M4 nobody is cured at send
+time.  On the complete graph every receiver then rejects nobody,
+``tau - rejected = tau``, and each fold is exactly the Bonomi fold of
+the same multiset: :meth:`TsengFamily.lite_equivalent` declares those
+runs ``"bonomi"`` so the cross-run engine stacks them as bonomi rows.
+
 Per-node state (all corrupted together by a departing agent, which is
 what arms the filter):
 
@@ -94,9 +106,10 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..faults.models import MobileModel
 from ..msr.base import MSRFunction
 from ..msr.multiset import ValueMultiset
-from .families import ProtocolFamily, register_family
+from .families import ProtocolFamily, bonomi_on_complete, register_family
 from .kernel import RoundKernel, compile_msr
 from .protocol import StatefulRoundProtocol
 from .trace import BroadcastOutbox
@@ -121,6 +134,12 @@ class _Bottom:
 #: Compares unequal to every float, so a claim of ``BOTTOM`` never
 #: passes the consistency check.
 BOTTOM = _Bottom()
+
+#: Models without an unaware cured node broadcasting its state: no
+#: claim ever fails the consistency check.
+_NO_REJECTION_MODELS = frozenset(
+    {MobileModel.GARAY, MobileModel.SASAKI, MobileModel.BUHRMAN}
+)
 
 
 class TsengProtocol(StatefulRoundProtocol):
@@ -442,12 +461,20 @@ class TsengFamily(ProtocolFamily):
     the multisets the reduction sees are strictly cleaner.  The family
     tests pin non-empty post-reduction multisets at every model's
     minimum ``n``.
+
+    Under M1, M3 and M4 on the complete graph no receiver ever rejects
+    (see the module docstring), so the family declares those runs
+    equivalent to bonomi's.  M2 is excluded: its unaware cured nodes
+    claim scrambled history and do get rejected.
     """
 
     name = "tseng"
 
     def build_protocol(self, config: "SimulationConfig") -> TsengProtocol:
         return TsengProtocol(config.n, config.algorithm)
+
+    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
+        return bonomi_on_complete(config, _NO_REJECTION_MODELS)
 
     def predicted_contraction(self, config: "SimulationConfig") -> float | None:
         # Filtering shrinks the adversarial mass inside each multiset

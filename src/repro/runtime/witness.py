@@ -45,6 +45,21 @@ back to the dict body when it holds a non-finite or ``-0.0`` claim, or
 when a phase-end fold is too thin for the batch hooks (so the canonical
 error is raised).
 
+On the complete graph neither body is needed under M1 or M2.  With
+``L = 1`` every round starts a phase, so each table holds only its
+owner's estimate and no correct node relays anything; a relayed claim
+could gather at most the ``f`` faulty relayers, one short of the
+``f + 1`` threshold.  The verified set is exactly the first-hand inbox
+and no origin is ever excluded, so every fold is the Bonomi fold of
+the same multiset: M1 cured nodes withhold (Bonomi's silence) and M2
+cured nodes claim their garbage estimate (Bonomi's corrupted
+broadcast).  :meth:`WitnessFamily.lite_equivalent` declares those runs
+``"bonomi"``, and the cross-run engine stacks them as bonomi rows.
+M3 is excluded: an M3 cured node keeps claiming its own scrambled
+estimate to itself, where bonomi's cured node folds the agent's planted
+queue.  M4 is excluded because its measured outputs diverge from
+bonomi's.
+
 **Witness verification.**  A node ``i`` verifies a claim ``(o, x)``
 when
 
@@ -110,10 +125,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..faults.models import MobileModel
 from ..faults.value_strategies import CampOutbox
 from ..msr.base import MSRFunction
 from ..msr.multiset import ValueMultiset
-from .families import ProtocolFamily, register_family
+from .families import ProtocolFamily, bonomi_on_complete, register_family
 from .kernel import RoundKernel, compile_msr
 from .protocol import StatefulRoundProtocol
 from .trace import BroadcastOutbox
@@ -129,6 +145,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controllers import RoundPlan
 
 __all__ = ["WitnessFamily", "WitnessProtocol"]
+
+#: Models whose cured nodes send what bonomi's do (M1 silence, M2 their
+#: state): on the complete graph the witness fold is bonomi's.
+_FIRST_HAND_MODELS = frozenset({MobileModel.GARAY, MobileModel.BONNET})
 
 
 def _diagonal(matrix):
@@ -388,11 +408,15 @@ class WitnessProtocol(StatefulRoundProtocol):
                         table[origin] = None
 
         # -- compute phase (phase boundary only) -----------------------------
+        compute_corruptions = plan.compute_corruptions
         max_diameter = 0.0
         if need_diameter:
-            # Round 0's received-value spread, mirroring the scalar
-            # drivers' first-round diameter bookkeeping.
+            # Round 0's received-value spread over the computing nodes,
+            # mirroring the scalar drivers' first-round diameter
+            # bookkeeping (occupied nodes' tables do not count).
             for q in range(n):
+                if q in compute_corruptions:
+                    continue
                 heard = [v for v in verified[q].values() if v is not None]
                 if heard:
                     spread = max(heard) - min(heard)
@@ -408,7 +432,6 @@ class WitnessProtocol(StatefulRoundProtocol):
         # estimate carries over -- but the *phase-end* fold, where
         # decisions are read, is strict.  Claims are unaffected either
         # way: a node gossips its phase-start value, not its estimate.
-        compute_corruptions = plan.compute_corruptions
         strict = offset == self.phase_length - 1
         evaluate = self._evaluate
         cache: dict[tuple, float] | None = {} if self._grouped else None
@@ -549,10 +572,20 @@ class WitnessProtocol(StatefulRoundProtocol):
         if np.count_nonzero(zeros) and np.signbit(claims[zeros]).any():
             return self._route_scalar(plan, cured_aware, need_diameter)
 
+        compute_corruptions = plan.compute_corruptions
+        if compute_corruptions:
+            rows = np.array(
+                [q for q in range(n) if q not in compute_corruptions],
+                dtype=np.intp,
+            )
+        else:
+            rows = self._rows
+
         max_diameter = 0.0
-        if need_diameter:
-            low = np.where(held, claims, np.inf).min(axis=1)
-            high = np.where(held, claims, -np.inf).max(axis=1)
+        if need_diameter and rows.shape[0]:
+            # Computing nodes only, as in the dict body.
+            low = np.where(held[rows], claims[rows], np.inf).min(axis=1)
+            high = np.where(held[rows], claims[rows], -np.inf).max(axis=1)
             spread = float((high - low).max())
             if spread > 0.0:
                 max_diameter = spread
@@ -562,14 +595,6 @@ class WitnessProtocol(StatefulRoundProtocol):
         # width alone (see _resolve_picks), so rows picking the same
         # number of values are gathered and combined in one pass.
         strict = offset == self.phase_length - 1
-        compute_corruptions = plan.compute_corruptions
-        if compute_corruptions:
-            rows = np.array(
-                [q for q in range(n) if q not in compute_corruptions],
-                dtype=np.intp,
-            )
-        else:
-            rows = self._rows
         widths = held.sum(axis=1)[rows]
         counts = self._pick_counts[widths]
         kinds = set(counts.tolist())
@@ -898,6 +923,13 @@ class WitnessFamily(ProtocolFamily):
     parameter) and the model's Table 2 requirement on ``n``; its
     topology admission rule is what sets it apart from the
     complete-graph families.
+
+    On the complete graph under M1 or M2 every phase is one round and
+    the verified set is the first-hand inbox (see the module's "Cost"
+    paragraph), so the family declares those runs equivalent to
+    bonomi's.  M3 and M4 are excluded: an M3 cured node folds its own
+    scrambled estimate rather than the planted queue, and M4 was
+    measured divergent.
     """
 
     name = "witness"
@@ -907,6 +939,9 @@ class WitnessFamily(ProtocolFamily):
         return WitnessProtocol(
             config.n, config.f, config.algorithm, config.resolve_topology()
         )
+
+    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
+        return bonomi_on_complete(config, _FIRST_HAND_MODELS)
 
     def check_topology(self, topology, config: "SimulationConfig") -> None:
         if not topology.is_connected():

@@ -308,8 +308,10 @@ def run_cell_many(
     lockstep -- one sort/fold pass per round for the whole group.
     Results are bit-identical to :func:`run_cell` execution and come
     back in input order; groups the stacked engine cannot take (full
-    traces, stateful families, partial topologies) fall back to the
-    per-run paths inside ``simulate_many`` itself.
+    traces, stateful families without a declared
+    :meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`,
+    partial topologies) fall back to the per-run paths inside
+    ``simulate_many`` itself.
 
     ``out`` -- a :class:`~repro.runtime.simulator.RunBatchOut`, slot
     ``i`` for ``cells[i]`` -- additionally lands each successful run's
