@@ -299,10 +299,11 @@ class ValueStrategy(ABC):
         in recipients}`` -- same values, same recipient order, same rng
         consumption -- but overridable as one batch so the fault
         controller's hot path (every agent emits ``n`` messages per
-        round) skips the per-message call chain.  Concrete strategies
-        override this with a fused loop; any override MUST stay
-        bit-identical to the per-message form, which the strategy test
-        suite asserts.
+        round) skips the per-message call chain.  Fault planning reaches
+        it only for senders without :meth:`attack_camps`; a strategy
+        that declares no camps may override it with a fused loop
+        (:class:`InertiaAttack` does), which MUST stay bit-identical to
+        the per-message form -- the strategy test suite asserts it.
         """
         attack = self.attack_message
         return {
@@ -487,11 +488,6 @@ class FixedValue(ValueStrategy):
     ) -> float:
         return self.value
 
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        return dict.fromkeys(recipients, self.value)
-
     def attack_camps(
         self, view: AdversaryView, sender: int
     ) -> RecipientCamps | None:
@@ -548,25 +544,6 @@ class SplitAttack(ValueStrategy):
             return low if recipient % 2 == 0 else high
         return low if recipient_value <= interval.midpoint() else high
 
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        interval = view.correct_range()
-        low = interval.low if self.low is None else self.low
-        high = interval.high if self.high is None else self.high
-        midpoint = interval.midpoint()
-        values = view.values
-        outbox = {}
-        for recipient in recipients:
-            recipient_value = values.get(recipient)
-            if recipient_value is None:
-                outbox[recipient] = low if recipient % 2 == 0 else high
-            else:
-                outbox[recipient] = (
-                    low if recipient_value <= midpoint else high
-                )
-        return outbox
-
     def attack_camps(
         self, view: AdversaryView, sender: int
     ) -> RecipientCamps | None:
@@ -613,17 +590,6 @@ class OutlierAttack(ValueStrategy):
         if recipient is None or recipient % 2 == 0:
             return interval.high + self.magnitude
         return interval.low - self.magnitude
-
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        interval = view.correct_range()
-        above = interval.high + self.magnitude
-        below = interval.low - self.magnitude
-        return {
-            recipient: above if recipient % 2 == 0 else below
-            for recipient in recipients
-        }
 
     def attack_camps(
         self, view: AdversaryView, sender: int
@@ -688,11 +654,6 @@ class EchoCorrect(ValueStrategy):
     ) -> float:
         return view.correct_midpoint()
 
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        return dict.fromkeys(recipients, view.correct_midpoint())
-
     def attack_camps(
         self, view: AdversaryView, sender: int
     ) -> RecipientCamps | None:
@@ -729,13 +690,6 @@ class OscillatingAttack(ValueStrategy):
     ) -> float:
         interval = view.correct_range()
         return interval.low if view.round_index % 2 == 0 else interval.high
-
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        interval = view.correct_range()
-        value = interval.low if view.round_index % 2 == 0 else interval.high
-        return dict.fromkeys(recipients, value)
 
     def attack_camps(
         self, view: AdversaryView, sender: int
@@ -837,27 +791,6 @@ class CrossfireAttack(ValueStrategy):
         if sender % 2 == 0:
             return low if low_camp else high
         return high if low_camp else low
-
-    def attack_outbox(
-        self, view: AdversaryView, sender: int, recipients: Iterable[int]
-    ) -> dict[int, float]:
-        interval = view.correct_range()
-        low, high = interval.low, interval.high
-        if sender % 2 == 0:
-            to_low_camp, to_high_camp = low, high
-        else:
-            to_low_camp, to_high_camp = high, low
-        midpoint = interval.midpoint()
-        values = view.values
-        outbox = {}
-        for recipient in recipients:
-            recipient_value = values.get(recipient)
-            if recipient_value is None:
-                low_camp = recipient % 2 == 0
-            else:
-                low_camp = recipient_value <= midpoint
-            outbox[recipient] = to_low_camp if low_camp else to_high_camp
-        return outbox
 
     def attack_camps(
         self, view: AdversaryView, sender: int

@@ -90,10 +90,10 @@ class ProtocolFamily(ABC):
     ) -> VotingProtocol | StatefulRoundProtocol:
         """Build the per-run protocol instance for ``config``.
 
-        Returning a :class:`VotingProtocol` selects the scalar
-        simulator paths (full-trace recorder + round-kernel fast path);
+        Returning a :class:`VotingProtocol` selects the simulator's
+        scalar round bodies (array engine, round kernel, ``step()``);
         returning a :class:`StatefulRoundProtocol` selects the
-        multi-round stateful driver.
+        protocol's own multi-round ``run_round`` body.
         """
 
     def min_processes(
@@ -155,7 +155,7 @@ class ProtocolFamily(ABC):
         the run as that family's row
         (:func:`~repro.runtime.simulator.simulate_many`).  Results
         still carry this family's name, and single runs, full traces
-        and the reference kernel keep the family's own driver.  The
+        and the reference kernel keep the family's own rounds.  The
         default, ``None``, declares nothing.
         """
         return None

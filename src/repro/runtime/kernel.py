@@ -222,18 +222,22 @@ class RoundKernel:
     Parameters
     ----------
     reference:
-        ``False`` (the default) is the fast mode: recipients are
-        grouped by distinct effective inbox where the protocol declares
-        ``pid_independent_compute``, MSR functions fold through
+        ``False`` (the default) is the fast mode.  The simulator's
+        scalar round-kernel body groups recipients by distinct
+        effective inbox where the protocol declares
+        ``pid_independent_compute`` and folds MSR functions through
         :func:`compile_msr`'s flat evaluator where every stage has a
-        flat hook, and -- when numpy imports and the simulator's array
+        flat hook.  When numpy imports and the simulator's array
         preconditions hold (complete graph, broadcast sends, batch
-        stage hooks) -- whole rounds fold as arrays through
-        :meth:`prepare_batch` / :meth:`compute_phase_batch`.  ``True``
-        is the in-tree reference implementation the equivalence suites
-        compare against: the per-recipient ``ValueMultiset`` object
-        path, ``step()`` for full traces, and the stateful families'
-        per-recipient (tseng) and unmemoized dict (witness) bodies.
+        stage hooks), whole rounds fold as arrays instead: a single
+        run's array body through :meth:`prepare_batch` /
+        :meth:`compute_phase_batch`, a cross-run stack through
+        :meth:`batch_rows` / :meth:`fold_rows_many`.  ``True`` is the
+        in-tree reference implementation the equivalence suites compare
+        against: the per-recipient ``ValueMultiset`` object path in the
+        scalar round-kernel body, ``step()`` for full traces, and the
+        stateful families' per-recipient (tseng) and unmemoized dict
+        (witness) bodies.
     """
 
     __slots__ = ("reference", "telemetry", "_buffer")

@@ -189,7 +189,7 @@ class StatefulRoundProtocol(ABC):
         for protocols whose phase length depends on run parameters the
         stateless family singleton cannot know (the witness family's
         gossip phases span ``diameter(topology)`` communication
-        rounds).  The stateful driver consults both; ``max_rounds``
-        still caps the run regardless.
+        rounds).  The simulator's termination test consults both;
+        ``max_rounds`` still caps the run regardless.
         """
         return True

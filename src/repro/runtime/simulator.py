@@ -22,6 +22,19 @@ One round proceeds as:
 The simulator is deterministic: a config (including its seed) fully
 determines the produced trace.
 
+A run is one round loop (:meth:`SynchronousSimulator._run_rounds`)
+that owns the run policy: the round-0 received diameter the
+:class:`~repro.runtime.termination.EstimatedRounds` rule budgets from,
+the Validity reference set (the processes outside round 0's agent
+placement), each round's non-faulty extent, the termination test and
+the trace.  The round itself is one of four *bodies*, chosen once per
+run: the array engine (numpy, a scalar protocol with the MSR broadcast
+send rule and batchable MSR stages), the scalar round kernel (any
+other scalar protocol), a stateful family's ``run_round``, or
+:meth:`~SynchronousSimulator.step` for reference full traces.  The
+cross-run engine (:func:`simulate_many`) advances many compatible runs
+on one ``(R, n)`` stack with the same termination test.
+
 Two levels of trace detail are supported.  ``trace_detail="full"`` (the
 default) records everything the checkers and mapping experiments need:
 message matrices, per-process multisets, MSR applications.  For large
@@ -37,6 +50,7 @@ diameter trajectories are bit-identical between the two modes.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
@@ -312,13 +326,31 @@ class ArrayValues(Mapping):
     __hash__ = None  # mutable-adjacent snapshot: unhashable, like dict
 
 
-def _scan_extent(items, excluded) -> tuple[float, float] | None:
-    """First-wins ``(min, max)`` of the ``(pid, value)`` pairs outside
-    ``excluded``, or ``None`` when every pid is excluded.
+def _extent(values, excluded) -> tuple[float, float] | None:
+    """First-wins ``(min, max)`` of the values outside ``excluded``, or
+    ``None`` when every pid is excluded.
 
-    The reference extent scan: of equal values the lowest pid's wins,
-    which fixes the sign of a ``0.0``/``-0.0`` endpoint.
+    ``values`` is a ``{pid: value}`` dict or a float64 array indexed by
+    pid.  Of equal values the lowest pid's wins, which fixes the sign
+    of a ``0.0``/``-0.0`` endpoint; numpy's min/max may return either
+    signed zero, so an array with a zero endpoint is rescanned in pid
+    order.
     """
+    if isinstance(values, dict):
+        items = values.items()
+    else:
+        sub = values
+        if excluded:
+            mask = _np.ones(values.shape[0], dtype=bool)
+            mask[list(excluded)] = False
+            sub = values[mask]
+        if sub.shape[0] == 0:
+            return None
+        low = sub.min()
+        high = sub.max()
+        if low != 0.0 and high != 0.0:
+            return (float(low), float(high))
+        items = enumerate(values.tolist())
     low = high = None
     for pid, value in items:
         if pid in excluded:
@@ -357,7 +389,7 @@ def simulate_many(
 
     The cross-run engine stacks compatible lite runs -- same ``n``,
     MSR function (algorithm/f/family) and mobile model, each passing
-    the per-cell vectorized preconditions (numpy, complete topology,
+    the per-cell array body's preconditions (numpy, complete topology,
     broadcast sends, batchable MSR stages) -- into one ``(R, n)``
     float64 state matrix and advances all of them in lockstep: one
     whole-matrix pass per round, round 0 included, for agent placement
@@ -382,9 +414,9 @@ def simulate_many(
     (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`:
     tseng under M1/M3/M4, witness under M1/M2, complete graph): it
     keys and folds as that family's row, and its trace keeps its own
-    family.  A declared run left alone in its group takes its own
-    driver, which beats the per-cell vectorized engine on single
-    small runs.  Configs that don't qualify -- full traces, undeclared
+    family.  A declared run left alone in its group runs its own
+    rounds, which beats the per-cell array body on single small
+    runs.  Configs that don't qualify -- full traces, undeclared
     stateful families, partial graphs, static-mixed setups, the
     reference kernel, no numpy -- silently fall back to their normal
     :meth:`SynchronousSimulator.run` path, in input order.
@@ -416,8 +448,8 @@ def simulate_many(
         for indices in groups.values():
             if len(indices) == 1:
                 # A batch of one gains nothing from stacking; the
-                # per-cell vectorized path is the same computation (and
-                # a declared stateful run keeps its own driver).
+                # per-cell array body is the same computation (and a
+                # declared stateful run keeps its own rounds).
                 index = indices[0]
                 traces[index] = sims[index].run()
                 continue
@@ -468,16 +500,19 @@ def _run_lite_many(
 ) -> list[LiteTrace]:
     """The cross-run lite loop: R compatible runs on one (R, n) stack.
 
-    Bit-identity with `_run_lite_vectorized` per run rests on the same
-    three seams as the per-cell engine -- stable sorts over
-    +inf-padded rows equal sorts of the masked subarrays, masked
-    min/max reductions *select* elements (no arithmetic), and every
-    signed-zero/degenerate endpoint falls back to the per-cell scalar
-    rescan -- plus the :class:`CrossRunPlanner`'s per-run RNG ordering
-    contract.  Round 0 runs on the stack like every later round: the
-    planner places the agents, and each folded run's received diameter
-    (what :class:`~repro.runtime.termination.EstimatedRounds` budgets
-    from) comes from its fold entry's camp rows (`_received_diameter`).
+    Bit-identity with each run's own :meth:`SynchronousSimulator.run`
+    rests on the same three seams as the per-cell array body -- stable
+    sorts over +inf-padded rows equal sorts of the masked subarrays,
+    masked min/max reductions *select* elements (no arithmetic), and
+    every signed-zero/degenerate endpoint falls back to the first-wins
+    rescan (`_extent`) -- plus the :class:`CrossRunPlanner`'s per-run
+    RNG ordering contract.  The stack keeps its own ``(R, n)`` loop but
+    decides with the per-run termination test
+    (:meth:`SynchronousSimulator._decides`).  Round 0 runs on the stack
+    like every later round: the planner places the agents, and each
+    folded run's received diameter (what
+    :class:`~repro.runtime.termination.EstimatedRounds` budgets from)
+    comes from its fold entry's camp rows (`_received_diameter`).
     Agent hosts stay ``(R, n)`` masks; position sets are built only for
     the signed-zero extent rescue.  ``routes`` accumulates the planner's
     run-rounds per route.
@@ -574,27 +609,14 @@ def _run_lite_many(
             new_arr = folded[i]
             if new_arr is None:
                 # This run's round isn't batchable (non-camp overrides,
-                # below-bound fold): the exact per-cell scalar fallback
-                # of `_advance_round_vectorized`, canonical errors
-                # included.
+                # below-bound fold): the scalar round kernel, as in the
+                # per-cell array body, canonical errors included.
                 sim = sims[r]
-                row_plan = plan.plan(i)
-                work = dict(enumerate(patched[i].tolist()))
-                sim._values = work
-                broadcasts = sim._broadcast_values_lite(row_plan)
-                broadcasts.sort()
-                overrides = row_plan.send_overrides
-                received = kernel.compute_phase(
-                    sim.protocol,
-                    sim._lite_evaluate,
-                    n,
-                    broadcasts,
-                    list(overrides.values()) if overrides else None,
-                    row_plan.compute_corruptions,
-                    work,
-                    first_round,
+                sim._values = dict(enumerate(patched[i].tolist()))
+                received = sim._kernel_compute(plan.plan(i), first_round)
+                new_stack[i] = np.array(
+                    list(sim._values.values()), dtype=np.float64
                 )
-                new_stack[i] = np.array(list(work.values()), dtype=np.float64)
             else:
                 new_stack[i] = new_arr
                 if first_round:
@@ -625,22 +647,15 @@ def _run_lite_many(
             ):
                 # Signed-zero endpoints / fully-excluded rows: the
                 # per-cell first-wins scan decides.
-                extent = sims[r]._array_extent(
+                extent = _extent(
                     new_stack[i], frozenset(np.flatnonzero(plan.after[i]).tolist())
                 )
             else:
                 extent = (low, high)
             extents[r].append(extent)
-            diameter = 0.0 if extent is None else extent[1] - extent[0]
             sim = sims[r]
             sim._round_index = round_index + 1
-            if sim.family.decision_ready(
-                round_index
-            ) and sim.config.termination.should_stop(
-                round_index,
-                diameter,
-                sim._first_round_received_diameter,
-            ):
+            if sim._decides(round_index, extent):
                 terminated[r] = True
         round_index += 1
 
@@ -681,8 +696,8 @@ class SynchronousSimulator:
         self.trace_detail: TraceDetail = trace_detail
         self.kernel = kernel if kernel is not None else RoundKernel()
         # The configured algorithm family decides the protocol shape:
-        # scalar VotingProtocols run the recorder/kernel paths below,
-        # StatefulRoundProtocols run the stateful driver.
+        # scalar VotingProtocols run the kernel/array/step() bodies,
+        # StatefulRoundProtocols run their own run_round.
         self.family = get_family(config.family)
         self.protocol: VotingProtocol | StatefulRoundProtocol = (
             self.family.build_protocol(config)
@@ -707,6 +722,10 @@ class SynchronousSimulator:
         self.network = SynchronousNetwork(config.n, topology=self.topology)
         self.controller = self._build_controller(config, self.topology)
         self._adversary_rng = derive_rng(config.seed, "adversary")
+        # A run's own copy of the rule: rules may hold per-run state
+        # (EstimatedRounds keeps its budget), and one rule object may
+        # be shared by many configs.
+        self._termination = copy.copy(config.termination)
         self._values = {
             pid: float(value) for pid, value in enumerate(config.initial_values)
         }
@@ -722,36 +741,9 @@ class SynchronousSimulator:
         with trace_span(
             "sim.run", n=self.config.n, family=self.config.family
         ) as span:
-            if isinstance(self.protocol, StatefulRoundProtocol):
-                trace = self._run_stateful()
-            elif self.trace_detail == "lite":
-                trace = self._run_lite()
-            else:
-                trace = self._run_full()
+            trace = self._run_rounds()
             span.set("rounds", trace.rounds_executed())
             return trace
-
-    def _run_full(self) -> Trace:
-        """Full-trace run: vectorized recorder when available, else step()."""
-        batch = self._vectorized_setup()
-        if batch is not None:
-            return self._run_full_vectorized(batch)
-        terminated = False
-        for _ in range(self.config.max_rounds):
-            record = self.step()
-            if self.family.decision_ready(
-                record.round_index
-            ) and self.config.termination.should_stop(
-                record.round_index,
-                record.nonfaulty_diameter_after(),
-                self._first_round_received_diameter,
-            ):
-                terminated = True
-                break
-        self._trace.terminated = terminated
-        final = self._trace.final_round
-        self._trace.decisions = dict(final.nonfaulty_values_after())
-        return self._trace
 
     def step(self) -> RoundRecord:
         """Execute a single synchronous round and record it (full mode)."""
@@ -794,18 +786,14 @@ class SynchronousSimulator:
             diameters = [m.diameter() for m in received.values()]
             self._first_round_received_diameter = max(diameters, default=0.0)
 
-        record = RoundRecord(
-            round_index=self._round_index,
-            faulty_at_send=plan.faulty_at_send,
-            cured_at_send=plan.cured_at_send,
-            positions_after=plan.positions_after,
-            values_before=MappingProxyType(values_before),
-            sent=MappingProxyType(sent),
-            received=MappingProxyType(received),
-            heard=MappingProxyType(heard),
-            applications=MappingProxyType(applications),
-            values_after=MappingProxyType(dict(self._values)),
-            static_classes=plan.static_classes,
+        record = self._record_round(
+            plan,
+            values_before,
+            dict(self._values),
+            sent,
+            MappingProxyType(received),
+            MappingProxyType(heard),
+            MappingProxyType(applications),
         )
         if self._round_index == 0:
             # Round 0 is where initial agent placement becomes known; the
@@ -813,90 +801,107 @@ class SynchronousSimulator:
             self._trace.initially_nonfaulty = (
                 frozenset(range(self.config.n)) - plan.faulty_at_send
             )
-        self._trace.rounds.append(record)
         self._round_index += 1
         return record
 
-    # -- the trace-lite fast path ----------------------------------------------
+    # -- the run loop ------------------------------------------------------------
 
-    def _run_lite(self) -> LiteTrace:
-        """Run to completion recording only extents and decisions.
+    def _run_rounds(self) -> Trace | LiteTrace:
+        """Run rounds until the termination test fires (or the cap).
 
-        The value dynamics are identical to the full path: the fault
-        plan (and its RNG consumption), the per-recipient multisets and
-        the MSR arithmetic match operation-for-operation.  Only the
-        recording differs -- no message matrices, no MSR application
-        snapshots, no mapping-proxy wrappers -- and the message exchange
-        skips the network object's n^2 dictionary bookkeeping in favour
-        of one shared broadcast list per round.  The receive+compute
-        inner loop is delegated to the :class:`RoundKernel`, which
-        evaluates the MSR function once per *distinct inbox* on flat
-        sorted arrays (see :mod:`repro.runtime.kernel`).
-
-        When the vectorized engine applies (numpy present, complete
-        graph, broadcast send semantics, batchable MSR stages), the
-        whole loop runs on array state instead -- bit-identical values,
-        an order of magnitude faster at paper scale.
+        The run policy lives here once for every per-run engine: the
+        round-0 received diameter and Validity reference set, each
+        round's non-faulty extent, the termination test and the trace.
+        The round itself is the body `_round_body` selects, which maps
+        ``(round_index, values)`` to ``(plan, received, values)``:
+        the round's :class:`RoundPlan` (or the :class:`RoundRecord`
+        ``step()`` returns -- the loop reads only ``faulty_at_send`` and
+        ``positions_after``), its largest received diameter (read in
+        round 0) and the end-of-round values, a ``{pid: value}`` dict or
+        a float64 array.  Full traces record inside the body.
         """
-        batch = self._vectorized_setup()
-        if batch is not None:
-            return self._run_lite_vectorized(batch)
         n = self.config.n
-        termination = self.config.termination
-        terminated = False
+        body, values = self._round_body()
         extents: list[tuple[float, float] | None] = []
         initially_nonfaulty = frozenset(range(n))
         positions_after: frozenset[int] = frozenset()
-        kernel = self.kernel
-        evaluate = kernel.prepare(self.protocol)
-
+        terminated = False
         for _ in range(self.config.max_rounds):
             round_index = self._round_index
-            plan = self.controller.plan_round(
-                round_index, dict(self._values), self._adversary_rng
-            )
-            for pid, corrupted in plan.memory_corruptions.items():
-                self._values[pid] = corrupted
-
-            overrides = plan.send_overrides
-            broadcasts = self._broadcast_values_lite(plan)
-            broadcasts.sort()
-            compute_corruptions = plan.compute_corruptions
-            first_round = round_index == 0
-            max_received_diameter = kernel.compute_phase(
-                self.protocol,
-                evaluate,
-                n,
-                broadcasts,
-                list(overrides.values()) if overrides else None,
-                compute_corruptions,
-                self._values,
-                first_round,
-            )
-            for pid, garbage in compute_corruptions.items():
-                self._values[pid] = garbage
-
-            if first_round:
-                self._first_round_received_diameter = max_received_diameter
+            plan, received, values = body(round_index, values)
+            if round_index == 0:
+                self._first_round_received_diameter = received
                 initially_nonfaulty = frozenset(range(n)) - plan.faulty_at_send
-
             positions_after = plan.positions_after
-            extent = _scan_extent(self._values.items(), positions_after)
+            extent = _extent(values, positions_after)
             extents.append(extent)
-            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
-
-            self._round_index += 1
-            if self.family.decision_ready(round_index) and termination.should_stop(
-                round_index,
-                nonfaulty_diameter,
-                self._first_round_received_diameter,
-            ):
+            self._round_index = round_index + 1
+            if self._decides(round_index, extent):
                 terminated = True
                 break
 
-        return self._lite_trace(
-            self._values, positions_after, initially_nonfaulty, extents,
-            terminated,
+        if not isinstance(values, dict):
+            values = values.tolist()
+            self._values = dict(enumerate(values))
+        trace = self._trace
+        if trace is None:
+            return self._lite_trace(
+                values, positions_after, initially_nonfaulty, extents,
+                terminated,
+            )
+        trace.initially_nonfaulty = initially_nonfaulty
+        trace.terminated = terminated
+        trace.decisions = dict(trace.final_round.nonfaulty_values_after())
+        return trace
+
+    def _decides(self, round_index: int, extent) -> bool:
+        """The termination test after round ``round_index``.
+
+        ``extent`` is the round's non-faulty ``(min, max)`` (``None``
+        when every process is occupied: diameter 0).  Both round
+        schedules must agree the round is a decision point -- the
+        family's (stateless) and a stateful protocol's (per-run, e.g.
+        witness phases spanning diameter-many rounds) -- before the
+        run's termination rule decides.
+        """
+        protocol = self.protocol
+        return (
+            self.family.decision_ready(round_index)
+            and (
+                not isinstance(protocol, StatefulRoundProtocol)
+                or protocol.decision_ready(round_index)
+            )
+            and self._termination.should_stop(
+                round_index,
+                0.0 if extent is None else extent[1] - extent[0],
+                self._first_round_received_diameter,
+            )
+        )
+
+    def _round_body(self):
+        """This run's round body and its initial values (see `_run_rounds`).
+
+        A stateful protocol runs its own ``run_round``.  A scalar one
+        runs the array body where `_vectorized_setup` resolves a batch
+        evaluator, else the scalar round kernel for lite traces and
+        ``step()`` for full ones.
+        """
+        protocol = self.protocol
+        if isinstance(protocol, StatefulRoundProtocol):
+            protocol.recording = self._trace is not None
+            protocol.reset(self.kernel)
+            protocol.start(self.config.initial_values)
+            return self._stateful_round, protocol.values
+        batch = self._vectorized_setup()
+        if batch is None and self._trace is not None:
+            return self._step_round, self._values
+        self._lite_evaluate = self.kernel.prepare(protocol)
+        if batch is None:
+            return self._kernel_round, self._values
+        self._batch = batch
+        n = self.config.n
+        return self._array_round, _np.array(
+            [self._values[pid] for pid in range(n)], dtype=_np.float64
         )
 
     def _lite_trace(
@@ -909,7 +914,7 @@ class SynchronousSimulator:
     ) -> LiteTrace:
         """This run's :class:`LiteTrace`.
 
-        Every lite driver ends here.  ``values`` is indexable by pid;
+        Every lite run ends here.  ``values`` is indexable by pid;
         decisions are its entries outside ``excluded`` (the final agent
         hosts), in pid order.
         """
@@ -936,7 +941,262 @@ class SynchronousSimulator:
             ),
         )
 
-    # -- the vectorized array engine --------------------------------------------
+    # -- round bodies ------------------------------------------------------------
+
+    def _step_round(self, round_index: int, values):
+        """The reference full-trace body: :meth:`step`."""
+        record = self.step()
+        return record, self._first_round_received_diameter, self._values
+
+    def _kernel_round(self, round_index: int, values):
+        """The scalar round kernel on ``{pid: value}`` state.
+
+        The value dynamics are identical to ``step()``: the fault plan
+        (and its RNG consumption), the per-recipient multisets and the
+        MSR arithmetic match operation-for-operation.  Only the
+        recording differs -- none -- and the message exchange skips the
+        network object's n^2 dictionary bookkeeping in favour of one
+        shared broadcast list per round.
+        """
+        plan = self.controller.plan_round(
+            round_index, dict(values), self._adversary_rng
+        )
+        for pid, corrupted in plan.memory_corruptions.items():
+            values[pid] = corrupted
+        received = self._kernel_compute(plan, round_index == 0)
+        for pid, garbage in plan.compute_corruptions.items():
+            values[pid] = garbage
+        return plan, received, values
+
+    def _kernel_compute(self, plan: RoundPlan, first_round: bool):
+        """Send, receive and compute ``plan``'s round on ``self._values``.
+
+        The receive+compute inner loop is the :class:`RoundKernel`'s,
+        which evaluates the MSR function once per *distinct inbox* on
+        flat sorted arrays (see :mod:`repro.runtime.kernel`).  Occupied
+        processes keep their values (the caller applies the plan's
+        garbage).  Returns the largest received diameter in round 0.
+        """
+        n = self.config.n
+        protocol = self.protocol
+        overrides = plan.send_overrides
+        # Override/forced-silent processes are excluded from the shared
+        # broadcast list: their traffic is read straight from the
+        # plan's per-recipient maps during the receive phase.
+        broadcasts: list[float] = []
+        for pid in range(n):
+            if pid in overrides or pid in plan.forced_silent:
+                continue
+            aware_cured = self._cured_aware and pid in plan.cured_at_send
+            value = protocol.send_value(pid, self._values[pid], aware_cured)
+            if value is not None:
+                broadcasts.append(value)
+        broadcasts.sort()
+        return self.kernel.compute_phase(
+            protocol,
+            self._lite_evaluate,
+            n,
+            broadcasts,
+            list(overrides.values()) if overrides else None,
+            plan.compute_corruptions,
+            self._values,
+            first_round,
+        )
+
+    def _array_round(self, round_index: int, arr):
+        """The array body: one round on float64 state.
+
+        Rounds the batch engine cannot express -- round 0, the only
+        round needing the per-inbox received diameter, non-camp
+        overrides and below-bound folds -- run through the scalar round
+        kernel instead: same values, canonical errors.  Full traces
+        record the round from its send-phase primitives
+        (`_record_array_round`).
+        """
+        np = _np
+        n = self.config.n
+        plan = self.controller.plan_round(
+            round_index, ArrayValues(arr), self._adversary_rng
+        )
+        if plan.memory_corruptions:
+            arr = arr.copy()
+            corruptions = plan.memory_corruptions
+            arr[list(corruptions)] = list(corruptions.values())
+
+        overrides = plan.send_overrides
+        first_round = round_index == 0
+        received = after = None
+        if not first_round:
+            mask = np.ones(n, dtype=bool)
+            silent = set(overrides)
+            silent.update(plan.forced_silent)
+            if self._cured_aware and plan.cured_at_send:
+                silent.update(plan.cured_at_send)
+            if silent:
+                mask[list(silent)] = False
+            # Boolean masking preserves pid order, which is exactly the
+            # scalar kernel's append order; the stable sort then matches
+            # list.sort() bit for bit (signed-zero ties included).
+            broadcasts = np.sort(arr[mask], kind="stable")
+            after = self.kernel.compute_phase_batch(
+                self._batch,
+                np,
+                broadcasts,
+                list(overrides.values()) if overrides else None,
+                n,
+            )
+        if after is None:
+            self._values = dict(enumerate(arr.tolist()))
+            received = self._kernel_compute(plan, first_round)
+            after = np.array(list(self._values.values()), dtype=np.float64)
+        garbage = plan.compute_corruptions
+        if garbage:
+            after[list(garbage)] = list(garbage.values())
+        if self._trace is not None:
+            self._record_array_round(plan, arr, after)
+        return plan, received, after
+
+    def _stateful_round(self, round_index: int, values):
+        """A :class:`StatefulRoundProtocol` round.
+
+        Everything family-specific -- message structure, carried state,
+        the receive/compute fold -- lives in the protocol's
+        ``run_round``.  Fault controllers observe the protocol's
+        representative values, so every adversary and movement
+        strategy applies unchanged.  Full traces flip the protocol's
+        ``recording`` flag (`_round_body`) and fold its wire record
+        (`_record_wire_round`); the value dynamics are untouched.
+        """
+        recording = self._trace is not None
+        plan = self.controller.plan_round(
+            round_index, dict(values), self._adversary_rng
+        )
+        if recording:
+            # run_round applies memory corruptions first thing, so the
+            # pre-send snapshot is the current values plus the plan's
+            # corruptions.
+            values_before = dict(values)
+            values_before.update(plan.memory_corruptions)
+        received = self.kernel.sampled(
+            "round", self.protocol.run_round, plan, self._cured_aware,
+            round_index == 0,
+        )
+        if recording:
+            self._record_wire_round(plan, values_before, dict(values))
+        return plan, received, values
+
+    # -- full-trace recorders ----------------------------------------------------
+
+    def _record_round(
+        self,
+        plan: RoundPlan,
+        values_before: dict,
+        values_after: dict,
+        sent: dict,
+        received,
+        heard,
+        applications,
+        payloads=None,
+    ) -> RoundRecord:
+        """Append ``plan``'s round to the full trace and return it."""
+        record = RoundRecord(
+            round_index=plan.round_index,
+            faulty_at_send=plan.faulty_at_send,
+            cured_at_send=plan.cured_at_send,
+            positions_after=plan.positions_after,
+            values_before=MappingProxyType(values_before),
+            sent=MappingProxyType(sent),
+            received=received,
+            heard=heard,
+            applications=applications,
+            values_after=MappingProxyType(values_after),
+            static_classes=plan.static_classes,
+            payloads=MappingProxyType(payloads) if payloads else None,
+        )
+        self._trace.rounds.append(record)
+        return record
+
+    def _computing(self, plan: RoundPlan) -> tuple[int, ...]:
+        """The processes computing in ``plan``'s round, in pid order."""
+        garbage = plan.compute_corruptions
+        return tuple(pid for pid in range(self.config.n) if pid not in garbage)
+
+    def _record_array_round(self, plan: RoundPlan, before, after) -> None:
+        """Record an array round from its send-phase primitives.
+
+        ``sent`` holds one O(1)
+        :class:`~repro.runtime.trace.BroadcastOutbox` per broadcaster
+        (instead of an ``n``-entry dict), and
+        ``received``/``heard``/``applications`` are lazy per-recipient
+        views derived from ``sent`` on demand -- the P1/P2 checkers read
+        only ``applications[*].result``, which is O(1), so full traces
+        stop paying the ``n^2`` bookkeeping of ``step()``.
+        """
+        n = self.config.n
+        protocol = self.protocol
+        values_before = dict(enumerate(before.tolist()))
+        values_after = dict(enumerate(after.tolist()))
+        overrides = plan.send_overrides
+        sent: dict = {}
+        for pid in range(n):
+            outbox = overrides.get(pid)
+            if outbox is not None:
+                # The plan's outboxes are immutable round snapshots
+                # (frozen dicts / CampOutbox); storing them directly
+                # keeps the recorder O(#camps) per override sender
+                # instead of materializing n-entry dicts.
+                sent[pid] = outbox
+                continue
+            if pid in plan.forced_silent:
+                sent[pid] = None
+                continue
+            aware_cured = self._cured_aware and pid in plan.cured_at_send
+            value = protocol.send_value(pid, values_before[pid], aware_cured)
+            sent[pid] = None if value is None else BroadcastOutbox(n, value)
+        computing = self._computing(plan)
+        received = _LazyReceived(sent, computing)
+        self._record_round(
+            plan,
+            values_before,
+            values_after,
+            sent,
+            received,
+            _LazyHeard(sent, computing),
+            _LazyApplications(received, values_after, protocol.compute),
+        )
+
+    def _record_wire_round(self, plan: RoundPlan, values_before, values_after):
+        """Record a stateful round from the protocol's wire record.
+
+        The wire record holds the sent matrix of representative
+        scalars, structured message payloads and -- where the family
+        defines them -- aggregation snapshots.
+        """
+        protocol = self.protocol
+        wire = protocol.wire_record or {}
+        protocol.wire_record = None
+        sent = wire.get("sent") or {}
+        received = wire.get("received")
+        if received is None:
+            # Scalar-matrix families (tseng): derive the per-recipient
+            # views lazily from the sent matrix.
+            computing = self._computing(plan)
+            received = _LazyReceived(sent, computing)
+            heard = _LazyHeard(sent, computing)
+        else:
+            heard = wire.get("heard") or {}
+        self._record_round(
+            plan,
+            values_before,
+            values_after,
+            sent,
+            received,
+            heard,
+            wire.get("applications") or {},
+            wire.get("payloads"),
+        )
+
+    # -- engine selection --------------------------------------------------------
 
     def _vectorized_setup(self, protocol=None):
         """The batched MSR evaluator when the array engine applies.
@@ -1003,367 +1263,6 @@ class SynchronousSimulator:
             config.algorithm.name,
             family.name,
             self._setup_model(config),
-        )
-
-    def _advance_round_vectorized(self, batch, arr, first_round: bool):
-        """Advance one round on array state.
-
-        Returns ``(plan, arr_before, arr_after)`` where ``arr_before``
-        is the post-memory-corruption/pre-compute snapshot and
-        ``arr_after`` the end-of-round values (compute corruptions
-        applied).  Round 0 and rounds the batch engine cannot express
-        (non-camp overrides, below-bound folds) run through the exact
-        scalar kernel path instead -- same values, canonical errors.
-        """
-        np = _np
-        n = self.config.n
-        kernel = self.kernel
-        plan = self.controller.plan_round(
-            self._round_index, ArrayValues(arr), self._adversary_rng
-        )
-        if plan.memory_corruptions:
-            arr = arr.copy()
-            corruptions = plan.memory_corruptions
-            arr[list(corruptions)] = list(corruptions.values())
-
-        overrides = plan.send_overrides
-        new_arr = None
-        # Round 0 always takes the scalar fallback: it is the only
-        # round needing the per-inbox received diameter.
-        if not first_round:
-            mask = np.ones(n, dtype=bool)
-            silent = set(overrides)
-            silent.update(plan.forced_silent)
-            if self._cured_aware and plan.cured_at_send:
-                silent.update(plan.cured_at_send)
-            if silent:
-                mask[list(silent)] = False
-            # Boolean masking preserves pid order, which is exactly the
-            # scalar path's append order; the stable sort then matches
-            # list.sort() bit for bit (signed-zero ties included).
-            broadcasts_arr = np.sort(arr[mask], kind="stable")
-            new_arr = kernel.compute_phase_batch(
-                batch,
-                np,
-                broadcasts_arr,
-                list(overrides.values()) if overrides else None,
-                n,
-            )
-        if new_arr is None:
-            work = dict(enumerate(arr.tolist()))
-            self._values = work
-            broadcasts = self._broadcast_values_lite(plan)
-            broadcasts.sort()
-            max_received_diameter = kernel.compute_phase(
-                self.protocol,
-                self._lite_evaluate,
-                n,
-                broadcasts,
-                list(overrides.values()) if overrides else None,
-                plan.compute_corruptions,
-                work,
-                first_round,
-            )
-            for pid, garbage in plan.compute_corruptions.items():
-                work[pid] = garbage
-            arr_after = np.array(list(work.values()), dtype=np.float64)
-            if first_round:
-                self._first_round_received_diameter = max_received_diameter
-        else:
-            arr_after = new_arr
-            garbage = plan.compute_corruptions
-            if garbage:
-                arr_after[list(garbage)] = list(garbage.values())
-        return plan, arr, arr_after
-
-    def _array_extent(self, arr, excluded: frozenset[int]):
-        """Non-excluded (min, max) of ``arr`` as Python floats.
-
-        Matches the scalar extent loop bit for bit: a ``0.0`` endpoint
-        could be either signed zero under numpy's min/max, so those
-        rounds recompute with the first-wins scalar scan.
-        """
-        np = _np
-        if excluded:
-            mask = np.ones(arr.shape[0], dtype=bool)
-            mask[list(excluded)] = False
-            sub = arr[mask]
-        else:
-            sub = arr
-        if sub.shape[0] == 0:
-            return None
-        low = sub.min()
-        high = sub.max()
-        if low == 0.0 or high == 0.0:
-            return _scan_extent(enumerate(arr.tolist()), excluded)
-        return (float(low), float(high))
-
-    def _run_lite_vectorized(self, batch) -> LiteTrace:
-        """The lite loop on array state (bit-identical to `_run_lite`)."""
-        n = self.config.n
-        termination = self.config.termination
-        terminated = False
-        extents: list[tuple[float, float] | None] = []
-        initially_nonfaulty = frozenset(range(n))
-        positions_after: frozenset[int] = frozenset()
-        self._lite_evaluate = self.kernel.prepare(self.protocol)
-        arr = _np.array(
-            [self._values[pid] for pid in range(n)], dtype=_np.float64
-        )
-
-        for _ in range(self.config.max_rounds):
-            round_index = self._round_index
-            first_round = round_index == 0
-            plan, _, arr = self._advance_round_vectorized(
-                batch, arr, first_round
-            )
-            if first_round:
-                initially_nonfaulty = frozenset(range(n)) - plan.faulty_at_send
-
-            positions_after = plan.positions_after
-            extent = self._array_extent(arr, positions_after)
-            extents.append(extent)
-            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
-
-            self._round_index += 1
-            if self.family.decision_ready(round_index) and termination.should_stop(
-                round_index,
-                nonfaulty_diameter,
-                self._first_round_received_diameter,
-            ):
-                terminated = True
-                break
-
-        final = arr.tolist()
-        self._values = dict(enumerate(final))
-        return self._lite_trace(
-            final, positions_after, initially_nonfaulty, extents, terminated
-        )
-
-    def _run_full_vectorized(self, batch) -> Trace:
-        """The full-trace loop on array state.
-
-        Runs the exact lite dynamics and records each round from the
-        send-phase primitives: ``sent`` holds one O(1)
-        :class:`~repro.runtime.trace.BroadcastOutbox` per broadcaster
-        (instead of an ``n``-entry dict), and
-        ``received``/``heard``/``applications`` are lazy per-recipient
-        views derived from ``sent`` on demand -- the P1/P2 checkers read
-        only ``applications[*].result``, which is O(1), so full traces
-        stop paying the ``n^2`` bookkeeping that made them an order of
-        magnitude slower than lite.
-        """
-        n = self.config.n
-        protocol = self.protocol
-        cured_aware = self._cured_aware
-        trace = self._trace
-        termination = self.config.termination
-        terminated = False
-        self._lite_evaluate = self.kernel.prepare(protocol)
-        arr = _np.array(
-            [self._values[pid] for pid in range(n)], dtype=_np.float64
-        )
-
-        for _ in range(self.config.max_rounds):
-            round_index = self._round_index
-            first_round = round_index == 0
-            plan, before_arr, arr = self._advance_round_vectorized(
-                batch, arr, first_round
-            )
-            values_before = dict(enumerate(before_arr.tolist()))
-            values_after = dict(enumerate(arr.tolist()))
-
-            overrides = plan.send_overrides
-            sent: dict = {}
-            for pid in range(n):
-                outbox = overrides.get(pid)
-                if outbox is not None:
-                    # The plan's outboxes are immutable round snapshots
-                    # (frozen dicts / CampOutbox); storing them directly
-                    # keeps the recorder O(#camps) per override sender
-                    # instead of materializing n-entry dicts.
-                    sent[pid] = outbox
-                    continue
-                if pid in plan.forced_silent:
-                    sent[pid] = None
-                    continue
-                aware_cured = cured_aware and pid in plan.cured_at_send
-                value = protocol.send_value(pid, values_before[pid], aware_cured)
-                sent[pid] = None if value is None else BroadcastOutbox(n, value)
-            computing = tuple(
-                pid for pid in range(n) if pid not in plan.compute_corruptions
-            )
-            received = _LazyReceived(sent, computing)
-            record = RoundRecord(
-                round_index=round_index,
-                faulty_at_send=plan.faulty_at_send,
-                cured_at_send=plan.cured_at_send,
-                positions_after=plan.positions_after,
-                values_before=MappingProxyType(values_before),
-                sent=MappingProxyType(sent),
-                received=received,
-                heard=_LazyHeard(sent, computing),
-                applications=_LazyApplications(
-                    received, values_after, protocol.compute
-                ),
-                values_after=MappingProxyType(values_after),
-                static_classes=plan.static_classes,
-            )
-            if first_round:
-                trace.initially_nonfaulty = (
-                    frozenset(range(n)) - plan.faulty_at_send
-                )
-            trace.rounds.append(record)
-            self._round_index += 1
-            if self.family.decision_ready(round_index) and termination.should_stop(
-                round_index,
-                record.nonfaulty_diameter_after(),
-                self._first_round_received_diameter,
-            ):
-                terminated = True
-                break
-
-        self._values = dict(enumerate(arr.tolist()))
-        trace.terminated = terminated
-        trace.decisions = dict(trace.final_round.nonfaulty_values_after())
-        return trace
-
-    def _broadcast_values_lite(self, plan: RoundPlan) -> list[float]:
-        """Values broadcast by processes following the protocol's send rule.
-
-        Override/forced-silent processes are excluded -- their traffic
-        is read straight from the plan's per-recipient maps during the
-        receive phase.
-        """
-        broadcasts: list[float] = []
-        for pid in range(self.config.n):
-            if pid in plan.send_overrides or pid in plan.forced_silent:
-                continue
-            aware_cured = self._cured_aware and pid in plan.cured_at_send
-            value = self.protocol.send_value(pid, self._values[pid], aware_cured)
-            if value is not None:
-                broadcasts.append(value)
-        return broadcasts
-
-    # -- the stateful multi-round driver ---------------------------------------
-
-    def _run_stateful(self) -> Trace | LiteTrace:
-        """Drive a :class:`StatefulRoundProtocol` family to its decision.
-
-        The shared round structure (fault planning, diameter and
-        termination bookkeeping) lives here; everything family-specific
-        -- message structure, carried state, the receive/compute fold
-        -- lives in the protocol's ``run_round``.  Fault controllers
-        observe the protocol's representative values, so every
-        adversary and movement strategy applies unchanged.
-
-        ``trace_detail="full"`` flips the protocol's ``recording`` flag
-        and folds each round's wire record (sent matrix of
-        representative scalars, structured message payloads, and --
-        where the family defines them -- aggregation snapshots) into
-        :class:`~repro.runtime.trace.RoundRecord` objects.  The value
-        dynamics are untouched: full and lite trajectories are
-        bit-identical.
-        """
-        protocol = self.protocol
-        family = self.family
-        n = self.config.n
-        termination = self.config.termination
-        terminated = False
-        extents: list[tuple[float, float] | None] = []
-        initially_nonfaulty = frozenset(range(n))
-        positions_after: frozenset[int] = frozenset()
-        recording = self.trace_detail == "full"
-        protocol.recording = recording
-        trace = self._trace
-
-        protocol.reset(self.kernel)
-        protocol.start(self.config.initial_values)
-        values = protocol.values
-
-        for _ in range(self.config.max_rounds):
-            round_index = self._round_index
-            plan = self.controller.plan_round(
-                round_index, dict(values), self._adversary_rng
-            )
-            first_round = round_index == 0
-            if recording:
-                # run_round applies memory corruptions first thing, so
-                # the pre-send snapshot is the current values plus the
-                # plan's corruptions.
-                values_before = dict(values)
-                values_before.update(plan.memory_corruptions)
-            max_received_diameter = self.kernel.sampled(
-                "round", protocol.run_round, plan, self._cured_aware, first_round
-            )
-            if first_round:
-                self._first_round_received_diameter = max_received_diameter
-                initially_nonfaulty = frozenset(range(n)) - plan.faulty_at_send
-            if recording:
-                wire = protocol.wire_record or {}
-                protocol.wire_record = None
-                sent = wire.get("sent") or {}
-                computing = tuple(
-                    pid
-                    for pid in range(n)
-                    if pid not in plan.compute_corruptions
-                )
-                received = wire.get("received")
-                if received is None:
-                    # Scalar-matrix families (tseng): derive the
-                    # per-recipient views lazily from the sent matrix.
-                    received = _LazyReceived(sent, computing)
-                    heard = _LazyHeard(sent, computing)
-                else:
-                    heard = wire.get("heard") or {}
-                payloads = wire.get("payloads")
-                record = RoundRecord(
-                    round_index=round_index,
-                    faulty_at_send=plan.faulty_at_send,
-                    cured_at_send=plan.cured_at_send,
-                    positions_after=plan.positions_after,
-                    values_before=MappingProxyType(values_before),
-                    sent=MappingProxyType(sent),
-                    received=received,
-                    heard=heard,
-                    applications=wire.get("applications") or {},
-                    values_after=MappingProxyType(dict(values)),
-                    static_classes=plan.static_classes,
-                    payloads=(
-                        MappingProxyType(payloads) if payloads else None
-                    ),
-                )
-                if first_round:
-                    trace.initially_nonfaulty = initially_nonfaulty
-                trace.rounds.append(record)
-
-            positions_after = plan.positions_after
-            extent = _scan_extent(values.items(), positions_after)
-            extents.append(extent)
-            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
-
-            self._round_index += 1
-            # Both schedules must agree the round is a decision point:
-            # the family's (stateless) and the protocol's (per-run --
-            # e.g. witness phases spanning diameter-many rounds).
-            if (
-                family.decision_ready(round_index)
-                and protocol.decision_ready(round_index)
-                and termination.should_stop(
-                    round_index,
-                    nonfaulty_diameter,
-                    self._first_round_received_diameter,
-                )
-            ):
-                terminated = True
-                break
-
-        if recording:
-            trace.terminated = terminated
-            trace.decisions = dict(trace.final_round.nonfaulty_values_after())
-            return trace
-        return self._lite_trace(
-            values, positions_after, initially_nonfaulty, extents, terminated
         )
 
     # -- phases ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import evenly_spread_values, mobile_config
 from repro.core.convergence import mobile_contraction
 from repro.core.mapping import msr_trim_parameter
 from repro.core.specification import check_trace
@@ -18,6 +19,7 @@ from repro.faults.movement import RandomJump, RoundRobinWalk
 from repro.faults.value_strategies import OutlierAttack, SplitAttack
 from repro.msr import make_algorithm
 from repro.runtime import EstimatedRounds, run_simulation
+from repro.runtime.simulator import simulate_many
 from tests.helpers import make_mobile_config
 
 EPSILON = 1e-3
@@ -74,3 +76,47 @@ class TestEstimatedRoundsEndToEnd:
         tight = run_simulation(estimated_config(model, epsilon=1e-8))
         assert tight.rounds_executed() > loose.rounds_executed()
         assert check_trace(tight).satisfied
+
+
+class TestSharedRuleBudgetsPerRun:
+    """One :class:`EstimatedRounds` object shared by several configs
+    budgets each run from that run's own first exchange."""
+
+    @staticmethod
+    def _configs(rule):
+        def config(high):
+            n = get_semantics("M1").required_n(2)
+            return mobile_config(
+                model="M1",
+                f=2,
+                seed=1,
+                attack="inertia",
+                max_rounds=200,
+                termination=rule,
+                initial_values=evenly_spread_values(n, 0.0, high),
+            )
+
+        return config(1.0), config(1e6)
+
+    def _fresh_wide(self):
+        _, wide = self._configs(EstimatedRounds(1e-3, 0.5))
+        return run_simulation(wide, trace_detail="lite")
+
+    def test_single_runs(self):
+        narrow, wide = self._configs(EstimatedRounds(1e-3, 0.5))
+        first = run_simulation(narrow, trace_detail="lite")
+        second = run_simulation(wide, trace_detail="lite")
+        fresh = self._fresh_wide()
+        assert first.rounds_executed() == 11
+        assert fresh.rounds_executed() == 31
+        assert second.rounds_executed() == fresh.rounds_executed()
+        assert second.decisions == fresh.decisions
+        assert check_trace(second).satisfied
+
+    def test_one_stack(self):
+        first, second = simulate_many(self._configs(EstimatedRounds(1e-3, 0.5)))
+        fresh = self._fresh_wide()
+        assert first.rounds_executed() == 11
+        assert second.rounds_executed() == fresh.rounds_executed() == 31
+        assert second.decisions == fresh.decisions
+        assert check_trace(second).satisfied
