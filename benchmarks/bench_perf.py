@@ -559,8 +559,9 @@ def _run_cross_run(grid):
 def test_sweep_cross_run_vs_serial(benchmark, record_artifact, record_bench):
     """EXP-PERF-CROSS: the cross-run stacked engine on the 64-cell grid.
 
-    ``cross_run=True`` partitions the grid by ``batch_key`` (4 groups
-    of 16 seeds here) and advances each group as one ``(R, n)`` state
+    ``cross_run=True`` partitions the grid by ``stack_key`` (2 groups
+    here, one per model, of 32 runs: both attacks stack together) and
+    advances each group as one ``(R, n)`` state
     array -- one fault-planning pass and one sort/fold pass per round
     for all R runs -- so the win needs no process pool and holds on a
     single usable CPU, exactly where pooled dispatch cannot help.

@@ -38,18 +38,25 @@ paper's own reduction, every process ending up with an MSR fold --
 it says so through :meth:`ProtocolFamily.lite_equivalent`: tseng under
 M1/M3/M4 and witness under M1/M2, both on the complete graph.  The
 cross-run engine stacks those lite runs as bonomi rows; every other
-path runs the family's own protocol.
+path runs the family's own protocol.  :func:`stacking_key` is the one
+definition of which runs stack together, read by the engine and by
+the sweep layer alike.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from ..faults.models import get_semantics
+from ..topology import topology_from_spec
 from .protocol import MSRVotingProtocol, StatefulRoundProtocol, VotingProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids module cycles
+    from ..faults.models import MobileModel
+    from ..topology import Topology
     from .config import MobileFaultSetup, SimulationConfig, StaticMixedSetup
 
 __all__ = [
@@ -58,6 +65,7 @@ __all__ = [
     "register_family",
     "get_family",
     "family_names",
+    "stacking_key",
     "DEFAULT_FAMILY",
 ]
 
@@ -83,6 +91,12 @@ class ProtocolFamily(ABC):
     #: relay through witnesses) override to ``False`` and refine
     #: :meth:`check_topology` with their own admission rule.
     requires_complete: bool = True
+
+    #: Whether :meth:`build_protocol` returns a
+    #: :class:`StatefulRoundProtocol` (the family runs its own rounds)
+    #: rather than a scalar :class:`VotingProtocol`.  Read where no
+    #: protocol is built yet: :func:`stacking_key` on a sweep cell.
+    stateful: bool = False
 
     @abstractmethod
     def build_protocol(
@@ -146,17 +160,21 @@ class ProtocolFamily(ABC):
         """Worst-case per-round diameter contraction factor, if known."""
         return None
 
-    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
-        """The scalar family whose lite run ``config`` provably equals.
+    def lite_equivalent(
+        self, model: "MobileModel | None", topology: "Topology"
+    ) -> str | None:
+        """The scalar family whose lite run this family's provably equals.
 
-        A stateful family returns a family name where its rounds
-        reduce, value for value, to that family's fold under
-        ``config`` (model, topology); the cross-run engine then stacks
-        the run as that family's row
-        (:func:`~repro.runtime.simulator.simulate_many`).  Results
-        still carry this family's name, and single runs, full traces
-        and the reference kernel keep the family's own rounds.  The
-        default, ``None``, declares nothing.
+        ``model`` is the run's mobile model (``None`` for a static
+        setup) and ``topology`` its resolved communication graph -- all
+        the declaration may read, so a sweep cell can be keyed without
+        building its config.  A stateful family returns a family name
+        where its rounds reduce, value for value, to that family's
+        fold; :func:`stacking_key` then stacks the run as that
+        family's row (:func:`~repro.runtime.simulator.simulate_many`).
+        Results still carry this family's name, and single runs, full
+        traces and the reference kernel keep the family's own rounds.
+        The default, ``None``, declares nothing.
         """
         return None
 
@@ -195,20 +213,61 @@ class BonomiFamily(ProtocolFamily):
         return "bonomi (MSR voting, arXiv:1604.03871)"
 
 
-def bonomi_on_complete(config: "SimulationConfig", models) -> str | None:
-    """``"bonomi"`` for a mobile ``config`` under one of ``models`` on
-    the complete graph, else ``None``: the shared shape of the
-    stateful families' :meth:`ProtocolFamily.lite_equivalent`."""
-    from .config import MobileFaultSetup
-
-    setup = config.setup
-    if (
-        isinstance(setup, MobileFaultSetup)
-        and setup.model in models
-        and config.resolve_topology().is_complete
-    ):
+def bonomi_on_complete(
+    model: "MobileModel | None", topology: "Topology", models
+) -> str | None:
+    """``"bonomi"`` for a mobile ``model`` among ``models`` on the
+    complete graph, else ``None``: the shared shape of the stateful
+    families' :meth:`ProtocolFamily.lite_equivalent`."""
+    if model in models and topology.is_complete:
         return "bonomi"
     return None
+
+
+@lru_cache(maxsize=4096)
+def stacking_key(
+    n: int,
+    f: int,
+    algorithm: str,
+    family: str,
+    model: "MobileModel | str | None",
+    topology: str,
+) -> tuple | None:
+    """Cross-run stacking class of a run, or ``None`` when it runs alone.
+
+    The one definition of stacking compatibility: the engine
+    (:meth:`~repro.runtime.simulator.SynchronousSimulator._cross_run_key`)
+    and the sweep layer (:attr:`~repro.sweep.grid.CellSpec.stack_key`)
+    both call it.  Two runs sharing a key fold interchangeable
+    multisets -- same width ``n``, same MSR reduction (``algorithm``
+    and ``f``), same mobile ``model`` (a :class:`MobileModel` or its
+    ``"M1"``-style name) and the same scalar family -- so
+    their rounds can share one width-grouped fold.  The key is ``(n,
+    f, algorithm, folded family, model)``: a stateful family counts as
+    the scalar family its :meth:`ProtocolFamily.lite_equivalent`
+    declares for ``model`` on ``topology`` (a spec string resolved at
+    ``n``), so e.g. tseng and witness runs under M1 on the complete
+    graph key as bonomi.  Movement, attack, seed, epsilon and
+    termination stay per run.  ``None`` for a static setup
+    (``model=None``), an undeclared stateful family, a partial graph,
+    or an unknown model, family or topology spec.
+    """
+    if model is None:
+        return None
+    try:
+        model = get_semantics(model).model
+        declared = get_family(family)
+        graph = topology_from_spec(topology, n)
+    except (KeyError, ValueError):
+        return None
+    if declared.stateful:
+        name = declared.lite_equivalent(model, graph)
+        if name is None:
+            return None
+        declared = get_family(name)
+    if declared.stateful or not graph.is_complete:
+        return None
+    return (n, f, algorithm, declared.name, model)
 
 
 _REGISTRY: dict[str, ProtocolFamily] = {}
@@ -227,6 +286,7 @@ def register_family(family: ProtocolFamily) -> None:
     if key in _REGISTRY:
         raise ValueError(f"algorithm family {family.name!r} is already registered")
     _REGISTRY[key] = family
+    stacking_key.cache_clear()
 
 
 def get_family(name: str) -> ProtocolFamily:

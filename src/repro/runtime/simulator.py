@@ -67,7 +67,7 @@ from .controllers import (
     StaticMixedController,
 )
 from ..telemetry import trace_span
-from .families import get_family
+from .families import get_family, stacking_key
 from .kernel import RoundKernel
 from .network import SynchronousNetwork
 from .protocol import MSRVotingProtocol, StatefulRoundProtocol, VotingProtocol
@@ -387,9 +387,10 @@ def simulate_many(
 ) -> list[Trace | LiteTrace]:
     """Run many configs with cross-run vectorization where possible.
 
-    The cross-run engine stacks compatible lite runs -- same ``n``,
-    MSR function (algorithm/f/family) and mobile model, each passing
-    the per-cell array body's preconditions (numpy, complete topology,
+    The cross-run engine stacks compatible lite runs -- one
+    :func:`~repro.runtime.families.stacking_key` (same ``n``, MSR
+    function, folded family and mobile model), each passing the
+    per-cell array body's preconditions (numpy, complete topology,
     broadcast sends, batchable MSR stages) -- into one ``(R, n)``
     float64 state matrix and advances all of them in lockstep: one
     whole-matrix pass per round, round 0 included, for agent placement
@@ -1224,46 +1225,44 @@ class SynchronousSimulator:
     def _cross_run_key(self):
         """Cross-run stacking class of this simulator, or ``None``.
 
-        Two simulators sharing a key fold *interchangeable* multisets:
-        same row width (``n``) and same MSR reduction (algorithm name
-        plus the ``f``/family that parameterize its trim), under the
-        same mobile model -- so their rounds can share one width-grouped
-        fold (:meth:`RoundKernel.fold_rows_many`) and one batch
-        evaluator.  Movement, attack, seeds and termination may differ
-        freely: those stay per-run.  A stateful family's run keys as
+        The run's :func:`~repro.runtime.families.stacking_key` -- the
+        one compatibility rule the sweep layer groups cells by too --
+        gated on the engine's own preconditions: lite detail, a mobile
+        controller, and a batch evaluator for the folded family's
+        protocol (numpy present, the fast kernel, batchable MSR
+        stages).  Two simulators sharing a key fold interchangeable
+        multisets, so their rounds can share one width-grouped fold
+        (:meth:`RoundKernel.fold_rows_many`); movement, attack, seeds
+        and termination stay per run.  A stateful family's run keys as
         the scalar family it declares equivalent
         (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`),
-        whose protocol `_run_lite_many` then runs in its place.  ``None``
-        means the run must stay on its per-cell path (non-lite detail,
-        undeclared stateful family, static setup, or a failed
-        vectorized precondition -- numpy missing or the reference
-        kernel).
+        whose protocol `_run_lite_many` then runs in its place.
+        ``None`` means the run stays on its per-cell path.
         """
         if self.trace_detail != "lite":
             return None
         if not isinstance(self.controller, MobileFaultController):
             return None
-        family = self.family
+        config = self.config
+        key = stacking_key(
+            config.n,
+            config.f,
+            config.algorithm.name,
+            self.family.name,
+            self._setup_model(config),
+            config.topology,
+        )
+        if key is None:
+            return None
         protocol = self.protocol
-        if isinstance(protocol, StatefulRoundProtocol):
-            declared = family.lite_equivalent(self.config)
-            if declared is None:
-                return None
-            family = get_family(declared)
-            protocol = family.build_protocol(self.config)
+        if key[3] != self.family.name:
+            protocol = get_family(key[3]).build_protocol(config)
         batch = self._vectorized_setup(protocol)
         if batch is None:
             return None
         self._cross_run_batch = batch
         self._cross_run_protocol = protocol
-        config = self.config
-        return (
-            config.n,
-            config.f,
-            config.algorithm.name,
-            family.name,
-            self._setup_model(config),
-        )
+        return key
 
     # -- phases ----------------------------------------------------------------
 

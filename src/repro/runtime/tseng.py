@@ -469,12 +469,13 @@ class TsengFamily(ProtocolFamily):
     """
 
     name = "tseng"
+    stateful = True
 
     def build_protocol(self, config: "SimulationConfig") -> TsengProtocol:
         return TsengProtocol(config.n, config.algorithm)
 
-    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
-        return bonomi_on_complete(config, _NO_REJECTION_MODELS)
+    def lite_equivalent(self, model, topology) -> str | None:
+        return bonomi_on_complete(model, topology, _NO_REJECTION_MODELS)
 
     def predicted_contraction(self, config: "SimulationConfig") -> float | None:
         # Filtering shrinks the adversarial mass inside each multiset

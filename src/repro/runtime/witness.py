@@ -934,14 +934,15 @@ class WitnessFamily(ProtocolFamily):
 
     name = "witness"
     requires_complete = False
+    stateful = True
 
     def build_protocol(self, config: "SimulationConfig") -> WitnessProtocol:
         return WitnessProtocol(
             config.n, config.f, config.algorithm, config.resolve_topology()
         )
 
-    def lite_equivalent(self, config: "SimulationConfig") -> str | None:
-        return bonomi_on_complete(config, _FIRST_HAND_MODELS)
+    def lite_equivalent(self, model, topology) -> str | None:
+        return bonomi_on_complete(model, topology, _FIRST_HAND_MODELS)
 
     def check_topology(self, topology, config: "SimulationConfig") -> None:
         if not topology.is_connected():

@@ -25,19 +25,21 @@ on any host that shares the spill directory.
 
 Cross-run execution (:meth:`SweepBackend.execute_many`) is the batched
 packaging of work: cells are partitioned by
-:attr:`~repro.sweep.grid.CellSpec.batch_key` -- the cell's identity
-minus its seed, so a group describes the *same* simulation shape
-differing only in RNG streams -- and each group is one call to
-:func:`~repro.sweep.engine.run_cell_many`, which stacks the group's
-runs into a single ``(R, n)`` state array and advances all of them per
-round with one vectorized pass.  The partition is a true partition
-(every cell lands in exactly one group; families, topologies and
-scenarios never mix), results are bit-identical to per-cell execution,
-and the dispatch label records the batch structure, e.g.
-``cross-run(4 batches, max R=16)``.
+:attr:`~repro.sweep.grid.CellSpec.stack_key` -- the engine's own
+stacking rule (:func:`~repro.runtime.families.stacking_key`), so a
+group holds every cell the engine can fold together: one width, MSR
+reduction, model and folded family, with attacks, movements, epsilons,
+round budgets and declared stateful families mixed inside -- and each
+group is one call to :func:`~repro.sweep.engine.run_cell_many`, which
+stacks the group's runs into a single ``(R, n)`` state array and
+advances all of them per round with one vectorized pass.  The
+partition is a true partition (every cell lands in exactly one group;
+scenarios, widths and folded families never mix), results are
+bit-identical to per-cell execution, and the dispatch label records
+the batch structure, e.g. ``cross-run(4 batches, max R=16)``.
 
 :class:`ShmCrossRunBackend` is the parallel packaging of cross-run
-work: whole ``batch_key`` groups run in pool workers which write their
+work: whole ``stack_key`` groups run in pool workers which write their
 stacked results into ``multiprocessing.shared_memory`` blocks (planned
 by :class:`~repro.runtime.simulator.ShmBatchLayout`) and ship back only
 a compact header plus per-run scalars -- result payloads are never
@@ -123,7 +125,7 @@ _SHARD_FILE = re.compile(r"^shard-(\d{4})-of-(\d{4})\.json$")
 
 
 def _batch_groups(cells: Sequence["CellSpec"]) -> list[list["CellSpec"]]:
-    """Partition cells into cross-run groups by ``batch_key``.
+    """Partition cells into cross-run groups by ``stack_key``.
 
     Order-preserving on both levels: groups appear in first-cell order
     and cells keep their relative order within a group, so execution
@@ -131,7 +133,7 @@ def _batch_groups(cells: Sequence["CellSpec"]) -> list[list["CellSpec"]]:
     """
     groups: dict[tuple, list["CellSpec"]] = {}
     for cell in cells:
-        groups.setdefault(cell.batch_key, []).append(cell)
+        groups.setdefault(cell.stack_key, []).append(cell)
     return list(groups.values())
 
 
@@ -232,7 +234,7 @@ class SweepBackend:
     ``workers`` is the parallelism the backend reports into
     ``SweepResult.workers`` (1 for serial execution).  Cross-run
     sweeps, and every sweep on a :attr:`pooled` backend, call
-    :meth:`execute_many`, whose unit of work is one ``batch_key``
+    :meth:`execute_many`, whose unit of work is one ``stack_key``
     group run on a shared round kernel; the rest call :meth:`execute`.
     """
 
@@ -275,7 +277,7 @@ class SweepBackend:
     ) -> list["CellResult"]:
         """Run the cells as cross-run groups, one group per dispatch.
 
-        The default executes each ``batch_key`` group in-process
+        The default executes each ``stack_key`` group in-process
         through the stacked ``(R, n)`` engine; pooled backends
         override this to ship whole groups to workers.  Results are
         bit-identical to :meth:`execute` -- only the packaging (and
@@ -318,7 +320,7 @@ class SerialBackend(SweepBackend):
 class MultiprocessingBackend(SweepBackend):
     """Cross-run groups across a local ``multiprocessing`` pool.
 
-    Each ``batch_key`` group is one pickled pool task.  A pool that
+    Each ``stack_key`` group is one pickled pool task.  A pool that
     cannot win (one worker, one group, one usable CPU) runs the groups
     inline instead.
     """
@@ -376,7 +378,7 @@ class MultiprocessingBackend(SweepBackend):
     ) -> list["CellResult"]:
         """Dispatch whole cross-run groups to pool workers.
 
-        Each ``batch_key`` group is one pool task advancing its stack
+        Each ``stack_key`` group is one pool task advancing its stack
         in a worker; the pool decision treats groups as the dispatch
         unit (a single group has nothing to overlap, so it runs
         inline).  Falls back to the in-process default wherever a pool
@@ -418,31 +420,21 @@ _FAMILY_COST_FACTORS: dict[str, float] = {
 _PARTIAL_TOPOLOGY_FACTOR = 1.5
 
 
-def _resolve_n(cell: "CellSpec") -> int:
-    """The cell's ``n``, Table 2 minimum when unset, 16 when unknown."""
-    n = cell.n
-    if n is None:
-        try:
-            from ..faults.models import get_semantics
-
-            n = get_semantics(cell.model).required_n(cell.f)
-        except (KeyError, ValueError):
-            n = 16
-    return max(n, 1)
-
-
 class CostModel:
     """Relative cell-cost estimator, optionally calibrated from timings.
 
     The static model prices a cell at ``n^2 * rounds`` weighted by
     hand-tuned per-family factors and a partial-topology multiplier --
     only the *ordering* between cheap and expensive cells matters (the
-    stealing dispatcher's LPT seeding and victim choice).
+    stealing dispatcher's LPT seeding and victim choice).  A cell is
+    priced at its :attr:`~repro.sweep.grid.CellSpec.folded_family`:
+    a tseng or witness cell the engine stacks as a bonomi row runs --
+    and costs -- what a bonomi cell does.
 
     :meth:`fit` replaces the hand-tuned family weights with ones
     measured from a :class:`~repro.sweep.service.SweepJournal`'s
     recorded per-cell timings: each observation contributes a
-    seconds-per-base-unit rate for its family, families with enough
+    seconds-per-base-unit rate for its folded family, families with enough
     samples get ``median(rate) / median(reference rate)`` as their
     weight (and their median observed round count as the nominal-round
     estimate for oracle-terminated cells), and families without data
@@ -467,21 +459,26 @@ class CostModel:
         """Rounds the model expects the cell to execute."""
         if cell.rounds is not None:
             return max(cell.rounds, 1)
-        nominal = self.family_rounds.get(cell.family, _NOMINAL_ROUNDS)
+        nominal = self.family_rounds.get(cell.folded_family, _NOMINAL_ROUNDS)
         return max(min(cell.max_rounds, nominal), 1)
 
     def base_cost(self, cell: "CellSpec", rounds: int | None = None) -> float:
         """The family-agnostic ``n^2 * rounds * topology`` proxy."""
         if rounds is None:
             rounds = self.nominal_rounds(cell)
-        cost = float(_resolve_n(cell)) ** 2 * float(max(rounds, 1))
+        # An unresolvable n (unknown model) prices as a small cell.
+        n = cell.resolved_n
+        n = 16 if n is None else max(n, 1)
+        cost = float(n) ** 2 * float(max(rounds, 1))
         if cell.topology != "complete":
             cost *= _PARTIAL_TOPOLOGY_FACTOR
         return cost
 
     def estimate(self, cell: "CellSpec") -> float:
         """Relative execution-cost proxy of one cell."""
-        return self.base_cost(cell) * self.family_weights.get(cell.family, 1.0)
+        return self.base_cost(cell) * self.family_weights.get(
+            cell.folded_family, 1.0
+        )
 
     def describe(self) -> str:
         source = "fitted" if self.calibrated else "static"
@@ -502,11 +499,13 @@ class CostModel:
 
         ``journal`` is a :class:`~repro.sweep.service.SweepJournal`
         (anything with ``observations()`` yielding ``(result,
-        seconds)`` pairs works).  Families with fewer than
-        ``min_samples`` usable observations -- and every family when
-        the journal carries no timings at all -- keep the static
-        weights, so ordering degrades gracefully to the hand-tuned
-        model rather than to noise.
+        seconds)`` pairs works).  Observations file under the cell's
+        folded family: a stacked witness M1 cell's time is its share
+        of a bonomi stack and says nothing about witness's own rounds.
+        Families with fewer than ``min_samples`` usable observations
+        -- and every family when the journal carries no timings at all
+        -- keep the static weights, so ordering degrades gracefully to
+        the hand-tuned model rather than to noise.
         """
         rates: dict[str, list[float]] = {}
         rounds_seen: dict[str, list[int]] = {}
@@ -516,8 +515,9 @@ class CostModel:
             cell = result.spec
             executed = max(result.rounds, 1)
             base = cls().base_cost(cell, rounds=executed)
-            rates.setdefault(cell.family, []).append(seconds / base)
-            rounds_seen.setdefault(cell.family, []).append(executed)
+            family = cell.folded_family
+            rates.setdefault(family, []).append(seconds / base)
+            rounds_seen.setdefault(family, []).append(executed)
         usable = {
             family: statistics.median(samples)
             for family, samples in rates.items()
@@ -547,8 +547,10 @@ def estimate_cell_cost(cell: "CellSpec") -> float:
     """Relative execution-cost proxy of one cell.
 
     Messaging and MSR fold work scale roughly with ``n^2 * rounds``,
-    weighted by per-family and per-topology factors (a witness-family
-    cell on a ring costs several of its bonomi full-mesh neighbours);
+    weighted by per-(folded-)family and per-topology factors (a
+    witness-family cell on a ring costs several of its bonomi
+    full-mesh neighbours, a witness M1 cell stacked as a bonomi row
+    costs what they do);
     the absolute scale is irrelevant, only the ordering between cheap
     and expensive cells matters.  ``n=None``
     resolves to the model's Table 2 minimum; unknown models fall back
@@ -577,24 +579,18 @@ def plan_shm_layout(
     config-build error surfaces per cell as usual), and scenarios other
     than ``mobile`` derive ``n`` from their own parameters (a ``stall``
     cell runs at ``n_Mi - 1 + extra``).  Batches are normally one
-    ``batch_key`` group (uniform shape); mixed batches are sized to
-    their widest member, which only wastes bytes.
+    ``stack_key`` group (one width, round budgets free to differ: the
+    diameter rows are sized to the longest); mixed batches are sized
+    to their widest member, which only wastes bytes.
     """
     if not cells:
         return None
     n = 0
     diameter_cap = 0
     for cell in cells:
-        if cell.scenario != "mobile":
+        cell_n = cell.resolved_n
+        if cell.scenario != "mobile" or cell_n is None:
             return None
-        cell_n = cell.n
-        if cell_n is None:
-            try:
-                from ..faults.models import get_semantics
-
-                cell_n = get_semantics(cell.model).required_n(cell.f)
-            except (KeyError, ValueError):
-                return None
         n = max(n, cell_n)
         rounds = cell.rounds if cell.rounds is not None else cell.max_rounds
         # The diameter trajectory is the initial value plus one entry
@@ -988,10 +984,13 @@ class _StealingQueues:
 
     The coordinator state of :class:`ShmCrossRunBackend`: every worker
     slot owns a queue of batches (each batch a run-index slice of one
-    ``batch_key`` group).  Seeding is LPT -- heaviest group onto the
+    ``stack_key`` group).  Seeding is LPT -- heaviest group onto the
     lightest slot -- followed by an eager pre-split that cuts the
-    biggest batches until every slot can start busy (a single huge
-    group still spreads across the whole pool).  :meth:`next_batch`
+    biggest batches until every slot can start busy and no splittable
+    batch holds more than its ``1/slots`` share of the estimated cost
+    (a single huge group still spreads across the whole pool, and one
+    heavy group cannot become the critical path while a slot idles:
+    a batch in flight can no longer be stolen from).  :meth:`next_batch`
     serves a slot from its own queue first; a dry slot *steals*: pick
     the victim holding the most pending estimated cost, take its
     biggest pending batch, keep the larger half (ceil) and return the
@@ -1025,8 +1024,12 @@ class _StealingQueues:
         return math.fsum(self._estimate(cell) for cell in batch)
 
     def _presplit(self) -> None:
-        """Cut the biggest batches until every slot can start busy."""
-        while sum(len(queue) for queue in self._queues) < self.slots:
+        """Cut the biggest batches until every slot can start busy and
+        no splittable batch exceeds a ``1/slots`` share of the cost."""
+        share = math.fsum(
+            self._cost(batch) for queue in self._queues for batch in queue
+        ) / self.slots
+        while True:
             best: tuple[float, int, int] | None = None
             for slot, queue in enumerate(self._queues):
                 for index, batch in enumerate(queue):
@@ -1037,7 +1040,9 @@ class _StealingQueues:
                         best = (cost, slot, index)
             if best is None:
                 return
-            _, slot, index = best
+            cost, slot, index = best
+            if self.pending() >= self.slots and cost <= share:
+                return
             batch = self._queues[slot].pop(index)
             half = (len(batch) + 1) // 2
             self._queues[slot].insert(index, batch[:half])
@@ -1078,7 +1083,7 @@ class ShmCrossRunBackend(MultiprocessingBackend):
     """Zero-copy parallel cross-run execution with work stealing.
 
     The pooled counterpart of :meth:`SweepBackend.execute_many`: whole
-    ``batch_key`` groups (or stolen run-index slices of them) run in
+    ``stack_key`` groups (or stolen run-index slices of them) run in
     pool workers that write their stacked payloads into shared-memory
     blocks owned by a :class:`SharedResultArena`, and the dispatcher
     is a :class:`_StealingQueues` coordinator -- one in-flight batch

@@ -301,14 +301,15 @@ def run_cell_many(
     """Execute a group of cells through the cross-run vectorized engine.
 
     The unit of work of cross-run sweeps (module level so it pickles):
-    the cells are partitioned by :attr:`CellSpec.batch_key` and each
-    compatible group is handed to
-    :func:`repro.runtime.simulator.simulate_many`, which stacks the
-    group's runs into one ``(R, n)`` state array and advances them in
-    lockstep -- one sort/fold pass per round for the whole group.
-    Results are bit-identical to :func:`run_cell` execution and come
-    back in input order; groups the stacked engine cannot take (full
-    traces, stateful families without a declared
+    the cells are partitioned by :attr:`CellSpec.stack_key` -- the
+    engine's own stacking rule, so attacks, movements, epsilons, round
+    budgets and declared stateful families share a group -- and each
+    group is handed to :func:`repro.runtime.simulator.simulate_many`,
+    which stacks the group's runs into one ``(R, n)`` state array and
+    advances them in lockstep -- one sort/fold pass per round for the
+    whole group.  Results are bit-identical to :func:`run_cell`
+    execution and come back in input order; groups the stacked engine
+    cannot take (full traces, stateful families without a declared
     :meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`,
     partial topologies) fall back to the per-run paths inside
     ``simulate_many`` itself.
@@ -341,7 +342,7 @@ def run_cell_many(
     rescued: set[int] = set()
     groups: dict[tuple, list[int]] = {}
     for idx in pending:
-        groups.setdefault(cells[idx].batch_key, []).append(idx)
+        groups.setdefault(cells[idx].stack_key, []).append(idx)
     for indices in groups.values():
         configs = []
         runnable: list[int] = []

@@ -22,7 +22,8 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from itertools import product
 
-from ..runtime.families import DEFAULT_FAMILY, get_family
+from ..faults.models import get_semantics
+from ..runtime.families import DEFAULT_FAMILY, get_family, stacking_key
 from ..topology import DEFAULT_TOPOLOGY
 
 __all__ = ["CellSpec", "GridSpec"]
@@ -108,23 +109,64 @@ class CellSpec:
         )
 
     @property
-    def batch_key(self) -> tuple:
-        """Cross-run batch compatibility class of the cell.
+    def resolved_n(self) -> int | None:
+        """``n``, or the model's Table 2 minimum for ``f`` when unset.
 
-        ``key`` minus the ``seed``: two cells sharing a ``batch_key``
-        describe the *same* simulation shape (model, sizes, round
-        budget, scenario, family, topology) differing only in their
-        RNG stream, which is exactly the precondition for stacking
-        their runs into one ``(R, n)`` state array and advancing them
-        in lockstep (see :func:`repro.sweep.engine.run_cell_many`).
-        Partitioning any cell list by ``batch_key`` is a true
-        partition: every cell lands in exactly one group, and groups
-        never mix families, topologies or scenarios.
+        The width :func:`repro.api.mobile_config` gives an ``n=None``
+        cell.  ``None`` when the model or ``f`` is invalid (the cell's
+        config build then fails on its own).
         """
+        if self.n is not None:
+            return self.n
+        try:
+            return get_semantics(self.model).required_n(self.f)
+        except (KeyError, ValueError):
+            return None
+
+    @property
+    def _stacking(self) -> tuple | None:
+        """The cell's :func:`~repro.runtime.families.stacking_key`, or
+        ``None`` when the engine cannot stack it with other cells."""
+        n = self.resolved_n
+        if self.scenario != "mobile" or n is None:
+            return None
+        return stacking_key(
+            n,
+            self.f,
+            self.algorithm.strip().lower(),
+            self.family,
+            self.model,
+            self.topology,
+        )
+
+    @property
+    def stack_key(self) -> tuple:
+        """Cross-run group of the cell: cells sharing it stack together.
+
+        For a cell the engine can stack -- a ``mobile`` cell whose
+        family, after
+        :meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`,
+        is a scalar family -- this is the engine's own
+        :func:`~repro.runtime.families.stacking_key` ``(n, f,
+        algorithm, folded family, model)``: attack, movement, epsilon,
+        round budget, seed and the family itself may differ inside one
+        ``(R, n)`` stack (see :func:`repro.sweep.engine.run_cell_many`).
+        Every other cell keys as its ``key`` minus the ``seed``, so
+        its group differs only in RNG streams.  ``n=None`` resolves to
+        the Table 2 minimum first (:attr:`resolved_n`), so it stacks
+        with the explicit ``n`` of the same width.  Partitioning any
+        cell list by ``stack_key`` is a true partition: every cell
+        lands in exactly one group, and groups never mix scenarios,
+        models, widths or folded families.
+        """
+        stacking = self._stacking
+        if stacking is not None:
+            return stacking
+        n = self.resolved_n
         return (
             self.model,
             self.f,
-            self.n if self.n is not None else 0,
+            n if n is not None else 0,
             self.algorithm,
             self.movement,
             self.attack,
@@ -136,6 +178,17 @@ class CellSpec:
             self.family,
             self.topology,
         )
+
+    @property
+    def folded_family(self) -> str:
+        """The family whose rounds the cell's stacked lite run executes.
+
+        The scalar family a stackable cell folds as (``"bonomi"`` for a
+        declared tseng or witness cell), else the cell's own family --
+        what the cell costs to run (:class:`~repro.sweep.backends.CostModel`).
+        """
+        stacking = self._stacking
+        return self.family if stacking is None else stacking[3]
 
     def params_dict(self) -> dict[str, object]:
         """The scenario parameters as a plain dictionary."""

@@ -17,6 +17,7 @@ from repro.runtime import (
     SimulationConfig,
     run_simulation,
 )
+from repro.runtime.families import stacking_key
 from repro.runtime.simulator import SynchronousSimulator
 from repro.sweep import GridSpec
 
@@ -73,6 +74,15 @@ def run_mobile(model, **kwargs):
 def multiset(*values):
     """Shorthand multiset constructor for test bodies."""
     return ValueMultiset(values)
+
+
+def stackable(spec) -> bool:
+    """Whether the engine can stack the sweep cell ``spec`` with others
+    (its :func:`~repro.runtime.families.stacking_key` is not ``None``)."""
+    return spec.scenario == "mobile" and stacking_key(
+        spec.resolved_n, spec.f, spec.algorithm, spec.family, spec.model,
+        spec.topology,
+    ) is not None
 
 
 def small_grid(seeds=2, rounds=6):

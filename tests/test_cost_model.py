@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -111,19 +112,25 @@ class TestStaticModel:
         assert not model.calibrated
         cheap = cell(n=9)
         big = cell(n=33)
-        witness = cell(family="witness")
-        partial = cell(topology="ring:3", family="witness")
+        # Witness under M3 keeps its own rounds (no lite declaration).
+        witness = cell(model="M3", family="witness")
+        partial = cell(model="M3", topology="ring:3", family="witness")
         assert model.estimate(cheap) < model.estimate(big)
-        assert model.estimate(cell()) < model.estimate(witness)
+        assert model.estimate(cell(model="M3")) < model.estimate(witness)
         assert model.estimate(witness) < model.estimate(partial)
+        # Declared witness M2 cells stack as bonomi rows: bonomi's price.
+        assert model.estimate(cell(family="witness")) == model.estimate(cell())
         assert "static" in model.describe()
 
     def test_nominal_rounds_prefers_fixed_budget(self):
         model = CostModel(family_rounds={"witness": 44})
+        witness = dict(model="M3", family="witness")
         assert model.nominal_rounds(cell(rounds=7)) == 7
-        assert model.nominal_rounds(cell(family="witness", max_rounds=90)) == 44
+        assert model.nominal_rounds(cell(**witness, max_rounds=90)) == 44
         # The calibrated nominal is still capped by the cell's budget.
-        assert model.nominal_rounds(cell(family="witness", max_rounds=10)) == 10
+        assert model.nominal_rounds(cell(**witness, max_rounds=10)) == 10
+        # A declared witness M2 cell runs bonomi's rounds: the default.
+        assert model.nominal_rounds(cell(family="witness", max_rounds=90)) == 40
 
 
 class TestFit:
@@ -132,7 +139,7 @@ class TestFit:
         for seed in range(4):
             base = CostModel().base_cost(cell(seed=seed), rounds=20)
             obs.append(observation(cell(seed=seed), seconds=base * 1e-6))
-            slow = cell(seed=seed, family="witness")
+            slow = cell(seed=seed, model="M3", family="witness")
             obs.append(
                 observation(slow, seconds=CostModel().base_cost(slow, rounds=20) * 1e-5)
             )
@@ -143,7 +150,31 @@ class TestFit:
         assert fitted.family_rounds == {"bonomi": 20, "witness": 20}
         assert "fitted" in fitted.describe()
         # Observed ordering carries into estimates.
-        assert fitted.estimate(cell()) < fitted.estimate(cell(family="witness"))
+        assert fitted.estimate(cell(model="M3")) < fitted.estimate(
+            cell(model="M3", family="witness")
+        )
+
+    def test_fit_files_stacked_shares_under_the_folded_family(self, tmp_path):
+        # Witness M1 cells stack as bonomi rows, so their recorded time
+        # is a share of a bonomi stack; only own-driver witness M3
+        # timings may set the witness weight.
+        bonomi = [cell(seed=seed, model="M3") for seed in range(4)]
+        own = [cell(seed=seed, model="M3", family="witness") for seed in range(4)]
+        stacked = [cell(seed=seed, model="M1", family="witness") for seed in range(4)]
+        assert {spec.stack_key for spec in stacked} == {cell(model="M1").stack_key}
+        results = run_cell_many(stacked) + [
+            run_cell(spec) for spec in bonomi + own
+        ]
+        with SweepJournal(tmp_path / "journal") as journal:
+            journal.open(bonomi + own + stacked, "lite", None)
+            for result in results:
+                assert result.error is None, result.error
+                rate = 1e-5 if result.spec in own else 1e-6
+                base = CostModel().base_cost(result.spec, rounds=result.rounds)
+                journal.record(replace(result, elapsed=base * rate))
+            fitted = CostModel.fit(journal)
+        assert fitted.family_weights["bonomi"] == pytest.approx(1.0)
+        assert fitted.family_weights["witness"] == pytest.approx(10.0)
 
     def test_families_below_min_samples_keep_static_weights(self):
         obs = [
@@ -209,7 +240,7 @@ class TestElapsedFlow:
 class TestDispatcherIntegration:
     def test_stealing_queues_order_by_fitted_weights(self):
         fitted = CostModel(family_weights={"bonomi": 50.0, "witness": 1.0})
-        cells = [cell(seed=0), cell(seed=1, family="witness", n=33)]
+        cells = [cell(seed=0), cell(seed=1, model="M3", family="witness", n=33)]
         groups = [[spec] for spec in cells]
         static_first = _StealingQueues(groups, 1).next_batch(0)
         fitted_first = _StealingQueues(groups, 1, fitted.estimate).next_batch(0)

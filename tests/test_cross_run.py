@@ -10,11 +10,12 @@ both layers: :func:`repro.runtime.simulator.simulate_many` against
 :func:`repro.runtime.simulator.run_simulation`, and
 ``run_sweep(cross_run=True)`` against the default sweep.
 
-They also pin the supporting machinery: ``CellSpec.batch_key``
-partitioning is a true partition, the ``cross-run(...)`` dispatch label
-surfaces batch membership without entering equality, error cells keep
-their exact per-cell attribution, and ``estimate_cell_cost`` orders
-families and topologies by their real relative expense.
+They also pin the supporting machinery: ``CellSpec.stack_key``
+partitioning is a true partition that groups exactly what the engine
+stacks, the ``cross-run(...)`` dispatch label surfaces batch membership
+without entering equality, error cells keep their exact per-cell
+attribution, and ``estimate_cell_cost`` orders families (as folded)
+and topologies by their real relative expense.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import make_mobile_config, small_grid
+from tests.helpers import make_mobile_config, small_grid, stackable
 
 import repro.api
 from repro.api import movement_strategy, value_strategy
@@ -312,8 +313,9 @@ class TestCrossRunSweep:
             result.dispatch,
         )
         assert match is not None
-        assert int(match.group(1)) == 12  # 3x2x2 scenario shapes
-        assert int(match.group(2)) == 3  # seeds per shape
+        # Attacks stack together: one batch per (model, algorithm).
+        assert int(match.group(1)) == 6  # 3 models x 2 algorithms
+        assert int(match.group(2)) == 6  # 2 attacks x 3 seeds
         # Compare-excluded, like every dispatch label.
         assert result == reference
 
@@ -415,7 +417,7 @@ class TestRunCellMany:
 
 
 class TestBatchKeyPartition:
-    """``batch_key`` grouping is a true partition (satellite 3)."""
+    """``stack_key`` grouping is a true partition."""
 
     def mixed_cells(self):
         grid = GridSpec(
@@ -438,7 +440,7 @@ class TestBatchKeyPartition:
         cells = self.mixed_cells()
         groups: dict[tuple, list[CellSpec]] = {}
         for spec in cells:
-            groups.setdefault(spec.batch_key, []).append(spec)
+            groups.setdefault(spec.stack_key, []).append(spec)
         # Every cell lands in exactly one group; the union is the input.
         assert sum(len(group) for group in groups.values()) == len(cells)
         regrouped = [spec for group in groups.values() for spec in group]
@@ -449,43 +451,71 @@ class TestBatchKeyPartition:
     def test_groups_never_mix_shapes(self):
         groups: dict[tuple, list[CellSpec]] = {}
         for spec in self.mixed_cells():
-            groups.setdefault(spec.batch_key, []).append(spec)
+            groups.setdefault(spec.stack_key, []).append(spec)
+        mixed = 0
         for members in groups.values():
+            # One width, reduction, model, scenario and folded family.
             shapes = {
-                (m.model, m.family, m.topology, m.scenario, m.params, m.n)
+                (
+                    m.model, m.f, m.resolved_n, m.algorithm, m.scenario,
+                    m.params, m.folded_family,
+                )
                 for m in members
             }
             assert len(shapes) == 1
-            # Within a group, cells differ only in seed.
-            seeds = [m.seed for m in members]
-            assert len(set(seeds)) == len(seeds)
-            canonical = {replace(m, seed=0) for m in members}
-            assert len(canonical) == 1
+            assert len({m.key for m in members}) == len(members)
+            if stackable(members[0]):
+                # Stackable groups fold on the complete graph and may
+                # mix movements and declared families.
+                assert all(stackable(m) for m in members)
+                mixed += len({(m.movement, m.family) for m in members}) > 1
+            else:
+                # Other groups differ only in seed.
+                canonical = {replace(m, seed=0) for m in members}
+                assert len(canonical) == 1
+        assert mixed == 2  # M1 and M2: 2 movements x {bonomi, witness}
 
     def test_mixed_family_topology_grid_splits_correctly(self):
-        grid = GridSpec(
-            models=("M1",),
-            fs=(1,),
-            families=("bonomi", "witness"),
-            topologies=("complete", "ring:3"),
-            seeds=range(4),
-            max_rounds=10,
-        )
-        cells = list(grid.cells())
-        groups = {spec.batch_key for spec in cells}
-        # bonomi is pruned off the ring, so 3 (family, topology) pairs.
-        assert len(groups) == 3
-        assert len(cells) == 12
+        # bonomi is pruned off the ring, so 3 (family, topology) pairs;
+        # witness on the complete graph joins bonomi's stack under M1
+        # (declared), not under M3.  ring:3 at n=9 is partial: its
+        # witness cells never stack.
+        for model, expected in (("M1", 2), ("M3", 3)):
+            grid = GridSpec(
+                models=(model,),
+                fs=(1,),
+                ns=(9,),
+                families=("bonomi", "witness"),
+                topologies=("complete", "ring:3"),
+                seeds=range(4),
+                max_rounds=10,
+            )
+            cells = list(grid.cells())
+            groups: dict[tuple, list[CellSpec]] = {}
+            for spec in cells:
+                groups.setdefault(spec.stack_key, []).append(spec)
+            assert len(groups) == expected, model
+            assert len(cells) == 12
+            ring = [g for g in groups.values() if g[0].topology == "ring:3"]
+            assert [len(g) for g in ring] == [4]
+            assert all(spec.topology == "ring:3" for spec in ring[0])
 
 
 class TestEstimateCellCost:
     """Family and topology weightings order cells by real expense."""
 
     def test_family_ordering(self):
+        # Undeclared cases keep their own rounds: tseng under M2,
+        # witness under M3.
         bonomi = estimate_cell_cost(cell(family="bonomi"))
         tseng = estimate_cell_cost(cell(family="tseng"))
-        witness = estimate_cell_cost(cell(family="witness"))
+        witness = estimate_cell_cost(cell(model="M3", family="witness"))
         assert bonomi < tseng < witness
+        # Declared cells run (and cost) as bonomi rows.
+        assert estimate_cell_cost(cell(family="witness")) == bonomi
+        assert estimate_cell_cost(
+            cell(model="M3", family="tseng")
+        ) == estimate_cell_cost(cell(model="M3"))
 
     def test_topology_weighting(self):
         complete = estimate_cell_cost(cell(family="witness"))
@@ -509,8 +539,8 @@ class TestEstimateCellCost:
             cell(family="bonomi"),
             cell(family="bonomi", topology="ring:3"),
             cell(family="tseng"),
-            cell(family="witness"),
-            cell(family="witness", topology="ring:3"),
+            cell(model="M3", family="witness"),
+            cell(model="M3", family="witness", topology="ring:3"),
         ]
         costs = [estimate_cell_cost(spec) for spec in specs]
         assert costs == sorted(costs)

@@ -31,6 +31,7 @@ from repro.msr import fault_tolerant_midpoint
 from repro.runtime import (
     EstimatedRounds,
     FixedRounds,
+    MobileFaultSetup,
     MSRVotingProtocol,
     RoundKernel,
     SimulationConfig,
@@ -54,6 +55,13 @@ DECLARED = {
     "M3": ("tseng",),
     "M4": ("tseng",),
 }
+
+
+def _declares(family: str, config: SimulationConfig) -> str | None:
+    """``family``'s lite declaration for ``config``'s model and graph."""
+    setup = config.setup
+    model = setup.model if isinstance(setup, MobileFaultSetup) else None
+    return get_family(family).lite_equivalent(model, config.resolve_topology())
 
 
 def _config(spec: dict) -> SimulationConfig:
@@ -134,7 +142,7 @@ class TestRoutingTable:
     )
     def test_declared_pairs_name_bonomi(self, family, model):
         config = mobile_config(model=model, f=2, family=family)
-        assert get_family(family).lite_equivalent(config) == "bonomi"
+        assert _declares(family, config) == "bonomi"
 
     @pytest.mark.parametrize(
         "family, model",
@@ -143,14 +151,14 @@ class TestRoutingTable:
     )
     def test_undeclared_pairs_name_nothing(self, family, model):
         config = mobile_config(model=model, f=2, family=family)
-        assert get_family(family).lite_equivalent(config) is None
+        assert _declares(family, config) is None
 
     @pytest.mark.parametrize("model", ["M1", "M2"])
     def test_non_complete_topology_names_nothing(self, model):
         config = mobile_config(
             model=model, f=1, n=11, family="witness", topology="ring:3"
         )
-        assert get_family("witness").lite_equivalent(config) is None
+        assert _declares("witness", config) is None
 
     @pytest.mark.parametrize("family", ["tseng", "witness"])
     def test_static_mixed_setup_names_nothing(self, family):
@@ -166,7 +174,7 @@ class TestRoutingTable:
             termination=FixedRounds(5),
             family=family,
         )
-        assert get_family(family).lite_equivalent(config) is None
+        assert _declares(family, config) is None
 
 
 class TestStackedEquivalence:
@@ -321,6 +329,4 @@ class TestNegativeControl:
         tseng = _outputs(*_solo(_config(dict(spec, family="tseng"))))
         bonomi = _outputs(*_solo(_config(dict(spec, family="bonomi"))))
         assert tseng != bonomi
-        assert get_family("tseng").lite_equivalent(
-            _config(dict(spec, family="tseng"))
-        ) is None
+        assert _declares("tseng", _config(dict(spec, family="tseng"))) is None

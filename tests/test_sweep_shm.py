@@ -369,17 +369,35 @@ class TestStealingQueues:
     def test_thief_takes_the_larger_half(self):
         groups = [[cell(seed=s) for s in range(5)]]
         queues = _StealingQueues(groups, slots=2)
-        # Pre-split gave each slot a piece; drain slot 0's own queue,
-        # then steal from slot 1 and check the split arithmetic.
-        own = queues.next_batch(0)
+        # Pre-split gave each slot a piece and cut the 3-run half again
+        # (it held more than half the cost): slot 0 owns [2, 1], slot 1
+        # owns [2].  Drain slot 0's own queue, then steal from slot 1
+        # and check the split arithmetic.
+        own = [queues.next_batch(0), queues.next_batch(0)]
+        assert [len(batch) for batch in own] == [2, 1]
+        assert queues.steals == 0
         stolen = queues.next_batch(0)  # slot 0 is now dry: steals
         assert queues.steals == 1
         remainder = queues.next_batch(1)
-        sizes = sorted([len(own), len(stolen), len(remainder or [])])
+        sizes = [len(batch) for batch in own] + [len(stolen), len(remainder or [])]
         assert sum(sizes) == 5
-        # Whatever was stolen came from a split where the thief kept
-        # the ceil half of the victim's batch.
-        assert len(stolen) >= len(remainder or [])
+        # The thief kept the ceil half of the victim's batch.
+        assert len(stolen) == 1 and len(remainder) == 1
+
+    def test_no_batch_outweighs_a_slot_share(self):
+        # One heavy unstackable group (witness under M3) beside light
+        # bonomi groups: the pre-split cuts it below a 1/slots share
+        # of the estimated cost, so it cannot become the critical path.
+        heavy = [cell(seed=s, model="M3", family="witness") for s in range(6)]
+        light = [[cell(seed=s, model=m)] for m in ("M1", "M2") for s in range(2)]
+        queues = _StealingQueues([heavy] + light, slots=2)
+        batches = [batch for queue in queues._queues for batch in queue]
+        total = sum(queues._cost(batch) for batch in batches)
+        assert sorted(spec.key for b in batches for spec in b) == sorted(
+            spec.key for spec in heavy + [c for g in light for c in g]
+        )
+        for batch in batches:
+            assert len(batch) < 2 or queues._cost(batch) <= total / 2
 
     def test_steals_from_the_heaviest_victim(self):
         light = [cell(seed=s, n=9, f=1, model="M1") for s in range(2)]
