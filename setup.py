@@ -3,8 +3,11 @@
 The offline environment ships setuptools without the ``wheel`` package,
 so PEP 660 editable installs can fail; keeping the classic ``setup.py``
 path lets ``pip install -e .`` fall back to ``setup.py develop``.  The
-library itself is dependency-free; the ``[test]`` extra pins the test
-runner used by CI and the tier-1 command.
+library itself is dependency-free; the ``[test]`` extra holds what CI
+and the tier-1 command need: the test runner, Hypothesis (imported by
+the property-test modules) and numpy (the array engine the equivalence
+suites, the shared-memory sweep rung and perfbench's calibration run
+on).  numpy 2.0-2.2 still support Python 3.10.
 """
 
 from setuptools import find_packages, setup
@@ -22,7 +25,7 @@ setup(
     python_requires=">=3.10",
     install_requires=[],
     extras_require={
-        "test": ["pytest>=7.0,<9"],
+        "test": ["pytest>=7.0,<10", "hypothesis>=6.0", "numpy>=2.0"],
     },
     entry_points={
         "console_scripts": [

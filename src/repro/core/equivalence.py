@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..faults.mixed_mode import FaultClass
-from ..faults.models import CuredSendBehavior, MobileModel, get_semantics
+from ..faults.models import MobileModel, get_semantics
 from ..runtime.trace import Trace
 from .configuration import (
     MobileComputation,
@@ -42,15 +42,7 @@ __all__ = [
 
 def cured_fault_class(model: MobileModel | str) -> FaultClass | None:
     """The mixed-mode class cured processes assume (Table 1 column)."""
-    semantics = get_semantics(model)
-    behavior = semantics.cured_send
-    if behavior is CuredSendBehavior.SILENT:
-        return FaultClass.BENIGN
-    if behavior is CuredSendBehavior.BROADCAST_STATE:
-        return FaultClass.SYMMETRIC
-    if behavior is CuredSendBehavior.PLANTED_QUEUE:
-        return FaultClass.ASYMMETRIC
-    return None
+    return get_semantics(model).cured_class
 
 
 def static_image_of(

@@ -23,12 +23,21 @@ contraction factor ``K``, so the steady-state skew is bounded by
 which :func:`steady_state_skew_bound` computes and the experiment
 checks against measured trajectories.
 
-The fault machinery is the same as the agreement simulator's: agents
-move per the model's timing, faulty processes send arbitrary readings,
-cured processes are silent (M1), broadcast a corrupted reading (M2) or
-send a planted queue (M3); in M4 the senders of the round are the
-agent hosts.  Validity here means a non-faulty logical clock never
-leaves the envelope of non-faulty readings.
+Each synchronisation is one round of the agreement simulator's own
+machinery on the logical readings.  A
+:class:`~repro.runtime.controllers.MobileFaultController` plans it under
+the model's timing: in M1-M3 the agents move first and the processes
+they vacate are cured, their clocks left reading the adversary's
+departure value; in M4 the round's senders are the current hosts and
+the agents ride the messages to the next hosts.  Faulty processes send
+the adversary's per-recipient readings, and cured ones are silent (M1),
+broadcast their corrupted reading (M2) or send a planted queue (M3).
+The send-and-fold step (:func:`~repro.runtime.simulator.send_and_fold`)
+then re-targets every process the agents do not occupy at the end of
+the round -- cured ones included -- to ``F_MSR(received)``, and each
+occupied process's clock ends the round on the adversary's
+``corrupted_compute`` garbage.  Validity here means a non-faulty
+logical clock never leaves the envelope of non-faulty readings.
 """
 
 from __future__ import annotations
@@ -36,11 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..faults.adversary import Adversary
-from ..faults.models import CuredSendBehavior, MobileModel, get_semantics
-from ..faults.view import AdversaryView
+from ..faults.models import MobileModel, get_semantics
 from ..msr.base import MSRFunction
-from ..msr.multiset import ValueMultiset
+from ..runtime.controllers import MobileFaultController
+from ..runtime.kernel import RoundKernel
+from ..runtime.protocol import MSRVotingProtocol
 from ..runtime.rng import derive_rng
+from ..runtime.simulator import send_and_fold
 
 __all__ = [
     "ClockConfig",
@@ -129,7 +140,6 @@ class ClockSyncSimulator:
 
     def __init__(self, config: ClockConfig) -> None:
         self.config = config
-        self.semantics = get_semantics(config.model)
         rng = derive_rng(config.seed, "clock-sync", "init")
         self._drift = [
             rng.uniform(-config.rho, config.rho) for _ in range(config.n)
@@ -139,7 +149,13 @@ class ClockSyncSimulator:
         ]
         self._adjustment = [0.0] * config.n
         self._adversary_rng = derive_rng(config.seed, "clock-sync", "adversary")
-        self._positions: frozenset[int] | None = None
+        self._controller = MobileFaultController(
+            config.n, config.f, config.model, config.adversary
+        )
+        self._cured_aware = get_semantics(config.model).cured_aware
+        self._protocol = MSRVotingProtocol(config.algorithm)
+        self._kernel = RoundKernel()
+        self._evaluate = self._kernel.prepare(self._protocol)
 
     # -- clock readings ---------------------------------------------------------
 
@@ -161,141 +177,39 @@ class ClockSyncSimulator:
         return trace
 
     def _sync_round(self, round_index: int) -> ClockSyncRound:
-        config = self.config
-        time = (round_index + 1) * config.period
-        faulty_at_send, cured, cured_payload = self._move_agents(round_index, time)
-
-        readings = {pid: self.logical(pid, time) for pid in range(config.n)}
-        # Pre-sync skew over *correct* clocks: cured ones still hold the
-        # corrupted adjustment the agent left, which the coming
-        # computation phase repairs (Lemma 5's analogue).
+        n = self.config.n
+        time = (round_index + 1) * self.config.period
+        readings = {pid: self.logical(pid, time) for pid in range(n)}
+        plan = self._controller.plan_round(
+            round_index, dict(readings), self._adversary_rng
+        )
+        faulty, cured = plan.faulty_at_send, plan.cured_at_send
+        readings.update(plan.memory_corruptions)
+        # Pre-sync skew over *correct* clocks: cured ones hold what the
+        # departing agent left, which this round's computation repairs
+        # (Lemma 5's analogue).
         skew_before = _spread(
             readings[pid]
-            for pid in range(config.n)
-            if pid not in faulty_at_send and pid not in cured
+            for pid in range(n)
+            if pid not in faulty and pid not in cured
         )
-
-        view = self._view(round_index, readings, faulty_at_send, cured)
-        inboxes = self._exchange(readings, view, faulty_at_send, cured, cured_payload)
-
-        # In M4 the exchange just moved the agents with the messages, so
-        # the processes occupied during the computation phase are the new
-        # hosts; in M1-M3 they are the send-phase hosts.
-        occupied = self._positions if self._positions is not None else frozenset()
-        computing = [pid for pid in range(config.n) if pid not in occupied]
-
-        # Computation phase: every non-occupied process (cured included,
-        # Lemma 5) re-targets its logical clock to the MSR value of what
-        # it received.
-        for pid in computing:
-            received = ValueMultiset(inboxes[pid].values())
-            target = config.algorithm(received)
-            self._adjustment[pid] += target - readings[pid]
-        for pid in occupied:
-            # The agent corrupts the host's adjustment; it is rebuilt
-            # from received readings at the next non-faulty sync.
-            self._adjustment[pid] += self._adversary_rng.uniform(-1.0, 1.0)
-
-        skew_after = _spread(self.logical(pid, time) for pid in computing)
+        send_and_fold(
+            self._kernel, self._protocol, self._evaluate, plan, readings,
+            self._cured_aware, False,
+        )
+        readings.update(plan.compute_corruptions)
+        for pid, reading in readings.items():
+            self._adjustment[pid] = reading - self.hardware(pid, time)
+        skew_after = _spread(
+            readings[pid] for pid in range(n) if pid not in plan.positions_after
+        )
         return ClockSyncRound(
             round_index=round_index,
             time=time,
-            faulty=faulty_at_send,
+            faulty=faulty,
             cured=cured,
             skew_before=skew_before,
             skew_after=skew_after,
-        )
-
-    # -- fault machinery --------------------------------------------------------------
-
-    def _move_agents(
-        self, round_index: int, time: float
-    ) -> tuple[frozenset[int], frozenset[int], dict[int, float]]:
-        """Apply the model's movement timing; returns (faulty, cured,
-        corrupted cured readings)."""
-        config = self.config
-        readings = {pid: self.logical(pid, time) for pid in range(config.n)}
-        if self._positions is None:
-            self._positions = config.adversary.initial_positions(
-                config.n, config.f, self._adversary_rng
-            )
-            return self._positions, frozenset(), {}
-        if self.semantics.moves_with_message:
-            # M4: current hosts send Byzantine values; agents then ride
-            # to the next hosts, handled at the end of the exchange.
-            return self._positions, frozenset(), {}
-        view = self._view(round_index, readings, self._positions, frozenset())
-        new_positions = config.adversary.next_positions(view)
-        cured = self._positions - new_positions
-        self._positions = new_positions
-        payload = {
-            pid: config.adversary.departure_value(view, pid) for pid in cured
-        }
-        return new_positions, cured, payload
-
-    def _exchange(
-        self,
-        readings: dict[int, float],
-        view: AdversaryView,
-        faulty: frozenset[int],
-        cured: frozenset[int],
-        cured_payload: dict[int, float],
-    ) -> dict[int, dict[int, float]]:
-        """Send + receive phases; returns per-recipient inboxes."""
-        config = self.config
-        inboxes: dict[int, dict[int, float]] = {
-            pid: {} for pid in range(config.n)
-        }
-        for sender in range(config.n):
-            if sender in faulty:
-                for recipient in range(config.n):
-                    inboxes[recipient][sender] = config.adversary.attack_message(
-                        view, sender, recipient
-                    )
-                continue
-            if sender in cured:
-                behavior = self.semantics.cured_send
-                if behavior is CuredSendBehavior.SILENT:
-                    continue
-                if behavior is CuredSendBehavior.BROADCAST_STATE:
-                    for recipient in range(config.n):
-                        inboxes[recipient][sender] = cured_payload[sender]
-                    continue
-                if behavior is CuredSendBehavior.PLANTED_QUEUE:
-                    for recipient in range(config.n):
-                        inboxes[recipient][sender] = config.adversary.planted_message(
-                            view, sender, recipient
-                        )
-                    continue
-            for recipient in range(config.n):
-                inboxes[recipient][sender] = readings[sender]
-
-        if self.semantics.moves_with_message and self._positions is not None:
-            # M4 movement: agents relocate with the messages just sent.
-            self._positions = config.adversary.next_positions(view)
-        return inboxes
-
-    def _view(
-        self,
-        round_index: int,
-        readings: dict[int, float],
-        positions: frozenset[int],
-        cured: frozenset[int],
-    ) -> AdversaryView:
-        correct = {
-            pid: value
-            for pid, value in readings.items()
-            if pid not in positions and pid not in cured
-        }
-        return AdversaryView(
-            round_index=round_index,
-            n=self.config.n,
-            f=self.config.f,
-            values=readings,
-            positions=positions,
-            cured=cured,
-            correct_values=correct,
-            rng=self._adversary_rng,
         )
 
 

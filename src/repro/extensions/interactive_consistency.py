@@ -18,9 +18,9 @@ source:
 2. **Voting** -- for each source ``k``, the processes run the MSR
    agreement of the main library, seeded with what they received from
    ``k``.  All ``n`` instances share one fault pattern: an agent on a
-   process corrupts *all* coordinates of what it says (realised by
-   running the per-coordinate simulations with identical seeds and a
-   value-blind movement strategy, as in :mod:`repro.extensions.multidim`).
+   process corrupts *all* coordinates of what it says (the coordinates
+   run with identical seeds and a value-blind movement strategy,
+   through :func:`repro.extensions.multidim.run_coordinates`).
 
 Guarantees (with ``n > n_Mi``, paper Table 2):
 
@@ -34,8 +34,10 @@ Guarantees (with ``n > n_Mi``, paper Table 2):
 * **Range validity for faulty sources**: outputs stay inside the range
   of the values the source disseminated.
 
-The per-coordinate round-0 agent placement coincides with the
-dissemination placement (identical derived randomness), which models an
+The dissemination is round 0 of the simulator's own
+:class:`~repro.runtime.controllers.MobileFaultController`, drawn from
+the same derived randomness as every coordinate's round 0: the faulty
+sources are each coordinate's initial agent placement, which models an
 adversary that keeps its agents in place between dissemination and the
 first voting round -- a legal choice the adversary is free to make.
 """
@@ -45,16 +47,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..api import mobile_config, movement_strategy, value_strategy
+from ..api import movement_strategy, value_strategy
 from ..core.specification import check_trace
 from ..faults.adversary import Adversary
 from ..faults.models import MobileModel, get_semantics
-from ..faults.view import AdversaryView
 from ..msr.base import MSRFunction
+from ..runtime.controllers import MobileFaultController
 from ..runtime.rng import derive_rng
-from ..runtime.simulator import run_simulation
 from ..runtime.trace import Trace
-from .multidim import ensure_value_blind_movement
+from .multidim import ensure_value_blind_movement, run_coordinates
 
 __all__ = ["ICResult", "interactive_consistency"]
 
@@ -125,91 +126,41 @@ def interactive_consistency(
         )
     movement = ensure_value_blind_movement(movement)
 
-    disseminated, faulty_sources = _disseminate(
-        inputs, semantics.model, f, movement, attack, seed
+    # Dissemination: round 0 of the agreement's own fault controller.
+    # Receiver i stores a faulty source k's override for i, and a
+    # correct source's input itself.
+    adversary = Adversary(movement_strategy(movement), value_strategy(attack))
+    plan = MobileFaultController(n, f, semantics.model, adversary).plan_round(
+        0, {pid: float(value) for pid, value in enumerate(inputs)},
+        derive_rng(seed, "adversary"),
     )
-
-    traces: list[Trace] = []
-    for source in range(n):
-        config = mobile_config(
-            model=model,
-            f=f,
-            n=n,
-            algorithm=algorithm,
-            movement=movement,
-            attack=attack,
-            initial_values=[disseminated[receiver][source] for receiver in range(n)],
-            rounds=rounds,
-            epsilon=epsilon,
-            seed=seed,
-        )
-        traces.append(run_simulation(config))
-
-    patterns = [
-        tuple((r.faulty_at_send, r.cured_at_send) for r in trace.rounds)
-        for trace in traces
+    faulty_sources = plan.faulty_at_send
+    columns = [
+        [
+            plan.send_overrides[source][receiver]
+            if source in faulty_sources
+            else float(inputs[source])
+            for receiver in range(n)
+        ]
+        for source in range(n)
     ]
-    if any(pattern != patterns[0] for pattern in patterns):
-        raise RuntimeError(
-            "fault patterns diverged between coordinates; use a "
-            "value-blind movement strategy"
-        )
-
-    shared = set(traces[0].decisions)
-    for trace in traces[1:]:
-        shared &= set(trace.decisions)
-    vectors = {
-        pid: tuple(trace.decisions[pid] for trace in traces)
-        for pid in sorted(shared)
-    }
+    traces, vectors = run_coordinates(
+        columns,
+        model=model,
+        f=f,
+        n=n,
+        algorithm=algorithm,
+        movement=movement,
+        attack=attack,
+        rounds=rounds,
+        epsilon=epsilon,
+        seed=seed,
+    )
     return ICResult(
         n=n,
         f=f,
         inputs=tuple(float(v) for v in inputs),
         faulty_sources=faulty_sources,
         vectors=vectors,
-        traces=tuple(traces),
+        traces=traces,
     )
-
-
-def _disseminate(inputs, model, f, movement, attack, seed):
-    """Round 0: every source broadcasts its input.
-
-    Returns ``(received, faulty_sources)`` where ``received[i][k]`` is
-    what process ``i`` stores as source ``k``'s input.  The agent
-    placement replays the per-coordinate simulations' round-0 placement
-    (identical derived randomness), so the fault pattern is continuous.
-    """
-    n = len(inputs)
-    mover = movement_strategy(movement) if isinstance(movement, str) else movement
-    values = value_strategy(attack) if isinstance(attack, str) else attack
-    adversary = Adversary(movement=mover, values=values)
-    rng = derive_rng(seed, "adversary")
-    positions = adversary.initial_positions(n, f, rng)
-
-    correct_values = {
-        pid: float(value)
-        for pid, value in enumerate(inputs)
-        if pid not in positions
-    }
-    view = AdversaryView(
-        round_index=0,
-        n=n,
-        f=f,
-        values={pid: float(value) for pid, value in enumerate(inputs)},
-        positions=positions,
-        cured=frozenset(),
-        correct_values=correct_values,
-        rng=rng,
-    )
-
-    received: list[list[float]] = []
-    for receiver in range(n):
-        row = []
-        for source in range(n):
-            if source in positions:
-                row.append(adversary.attack_message(view, source, receiver))
-            else:
-                row.append(float(inputs[source]))
-        received.append(row)
-    return received, positions

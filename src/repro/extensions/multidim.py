@@ -38,7 +38,7 @@ from ..faults.movement import (
 )
 from ..faults.models import MobileModel
 from ..msr.base import MSRFunction
-from ..runtime.simulator import run_simulation
+from ..runtime.simulator import simulate_many
 from ..runtime.trace import Trace
 
 __all__ = [
@@ -123,42 +123,58 @@ def multidim_simulate(
     if any(len(point) != dimension for point in points):
         raise ValueError("all points must share the same dimension")
 
-    traces: list[Trace] = []
-    for axis in range(dimension):
-        config = mobile_config(
-            model=model,
-            f=f,
-            n=len(points),
-            algorithm=algorithm,
-            movement=_fresh_movement(movement),
-            attack=attack,
-            initial_values=[point[axis] for point in points],
-            rounds=rounds,
-            epsilon=epsilon,
-            seed=seed,
-        )
-        traces.append(run_simulation(config))
+    traces, decisions = run_coordinates(
+        [[point[axis] for point in points] for axis in range(dimension)],
+        model=model,
+        f=f,
+        n=len(points),
+        algorithm=algorithm,
+        movement=ensure_value_blind_movement(movement),
+        attack=attack,
+        rounds=rounds,
+        epsilon=epsilon,
+        seed=seed,
+    )
+    return MultidimResult(dimension=dimension, traces=traces, decisions=decisions)
 
-    patterns = [
+
+def run_coordinates(
+    columns: Sequence[Sequence[float]], **options
+) -> tuple[tuple[Trace, ...], dict[int, tuple[float, ...]]]:
+    """One scalar agreement per coordinate, on one shared fault pattern.
+
+    ``columns[k]`` holds coordinate ``k``'s initial values and
+    ``options`` the :func:`~repro.api.mobile_config` arguments every
+    coordinate shares (a value-blind movement and one seed, so each
+    coordinate's agents move identically).  All coordinates run in one
+    :func:`~repro.runtime.simulator.simulate_many` call.  Returns the
+    per-coordinate full traces and the decided vector of every process
+    non-faulty in all coordinates.  Shared by every coordinate-wise
+    construction (multidim, interactive consistency).
+    """
+    traces = tuple(
+        simulate_many(
+            [mobile_config(initial_values=column, **options) for column in columns],
+            trace_detail="full",
+        )
+    )
+    patterns = {
         tuple((r.faulty_at_send, r.cured_at_send) for r in trace.rounds)
         for trace in traces
-    ]
-    if any(pattern != patterns[0] for pattern in patterns):
+    }
+    if len(patterns) > 1:
         raise RuntimeError(
             "fault patterns diverged between coordinates; use a "
             "value-blind movement strategy"
         )
-
-    shared = set(traces[0].decisions)
-    for trace in traces[1:]:
-        shared &= set(trace.decisions)
+    shared = set(traces[0].decisions).intersection(
+        *(trace.decisions for trace in traces[1:])
+    )
     decisions = {
         pid: tuple(trace.decisions[pid] for trace in traces)
         for pid in sorted(shared)
     }
-    return MultidimResult(
-        dimension=dimension, traces=tuple(traces), decisions=decisions
-    )
+    return traces, decisions
 
 
 def gathering_diameter(points: Sequence[Sequence[float]]) -> float:
@@ -195,7 +211,3 @@ def ensure_value_blind_movement(
             "coordinate"
         )
     return movement
-
-
-#: Backwards-compatible private alias.
-_fresh_movement = ensure_value_blind_movement

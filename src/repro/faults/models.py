@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .mixed_mode import MixedModeCounts
+from .mixed_mode import FaultClass, MixedModeCounts
 
 __all__ = [
     "MobileModel",
@@ -62,6 +62,15 @@ class CuredSendBehavior(enum.Enum):
     PLANTED_QUEUE = "planted-queue"
     #: No process is ever cured at send time (M4).
     NOT_APPLICABLE = "n/a"
+
+
+#: The mixed-mode class each cured send behavior maps to (Table 1).
+_CURED_CLASSES = {
+    CuredSendBehavior.SILENT: FaultClass.BENIGN,
+    CuredSendBehavior.BROADCAST_STATE: FaultClass.SYMMETRIC,
+    CuredSendBehavior.PLANTED_QUEUE: FaultClass.ASYMMETRIC,
+    CuredSendBehavior.NOT_APPLICABLE: None,
+}
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,12 @@ class ModelSemantics:
         if self.model is MobileModel.SASAKI:
             return MixedModeCounts(asymmetric=f + cured)
         return MixedModeCounts(asymmetric=f)
+
+    @property
+    def cured_class(self) -> FaultClass | None:
+        """The mixed-mode class cured processes assume (Table 1 column);
+        ``None`` when no process is cured at send time (M4)."""
+        return _CURED_CLASSES[self.cured_send]
 
     def trim_parameter(self, f: int) -> int:
         """The MSR reduction parameter ``tau = a + s`` (worst case)."""

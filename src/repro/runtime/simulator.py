@@ -93,6 +93,7 @@ __all__ = [
     "ShmBatchLayout",
     "SynchronousSimulator",
     "run_simulation",
+    "send_and_fold",
     "simulate_many",
     "TraceDetail",
 ]
@@ -360,6 +361,54 @@ def _extent(values, excluded) -> tuple[float, float] | None:
         if high is None or value > high:
             high = value
     return None if low is None else (low, high)
+
+
+def send_and_fold(
+    kernel: RoundKernel,
+    protocol: VotingProtocol,
+    evaluate,
+    plan: RoundPlan,
+    values: dict[int, float],
+    cured_aware: bool,
+    first_round: bool,
+) -> float:
+    """Send, receive and compute ``plan``'s round on ``values`` in place.
+
+    Every process outside the plan's overrides and forced silence sends
+    by ``protocol.send_value`` (``cured_aware`` silences M1's cured
+    processes) into one shared sorted broadcast list; the receive and
+    compute phases are :meth:`RoundKernel.compute_phase`, which
+    evaluates the MSR function once per *distinct inbox* on flat sorted
+    arrays (see :mod:`repro.runtime.kernel`).  ``evaluate`` is the
+    kernel's :meth:`~RoundKernel.prepare` of ``protocol``.  Occupied
+    processes keep their values (the caller applies the plan's
+    garbage).  Returns the largest received diameter when
+    ``first_round``.
+    """
+    n = len(values)
+    overrides = plan.send_overrides
+    # Override/forced-silent processes are excluded from the shared
+    # broadcast list: their traffic is read straight from the plan's
+    # per-recipient maps during the receive phase.
+    broadcasts: list[float] = []
+    for pid in range(n):
+        if pid in overrides or pid in plan.forced_silent:
+            continue
+        aware_cured = cured_aware and pid in plan.cured_at_send
+        value = protocol.send_value(pid, values[pid], aware_cured)
+        if value is not None:
+            broadcasts.append(value)
+    broadcasts.sort()
+    return kernel.compute_phase(
+        protocol,
+        evaluate,
+        n,
+        broadcasts,
+        list(overrides.values()) if overrides else None,
+        plan.compute_corruptions,
+        values,
+        first_round,
+    )
 
 
 def run_simulation(
@@ -970,38 +1019,10 @@ class SynchronousSimulator:
         return plan, received, values
 
     def _kernel_compute(self, plan: RoundPlan, first_round: bool):
-        """Send, receive and compute ``plan``'s round on ``self._values``.
-
-        The receive+compute inner loop is the :class:`RoundKernel`'s,
-        which evaluates the MSR function once per *distinct inbox* on
-        flat sorted arrays (see :mod:`repro.runtime.kernel`).  Occupied
-        processes keep their values (the caller applies the plan's
-        garbage).  Returns the largest received diameter in round 0.
-        """
-        n = self.config.n
-        protocol = self.protocol
-        overrides = plan.send_overrides
-        # Override/forced-silent processes are excluded from the shared
-        # broadcast list: their traffic is read straight from the
-        # plan's per-recipient maps during the receive phase.
-        broadcasts: list[float] = []
-        for pid in range(n):
-            if pid in overrides or pid in plan.forced_silent:
-                continue
-            aware_cured = self._cured_aware and pid in plan.cured_at_send
-            value = protocol.send_value(pid, self._values[pid], aware_cured)
-            if value is not None:
-                broadcasts.append(value)
-        broadcasts.sort()
-        return self.kernel.compute_phase(
-            protocol,
-            self._lite_evaluate,
-            n,
-            broadcasts,
-            list(overrides.values()) if overrides else None,
-            plan.compute_corruptions,
-            self._values,
-            first_round,
+        """:func:`send_and_fold` of ``plan``'s round on ``self._values``."""
+        return send_and_fold(
+            self.kernel, self.protocol, self._lite_evaluate, plan,
+            self._values, self._cured_aware, first_round,
         )
 
     def _array_round(self, round_index: int, arr):

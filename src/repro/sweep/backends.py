@@ -81,6 +81,7 @@ except Exception:  # pragma: no cover - exercised only without the module
 from ..runtime import simulator as _simulator
 from ..runtime.simulator import ShmBatchLayout
 from ..telemetry import count
+from ..topology import topology_from_spec
 from .aggregate import SweepResult
 from .cache import (
     SWEEP_SCHEMA_VERSION,
@@ -420,6 +421,23 @@ _FAMILY_COST_FACTORS: dict[str, float] = {
 _PARTIAL_TOPOLOGY_FACTOR = 1.5
 
 
+def _complete_at(spec: str, n: int | None) -> bool:
+    """Whether topology ``spec`` resolves to the complete graph at ``n``.
+
+    A partial spec can (``ring:3`` at ``n=5``): such cells stack and
+    run as complete-graph cells, so they price as ones.  An unknown
+    size or a malformed spec is taken at its word.
+    """
+    if spec == "complete":
+        return True
+    if n is None:
+        return False
+    try:
+        return topology_from_spec(spec, n).is_complete
+    except ValueError:
+        return False
+
+
 class CostModel:
     """Relative cell-cost estimator, optionally calibrated from timings.
 
@@ -470,7 +488,7 @@ class CostModel:
         n = cell.resolved_n
         n = 16 if n is None else max(n, 1)
         cost = float(n) ** 2 * float(max(rounds, 1))
-        if cell.topology != "complete":
+        if not _complete_at(cell.topology, cell.resolved_n):
             cost *= _PARTIAL_TOPOLOGY_FACTOR
         return cost
 

@@ -122,6 +122,20 @@ class TestStaticModel:
         assert model.estimate(cell(family="witness")) == model.estimate(cell())
         assert "static" in model.describe()
 
+    def test_partial_specs_resolving_complete_price_as_complete(self):
+        model = CostModel()
+        # ring:3 at n=5 and ring:6 at n=13 are complete graphs: their
+        # cells stack with (and cost what) complete-graph cells do.
+        for n, spec in ((5, "ring:3"), (13, "ring:6")):
+            complete = cell(model="M1", f=1, n=n, family="witness")
+            ring = replace(complete, topology=spec)
+            assert ring.stack_key == complete.stack_key
+            assert model.estimate(ring) == model.estimate(complete)
+        # ring:6 at n=25 stays partial and keeps the topology factor.
+        complete = cell(model="M1", f=1, n=25, family="witness")
+        ring = replace(complete, topology="ring:6")
+        assert model.base_cost(ring) == 1.5 * model.base_cost(complete)
+
     def test_nominal_rounds_prefers_fixed_budget(self):
         model = CostModel(family_rounds={"witness": 44})
         witness = dict(model="M3", family="witness")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import mobile_config
 from repro.core.convergence import mobile_contraction
 from repro.core.mapping import msr_trim_parameter
 from repro.extensions import (
@@ -11,11 +12,23 @@ from repro.extensions import (
     ClockSyncSimulator,
     steady_state_skew_bound,
 )
-from repro.faults import Adversary, MobileModel, RoundRobinWalk, SplitAttack, get_semantics
+from repro.faults import (
+    Adversary,
+    MobileModel,
+    RoundRobinWalk,
+    SplitAttack,
+    StaticAgents,
+    get_semantics,
+)
 from repro.msr import make_algorithm
+from repro.runtime import run_simulation
+from tests.helpers import without_numpy
 
 
-def clock_config(model, f=1, n=None, sync_rounds=40, rho=1e-4, period=10.0, seed=3):
+def clock_config(
+    model, f=1, n=None, sync_rounds=40, rho=1e-4, period=10.0, seed=3,
+    movement=RoundRobinWalk,
+):
     semantics = get_semantics(model)
     if n is None:
         n = semantics.required_n(f)
@@ -25,7 +38,7 @@ def clock_config(model, f=1, n=None, sync_rounds=40, rho=1e-4, period=10.0, seed
         f=f,
         model=semantics.model,
         algorithm=algorithm,
-        adversary=Adversary(RoundRobinWalk(), SplitAttack()),
+        adversary=Adversary(movement(), SplitAttack()),
         rho=rho,
         period=period,
         sync_rounds=sync_rounds,
@@ -111,6 +124,36 @@ class TestClockSync:
         trace = ClockSyncSimulator(config).run()
         # Identical views: one sync collapses the skew to pure drift.
         assert trace.max_skew_after(skip_transient=2) <= 2 * 1e-4 * 10.0 + 1e-9
+
+
+class TestSharedEngine:
+    """Clock sync runs on the agreement simulator's controller and
+    send-and-fold step."""
+
+    @pytest.mark.parametrize("movement", [RoundRobinWalk, StaticAgents])
+    def test_fault_pattern_matches_the_simulator(self, model, movement):
+        config = clock_config(model, sync_rounds=12, movement=movement)
+        trace = ClockSyncSimulator(config).run()
+        reference = run_simulation(
+            mobile_config(
+                model=model,
+                f=config.f,
+                n=config.n,
+                movement=movement(),
+                attack="split",
+                rounds=12,
+                seed=config.seed,
+            )
+        )
+        assert [(r.faulty, r.cured) for r in trace.rounds] == [
+            (r.faulty_at_send, r.cured_at_send) for r in reference.rounds
+        ]
+
+    def test_same_skew_without_numpy(self, model):
+        config = clock_config(model, sync_rounds=30)
+        series = ClockSyncSimulator(config).run().skew_series()
+        with without_numpy():
+            assert ClockSyncSimulator(config).run().skew_series() == series
 
 
 class TestClockSyncProperties:

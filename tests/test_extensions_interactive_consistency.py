@@ -73,6 +73,20 @@ class TestInteractiveConsistency:
                                     movement="random")
         assert a.vectors == b.vectors
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("movement", ["round-robin", "random", "static"])
+    def test_dissemination_is_every_coordinates_round_0(
+        self, model, movement, seed
+    ):
+        n = get_semantics(model).required_n(2)
+        inputs = tuple(i / (n - 1) for i in range(n))
+        result = interactive_consistency(
+            inputs, model=model, f=2, movement=movement, rounds=3, seed=seed
+        )
+        assert len(result.faulty_sources) == 2
+        for trace in result.traces:
+            assert trace.rounds[0].faulty_at_send == result.faulty_sources
+
     def test_f2_at_table2_minimum(self):
         n = get_semantics("M2").required_n(2)
         inputs = tuple(i / (n - 1) for i in range(n))
