@@ -8,18 +8,11 @@ pytest captures stdout.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-#: Machine-readable performance ledger, one file across all perf
-#: benchmarks, so the trajectory is diffable across PRs and the CI
-#: perf-smoke job has a committed baseline to compare against.
-BENCH_JSON_SCHEMA = 1
 
 
 @pytest.fixture(scope="session")
@@ -39,34 +32,3 @@ def record_artifact(results_dir):
 
     return _record
 
-
-@pytest.fixture
-def record_bench(results_dir):
-    """Merge one section into the machine-readable BENCH_perf.json.
-
-    Sections are merged read-modify-write so each perf benchmark owns
-    its own key and a partial benchmark run never wipes the others.
-    """
-
-    def _record(section: str, payload) -> None:
-        path = results_dir / "BENCH_perf.json"
-        data = {}
-        if path.exists():
-            try:
-                data = json.loads(path.read_text())
-            except ValueError as exc:
-                # Never silently discard the other sections (the CI
-                # perf-smoke baseline lives here): a corrupt ledger
-                # must be repaired or deleted deliberately.
-                raise RuntimeError(
-                    f"{path} is not valid JSON ({exc}); delete it and "
-                    "re-run the perf benchmarks to regenerate the ledger"
-                ) from exc
-        data["schema"] = BENCH_JSON_SCHEMA
-        data[section] = payload
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        print(f"[BENCH_perf.json: section {section!r} updated]")
-
-    return _record

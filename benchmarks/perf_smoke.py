@@ -1,297 +1,211 @@
 #!/usr/bin/env python
-"""Perf-smoke gate: fail CI on large round-kernel regressions.
+"""Perf smoke: same-process speed bars that need no committed number.
 
-Reads the committed machine-readable baseline in
-``results/BENCH_perf.json`` (regenerated by ``bench_perf.py``) and
-checks two invariants on a small fixed benchmark:
+Every bar compares two paths of the library timed in this process, on
+this host, and asserts that both compute the same results:
 
-* **kernel throughput** -- lite rounds/sec at ``n = 49`` must not fall
-  more than 3x below the committed baseline.  The 3x margin absorbs
-  hardware differences between the machine that committed the baseline
-  and the CI runner; an accidental O(n) -> O(n^2) regression in the
-  round kernel blows far past it.  The vectorized engine gets its own
-  floor at ``n = 97`` (same 3x slack) against the committed
-  ``throughput_vectorized`` section.
+* **lite vs full traces** -- at ``n`` in {16, 25, 33, 49, 97} the lite
+  fast path never loses to full traces, and full traces stay within 4x
+  of lite (3x at ``n = 97``): a return of per-message dict bookkeeping
+  blows past that.
+* **recipient camps** -- the sender-dependent crossfire attack planned
+  through recipient camps is >= 2x faster than with every agent's
+  outbox materialized (M1, ``n = 385``, ``f = 96``); M3's planted
+  queues through camps are >= 1.5x faster (``n = 193``, ``f = 32``).
 * **cross-run engine** -- the stacked ``(R, n)`` engine on the 64-cell
-  reference grid: cells/sec must not fall more than 3x below the
-  committed ``cross_run`` ledger section, and the cross-run sweep must
-  never be slower than per-cell serial.  Unlike the pool bars this
-  holds on *any* CPU count -- the stacking is pure numpy batching with
-  no processes to overlap.
-* **shm cross-run pool** -- the zero-copy shared-memory variant
-  (``workers=4, cross_run=True``) on the same grid: with >= 2 usable
-  CPUs, fork workers and the pool rung actually selected, cells/sec
-  must clear the committed ``cross_run_shm`` floor (same 3x slack)
-  and the sweep must beat per-cell serial >= 1.5x; on one usable CPU
-  the backend degrades to the serial cross-run rung and the
-  auto-fallback numbers are a datapoint only.  ``--record-shm``
-  merges the measured numbers into the ``cross_run_shm`` section of
-  ``BENCH_perf.json`` (read-modify-write, like the bench fixtures).
-* **telemetry overhead** -- the always-on metrics path (counters at
-  cell granularity) must cost <= 5% over a metrics-disabled sweep on
-  the same 64-cell grid; a fully traced sweep (``telemetry=DIR``) is
-  timed as a datapoint only.  ``--record-telemetry`` merges the
-  numbers into the ``telemetry_overhead`` section.
+  grid is >= 2x faster than per-cell serial, on any CPU count.
+* **shm cross-run pool** -- with >= 2 usable CPUs, fork workers and the
+  shm rung actually selected, the pool is >= 1.5x faster than per-cell
+  serial; otherwise it is timed as a datapoint only.
+* **telemetry overhead** -- the always-on metrics path costs <= 5% over
+  a metrics-disabled sweep; a fully traced sweep is a datapoint only.
 
-Bit-identity of cross-run, shm and traced results is asserted
-unconditionally.  Run from the repository root::
+Throughput against the parent commit is ``perf_gate.py``'s job.  This
+script reads and writes no file of the repository.  Run from the
+repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--record-shm]
-        [--record-telemetry]
+    PYTHONPATH=src python benchmarks/perf_smoke.py
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import multiprocessing
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bench_perf import (  # noqa: E402
-    ROUNDS,
-    _best_of,
-    _sweep_grid_64,
-    run_family_sized,
-    run_sized,
-    run_sized_kernel,
-    run_witness_sized,
-)
-
-from repro.sweep import run_sweep  # noqa: E402
+from repro.api import mobile_config  # noqa: E402
+from repro.faults.value_strategies import CrossfireAttack  # noqa: E402
+from repro.runtime import run_simulation  # noqa: E402
+from repro.sweep import GridSpec, run_sweep  # noqa: E402
 from repro.telemetry import parse_dispatch_label, set_metrics_enabled  # noqa: E402
 
+ROUNDS = 20
+#: n -> the largest full-trace / lite-trace time ratio allowed.
+FULL_OVER_LITE_BAR = {16: 4.0, 25: 4.0, 33: 4.0, 49: 4.0, 97: 3.0}
 #: The always-on metrics path may cost at most this much over a
-#: metrics-disabled sweep (ISSUE acceptance bar).
+#: metrics-disabled sweep.
 TELEMETRY_OVERHEAD_BAR_PCT = 5.0
 
-#: The measured throughput may fall this far below the committed
-#: baseline before the gate trips (hardware slack, not noise slack).
-REGRESSION_FACTOR = 3.0
+#: The 64-cell grid: 4 scenario shapes x 16 seeds, heavy enough
+#: (n=33, 60 rounds) that a sweep measures cell work, not start-up.
+GRID_64 = GridSpec(
+    models=("M2", "M3"),
+    fs=(3,),
+    ns=(33,),
+    algorithms=("ftm",),
+    movements=("round-robin",),
+    attacks=("split", "outlier"),
+    seeds=tuple(range(16)),
+    rounds=60,
+)
 
 
-def _record_section(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_perf.json (read-modify-write)."""
-    path = REPO / "results" / "BENCH_perf.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    print(f"[BENCH_perf.json: section {section!r} updated]")
+class DictCrossfire(CrossfireAttack):
+    """Crossfire with recipient camps off: every outbox materialized."""
+
+    def attack_camps(self, view, sender):
+        return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    flags = argv or sys.argv[1:]
-    record_shm = "--record-shm" in flags
-    record_telemetry = "--record-telemetry" in flags
-    failures: list[str] = []
-    baseline_path = REPO / "results" / "BENCH_perf.json"
-    baseline = json.loads(baseline_path.read_text())
-    committed = float(baseline["throughput"]["lite_rounds_per_sec"]["49"])
+class DictPlantedCrossfire(CrossfireAttack):
+    """Crossfire with M3's planted-queue camps off."""
 
-    lite_s = _best_of(5, run_sized, 49, "lite")
-    measured = ROUNDS / lite_s
-    floor = committed / REGRESSION_FACTOR
-    print(
-        f"lite n=49: {measured:.0f} rounds/sec "
-        f"(committed {committed:.0f}, floor {floor:.0f})"
+    def planted_camps(self, view, sender):
+        return None
+
+
+def _best_of(repeats: int, fn, *args) -> float:
+    """Minimum wall time over ``repeats`` runs (noise-robust)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _simulate(n, detail="lite", model="M3", f=None, attack="split"):
+    config = mobile_config(
+        model=model,
+        f=max(1, (n - 1) // 6) if f is None else f,
+        n=n,
+        algorithm="ftm",
+        movement="round-robin",
+        attack=attack,
+        rounds=ROUNDS,
+        seed=0,
     )
-    if measured < floor:
-        failures.append(
-            f"lite throughput at n=49 regressed: {measured:.0f} rounds/sec "
-            f"is more than {REGRESSION_FACTOR}x below the committed "
-            f"baseline of {committed:.0f}"
+    return run_simulation(config, trace_detail=detail)
+
+
+def _same_runs(a, b) -> bool:
+    return a.decisions == b.decisions and a.diameters() == b.diameters()
+
+
+def lite_vs_full(failures: list[str]) -> None:
+    for n, bar in FULL_OVER_LITE_BAR.items():
+        if not _same_runs(_simulate(n, "full"), _simulate(n, "lite")):
+            failures.append(f"lite and full traces differ at n={n}")
+        # A run takes a few ms: best of 9, or one scheduler hiccup can
+        # decide the 1.0x bar.
+        full_s = _best_of(9, _simulate, n, "full")
+        lite_s = _best_of(9, _simulate, n, "lite")
+        ratio = full_s / lite_s
+        print(
+            f"lite vs full n={n}: full {full_s * 1e3:.1f}ms, "
+            f"lite {lite_s * 1e3:.1f}ms ({ratio:.2f}x, bar 1.0-{bar:.0f}x)"
         )
+        if ratio < 1.0:
+            failures.append(f"lite traces lost to full traces at n={n}: {ratio:.2f}x")
+        if ratio > bar:
+            failures.append(
+                f"full traces {ratio:.2f}x slower than lite at n={n} "
+                f"(bar {bar:.0f}x; dict bookkeeping is back?)"
+            )
 
-    # The vectorized engine is the default lite path at scale; its own
-    # floor (n=97, same 3x hardware slack) catches regressions that a
-    # silent fallback to the scalar kernel would otherwise hide behind
-    # bit-identical results.
-    vec_committed = float(
-        baseline["throughput_vectorized"]["vectorized_lite_rounds_per_sec"][
-            "97"
-        ]
-    )
-    vec_s = _best_of(5, run_sized_kernel, 97, True)
-    vec_measured = ROUNDS / vec_s
-    vec_floor = vec_committed / REGRESSION_FACTOR
-    print(
-        f"vectorized lite n=97: {vec_measured:.0f} rounds/sec "
-        f"(committed {vec_committed:.0f}, floor {vec_floor:.0f})"
-    )
-    if vec_measured < vec_floor:
-        failures.append(
-            f"vectorized lite throughput at n=97 regressed: "
-            f"{vec_measured:.0f} rounds/sec is more than "
-            f"{REGRESSION_FACTOR}x below the committed baseline of "
-            f"{vec_committed:.0f}"
+
+def camps(failures: list[str]) -> None:
+    for name, model, f, n, without, bar in (
+        ("recipient camps", "M1", 96, 385, DictCrossfire, 2.0),
+        ("M3 planted camps", "M3", 32, 193, DictPlantedCrossfire, 1.5),
+    ):
+        def run(attack):
+            return _simulate(n, model=model, f=f, attack=attack)
+
+        if not _same_runs(run(CrossfireAttack()), run(without())):
+            failures.append(f"{name}: results differ from materialized outboxes")
+        camps_s = _best_of(3, lambda: run(CrossfireAttack()))
+        dict_s = _best_of(3, lambda: run(without()))
+        speedup = dict_s / camps_s
+        print(
+            f"{name} ({model}, n={n}, f={f}): camps {camps_s * 1e3:.1f}ms, "
+            f"outboxes {dict_s * 1e3:.1f}ms ({speedup:.2f}x, bar {bar}x)"
         )
+        if speedup < bar:
+            failures.append(f"{name} only {speedup:.2f}x faster (bar {bar}x)")
 
-    # The Tseng family rides its own stateful driver (consistency
-    # filter + carried state), so it gets its own gate: same fixed
-    # benchmark shape, same 3x hardware slack.
-    tseng_committed = float(
-        baseline["throughput_families"]["tseng_lite_rounds_per_sec"]["49"]
-    )
-    tseng_s = _best_of(5, run_family_sized, 49, 12, "tseng")
-    tseng_measured = ROUNDS / tseng_s
-    tseng_floor = tseng_committed / REGRESSION_FACTOR
-    print(
-        f"tseng lite n=49: {tseng_measured:.0f} rounds/sec "
-        f"(committed {tseng_committed:.0f}, floor {tseng_floor:.0f})"
-    )
-    if tseng_measured < tseng_floor:
-        failures.append(
-            f"tseng lite throughput at n=49 regressed: "
-            f"{tseng_measured:.0f} rounds/sec is more than "
-            f"{REGRESSION_FACTOR}x below the committed baseline of "
-            f"{tseng_committed:.0f}"
-        )
 
-    # The witness family gossips claim tables on a restricted graph
-    # (its own driver and cost model), so it gets its own small-n
-    # floor: n=25 on the ring lattice, same 3x hardware slack.
-    witness_committed = float(
-        baseline["throughput_witness"]["witness_lite_rounds_per_sec"]["25"]
-    )
-    witness_s = _best_of(5, run_witness_sized, 25, 2)
-    witness_measured = ROUNDS / witness_s
-    witness_floor = witness_committed / REGRESSION_FACTOR
-    print(
-        f"witness lite n=25 (ring:3): {witness_measured:.0f} rounds/sec "
-        f"(committed {witness_committed:.0f}, floor {witness_floor:.0f})"
-    )
-    if witness_measured < witness_floor:
-        failures.append(
-            f"witness lite throughput at n=25 regressed: "
-            f"{witness_measured:.0f} rounds/sec is more than "
-            f"{REGRESSION_FACTOR}x below the committed baseline of "
-            f"{witness_committed:.0f}"
-        )
-
-    grid = _sweep_grid_64()
-    cpus = os.cpu_count() or 1
-    fork_start = multiprocessing.get_start_method() == "fork"
+def sweeps(failures: list[str]) -> None:
+    grid = GRID_64
+    start_method = multiprocessing.get_start_method()
     serial = run_sweep(grid, workers=1)
     serial_s = _best_of(2, run_sweep, grid, 1)
     print(
-        f"64-cell grid ({cpus} cpus, "
-        f"{multiprocessing.get_start_method()} start): "
+        f"64-cell grid ({os.cpu_count()} cpus, {start_method} start): "
         f"serial {serial_s * 1e3:.0f}ms"
     )
 
-    # The cross-run stacked engine: compatible cells advance together
-    # as one (R, n) array, so its win is pool-free and must hold on
-    # any CPU count.  Floored on cells/sec against the committed
-    # ``cross_run`` ledger section, same 3x hardware slack.
+    # Stacking is pure numpy batching with no processes to overlap, so
+    # its win must hold on any CPU count.
     cross_result = run_sweep(grid, cross_run=True)
     if cross_result.cells != serial.cells:
         failures.append("cross-run sweep results differ from serial results")
     cross_s = _best_of(2, lambda: run_sweep(grid, cross_run=True))
-    cross_committed = float(baseline["cross_run"]["cells_per_sec"])
-    cross_measured = len(grid) / cross_s
-    cross_floor = cross_committed / REGRESSION_FACTOR
+    cross_speedup = serial_s / cross_s
     print(
-        f"cross-run 64-cell grid: {cross_s * 1e3:.0f}ms, "
-        f"{cross_measured:.0f} cells/sec "
-        f"(committed {cross_committed:.0f}, floor {cross_floor:.0f}; "
-        f"dispatch: {cross_result.dispatch})"
+        f"cross-run: {cross_s * 1e3:.0f}ms ({cross_speedup:.2f}x over serial, "
+        f"bar 2x; dispatch: {cross_result.dispatch})"
     )
-    if cross_measured < cross_floor:
+    if cross_speedup < 2.0:
         failures.append(
-            f"cross-run engine regressed: {cross_measured:.0f} cells/sec "
-            f"is more than {REGRESSION_FACTOR}x below the committed "
-            f"baseline of {cross_committed:.0f}"
-        )
-    if cross_s > serial_s:
-        failures.append(
-            f"cross-run sweep slower than per-cell serial: "
-            f"{cross_s * 1e3:.0f}ms vs {serial_s * 1e3:.0f}ms (the stacked "
-            "engine must never lose to the path it batches)"
+            f"cross-run sweep only {cross_speedup:.2f}x over per-cell serial "
+            "(bar 2x)"
         )
 
-    usable = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else cpus
-    )
-
-    # The zero-copy shared-memory cross-run pool: workers fill shm
-    # blocks in place and ship back headers plus per-run scalars, with
-    # work stealing between slots.  With >= 2 usable CPUs the pool
-    # rung must clear both the committed cells/sec floor (3x slack)
-    # and the 1.5x-over-serial bar; on one usable CPU the backend
-    # degrades to the serial cross-run rung and the auto-fallback
-    # numbers are recorded as a datapoint only.
     shm_result = run_sweep(grid, workers=4, cross_run=True)
     if shm_result.cells != serial.cells:
         failures.append("shm cross-run results differ from serial results")
     shm_s = _best_of(2, lambda: run_sweep(grid, workers=4, cross_run=True))
     shm_speedup = serial_s / shm_s
-    shm_pooled = parse_dispatch_label(shm_result.dispatch).rung == "shm"
-    print(
-        f"shm cross-run 4-worker: {shm_s * 1e3:.0f}ms "
-        f"({shm_speedup:.2f}x over serial; "
-        f"dispatch: {shm_result.dispatch})"
+    usable = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
     )
-    if usable >= 2 and fork_start and shm_pooled:
-        shm_section = baseline.get("cross_run_shm")
-        if shm_section and not shm_section.get("fallback"):
-            shm_committed = float(shm_section["cells_per_sec"])
-            shm_measured = len(grid) / shm_s
-            shm_floor = shm_committed / REGRESSION_FACTOR
-            if shm_measured < shm_floor:
-                failures.append(
-                    f"shm cross-run pool regressed: {shm_measured:.0f} "
-                    f"cells/sec is more than {REGRESSION_FACTOR}x below "
-                    f"the committed baseline of {shm_committed:.0f}"
-                )
+    print(
+        f"shm cross-run 4-worker: {shm_s * 1e3:.0f}ms ({shm_speedup:.2f}x over "
+        f"serial; dispatch: {shm_result.dispatch})"
+    )
+    pooled = parse_dispatch_label(shm_result.dispatch).rung == "shm"
+    if usable >= 2 and start_method == "fork" and pooled:
         if shm_speedup < 1.5:
             failures.append(
-                f"shm cross-run pool only {shm_speedup:.2f}x over serial "
-                f"on {usable} usable cpus (acceptance bar is 1.5x)"
+                f"shm cross-run pool only {shm_speedup:.2f}x over serial on "
+                f"{usable} usable cpus (bar 1.5x)"
             )
     else:
         print(
-            "shm wall-clock bar skipped: auto-fallback rung recorded as "
-            "a datapoint only (needs >= 2 usable CPUs, fork workers and "
-            "the pool rung)"
-        )
-    if record_shm:
-        _record_section(
-            "cross_run_shm",
-            {
-                "cells": len(grid),
-                "cpus": cpus,
-                "usable_cpus": usable,
-                "start_method": multiprocessing.get_start_method(),
-                "serial_ms": round(serial_s * 1e3, 1),
-                "shm_ms": round(shm_s * 1e3, 1),
-                "cells_per_sec": round(len(grid) / shm_s, 1),
-                "speedup": round(shm_speedup, 3),
-                "dispatch": shm_result.dispatch,
-                "fallback": not shm_pooled,
-            },
+            "shm bar skipped: needs >= 2 usable CPUs, fork workers and the "
+            "shm rung"
         )
 
-    # Telemetry overhead: the always-on metrics path (cell-granularity
-    # counters, no tracing session) must stay within the 5% bar of a
-    # metrics-disabled sweep on the same reference grid.  A fully
-    # traced sweep (JSON-lines spans plus sampled kernel timers) is
-    # timed as a datapoint only -- tracing is opt-in per run.
-    # The arms are interleaved (off, on, off, on, ...) so slow machine
-    # drift over the benchmark's runtime hits both equally instead of
-    # inflating whichever arm happens to run last.
-    # (The true registry cost is ~0.1ms per 64-cell sweep -- <0.1% --
-    # so the bar only trips if the always-on path grows real work;
-    # enough interleaved pairs let both minima converge through the
-    # single-core scheduling noise.)
+    # The arms are interleaved so slow drift of the host hits both alike.
     metrics_off_s = metrics_on_s = float("inf")
     for _ in range(6):
         previous = set_metrics_enabled(False)
@@ -300,40 +214,30 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             set_metrics_enabled(previous)
         metrics_on_s = min(metrics_on_s, _best_of(1, run_sweep, grid, 1))
-    overhead_pct = max(
-        (metrics_on_s - metrics_off_s) / metrics_off_s * 100.0, 0.0
-    )
+    overhead_pct = max((metrics_on_s - metrics_off_s) / metrics_off_s * 100.0, 0.0)
     with tempfile.TemporaryDirectory() as trace_dir:
         traced_result = run_sweep(grid, telemetry=trace_dir)
         traced_s = _best_of(2, lambda: run_sweep(grid, telemetry=trace_dir))
     if traced_result.cells != serial.cells:
         failures.append("traced sweep results differ from serial results")
     print(
-        f"telemetry 64-cell grid: metrics off {metrics_off_s * 1e3:.0f}ms, "
-        f"on {metrics_on_s * 1e3:.0f}ms (+{overhead_pct:.1f}%, "
-        f"bar {TELEMETRY_OVERHEAD_BAR_PCT:.0f}%); "
-        f"traced {traced_s * 1e3:.0f}ms"
+        f"telemetry: metrics off {metrics_off_s * 1e3:.0f}ms, on "
+        f"{metrics_on_s * 1e3:.0f}ms (+{overhead_pct:.1f}%, bar "
+        f"{TELEMETRY_OVERHEAD_BAR_PCT:.0f}%); traced {traced_s * 1e3:.0f}ms"
     )
     if overhead_pct > TELEMETRY_OVERHEAD_BAR_PCT:
         failures.append(
             f"always-on metrics overhead {overhead_pct:.1f}% exceeds the "
-            f"{TELEMETRY_OVERHEAD_BAR_PCT:.0f}% bar "
-            f"({metrics_off_s * 1e3:.0f}ms off vs "
-            f"{metrics_on_s * 1e3:.0f}ms on)"
-        )
-    if record_telemetry:
-        _record_section(
-            "telemetry_overhead",
-            {
-                "cells": len(grid),
-                "metrics_off_ms": round(metrics_off_s * 1e3, 1),
-                "metrics_on_ms": round(metrics_on_s * 1e3, 1),
-                "overhead_pct": round(overhead_pct, 2),
-                "traced_ms": round(traced_s * 1e3, 1),
-                "bar_pct": TELEMETRY_OVERHEAD_BAR_PCT,
-            },
+            f"{TELEMETRY_OVERHEAD_BAR_PCT:.0f}% bar"
         )
 
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    failures: list[str] = []
+    lite_vs_full(failures)
+    camps(failures)
+    sweeps(failures)
     for failure in failures:
         print(f"PERF-SMOKE FAIL: {failure}", file=sys.stderr)
     if not failures:

@@ -591,7 +591,12 @@ def stats_main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    print(render_stats(args.telemetry_dir))
+    try:
+        report = render_stats(args.telemetry_dir)
+    except ValueError as exc:
+        print(f"stats error: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

@@ -62,8 +62,7 @@ def run_family_comparison(
     ``n`` defaults to the largest Table 2 requirement over the swept
     models at ``f`` (every model then runs the *same* system size, so
     per-family round counts are directly comparable).  The default
-    ``f=24`` lands on ``n = 121`` -- paper scale, comfortably past the
-    ``n = 97`` size the perf ledger tracks.
+    ``f=24`` lands on ``n = 121`` (M2's ``5f + 1``) -- paper scale.
     """
     if n is None:
         n = max(_required_n(model, f) for model in _MODELS)

@@ -1,6 +1,6 @@
 """The round kernel: the trace-lite receive+compute hot path.
 
-Profiling the sweep engine (``results/perf.txt``) showed the lite path
+Profiling the sweep engine showed the lite path
 spending nearly all of its time in the per-round inner loop: ``n`` MSR
 evaluations, each allocating a :class:`~repro.msr.multiset.ValueMultiset`
 chain (received, reduced, selected) over a copy-sorted inbox list.  That

@@ -407,8 +407,8 @@ _NOMINAL_ROUNDS = 40
 #: The bonomi family rides the vectorized fast path; tseng's stateful
 #: two-phase protocol runs every round through the scalar engine; the
 #: witness family adds relay collection and per-pid witness folds on
-#: top of that.  Ratios are calibrated from the committed ledger's
-#: per-family sweep timings -- only the ordering matters.
+#: top of that.  The ratios are hand-set orderings, not measurements --
+#: only the ordering matters (``CostModel.fit`` measures real weights).
 _FAMILY_COST_FACTORS: dict[str, float] = {
     "bonomi": 1.0,
     "tseng": 2.5,

@@ -81,8 +81,8 @@ class SweepJournal:
     contribute results; a missing manifest starts a fresh journal.
 
     Replay is deliberately forgiving about the tail: a line truncated
-    by the crash that interrupted the sweep parses as corrupt and is
-    skipped (that cell simply re-runs), but a *well-formed* result for
+    by the crash that interrupted the sweep is cut off before appending
+    resumes (that cell simply re-runs), but a *well-formed* result for
     a cell outside the manifest's grid is an error -- that is not crash
     damage, it is the wrong journal.
     """
@@ -148,7 +148,15 @@ class SweepJournal:
         self._completed = {}
         self._timings = {}
         if self.results_path.exists():
-            for line in self.results_path.read_text(encoding="utf-8").splitlines():
+            data = self.results_path.read_bytes()
+            complete = data[: data.rfind(b"\n") + 1]
+            if len(complete) < len(data):
+                # A kill mid-append left a fragment with no line end:
+                # cut it off, or the next record would be glued onto it
+                # and be unreadable too.  Its cell re-runs.
+                with open(self.results_path, "r+b") as handle:
+                    handle.truncate(len(complete))
+            for line in complete.decode("utf-8").splitlines():
                 line = line.strip()
                 if not line:
                     continue
@@ -156,8 +164,7 @@ class SweepJournal:
                     entry = json.loads(line)
                     result = result_from_dict(entry)
                 except (ValueError, KeyError, TypeError):
-                    # A line truncated by the interrupting crash: the
-                    # cell re-runs, bit-identically.
+                    # A corrupt line: the cell re-runs, bit-identically.
                     continue
                 if result.key not in grid_keys:
                     raise ValueError(

@@ -30,25 +30,58 @@ __all__ = [
 ]
 
 
-def load_trace_events(directory) -> list[dict]:
-    """All events from every ``trace-*.jsonl`` file, timestamp-sorted."""
+def _json_object(line: str) -> dict | None:
+    """``line`` decoded, or None when it is not one JSON object.
+
+    Each event is appended as one line, so a process killed mid-write
+    leaves a partial last line; readers skip it rather than fail.
+    """
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _read_trace(directory) -> tuple[list[dict], int]:
+    """Every decodable trace event, timestamp-sorted, and how many
+    lines were skipped as undecodable."""
     events: list[dict] = []
+    skipped = 0
     for path in sorted(Path(directory).glob("trace-*.jsonl")):
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 line = line.strip()
-                if line:
-                    events.append(json.loads(line))
+                if not line:
+                    continue
+                event = _json_object(line)
+                if event is None:
+                    skipped += 1
+                else:
+                    events.append(event)
     events.sort(key=lambda e: e.get("ts", 0.0))
-    return events
+    return events, skipped
+
+
+def load_trace_events(directory) -> list[dict]:
+    """All events from every ``trace-*.jsonl`` file, timestamp-sorted
+    (undecodable lines skipped)."""
+    return _read_trace(directory)[0]
 
 
 def load_metrics(directory) -> dict:
+    """The ``metrics.json`` snapshot; ValueError naming the file when it
+    is not a JSON object."""
     path = Path(directory) / "metrics.json"
     if not path.exists():
         return {"counters": {}, "gauges": {}, "histograms": {}}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        metrics = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON ({exc})") from exc
+    if not isinstance(metrics, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    return metrics
 
 
 def span_rollup(events: list[dict]) -> dict[str, dict]:
@@ -103,9 +136,11 @@ def _histogram_row(name: str, data: dict) -> list:
 def render_stats(directory) -> str:
     """Render the full ``sweep stats`` report for a telemetry dir."""
     directory = Path(directory)
-    events = load_trace_events(directory)
+    events, skipped = _read_trace(directory)
     metrics = load_metrics(directory)
     sections: list[str] = [f"telemetry: {directory}"]
+    if skipped:
+        sections.append(f"trace: skipped {skipped} undecodable line(s)")
 
     counters = metrics.get("counters", {})
     if counters:
@@ -163,8 +198,11 @@ def render_stats(directory) -> str:
     if dumps:
         lines = ["flight dumps:"]
         for path in dumps:
-            with open(path) as fh:
-                header = json.loads(fh.readline())
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                header = _json_object(fh.readline())
+            if header is None:
+                lines.append(f"  {path.name}: undecodable header")
+                continue
             lines.append(
                 f"  {path.name}: reason={header.get('reason')} "
                 f"events={header.get('events')}"

@@ -273,6 +273,25 @@ class TestSweepJournal:
         assert resumed == reference
         assert len(results.read_text().splitlines()) == len(lines)
 
+    def test_record_after_torn_tail_replays(self, grid, reference, tmp_path):
+        # A kill mid-append tears the last line; a result recorded after
+        # the resume must not be glued onto the fragment.
+        cells = list(grid.cells())
+        first, second = reference.cells[0], reference.cells[1]
+        root = tmp_path / "journal"
+        with SweepJournal(root) as journal:
+            journal.open(cells, "lite", None)
+            journal.record(first)
+        results = root / "results.jsonl"
+        line = results.read_text()
+        results.write_text(line + line[: len(line) // 2])
+        with SweepJournal(root) as journal:
+            assert len(journal.open(cells, "lite", None)) == 1
+            journal.record(second)
+        with SweepJournal(root) as journal:
+            replayed = journal.open(cells, "lite", None)
+        assert set(replayed) == {first.key, second.key}
+
     def test_foreign_grid_journal_rejected(self, grid, tmp_path):
         with SweepJournal(tmp_path / "journal") as journal:
             run_sweep(grid, journal=journal)

@@ -346,3 +346,43 @@ class TestCLI:
 
         assert main(["sweep", "stats", str(tmp_path / "absent")]) == 2
         assert "is not a directory" in capsys.readouterr().err
+
+    def _traced_dir(self, tmp_path):
+        tdir = tmp_path / "t"
+        run_sweep(small_grid(seeds=1, rounds=5), telemetry=str(tdir))
+        return tdir
+
+    def test_stats_skips_a_torn_trace_line(self, capsys, tmp_path):
+        from repro.experiments.cli import main
+
+        tdir = self._traced_dir(tmp_path)
+        trace = sorted(tdir.glob("trace-*.jsonl"))[0]
+        events = len(load_trace_events(tdir))
+        # A worker killed mid-write leaves a partial last line.
+        last = trace.read_text().splitlines()[-1]
+        with open(trace, "a") as fh:
+            fh.write(last[: len(last) // 2])
+        assert len(load_trace_events(tdir)) == events
+        assert main(["sweep", "stats", str(tdir)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped 1 undecodable line" in out
+        assert "sweep.run" in out
+
+    def test_stats_names_a_torn_flight_dump(self, capsys, tmp_path):
+        from repro.experiments.cli import main
+
+        tdir = self._traced_dir(tmp_path)
+        (tdir / "flight-1-0.jsonl").write_text('{"reason": "err')
+        assert main(["sweep", "stats", str(tdir)]) == 0
+        assert "flight-1-0.jsonl: undecodable header" in capsys.readouterr().out
+
+    def test_stats_corrupt_metrics_exits_2(self, capsys, tmp_path):
+        from repro.experiments.cli import main
+
+        tdir = self._traced_dir(tmp_path)
+        metrics = tdir / "metrics.json"
+        metrics.write_text(metrics.read_text()[:20])
+        assert main(["sweep", "stats", str(tdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stats error:")
+        assert str(metrics) in err
