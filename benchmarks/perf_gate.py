@@ -30,7 +30,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 #: Alternating base/change pairs per workload.
-PAIRS = 5
+PAIRS = 7
 #: ``--seconds`` of every perfbench run.
 SECONDS = 10
 #: Seed of the first pair; pair ``k`` uses ``FIRST_SEED + k``.

@@ -205,9 +205,10 @@ def sweeps(failures: list[str]) -> None:
             "shm rung"
         )
 
-    # The arms are interleaved so slow drift of the host hits both alike.
+    # The arms are interleaved so slow drift of the host hits both alike;
+    # 15 repetitions per arm keep the minima steady on a busy host.
     metrics_off_s = metrics_on_s = float("inf")
-    for _ in range(6):
+    for _ in range(15):
         previous = set_metrics_enabled(False)
         try:
             metrics_off_s = min(metrics_off_s, _best_of(1, run_sweep, grid, 1))

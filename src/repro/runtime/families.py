@@ -277,8 +277,12 @@ def register_family(family: ProtocolFamily) -> None:
     """Register a family under its ``name`` (case-insensitive).
 
     Raises :class:`ValueError` on collisions to catch accidental
-    shadowing.  Families used in parallel sweeps must be registered at
-    import time of a module worker processes also import.
+    shadowing.  Local sweep workers are forked processes that outlive
+    a sweep; they are reused while the registry is the one they forked
+    with, and the next pooled sweep after a registration (or a
+    removal) re-forks them, so the family reaches them.  Shards run on
+    other hosts resolve families by import: register there at import
+    time of a module those processes also import.
     """
     key = family.name.strip().lower()
     if not key or key == "?":

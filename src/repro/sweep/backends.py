@@ -54,18 +54,23 @@ streaming aggregation, progress lines and resume journals.  The
 fallback ladder -- shm pool, pickle pool, in-process serial -- keeps
 results bit-identical at every rung; only the dispatch label (e.g.
 ``cross-run-shm(4 batches, max R=16, steals=1)``) records which rung
-ran.
+ran.  The workers themselves persist: forked once, one pipe each, and
+reused by later pooled sweeps for as long as the code and state they
+forked with still match the parent's (:class:`_ForkSnapshot`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue
 import re
+import signal
 import statistics
+import threading
 import warnings
 import weakref
 from collections.abc import Callable, Sequence
@@ -79,8 +84,9 @@ except Exception:  # pragma: no cover - exercised only without the module
     _shared_memory = None
 
 from ..runtime import simulator as _simulator
+from ..runtime.families import family_names, get_family
 from ..runtime.simulator import ShmBatchLayout
-from ..telemetry import count
+from ..telemetry import activate, count, current_config, deactivate
 from ..topology import topology_from_spec
 from .aggregate import SweepResult
 from .cache import (
@@ -252,10 +258,9 @@ class SweepBackend:
     #: Optional ``callable(CellResult)`` invoked in the parent process
     #: as results become available.  Granularity is a backend property:
     #: per cell for serial execution, per group or stolen batch for
-    #: cross-run dispatch, on completion for ``pool.map``-style
-    #: backends (the engine reports any unreported results after
-    #: execution either way, so callers always observe every result
-    #: exactly once).
+    #: cross-run dispatch (the engine reports any unreported results
+    #: after execution either way, so callers always observe every
+    #: result exactly once).
     on_result: Callable[["CellResult"], None] | None = None
 
     def _emit(self, results: Sequence["CellResult"]) -> None:
@@ -319,11 +324,11 @@ class SerialBackend(SweepBackend):
 
 
 class MultiprocessingBackend(SweepBackend):
-    """Cross-run groups across a local ``multiprocessing`` pool.
+    """Cross-run groups across the local sweep worker processes.
 
-    Each ``stack_key`` group is one pickled pool task.  A pool that
-    cannot win (one worker, one group, one usable CPU) runs the groups
-    inline instead.
+    Each ``stack_key`` group is one pickled task.  Where workers cannot
+    win (one worker, one group, one usable CPU) the groups run inline
+    instead.
     """
 
     pooled = True
@@ -382,19 +387,29 @@ class MultiprocessingBackend(SweepBackend):
         Each ``stack_key`` group is one pool task advancing its stack
         in a worker; the pool decision treats groups as the dispatch
         unit (a single group has nothing to overlap, so it runs
-        inline).  Falls back to the in-process default wherever a pool
+        inline).  Results stream back, and return, in completion
+        order.  Falls back to the in-process default wherever a pool
         cannot win.
         """
         groups = _batch_groups(cells)
         if not self._pool_decision(len(groups)):
             return SweepBackend.execute_many(self, cells, many_runner)
         self.dispatch = _cross_run_label(groups, ", parallel")
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return [
-                result
-                for group_results in pool.map(many_runner, groups, chunksize=1)
-                for result in group_results
-            ]
+        pending = iter(groups)
+        results: list["CellResult"] = []
+
+        def finish(batch: list["CellSpec"], outcome: _PickleBatch) -> None:
+            results.extend(outcome.results)
+            self._emit(outcome.results)
+
+        _run_on_workers(
+            self.workers,
+            many_runner,
+            next_batch=lambda slot: next(pending, None),
+            plan=lambda batch: None,
+            finish=finish,
+        )
+        return results
 
 
 #: Cost-model round count for oracle-terminated cells (``rounds=None``):
@@ -997,6 +1012,327 @@ def _shm_group_task(
         raise
 
 
+# -- persistent sweep workers --------------------------------------------------
+#
+# Pooled sweeps run on one module-private set of forked worker
+# processes, each owning one duplex pipe (one dispatch slot), kept
+# alive across sweeps: forking a pool per sweep cost as much as a
+# quarter of a small sweep.  A worker runs the code and module state
+# the parent had when it forked, so the set is reused only while that
+# snapshot still holds (see _ForkSnapshot) and is re-forked otherwise.
+
+#: Seconds a closing worker gets to exit before it is killed.
+_WORKER_EXIT_TIMEOUT = 5.0
+
+#: Serializes worker start-up, so no worker inherits the child end of
+#: another's pipe: a dead worker's pipe must read as closed.
+_SPAWN_LOCK = threading.Lock()
+#: Held by the sweep that has the persistent workers checked out.
+_CHECKOUT = threading.Lock()
+#: The persistent worker set, or ``None`` before the first pooled sweep.
+_WORKERS: "_WorkerSet | None" = None
+
+
+def _forget_workers_after_fork() -> None:
+    """Start a forked child with no workers and free locks (a thread
+    that held one at the fork does not exist in the child)."""
+    global _WORKERS, _CHECKOUT, _SPAWN_LOCK
+    _WORKERS = None
+    _CHECKOUT = threading.Lock()
+    _SPAWN_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers_after_fork)
+
+
+def _drop_inherited_tracker() -> None:
+    """Detach a worker from its parent's resource tracker.
+
+    The tracker process exits once every write end of its pipe is
+    closed, and the parent's ``resource_tracker._stop()`` waits for
+    that exit -- a long-lived worker holding an inherited write end
+    would block it for the worker's whole life.  The worker closes its
+    copy and starts a tracker of its own on first use, under a fresh
+    lock: another parent thread may have held the old one at the fork.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        tracker = resource_tracker._resource_tracker
+        fd, tracker._fd, tracker._pid = tracker._fd, None, None
+        tracker._lock = threading.RLock()
+    except (ImportError, AttributeError):  # pragma: no cover - other layouts
+        return
+    if fd is not None:
+        try:
+            os.close(fd)
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+def _worker_main(conn, parent_ends) -> None:
+    """Serve batches from one pipe until told to stop.
+
+    A task is ``(many_runner, request, batch, session)``: the batch runs
+    through :func:`_shm_group_task` and the reply is ``(True, batch
+    envelope)`` or ``(False, exception)``.  ``session`` is the parent's
+    tracing config at dispatch -- what a worker forked at that moment
+    would inherit -- and the worker's session follows it task by task.
+    ``None`` stops the worker, and so does end-of-file: closing its
+    copies of the parent's ends (``parent_ends``, its own and its
+    siblings') lets the parent's death reach it.  SIGINT is the
+    parent's to handle: it discards its workers on any exception.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    _drop_inherited_tracker()
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        many_runner, request, batch, session = task
+        if session is None:
+            deactivate()
+        else:
+            activate(session)
+        try:
+            reply = (True, _shm_group_task(many_runner, request, batch))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            conn.send(
+                (False, RuntimeError(f"sweep worker cannot return its batch: {exc!r}"))
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class _ForkSnapshot:
+    """What a worker set inherited at fork that a later sweep relies on.
+
+    The task callable is the runner's ``func`` for a ``functools.partial``
+    (whose options vary per sweep and travel with every task) and is
+    held strongly, so identity comparison stays sound: a profiler that
+    swaps ``engine.run_cell_many`` for a wrapper gets workers that run
+    the wrapper.  The parent's pid needs no field -- a forked child
+    forgets its parent's workers (:func:`_forget_workers_after_fork`).
+    """
+
+    workers: int
+    task: object
+    numpy_absent: bool
+    families: tuple
+
+    @classmethod
+    def take(cls, workers: int, many_runner: ManyRunner) -> "_ForkSnapshot":
+        return cls(
+            workers=workers,
+            task=getattr(many_runner, "func", many_runner),
+            numpy_absent=_simulator._np is None,
+            families=tuple((name, get_family(name)) for name in family_names()),
+        )
+
+    def matches(self, other: "_ForkSnapshot") -> bool:
+        return (
+            self.workers == other.workers
+            and self.task is other.task
+            and self.numpy_absent == other.numpy_absent
+            and len(self.families) == len(other.families)
+            and all(
+                name == other_name and family is other_family
+                for (name, family), (other_name, other_family) in zip(
+                    self.families, other.families
+                )
+            )
+        )
+
+
+class _WorkerSet:
+    """Forked daemon worker processes, one duplex pipe (slot) each."""
+
+    def __init__(self, snapshot: _ForkSnapshot) -> None:
+        self.snapshot = snapshot
+        self._processes: list = []
+        self._conns: list = []
+        context = multiprocessing.get_context()
+        try:
+            for slot in range(snapshot.workers):
+                with _SPAWN_LOCK:
+                    parent_end, child_end = context.Pipe()
+                    self._conns.append(parent_end)
+                    process = context.Process(
+                        target=_worker_main,
+                        args=(child_end, tuple(self._conns)),
+                        name=f"repro-sweep-worker-{slot}",
+                        daemon=True,
+                    )
+                    try:
+                        process.start()
+                    finally:
+                        child_end.close()
+                    self._processes.append(process)
+        except BaseException:
+            self.close(discard=True)
+            raise
+
+    def _dead(self) -> set:
+        """Sentinels of the workers that have exited."""
+        return set(
+            multiprocessing.connection.wait(
+                [process.sentinel for process in self._processes], 0
+            )
+        )
+
+    def alive(self) -> bool:
+        return not self._dead()
+
+    def _died(self, slot: int) -> RuntimeError:
+        process = self._processes[slot]
+        process.join(1.0)
+        return RuntimeError(
+            f"sweep worker pid {process.pid} died mid-batch "
+            f"(exit code {process.exitcode})"
+        )
+
+    def send(self, slot: int, task: tuple) -> None:
+        try:
+            self._conns[slot].send(task)
+        except OSError:
+            raise self._died(slot) from None
+
+    def ready(self, slots) -> list[int]:
+        """The busy ``slots`` with a reply waiting or a dead worker."""
+        owners = {}
+        for slot in slots:
+            owners[self._conns[slot]] = slot
+            owners[self._processes[slot].sentinel] = slot
+        return sorted(
+            {owners[obj] for obj in multiprocessing.connection.wait(list(owners))}
+        )
+
+    def receive(self, slot: int):
+        """The reply of a :meth:`ready` slot; raises the worker's error."""
+        conn = self._conns[slot]
+        try:
+            if not conn.poll():  # the sentinel fired with nothing sent
+                raise EOFError
+            ok, payload = conn.recv()
+        except (EOFError, OSError):
+            raise self._died(slot) from None
+        if not ok:
+            raise payload
+        return payload
+
+    def close(self, discard: bool = False) -> None:
+        """Stop every worker: politely (a stop message), or at once.
+
+        ``discard`` terminates workers that may be mid-batch, as a
+        failed sweep must.  Either way every worker is joined before
+        this returns, so no block can be created after it.
+        """
+        for conn in self._conns:
+            if not discard:
+                with contextlib.suppress(OSError):  # already dead
+                    conn.send(None)
+            conn.close()
+        if discard:
+            dead = self._dead()
+            for process in self._processes:
+                if process.sentinel not in dead:
+                    process.terminate()
+        for process in self._processes:
+            process.join(_WORKER_EXIT_TIMEOUT)
+            stuck = not multiprocessing.connection.wait([process.sentinel], 0)
+            if process.exitcode is None and stuck:
+                process.kill()
+                process.join()
+            with contextlib.suppress(ValueError):  # reaped elsewhere
+                process.close()
+        self._processes = []
+        self._conns = []
+
+
+@contextlib.contextmanager
+def _sweep_workers(count: int, many_runner: ManyRunner):
+    """Check out ``count`` workers able to run ``many_runner``.
+
+    The persistent set is reused while its fork snapshot matches and
+    every worker lives, else re-forked.  A sweep that finds it checked
+    out by another thread forks a transient set for itself.  Any
+    exception discards the workers in use.
+    """
+    global _WORKERS
+    snapshot = _ForkSnapshot.take(count, many_runner)
+    owned = _CHECKOUT.acquire(blocking=False)
+    try:
+        if not owned:
+            workers = _WorkerSet(snapshot)
+        else:
+            workers = _WORKERS
+            if workers is None or not (
+                workers.snapshot.matches(snapshot) and workers.alive()
+            ):
+                _WORKERS = None
+                if workers is not None:
+                    workers.close()
+                workers = _WORKERS = _WorkerSet(snapshot)
+        try:
+            yield workers
+        except BaseException:
+            if owned:
+                _WORKERS = None
+            workers.close(discard=True)
+            raise
+        if not owned:
+            workers.close()
+    finally:
+        if owned:
+            _CHECKOUT.release()
+
+
+def _run_on_workers(
+    count: int,
+    many_runner: ManyRunner,
+    next_batch: Callable[[int], list["CellSpec"] | None],
+    plan: Callable[[list["CellSpec"]], _ShmRequest | None],
+    finish: Callable[[list["CellSpec"], object], None],
+) -> None:
+    """Keep ``count`` worker slots busy until ``next_batch`` runs dry.
+
+    ``next_batch(slot)`` hands out the slot's next batch (``None``: the
+    slot idles), ``plan(batch)`` its shm block request, and
+    ``finish(batch, envelope)`` takes each finished batch in the parent.
+    A worker's exception is re-raised here; a worker that dies
+    mid-batch raises :class:`RuntimeError` naming its pid.
+    """
+    session = current_config()
+    with _sweep_workers(count, many_runner) as workers:
+        busy: dict[int, list["CellSpec"]] = {}
+
+        def submit(slot: int) -> None:
+            batch = next_batch(slot)
+            if batch is not None:
+                busy[slot] = batch
+                workers.send(slot, (many_runner, plan(batch), batch, session))
+
+        for slot in range(count):
+            submit(slot)
+        while busy:
+            for slot in workers.ready(busy):
+                outcome = workers.receive(slot)
+                batch = busy.pop(slot)
+                # Refill the slot before parent-side restore work so
+                # the workers never idle behind the coordinator.
+                submit(slot)
+                finish(batch, outcome)
+
+
 class _StealingQueues:
     """Per-slot batch queues with largest-half work stealing.
 
@@ -1146,55 +1482,23 @@ class ShmCrossRunBackend(MultiprocessingBackend):
         queues = _StealingQueues(
             groups, self.workers, self.cost_model.estimate
         )
-        completions: queue.SimpleQueue = queue.SimpleQueue()
         results = []
-        in_flight = 0
+
+        def finish(batch: list["CellSpec"], outcome) -> None:
+            batch_results = arena.restore(outcome, batch)
+            results.extend(batch_results)
+            self._emit(batch_results)
+
         try:
-            with multiprocessing.Pool(processes=self.workers) as pool:
-
-                def submit(slot: int) -> bool:
-                    nonlocal in_flight
-                    batch = queues.next_batch(slot)
-                    if batch is None:
-                        return False
-                    request = arena.plan(batch)
-                    pool.apply_async(
-                        _shm_group_task,
-                        (many_runner, request, batch),
-                        callback=lambda out, s=slot, b=batch: completions.put(
-                            (s, b, out, None)
-                        ),
-                        error_callback=lambda exc, s=slot, b=batch: (
-                            completions.put((s, b, None, exc))
-                        ),
-                    )
-                    in_flight += 1
-                    return True
-
-                for slot in range(self.workers):
-                    submit(slot)
-                try:
-                    while in_flight:
-                        slot, batch, outcome, error = completions.get()
-                        in_flight -= 1
-                        if error is not None:
-                            raise error
-                        # Refill the slot before parent-side restore work
-                        # so the pool never idles behind the coordinator.
-                        submit(slot)
-                        batch_results = arena.restore(outcome, batch)
-                        results.extend(batch_results)
-                        self._emit(batch_results)
-                except BaseException:
-                    # Let the batches still running land before
-                    # Pool.__exit__ terminates the workers: a worker
-                    # killed mid-send leaves a torn message that blocks
-                    # the pool's result thread forever.  The finally
-                    # arena.close() sweeps the drained batches' blocks.
-                    while in_flight:
-                        completions.get()
-                        in_flight -= 1
-                    raise
+            # The workers are gone (or idle) before arena.close() runs,
+            # so its sweep cannot race a block still being created.
+            _run_on_workers(
+                self.workers,
+                many_runner,
+                next_batch=queues.next_batch,
+                plan=arena.plan,
+                finish=finish,
+            )
         finally:
             self.last_arena_stats = arena.close()
             self.last_steals = queues.steals

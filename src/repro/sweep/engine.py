@@ -657,8 +657,8 @@ def _run_sweep(
     # Every result flows through the reporter exactly once: journal
     # replays and cache hits immediately, executed cells as early as
     # the backend's granularity allows (per cell serially, per group or
-    # stolen batch cross-run), anything a backend could not emit early
-    # (pool.map) after execution returns.
+    # stolen batch cross-run), anything a backend did not emit early
+    # after execution returns.
     total = len(selected)
     done = 0
     reported: set[tuple] = set()

@@ -23,6 +23,7 @@ produce the same ledger.
 
 from __future__ import annotations
 
+import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -221,6 +222,16 @@ def snapshot_delta(before: dict, after: dict) -> dict:
 
 _REGISTRY = MetricsRegistry()
 _ENABLED = True
+
+
+def _unlock_after_fork() -> None:
+    """A forked child starts with a free registry lock: the thread that
+    may have held it at the fork does not exist in the child."""
+    _REGISTRY._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_after_fork)
 
 
 def get_registry() -> MetricsRegistry:

@@ -216,6 +216,17 @@ class _Session:
 _SESSION: _Session | None = None
 
 
+def _unlock_after_fork() -> None:
+    """A forked child starts with a free session lock: the thread that
+    may have held it at the fork does not exist in the child."""
+    if _SESSION is not None:
+        _SESSION._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_after_fork)
+
+
 def configure(
     directory,
     sample_every: int = 32,

@@ -23,11 +23,18 @@ expected and suppressed).
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -45,12 +52,16 @@ from repro.sweep import (
 from repro.sweep.backends import (
     SharedResultArena,
     ShmCrossRunBackend,
+    _drop_inherited_tracker,
     _PickleBatch,
     _shm_group_task,
     _StealingQueues,
     plan_shm_layout,
     _shared_memory,
 )
+from repro.runtime import simulator as _simulator
+from repro.runtime.families import _REGISTRY as _FAMILY_REGISTRY
+from repro.runtime.families import BonomiFamily, register_family
 from repro.runtime.simulator import ShmBatchLayout
 from repro.telemetry import parse_dispatch_label
 from tests.helpers import without_numpy
@@ -138,6 +149,40 @@ def _crashing_many_runner(cells, out=None):
     if any(spec.seed == 3 for spec in cells):
         raise RuntimeError("injected worker crash")
     return run_cell_many(cells, out=out)
+
+
+def _paced_many_runner(cells, out=None):
+    time.sleep(0.05)
+    return run_cell_many(cells, out=out)
+
+
+def _sigkilled_many_runner(cells, out=None):
+    """A slow runner whose seed-3 batch is SIGKILLed after writing its
+    shm rows, before returning: a worker dying mid-batch."""
+    results = run_cell_many(cells, out=out)
+    if any(spec.seed == 3 for spec in cells):
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.05)
+    return results
+
+
+def _probing_many_runner(cells, out=None):
+    """Tags each result with the worker's pid and numpy presence
+    (``metrics`` is compare-excluded, and rides both rungs)."""
+    from repro.runtime import simulator
+
+    probe = (
+        ("probe.pid", float(os.getpid())),
+        ("probe.numpy", float(simulator._np is not None)),
+    )
+    return [
+        replace(result, metrics=result.metrics + probe)
+        for result in run_cell_many(cells, out=out)
+    ]
+
+
+def _probe(results, name):
+    return {dict(result.metrics)[name] for result in results}
 
 
 class TestShmBatchLayout:
@@ -645,3 +690,241 @@ class TestRunCellManyFallbackCache:
         specs = [starving_witness(seed) for seed in range(2)]
         results = run_cell_many(specs)
         assert_cells_identical(results, [run_cell(spec) for spec in specs])
+
+
+class _LateFamily(BonomiFamily):
+    """A family registered only after the sweep workers have forked."""
+
+    name = "late-registered-probe"
+
+
+class TestPersistentWorkers:
+    """Sweep workers outlive a sweep.  Each case breaks a naive reuse:
+    workers hold the code, registry and numpy state of their fork."""
+
+    def pooled(self, specs, runner=_probing_many_runner):
+        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return backend.execute_many(specs, runner)
+
+    def test_consecutive_sweeps_share_worker_pids(self):
+        specs = list(small_grid().cells())
+        first = _probe(self.pooled(specs), "probe.pid")
+        second = _probe(self.pooled(specs), "probe.pid")
+        assert len(first) == 2 and float(os.getpid()) not in first
+        assert second == first
+
+    def test_killed_worker_aborts_the_sweep(self):
+        grid = small_grid()
+        before = shm_entries()
+        started = time.perf_counter()
+        with pytest.raises(
+            RuntimeError, match=r"pid \d+ died mid-batch \(exit code -9\)"
+        ):
+            self.pooled(list(grid.cells()), _sigkilled_many_runner)
+        assert time.perf_counter() - started < 5
+        assert shm_entries() <= before
+        after = shm_sweep(grid)
+        serial = run_sweep(grid, dispatch="serial")
+        assert after.cells == serial.cells
+        assert_cells_identical(after.cells, serial.cells)
+
+    def test_worker_sessions_follow_each_sweep(self, tmp_path):
+        grid = small_grid()
+        parent_file = f"trace-{os.getpid()}.jsonl"
+
+        def lines(directory):
+            return {
+                path.name: len(path.read_text().splitlines())
+                for path in directory.glob("trace-*.jsonl")
+            }
+
+        first, second = tmp_path / "first", tmp_path / "second"
+        shm_sweep(grid, telemetry=first)
+        traced = lines(first)
+        worker_files = set(traced) - {parent_file}
+        assert len(worker_files) == 2
+        shm_sweep(grid)
+        assert lines(first) == traced
+        shm_sweep(grid, telemetry=second)
+        assert lines(first) == traced
+        # The same workers traced the third sweep, into its directory.
+        assert set(lines(second)) - {parent_file} == worker_files
+
+    def test_family_registered_after_fork_runs_pooled(self):
+        grid = GridSpec(
+            models=("M1", "M3"),
+            fs=(1,),
+            families=(_LateFamily.name,),
+            attacks=("split", "outlier"),
+            seeds=range(3),
+            rounds=8,
+        )
+        shm_sweep(small_grid())  # the workers exist before the family
+        register_family(_LateFamily())
+        try:
+            pooled = shm_sweep(grid)
+            serial = run_sweep(grid, dispatch="serial")
+        finally:
+            _FAMILY_REGISTRY.pop(_LateFamily.name)
+        assert pooled.errors() == ()
+        assert pooled.cells == serial.cells
+
+    @pytest.mark.skipif(_simulator._np is None, reason="numpy unavailable")
+    def test_workers_follow_hidden_numpy(self):
+        specs = list(small_grid().cells())
+        assert _probe(self.pooled(specs), "probe.numpy") == {1.0}
+        with without_numpy():
+            hidden = self.pooled(specs)
+        assert _probe(hidden, "probe.numpy") == {0.0}
+        assert _probe(self.pooled(specs), "probe.numpy") == {1.0}
+        key = lambda result: result.key  # noqa: E731
+        assert_cells_identical(
+            sorted(hidden, key=key), sorted(map(run_cell, specs), key=key)
+        )
+
+    def test_concurrent_sweeps_from_threads(self):
+        # Three sweeping threads, more than the usual two cores, with a
+        # short switch interval and a paced runner, so the sweeps
+        # overlap: one holds the persistent workers, the others fork
+        # their own; a shared pipe would hand one thread's replies to
+        # another, which each thread's own seeds would show.
+        specs = [
+            [
+                cell(seed=100 * index + seed, n=17 + 4 * width)
+                for width in range(8)  # 8 stack groups: many replies
+                for seed in range(2)
+            ]
+            for index in range(3)
+        ]
+        key = lambda result: result.key  # noqa: E731
+        references = [sorted(map(run_cell, own), key=key) for own in specs]
+        self.pooled(specs[0], _paced_many_runner)  # matching workers exist
+        barrier = threading.Barrier(3)
+        results: list = [None] * 3
+        errors: list = []
+
+        def sweep(index):
+            barrier.wait()
+            try:
+                backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+                results[index] = backend.execute_many(
+                    specs[index], _paced_many_runner
+                )
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for result, reference in zip(results, references):
+            assert_cells_identical(sorted(result, key=key), reference)
+
+    def test_forked_workers_start_with_free_locks(self, tmp_path):
+        # Another thread holds every lock a worker takes (the resource
+        # tracker's, the metrics registry's, the tracing session's)
+        # while this one forks: the child must not inherit them held.
+        from multiprocessing import resource_tracker
+
+        from repro.telemetry import count, deactivate, trace_span
+        from repro.telemetry import configure, get_registry
+        from repro.telemetry import tracing
+
+        configure(tmp_path)
+        try:
+            held = [
+                resource_tracker._resource_tracker._lock,
+                get_registry()._lock,
+                tracing._SESSION._lock,
+            ]
+            locked, release = threading.Event(), threading.Event()
+
+            def hold():
+                for lock in held:
+                    lock.acquire()
+                locked.set()
+                release.wait(30)
+                for lock in held:
+                    lock.release()
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert locked.wait(30)
+                pid = os.fork()
+                if pid == 0:  # the child: a sweep worker's first steps
+                    code = 1
+                    try:
+                        _drop_inherited_tracker()
+                        block = _shared_memory.SharedMemory(create=True, size=64)
+                        block.close()
+                        block.unlink()
+                        count("test.forked")
+                        with trace_span("test.forked"):
+                            pass
+                        code = 0
+                    finally:
+                        os._exit(code)
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        break
+                    time.sleep(0.02)
+                else:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("forked child deadlocked on an inherited lock")
+                assert os.waitstatus_to_exitcode(status) == 0
+            finally:
+                release.set()
+                holder.join(30)
+            assert not holder.is_alive()
+        finally:
+            deactivate()
+
+    def test_tracker_stop_and_reaping_exit_promptly(self):
+        # The parent's resource tracker runs before the workers fork, as
+        # in a process that used shared memory earlier; perfbench stops
+        # it and then SIGKILLs and reaps every child.
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os, signal, warnings
+            from multiprocessing import resource_tracker
+            from repro.sweep import GridSpec, run_sweep
+            resource_tracker.ensure_running()
+            grid = GridSpec(
+                models=("M2", "M3"), fs=(2,), ns=(17,),
+                attacks=("split", "outlier"), seeds=range(4), max_rounds=30,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pooled = run_sweep(grid, workers=2, dispatch="pool")
+            assert pooled.dispatch.startswith("cross-run-shm("), pooled.dispatch
+            resource_tracker._resource_tracker._stop()
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+            """
+        )
+        src = str(Path(_simulator.__file__).resolve().parents[2])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
