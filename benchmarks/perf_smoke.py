@@ -18,7 +18,8 @@ this host, and asserts that both compute the same results:
   shm rung actually selected, the pool is >= 1.5x faster than per-cell
   serial; otherwise it is timed as a datapoint only.
 * **telemetry overhead** -- the always-on metrics path costs <= 5% over
-  a metrics-disabled sweep; a fully traced sweep is a datapoint only.
+  a metrics-disabled sweep, by the median of 15 paired per-repetition
+  on/off ratios; a fully traced sweep is a datapoint only.
 
 Throughput against the parent commit is ``perf_gate.py``'s job.  This
 script reads and writes no file of the repository.  Run from the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -205,17 +207,24 @@ def sweeps(failures: list[str]) -> None:
             "shm rung"
         )
 
-    # The arms are interleaved so slow drift of the host hits both alike;
-    # 15 repetitions per arm keep the minima steady on a busy host.
-    metrics_off_s = metrics_on_s = float("inf")
-    for _ in range(15):
-        previous = set_metrics_enabled(False)
-        try:
-            metrics_off_s = min(metrics_off_s, _best_of(1, run_sweep, grid, 1))
-        finally:
-            set_metrics_enabled(previous)
-        metrics_on_s = min(metrics_on_s, _best_of(1, run_sweep, grid, 1))
-    overhead_pct = max((metrics_on_s - metrics_off_s) / metrics_off_s * 100.0, 0.0)
+    # Each of 15 repetitions times one sweep per arm back to back (the
+    # first arm alternating), so a slow spell of the host lands on both
+    # sides of that repetition's on/off ratio; the median ratio then
+    # drops the repetitions a spell hit unevenly.
+    off_times: list[float] = []
+    on_times: list[float] = []
+    for repetition in range(15):
+        for metrics_on in (False, True) if repetition % 2 == 0 else (True, False):
+            previous = set_metrics_enabled(metrics_on)
+            try:
+                elapsed = _best_of(1, run_sweep, grid, 1)
+            finally:
+                set_metrics_enabled(previous)
+            (on_times if metrics_on else off_times).append(elapsed)
+    ratio = statistics.median(on / off for on, off in zip(on_times, off_times))
+    overhead_pct = max((ratio - 1.0) * 100.0, 0.0)
+    metrics_off_s = statistics.median(off_times)
+    metrics_on_s = statistics.median(on_times)
     with tempfile.TemporaryDirectory() as trace_dir:
         traced_result = run_sweep(grid, telemetry=trace_dir)
         traced_s = _best_of(2, lambda: run_sweep(grid, telemetry=trace_dir))
@@ -223,8 +232,9 @@ def sweeps(failures: list[str]) -> None:
         failures.append("traced sweep results differ from serial results")
     print(
         f"telemetry: metrics off {metrics_off_s * 1e3:.0f}ms, on "
-        f"{metrics_on_s * 1e3:.0f}ms (+{overhead_pct:.1f}%, bar "
-        f"{TELEMETRY_OVERHEAD_BAR_PCT:.0f}%); traced {traced_s * 1e3:.0f}ms"
+        f"{metrics_on_s * 1e3:.0f}ms (medians; +{overhead_pct:.1f}% by the "
+        f"median paired ratio, bar {TELEMETRY_OVERHEAD_BAR_PCT:.0f}%); "
+        f"traced {traced_s * 1e3:.0f}ms"
     )
     if overhead_pct > TELEMETRY_OVERHEAD_BAR_PCT:
         failures.append(

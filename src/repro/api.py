@@ -17,6 +17,7 @@ config objects directly.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from .core.mapping import msr_trim_parameter
@@ -97,8 +98,12 @@ def value_strategy(name: str | ValueStrategy) -> ValueStrategy:
         raise KeyError(f"unknown attack {name!r}; known: {known}") from None
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def evenly_spread_values(n: int, low: float = 0.0, high: float = 1.0) -> tuple[float, ...]:
-    """Deterministic initial values spread across ``[low, high]``."""
+    """Deterministic initial values spread across ``[low, high]``.
+
+    Memoized: every config of a size shares one immutable tuple.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -146,7 +151,10 @@ def mobile_config(
     if isinstance(algorithm, str):
         algorithm = make_algorithm(algorithm, msr_trim_parameter(semantics.model, f))
     if initial_values is None:
+        # Already a tuple of floats, shared by every config of size n.
         initial_values = evenly_spread_values(n)
+    else:
+        initial_values = tuple(float(v) for v in initial_values)
     if termination is None:
         termination = (
             FixedRounds(rounds) if rounds is not None else OracleDiameter(epsilon)
@@ -157,7 +165,7 @@ def mobile_config(
     return SimulationConfig(
         n=n,
         f=f,
-        initial_values=tuple(float(v) for v in initial_values),
+        initial_values=initial_values,
         algorithm=algorithm,
         setup=MobileFaultSetup(model=semantics.model, adversary=adversary),
         termination=termination,

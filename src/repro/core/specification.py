@@ -157,6 +157,9 @@ def check_validity(trace: Trace | LiteTrace) -> PropertyCheck:
     On a :class:`LiteTrace` the per-round check runs on the recorded
     non-faulty extents (min/max); the verdict is boolean-identical to
     the full-trace check, only the per-process detail strings differ.
+    This is the reference of the sweep engine's lite verdict
+    (:func:`repro.sweep.engine._lite_verdict`), which checks the same
+    extents without building detail strings.
     """
     interval = trace.validity_interval()
     out_of_range: list[str] = []
@@ -262,6 +265,11 @@ def check_trace(
     vacuously holding with an explanatory detail.  The headline verdict
     (:attr:`SpecVerdict.satisfied`) never depends on P1/P2 and is
     boolean-identical across trace details.
+
+    Sweeps condense lite runs through the engine's lite verdict
+    (:func:`repro.sweep.engine._lite_verdict`) instead; this function
+    is its reference, and stays the checker of full traces, of
+    :func:`repro.api.check` and of the tests.
     """
     if isinstance(trace, LiteTrace):
         not_recorded = "not recorded (trace_detail='lite'); rerun with 'full'"

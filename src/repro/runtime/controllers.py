@@ -186,7 +186,12 @@ def _planted_override(
 
 def _sender_classes(key, n: int) -> tuple:
     """Every pid's sender class under ``key`` (all ``None`` without one)."""
-    return (None,) * n if key is None else tuple(map(key, range(n)))
+    if key is None:
+        return (None,) * n
+    if getattr(key, "__func__", None) is ValueStrategy.sender_class:
+        # The default key reads no sender: every pid shares one class.
+        return (key(0),) * n
+    return tuple(map(key, range(n)))
 
 
 def _class_keys(adversary: Adversary, n: int) -> tuple[tuple, tuple]:
@@ -1055,10 +1060,19 @@ class CrossRunPlanner:
         self._classes: list[tuple[int, ...] | None] = []
         move_keys: list = []
         value_keys: list = []
+        # The batched hooks depend only on the adversary's classes, the
+        # class codes only on the sender classes: runs sharing either
+        # resolve them once.
+        hooks: dict = {}
+        layouts: dict = {}
         for controller in self.controllers:
             adversary = controller.adversary
             keys = controller._outbox_classes
-            movement = adversary.movement_hook
+            kinds = (type(adversary), type(adversary.movement), type(adversary.values))
+            if kinds not in hooks:
+                hooks[kinds] = [adversary.movement_hook, None]
+            kind_hooks = hooks[kinds]
+            movement = kind_hooks[0]
             if (
                 controller.f == 0
                 or movement is None
@@ -1070,13 +1084,22 @@ class CrossRunPlanner:
                 move_keys.append(None)
                 value_keys.append(None)
                 continue
-            distinct = list(dict.fromkeys(keys))
-            index = {key: code for code, key in enumerate(distinct)}
-            self._classes.append(tuple(map(index.__getitem__, keys)))
+            if kind_hooks[1] is None:
+                kind_hooks[1] = adversary.class_values_hook
+            layout = layouts.get(keys)
+            if layout is None:
+                distinct = list(dict.fromkeys(keys))
+                index = {key: code for code, key in enumerate(distinct)}
+                # Each class by its first sender, as the batched hooks
+                # see it.
+                layout = layouts[keys] = (
+                    tuple(map(index.__getitem__, keys)),
+                    tuple(map(keys.index, distinct)),
+                )
+            codes, senders = layout
+            self._classes.append(codes)
             move_keys.append(movement)
-            # Each class by its first sender, as the batched hooks see it.
-            senders = tuple(map(keys.index, distinct))
-            value_keys.append((adversary.class_values_hook, senders))
+            value_keys.append((kind_hooks[1], senders))
         move_gids, self._move_hooks = _interned(move_keys)
         value_gids, self._value_hooks = _interned(value_keys)
         self._move_gid = np.array(move_gids, dtype=np.intp)

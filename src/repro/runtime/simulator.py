@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 from typing import Literal
 
@@ -102,19 +102,21 @@ TraceDetail = Literal["full", "lite"]
 
 
 class RunBatchOut:
-    """A caller-provided output buffer for :func:`simulate_many`.
+    """A caller-provided output buffer for a batch of condensed runs.
 
     Holds the stacked per-run result arrays -- final values, decision
     membership, executed round counts, termination flags and the
     diameter trajectory -- as writable views over a single flat buffer
     (typically a ``multiprocessing.shared_memory`` block mapped by
-    :meth:`ShmBatchLayout.attach`).  The simulator fills one row per
-    finished run; the parent process reconstructs bit-identical results
-    from the rows without any of the payload ever being pickled.
+    :meth:`ShmBatchLayout.attach`).
+    :func:`~repro.sweep.engine.run_cell_many` fills one row per run of
+    a stacked group; the parent process reconstructs bit-identical
+    results from the rows without any of the payload ever being
+    pickled.
 
-    ``written`` records which slots the simulator actually filled, so
-    callers can tell a written row from a slot whose run was skipped
-    (cache hit) or errored before producing a trace.
+    ``written`` records which slots were actually filled, so callers
+    can tell a written row from a slot whose run was skipped (cache
+    hit) or errored before producing a result.
     """
 
     __slots__ = (
@@ -144,23 +146,23 @@ class RunBatchOut:
         self.diameter_len = diameter_len
         self.written: set[int] = set()
 
-    def write(self, slot: int, trace) -> None:
-        """Record one finished run's trace into row ``slot``.
+    def write(self, slot: int, result) -> None:
+        """Record one condensed run into row ``slot``.
 
-        Works for any trace flavour (lite, full, fallback paths): only
-        the condensed quantities a :class:`CellResult` needs are
-        written, and float64 round-trips are exact, so reconstruction
-        is bit-identical to condensing the trace in-process.
+        ``result`` is a :class:`~repro.sweep.engine.CellResult` (any
+        object with its ``decisions``, ``rounds``, ``terminated`` and
+        ``diameters`` fields).  float64 round-trips are exact, so
+        reconstruction is bit-identical to the result itself.
         """
         row = self.final_values[slot]
         mask = self.decision_mask[slot]
         mask[:] = 0
-        for pid, value in trace.decisions.items():
+        for pid, value in result.decisions:
             row[pid] = value
             mask[pid] = 1
-        self.rounds[slot] = trace.rounds_executed()
-        self.terminated[slot] = 1 if trace.terminated else 0
-        series = trace.diameters()
+        self.rounds[slot] = result.rounds
+        self.terminated[slot] = 1 if result.terminated else 0
+        series = result.diameters
         if len(series) > self.diameters.shape[1]:
             raise ValueError(
                 f"diameter series of {len(series)} entries exceeds the "
@@ -327,6 +329,11 @@ class ArrayValues(Mapping):
     __hash__ = None  # mutable-adjacent snapshot: unhashable, like dict
 
 
+def _initial_view(initial_values) -> MappingProxyType:
+    """The read-only ``{pid: float}`` view of a config's inputs."""
+    return MappingProxyType(dict(enumerate(map(float, initial_values))))
+
+
 def _extent(values, excluded) -> tuple[float, float] | None:
     """First-wins ``(min, max)`` of the values outside ``excluded``, or
     ``None`` when every pid is excluded.
@@ -431,8 +438,6 @@ def simulate_many(
     configs: Iterable[SimulationConfig],
     trace_detail: TraceDetail = "lite",
     kernel: RoundKernel | None = None,
-    out: RunBatchOut | None = None,
-    out_slots: Sequence[int] | None = None,
 ) -> list[Trace | LiteTrace]:
     """Run many configs with cross-run vectorization where possible.
 
@@ -470,14 +475,6 @@ def simulate_many(
     stateful families, partial graphs, static-mixed setups, the
     reference kernel, no numpy -- silently fall back to their normal
     :meth:`SynchronousSimulator.run` path, in input order.
-
-    ``out`` -- a :class:`RunBatchOut`, typically views over a
-    shared-memory block -- receives every finished run's condensed
-    result (final values, decision membership, round count,
-    termination flag, diameter series); ``out_slots`` maps config
-    ``i`` to its output row (defaults to ``i``).  Rows are written
-    only after the whole call succeeds, so a mid-flight rejection
-    never leaves partially-filled output.
     """
     shared = kernel if kernel is not None else RoundKernel()
     sims = [
@@ -511,10 +508,6 @@ def simulate_many(
         span.set("stacked_groups", stacked)
         # Run-rounds planned per CrossRunPlanner route.
         span.set("planned", routes)
-        if out is not None:
-            slots = range(len(sims)) if out_slots is None else out_slots
-            for slot, trace in zip(slots, traces):
-                out.write(slot, trace)
         return traces
 
 
@@ -556,16 +549,19 @@ def _run_lite_many(
     masked min/max reductions *select* elements (no arithmetic), and
     every signed-zero/degenerate endpoint falls back to the first-wins
     rescan (`_extent`) -- plus the :class:`CrossRunPlanner`'s per-run
-    RNG ordering contract.  The stack keeps its own ``(R, n)`` loop but
-    decides with the per-run termination test
-    (:meth:`SynchronousSimulator._decides`).  Round 0 runs on the stack
+    RNG ordering contract.  The stack keeps its own ``(R, n)`` loop and
+    the per-run termination test of
+    :meth:`SynchronousSimulator._decides`: each family's schedule is
+    asked once per round for the whole stack, each run's own rule
+    decides (a stacked row's protocol is scalar, so no per-run
+    schedule applies).  Round 0 runs on the stack
     like every later round: the planner places the agents, and each
     folded run's received diameter (what
     :class:`~repro.runtime.termination.EstimatedRounds` budgets from)
     comes from its fold entry's camp rows (`_received_diameter`).
     Agent hosts stay ``(R, n)`` masks; position sets are built only for
-    the signed-zero extent rescue.  ``routes`` accumulates the planner's
-    run-rounds per route.
+    the rows the extent rescue flags.  ``routes`` accumulates the
+    planner's run-rounds per route.
     """
     np = _np
     first = sims[0]
@@ -578,8 +574,7 @@ def _run_lite_many(
         sim.protocol = sim._cross_run_protocol
         sim._lite_evaluate = sim.kernel.prepare(sim.protocol)
     stack = np.array(
-        [[sim._values[pid] for pid in range(n)] for sim in sims],
-        dtype=np.float64,
+        [sim.config.initial_values for sim in sims], dtype=np.float64
     )
     all_pids = frozenset(range(n))
     extents: list[list] = [[] for _ in range(run_count)]
@@ -587,6 +582,8 @@ def _run_lite_many(
     hosts_after = np.zeros((run_count, n), dtype=bool)
     terminated = [False] * run_count
     max_rounds = [sim.config.max_rounds for sim in sims]
+    families = [sim.family for sim in sims]
+    rules = [sim._termination for sim in sims]
     planner = CrossRunPlanner(
         [sim.controller for sim in sims],
         [sim._adversary_rng for sim in sims],
@@ -605,7 +602,8 @@ def _run_lite_many(
             break
         first_round = round_index == 0
         count = len(active)
-        sub = stack[active]
+        whole = count == run_count
+        sub = stack if whole else stack[active]
         plan = kernel.sampled("plan", planner.plan_many, round_index, sub, active)
         patched = plan.patched
 
@@ -654,77 +652,105 @@ def _run_lite_many(
                 entries[i] = (rows, codes, n)
         folded = kernel.sampled("fold", kernel.fold_rows_many, batch, np, entries)
 
-        new_stack = np.empty_like(sub)
-        for i, r in enumerate(active):
-            new_arr = folded[i]
-            if new_arr is None:
-                # This run's round isn't batchable (non-camp overrides,
-                # below-bound fold): the scalar round kernel, as in the
-                # per-cell array body, canonical errors included.
-                sim = sims[r]
-                sim._values = dict(enumerate(patched[i].tolist()))
-                received = sim._kernel_compute(plan.plan(i), first_round)
-                new_stack[i] = np.array(
-                    list(sim._values.values()), dtype=np.float64
-                )
-            else:
-                new_stack[i] = new_arr
+        if first_round or any(arr is None for arr in folded):
+            new_stack = np.empty_like(sub)
+            for i, r in enumerate(active):
+                new_arr = folded[i]
+                if new_arr is None:
+                    # This run's round isn't batchable (non-camp
+                    # overrides, below-bound fold): the scalar round
+                    # kernel, as in the per-cell array body, canonical
+                    # errors included.
+                    sim = sims[r]
+                    sim._values = dict(enumerate(patched[i].tolist()))
+                    received = sim._kernel_compute(plan.plan(i), first_round)
+                    new_stack[i] = np.array(
+                        list(sim._values.values()), dtype=np.float64
+                    )
+                else:
+                    new_stack[i] = new_arr
+                    if first_round:
+                        received = _received_diameter(
+                            np, entries[i], plan.garbage[i]
+                        )
                 if first_round:
-                    received = _received_diameter(np, entries[i], plan.garbage[i])
-            if first_round:
-                sims[r]._first_round_received_diameter = received
-                # Round 0 cures nobody and mobile runs force no silence,
-                # so its silent processes are exactly the initial hosts.
-                initially_nonfaulty[r] = all_pids - frozenset(
-                    np.flatnonzero(plan.silent[i]).tolist()
-                )
+                    sims[r]._first_round_received_diameter = received
+                    # Round 0 cures nobody and mobile runs force no
+                    # silence, so its silent processes are exactly the
+                    # initial hosts.
+                    initially_nonfaulty[r] = all_pids - frozenset(
+                        np.flatnonzero(plan.silent[i]).tolist()
+                    )
+        else:
+            # Every run folded in the batch: no run needs its own work.
+            new_stack = np.array(folded)
         new_stack = np.where(plan.garbage, plan.garbage_values, new_stack)
-        stack[active] = new_stack
+        if whole:
+            stack = new_stack
+        else:
+            stack[active] = new_stack
 
         # -- extents + termination: batched reduction, per-run rescue --
-        hosts_after[active] = plan.after
-        ext_mask = ~plan.after
-        lows = np.where(ext_mask, new_stack, np.inf).min(axis=1).tolist()
-        highs = np.where(ext_mask, new_stack, -np.inf).max(axis=1).tolist()
-        for i, r in enumerate(active):
-            low = lows[i]
-            high = highs[i]
-            if (
-                low == 0.0
-                or high == 0.0
-                or math.isinf(low)
-                or math.isinf(high)
-            ):
-                # Signed-zero endpoints / fully-excluded rows: the
-                # per-cell first-wins scan decides.
-                extent = _extent(
-                    new_stack[i], frozenset(np.flatnonzero(plan.after[i]).tolist())
-                )
-            else:
-                extent = (low, high)
+        if whole:
+            hosts_after[:] = plan.after
+        else:
+            hosts_after[active] = plan.after
+        lows = np.where(plan.after, np.inf, new_stack).min(axis=1)
+        highs = np.where(plan.after, -np.inf, new_stack).max(axis=1)
+        row_extents = list(zip(lows.tolist(), highs.tolist()))
+        # Signed-zero endpoints and fully-excluded rows (an infinite
+        # endpoint): the per-cell first-wins scan decides.
+        flagged = (
+            (lows == 0.0) | (highs == 0.0) | np.isinf(lows) | np.isinf(highs)
+        )
+        for i in np.flatnonzero(flagged).tolist():
+            row_extents[i] = _extent(
+                new_stack[i], frozenset(np.flatnonzero(plan.after[i]).tolist())
+            )
+        ready = {
+            family: family.decision_ready(round_index)
+            for family in set(families[r] for r in active)
+        }
+        for r, extent in zip(active, row_extents):
             extents[r].append(extent)
-            sim = sims[r]
-            sim._round_index = round_index + 1
-            if sim._decides(round_index, extent):
+            if ready[families[r]] and rules[r].should_stop(
+                round_index,
+                0.0 if extent is None else extent[1] - extent[0],
+                sims[r]._first_round_received_diameter,
+            ):
                 terminated[r] = True
         round_index += 1
 
     planner.sync_positions()
     for route, planned in planner.routes.items():
         routes[route] += planned
+    # Decisions: each run's final values outside its final hosts, in
+    # pid order, gathered for the whole stack at once.
+    deciding = ~hosts_after
+    decided_pids = np.nonzero(deciding)[1].tolist()
+    decided_values = stack[deciding].tolist()
+    ends = np.cumsum(deciding.sum(axis=1)).tolist()
     traces = []
+    # Runs built from one initial-values tuple share its read-only view.
+    shared_initial: dict[int, MappingProxyType] = {}
+    start = 0
     for r, sim in enumerate(sims):
-        final = stack[r].tolist()
-        sim._values = dict(enumerate(final))
+        sim._round_index = len(extents[r])
+        initial = sim.config.initial_values
+        view = shared_initial.get(id(initial))
+        if view is None:
+            view = shared_initial[id(initial)] = _initial_view(initial)
+        end = ends[r]
         traces.append(
             sim._lite_trace(
-                final,
-                frozenset(np.flatnonzero(hosts_after[r]).tolist()),
+                dict(zip(decided_pids[start:end], decided_values[start:end])),
                 initially_nonfaulty[r],
                 extents[r],
                 terminated[r],
+                view,
             )
         )
+        start = end
     return traces
 
 
@@ -737,7 +763,7 @@ class SynchronousSimulator:
         trace_detail: TraceDetail = "full",
         kernel: RoundKernel | None = None,
     ) -> None:
-        config.validate()
+        # The config validated itself at construction (it is frozen).
         if trace_detail not in ("full", "lite"):
             raise ValueError(
                 f"trace_detail must be 'full' or 'lite', got {trace_detail!r}"
@@ -769,16 +795,19 @@ class SynchronousSimulator:
                 "StatefulRoundProtocol family with its own relay rounds, "
                 "e.g. family='witness' (arXiv:1206.0089)"
             )
-        self.network = SynchronousNetwork(config.n, topology=self.topology)
+        # Only step() delivers through the network object.
+        self.network = (
+            SynchronousNetwork(config.n, topology=self.topology)
+            if trace_detail == "full"
+            else None
+        )
         self.controller = self._build_controller(config, self.topology)
         self._adversary_rng = derive_rng(config.seed, "adversary")
         # A run's own copy of the rule: rules may hold per-run state
         # (EstimatedRounds keeps its budget), and one rule object may
         # be shared by many configs.
         self._termination = copy.copy(config.termination)
-        self._values = {
-            pid: float(value) for pid, value in enumerate(config.initial_values)
-        }
+        self._values = dict(enumerate(map(float, config.initial_values)))
         self._round_index = 0
         self._first_round_received_diameter: float | None = None
         self._cured_aware = self._model_cured_aware(config)
@@ -896,7 +925,9 @@ class SynchronousSimulator:
         trace = self._trace
         if trace is None:
             return self._lite_trace(
-                values, positions_after, initially_nonfaulty, extents,
+                {pid: values[pid] for pid in range(n) if pid not in positions_after},
+                initially_nonfaulty,
+                extents,
                 terminated,
             )
         trace.initially_nonfaulty = initially_nonfaulty
@@ -956,34 +987,34 @@ class SynchronousSimulator:
 
     def _lite_trace(
         self,
-        values,
-        excluded: frozenset[int],
+        decisions: dict[int, float],
         initially_nonfaulty: frozenset[int],
         extents: list[tuple[float, float] | None],
         terminated: bool,
+        initial_values: Mapping[int, float] | None = None,
     ) -> LiteTrace:
         """This run's :class:`LiteTrace`.
 
-        Every lite run ends here.  ``values`` is indexable by pid;
-        decisions are its entries outside ``excluded`` (the final agent
-        hosts), in pid order.
+        Every lite run ends here.  ``decisions`` holds the final values
+        outside the final agent hosts, in pid order;
+        ``initial_values`` is the `_initial_view` of the config's
+        inputs, built here when not given.
         """
         config = self.config
-        n = config.n
         return LiteTrace(
-            n=n,
+            n=config.n,
             f=config.f,
             model=self._setup_model(config),
             algorithm_name=config.algorithm.name,
             epsilon=config.epsilon,
-            initial_values=MappingProxyType(
-                {pid: float(v) for pid, v in enumerate(config.initial_values)}
+            initial_values=(
+                _initial_view(config.initial_values)
+                if initial_values is None
+                else initial_values
             ),
             initially_nonfaulty=initially_nonfaulty,
             round_extents=tuple(extents),
-            decisions={
-                pid: values[pid] for pid in range(n) if pid not in excluded
-            },
+            decisions=decisions,
             terminated=terminated,
             controller_description=(
                 f"{self.controller.describe()} | {config.describe()} "
@@ -1360,9 +1391,7 @@ class SynchronousSimulator:
             model=model,
             algorithm_name=config.algorithm.name,
             epsilon=config.epsilon,
-            initial_values=MappingProxyType(
-                {pid: float(v) for pid, v in enumerate(config.initial_values)}
-            ),
+            initial_values=_initial_view(config.initial_values),
             initially_nonfaulty=frozenset(range(config.n)),
             controller_description=(
                 f"{self.controller.describe()} | {config.describe()}"

@@ -425,9 +425,10 @@ class LiteTrace(_TraceStats):
     applications, only the per-round extent (min, max) of the non-faulty
     values survives -- exactly enough to reproduce decisions, diameter
     trajectories, termination and the headline specification verdict
-    (Termination / eps-Agreement / Validity).  The per-round P1/P2
-    invariants need full message data and are not checkable on a lite
-    trace.
+    (Termination / eps-Agreement / Validity), which sweeps read straight
+    from the extents (:func:`repro.sweep.engine._lite_verdict`).  The
+    per-round P1/P2 invariants need full message data and are not
+    checkable on a lite trace.
     """
 
     n: int

@@ -71,6 +71,7 @@ import re
 import signal
 import statistics
 import threading
+import time
 import warnings
 import weakref
 from collections.abc import Callable, Sequence
@@ -408,6 +409,7 @@ class MultiprocessingBackend(SweepBackend):
             next_batch=lambda slot: next(pending, None),
             plan=lambda batch: None,
             finish=finish,
+            cost_model=_STATIC_COST_MODEL,
         )
         return results
 
@@ -510,6 +512,14 @@ class CostModel:
     def estimate(self, cell: "CellSpec") -> float:
         """Relative execution-cost proxy of one cell."""
         return self.base_cost(cell) * self.family_weights.get(
+            cell.folded_family, 1.0
+        )
+
+    def bound(self, cell: "CellSpec") -> float:
+        """:meth:`estimate` at the cell's full round budget: an
+        oracle-terminated cell may run to ``max_rounds``."""
+        rounds = cell.rounds if cell.rounds is not None else cell.max_rounds
+        return self.base_cost(cell, rounds) * self.family_weights.get(
             cell.folded_family, 1.0
         )
 
@@ -1024,6 +1034,22 @@ def _shm_group_task(
 #: Seconds a closing worker gets to exit before it is killed.
 _WORKER_EXIT_TIMEOUT = 5.0
 
+#: A batch's deadline, per :meth:`CostModel.bound` unit of its cells.
+#: On a 2-vCPU host (Python 3.11, numpy 2.4) a stacked n=97 cell takes
+#: 6e-9 s per unit and a tseng M2 cell run on its own, the slowest
+#: measured, 2e-7 s: this leaves a factor of 50 for a loaded host.
+_DEADLINE_SECONDS_PER_COST = 1e-5
+#: The shortest batch deadline: room for a fork, imports and a slow
+#: host before the first cell of a cheap batch has even started.
+_DEADLINE_FLOOR_S = 60.0
+
+
+def _batch_deadline(batch: Sequence["CellSpec"], cost_model: CostModel) -> float:
+    """Seconds a worker may take over ``batch`` before it is killed."""
+    cost = math.fsum(cost_model.bound(cell) for cell in batch)
+    return max(_DEADLINE_FLOOR_S, cost * _DEADLINE_SECONDS_PER_COST)
+
+
 #: Serializes worker start-up, so no worker inherits the child end of
 #: another's pipe: a dead worker's pipe must read as closed.
 _SPAWN_LOCK = threading.Lock()
@@ -1192,13 +1218,19 @@ class _WorkerSet:
     def alive(self) -> bool:
         return not self._dead()
 
-    def _died(self, slot: int) -> RuntimeError:
+    def _died(self, slot: int, cause: str = "") -> RuntimeError:
         process = self._processes[slot]
         process.join(1.0)
         return RuntimeError(
             f"sweep worker pid {process.pid} died mid-batch "
-            f"(exit code {process.exitcode})"
+            f"(exit code {process.exitcode}){cause}"
         )
+
+    def kill(self, slot: int, deadline: float) -> RuntimeError:
+        """SIGKILL a worker past its batch ``deadline`` (seconds); the
+        error to abort the sweep with."""
+        self._processes[slot].kill()
+        return self._died(slot, f": killed past its {deadline:.3g} s batch deadline")
 
     def send(self, slot: int, task: tuple) -> None:
         try:
@@ -1206,14 +1238,18 @@ class _WorkerSet:
         except OSError:
             raise self._died(slot) from None
 
-    def ready(self, slots) -> list[int]:
-        """The busy ``slots`` with a reply waiting or a dead worker."""
+    def ready(self, slots, timeout: float | None = None) -> list[int]:
+        """The busy ``slots`` with a reply waiting or a dead worker,
+        waiting at most ``timeout`` seconds (``[]`` when none is)."""
         owners = {}
         for slot in slots:
             owners[self._conns[slot]] = slot
             owners[self._processes[slot].sentinel] = slot
         return sorted(
-            {owners[obj] for obj in multiprocessing.connection.wait(list(owners))}
+            {
+                owners[obj]
+                for obj in multiprocessing.connection.wait(list(owners), timeout)
+            }
         )
 
     def receive(self, slot: int):
@@ -1302,6 +1338,7 @@ def _run_on_workers(
     next_batch: Callable[[int], list["CellSpec"] | None],
     plan: Callable[[list["CellSpec"]], _ShmRequest | None],
     finish: Callable[[list["CellSpec"], object], None],
+    cost_model: CostModel,
 ) -> None:
     """Keep ``count`` worker slots busy until ``next_batch`` runs dry.
 
@@ -1309,22 +1346,33 @@ def _run_on_workers(
     slot idles), ``plan(batch)`` its shm block request, and
     ``finish(batch, envelope)`` takes each finished batch in the parent.
     A worker's exception is re-raised here; a worker that dies
-    mid-batch raises :class:`RuntimeError` naming its pid.
+    mid-batch raises :class:`RuntimeError` naming its pid, and so does
+    one still silent past its batch's deadline (`_batch_deadline`,
+    priced by ``cost_model``), after a SIGKILL.
     """
     session = current_config()
     with _sweep_workers(count, many_runner) as workers:
         busy: dict[int, list["CellSpec"]] = {}
+        # Per busy slot: its monotonic expiry and deadline in seconds.
+        due: dict[int, tuple[float, float]] = {}
 
         def submit(slot: int) -> None:
             batch = next_batch(slot)
             if batch is not None:
                 busy[slot] = batch
+                deadline = _batch_deadline(batch, cost_model)
+                due[slot] = (time.monotonic() + deadline, deadline)
                 workers.send(slot, (many_runner, plan(batch), batch, session))
 
         for slot in range(count):
             submit(slot)
         while busy:
-            for slot in workers.ready(busy):
+            late = min(busy, key=lambda slot: due[slot][0])
+            expiry, deadline = due[late]
+            ready = workers.ready(busy, max(0.0, expiry - time.monotonic()))
+            if not ready and time.monotonic() >= expiry:
+                raise workers.kill(late, deadline)
+            for slot in ready:
                 outcome = workers.receive(slot)
                 batch = busy.pop(slot)
                 # Refill the slot before parent-side restore work so
@@ -1498,6 +1546,7 @@ class ShmCrossRunBackend(MultiprocessingBackend):
                 next_batch=queues.next_batch,
                 plan=arena.plan,
                 finish=finish,
+                cost_model=self.cost_model,
             )
         finally:
             self.last_arena_stats = arena.close()

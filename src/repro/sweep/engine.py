@@ -26,6 +26,7 @@ assert these properties.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,7 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..core.specification import check_trace
+from ..core.specification import FLOAT_TOLERANCE, check_trace
 from ..runtime.kernel import RoundKernel
 from ..telemetry import (
     DEFAULT_SIZE_EDGES,
@@ -59,6 +60,7 @@ from ..runtime.simulator import (
     run_simulation,
     simulate_many,
 )
+from ..runtime.trace import LiteTrace
 from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
@@ -69,6 +71,7 @@ from .backends import (
 )
 from .cache import CellStore
 from .grid import CellSpec, GridSpec
+from .scenarios import build_cell_configs
 from .probes import get_probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
@@ -175,12 +178,22 @@ def _error_cell(cell: CellSpec, exc: Exception) -> CellResult:
     )
 
 
-def _condense_trace(cell: CellSpec, trace, probe_spec) -> CellResult:
+def _condense_trace(
+    cell: CellSpec, trace, probe_spec, elapsed: float | None = None
+) -> CellResult:
     """Condense one finished trace into its :class:`CellResult`.
 
     Shared by the per-cell and cross-run runners so both condense
-    identically (checker verdicts, probe extras, sorted decisions).
+    identically (checker verdicts, probe extras, sorted decisions).  A
+    :class:`~repro.runtime.trace.LiteTrace` with no probe takes the
+    lite verdict (`_lite_verdict`); a full trace, a probed run and a
+    lite run the lite verdict defers go through
+    :func:`~repro.core.specification.check_trace`, its reference.
     """
+    if probe_spec is None and isinstance(trace, LiteTrace):
+        result = _lite_verdict(cell, trace, elapsed)
+        if result is not None:
+            return result
     verdict = check_trace(trace)
     extras = tuple(probe_spec.extract(trace)) if probe_spec is not None else ()
     return CellResult(
@@ -196,6 +209,68 @@ def _condense_trace(cell: CellSpec, trace, probe_spec) -> CellResult:
         p1_ok=None if verdict.p1.skipped else verdict.p1.holds,
         p2_ok=None if verdict.p2.skipped else verdict.p2.holds,
         extras=extras,
+        elapsed=elapsed,
+    )
+
+
+def _lite_verdict(
+    cell: CellSpec, trace: LiteTrace, elapsed: float | None
+) -> CellResult | None:
+    """The lite verdict: a lite run's :class:`CellResult` from its
+    round extents and decisions, or ``None`` to defer to the reference.
+
+    Termination, epsilon-Agreement and Validity follow from what the
+    trace already holds, so no multiset is built.  A spread is
+    ``max(reversed(values)) - min(values)``: the last of the equal
+    maxima and the first of the equal minima, which are the endpoints
+    :meth:`~repro.msr.multiset.ValueMultiset.diameter`'s stable sort
+    picks (``[0.0, -0.0]`` spreads ``-0.0`` either way).  Validity
+    checks the decisions and every round extent against the initially
+    non-faulty inputs' range widened by ``FLOAT_TOLERANCE``, as
+    :func:`~repro.core.specification.check_validity` does.  A NaN
+    input or decision and an empty Validity reference set are where
+    the reference raises, so those runs defer to it.
+    """
+    initial = trace.initial_values
+    inputs = [initial[pid] for pid in sorted(trace.initially_nonfaulty)]
+    decided = list(trace.decisions.values())
+    # A sum is NaN if any term is NaN (or +inf meets -inf, which merely
+    # defers a run the lite verdict could have taken).
+    if not inputs or math.isnan(sum(inputs)) or math.isnan(sum(decided)):
+        return None
+    low = float(min(inputs))
+    high = float(max(reversed(inputs)))
+    floor = low - FLOAT_TOLERANCE
+    ceiling = high + FLOAT_TOLERANCE
+    spread = 0.0
+    valid = True
+    if decided:
+        least = float(min(decided))
+        most = float(max(reversed(decided)))
+        spread = most - least
+        valid = floor <= least and most <= ceiling
+    diameters = [high - low]
+    for extent in trace.round_extents:
+        if extent is None:
+            diameters.append(0.0)
+            continue
+        least, most = extent
+        diameters.append(most - least)
+        if valid and not (
+            floor <= least <= ceiling and floor <= most <= ceiling
+        ):
+            valid = False
+    return CellResult(
+        spec=cell,
+        decisions=tuple(sorted(trace.decisions.items())),
+        rounds=len(trace.round_extents),
+        terminated=trace.terminated,
+        decision_diameter=spread,
+        diameters=tuple(diameters),
+        termination_ok=trace.terminated,
+        agreement_ok=spread <= trace.epsilon + FLOAT_TOLERANCE,
+        validity_ok=valid,
+        elapsed=elapsed,
     )
 
 
@@ -254,9 +329,8 @@ def run_cell(
                 # a whole sweep.
                 result = _error_cell(cell, exc)
             else:
-                result = replace(
-                    _condense_trace(cell, trace, probe_spec),
-                    elapsed=time.perf_counter() - started,
+                result = _condense_trace(
+                    cell, trace, probe_spec, time.perf_counter() - started
                 )
                 span.set("rounds", result.rounds)
     if sampler is not None:
@@ -315,12 +389,13 @@ def run_cell_many(
     ``simulate_many`` itself.
 
     ``out`` -- a :class:`~repro.runtime.simulator.RunBatchOut`, slot
-    ``i`` for ``cells[i]`` -- additionally lands each successful run's
-    payload in the caller's stacked buffer (the shared-memory path of
-    :class:`~repro.sweep.backends.ShmCrossRunBackend`); cells that
-    never produce a trace here (config errors, store hits, per-cell
-    fallback reruns) leave their slot unwritten, which ``out.written``
-    records.
+    ``i`` for ``cells[i]`` -- additionally lands each stacked group's
+    results in the caller's buffer (the shared-memory path of
+    :class:`~repro.sweep.backends.ShmCrossRunBackend`), written from
+    the condensed results once the whole group has succeeded; cells
+    that never run in a group here (config errors, store hits,
+    per-cell fallback reruns) leave their slot unwritten, which
+    ``out.written`` records.
     """
     if telemetry is not None:
         activate(telemetry)
@@ -346,12 +421,12 @@ def run_cell_many(
     for indices in groups.values():
         configs = []
         runnable: list[int] = []
-        for idx in indices:
-            try:
-                configs.append(cells[idx].to_config())
-            except (ValueError, KeyError) as exc:
-                results[idx] = _error_cell(cells[idx], exc)
+        built = build_cell_configs([cells[idx] for idx in indices])
+        for idx, config in zip(indices, built):
+            if isinstance(config, Exception):
+                results[idx] = _error_cell(cells[idx], config)
             else:
+                configs.append(config)
                 runnable.append(idx)
         if not runnable:
             continue
@@ -360,11 +435,7 @@ def run_cell_many(
         with group_span:
             try:
                 traces = simulate_many(
-                    configs,
-                    trace_detail=trace_detail,
-                    kernel=kernel,
-                    out=out,
-                    out_slots=runnable,
+                    configs, trace_detail=trace_detail, kernel=kernel
                 )
             except ValueError:
                 traces = None
@@ -393,8 +464,10 @@ def run_cell_many(
         # per-cell number CostModel.fit consumes from the journal.
         share = (time.perf_counter() - started) / len(runnable)
         for idx, trace in zip(runnable, traces):
-            condensed = _condense_trace(cells[idx], trace, probe_spec)
-            results[idx] = replace(condensed, elapsed=share)
+            results[idx] = _condense_trace(cells[idx], trace, probe_spec, share)
+        if out is not None:
+            for idx in runnable:
+                out.write(idx, results[idx])
         if sampler is not None:
             # Kernel counters of one stacked pass are group-scoped;
             # ship them on the group's first result (the parent merge

@@ -32,6 +32,7 @@ Scenarios:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable
 
 from ..core.lower_bounds import stall_configuration
@@ -50,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 __all__ = [
     "SCENARIOS",
     "build_cell_config",
+    "build_cell_configs",
     "mixed_stall_config",
     "register_scenario",
 ]
@@ -144,14 +146,34 @@ def _require_default_topology(spec: "CellSpec") -> None:
         )
 
 
-def _build_mobile(spec: "CellSpec") -> SimulationConfig:
+def _build_mobile(spec: "CellSpec", shared: dict | None = None) -> SimulationConfig:
+    """A ``mobile`` cell's config via :func:`repro.api.mobile_config`.
+
+    ``shared`` memoizes the immutable pieces cells of one stack have in
+    common -- the model, the resolved ``n`` and the MSR function --
+    keyed by the cell fields they derive from.  The config itself
+    (strategies, termination rule, validation) is built per cell.
+    """
     from ..api import mobile_config
 
+    shared = {} if shared is None else shared
+    key = (spec.model, spec.f, spec.n, spec.algorithm)
+    pieces = shared.get(key)
+    if pieces is None:
+        semantics = get_semantics(spec.model)
+        pieces = shared[key] = (
+            semantics.model,
+            semantics.required_n(spec.f) if spec.n is None else spec.n,
+            make_algorithm(
+                spec.algorithm, msr_trim_parameter(semantics.model, spec.f)
+            ),
+        )
+    model, n, algorithm = pieces
     return mobile_config(
-        model=spec.model,
+        model=model,
         f=spec.f,
-        n=spec.n,
-        algorithm=spec.algorithm,
+        n=n,
+        algorithm=algorithm,
         movement=spec.movement,
         attack=spec.attack,
         epsilon=spec.epsilon,
@@ -233,6 +255,34 @@ def register_scenario(
     if name in SCENARIOS:
         raise ValueError(f"scenario {name!r} is already registered")
     SCENARIOS[name] = builder
+
+
+def build_cell_configs(
+    specs: "Sequence[CellSpec]",
+) -> "list[SimulationConfig | Exception]":
+    """Materialize many cells, sharing what their configs have in common.
+
+    ``mobile`` cells share their model, resolved ``n`` and MSR function
+    object with every earlier cell of the same model, ``f``, ``n`` and
+    algorithm (and, through :func:`repro.api.evenly_spread_values`,
+    their initial-values tuple); other scenarios build as
+    :func:`build_cell_config` does.  A cell whose build raises
+    :class:`ValueError` or :class:`KeyError` gets that exception in
+    place of its config, so the error lands on exactly that cell.
+    """
+    shared: dict = {}
+    built: list = []
+    for spec in specs:
+        try:
+            if spec.scenario == "mobile":
+                built.append(_build_mobile(spec, shared))
+            else:
+                built.append(build_cell_config(spec))
+        except (ValueError, KeyError) as exc:
+            # Without its traceback, whose frames would keep the
+            # caller's frame (and any buffer views it holds) alive.
+            built.append(exc.with_traceback(None))
+    return built
 
 
 def build_cell_config(spec: "CellSpec") -> SimulationConfig:

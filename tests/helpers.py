@@ -6,6 +6,7 @@ import contextlib
 import sys
 
 from repro.core.mapping import msr_trim_parameter
+from repro.core.specification import check_trace
 from repro.faults import Adversary, get_semantics
 from repro.faults.movement import RoundRobinWalk
 from repro.faults.value_strategies import SplitAttack
@@ -19,7 +20,8 @@ from repro.runtime import (
 )
 from repro.runtime.families import stacking_key
 from repro.runtime.simulator import SynchronousSimulator
-from repro.sweep import GridSpec
+from repro.sweep import CellSpec, CellResult, GridSpec
+from repro.sweep.engine import _lite_verdict
 
 
 def make_mobile_config(
@@ -156,3 +158,45 @@ def run_in_mode(config, mode="fast", trace_detail="lite"):
             kernel=RoundKernel(reference=mode == "reference"),
         )
         return simulator.run()
+
+
+#: The cell a verdict comparison files its results under (the spec is
+#: carried through untouched, so any cell does).
+VERDICT_CELL = CellSpec(
+    model="M1",
+    f=1,
+    n=None,
+    algorithm="ftm",
+    movement="round-robin",
+    attack="split",
+    epsilon=1e-3,
+    seed=0,
+)
+
+
+def reference_cell_result(trace, cell=VERDICT_CELL) -> CellResult:
+    """``trace`` condensed through ``check_trace`` and the trace's own
+    multiset-based ``decision_diameter``/``diameters``: the reference
+    the engine's lite verdict must reproduce."""
+    verdict = check_trace(trace)
+    return CellResult(
+        spec=cell,
+        decisions=tuple(sorted(trace.decisions.items())),
+        rounds=trace.rounds_executed(),
+        terminated=trace.terminated,
+        decision_diameter=trace.decision_diameter(),
+        diameters=tuple(trace.diameters()),
+        termination_ok=verdict.termination.holds,
+        agreement_ok=verdict.epsilon_agreement.holds,
+        validity_ok=verdict.validity.holds,
+        p1_ok=None if verdict.p1.skipped else verdict.p1.holds,
+        p2_ok=None if verdict.p2.skipped else verdict.p2.holds,
+    )
+
+
+def assert_lite_verdict_matches(trace, cell=VERDICT_CELL) -> None:
+    """The lite verdict of ``trace`` is ``repr``-identical to the
+    reference (signed zeros and NaN spreads included)."""
+    fast = _lite_verdict(cell, trace, None)
+    assert fast is not None, "the lite verdict deferred a plain run"
+    assert repr(fast) == repr(reference_cell_result(trace, cell))

@@ -146,6 +146,28 @@ class TestStaticModel:
         # A declared witness M2 cell runs bonomi's rounds: the default.
         assert model.nominal_rounds(cell(family="witness", max_rounds=90)) == 40
 
+    def test_bound_prices_the_full_round_budget(self):
+        model = CostModel(family_rounds={"witness": 44})
+        fixed = cell(rounds=7, max_rounds=90)
+        assert model.bound(fixed) == model.estimate(fixed)
+        oracle = cell(model="M3", family="witness", max_rounds=90)
+        assert model.bound(oracle) == model.estimate(oracle) * 90 / 44
+
+    def test_batch_deadline_scales_with_cost_above_a_floor(self):
+        from repro.sweep.backends import (
+            _DEADLINE_FLOOR_S,
+            _DEADLINE_SECONDS_PER_COST,
+            _batch_deadline,
+        )
+
+        small = [cell(seed=seed) for seed in range(4)]
+        assert _batch_deadline(small, _STATIC_COST_MODEL) == _DEADLINE_FLOOR_S
+        huge = [cell(n=2000, max_rounds=10_000)]
+        assert _batch_deadline(huge, _STATIC_COST_MODEL) == pytest.approx(
+            _STATIC_COST_MODEL.bound(huge[0]) * _DEADLINE_SECONDS_PER_COST
+        )
+        assert _batch_deadline(huge, _STATIC_COST_MODEL) > _DEADLINE_FLOOR_S
+
 
 class TestFit:
     def test_fit_measures_family_weights(self):

@@ -36,7 +36,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import make_mobile_config, small_grid, stackable
+from tests.helpers import (
+    assert_lite_verdict_matches,
+    make_mobile_config,
+    small_grid,
+    stackable,
+)
 
 import repro.api
 from repro.api import movement_strategy, value_strategy
@@ -714,8 +719,9 @@ def _received(sim) -> str:
 
 def _assert_runs_match_solo(configs, solo_configs=None):
     """Stacked runs equal their per-run ``run_simulation`` bit for bit,
-    round-0 received diameters and final agent positions included;
-    returns what :func:`_stacked_runs` does.
+    round-0 received diameters and final agent positions included, and
+    each stacked run's lite verdict equals its ``check_trace``
+    reference; returns what :func:`_stacked_runs` does.
 
     ``solo_configs`` (default: ``configs``) are the configs the solo runs
     use: fresh equal copies where a config holds run state, as
@@ -726,6 +732,7 @@ def _assert_runs_match_solo(configs, solo_configs=None):
         sim = SynchronousSimulator(config, trace_detail="lite")
         solo = sim.run()
         assert _bits(trace) == _bits(solo)
+        assert_lite_verdict_matches(trace)
         assert _received(run) == _received(sim)
         assert run.controller.positions == sim.controller.positions
     return traces, stacked, planners

@@ -7,7 +7,8 @@ stack.  Which body runs depends on the kernel mode, numpy, the trace
 detail and the batch size; what a run decides must not.  The matrix
 drives each config through every body under each termination rule --
 :class:`EstimatedRounds` included, the one rule that reads the round-0
-received diameter -- and compares the outputs bit for bit.
+received diameter -- and compares the outputs bit for bit, and every
+lite trace's sweep verdict with its ``check_trace`` reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from repro.runtime import (
     StaticMixedSetup,
 )
 from repro.runtime.simulator import SynchronousSimulator, simulate_many
-from tests.helpers import KERNEL_MODES, without_numpy
+from repro.runtime.trace import LiteTrace
+from tests.helpers import KERNEL_MODES, assert_lite_verdict_matches, without_numpy
 
 RULES = {
     "fixed": lambda: FixedRounds(12),
@@ -104,7 +106,13 @@ def _cases():
 
 
 def _outputs(trace, sim):
-    """What a run decides, every float by its exact repr."""
+    """What a run decides, every float by its exact repr.
+
+    A lite trace's sweep verdict is checked against the reference
+    condensation on the way.
+    """
+    if isinstance(trace, LiteTrace):
+        assert_lite_verdict_matches(trace)
     return (
         {pid: repr(value) for pid, value in trace.decisions.items()},
         trace.diameters(),

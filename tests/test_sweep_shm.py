@@ -4,7 +4,8 @@ The zero-copy parallel path has three layers, each gated here:
 
 * :class:`~repro.runtime.simulator.ShmBatchLayout` /
   :class:`~repro.runtime.simulator.RunBatchOut` -- the stacked output
-  buffer the cross-run engine fills, and its byte-exact attach.
+  buffer :func:`~repro.sweep.run_cell_many` fills, and its byte-exact
+  attach.
 * :class:`~repro.sweep.backends.SharedResultArena` /
   :func:`~repro.sweep.backends._shm_group_task` -- block lifecycle
   (create-in-worker, restore-and-unlink-in-parent, crash sweep) and
@@ -166,6 +167,19 @@ def _sigkilled_many_runner(cells, out=None):
     return results
 
 
+#: Held by the test that forks workers running _blocking_many_runner,
+#: so the forked copy is held for good.
+_HELD_AT_FORK = threading.Lock()
+
+
+def _blocking_many_runner(cells, out=None):
+    """A runner whose seed-3 batch blocks forever on a lock the parent
+    held at fork: a worker that stays alive but never replies."""
+    if any(spec.seed == 3 for spec in cells):
+        _HELD_AT_FORK.acquire()
+    return run_cell_many(cells, out=out)
+
+
 def _probing_many_runner(cells, out=None):
     """Tags each result with the worker's pid and numpy presence
     (``metrics`` is compare-excluded, and rides both rungs)."""
@@ -202,14 +216,14 @@ class TestShmBatchLayout:
             ShmBatchLayout(runs=1, n=17, diameter_cap=0)
 
     def test_attach_round_trips_simulation_payloads(self):
-        from repro.runtime.simulator import run_simulation, simulate_many
+        from repro.runtime.simulator import run_simulation
 
         specs = [cell(seed=seed) for seed in range(3)]
         configs = [spec.to_config() for spec in specs]
         layout = plan_shm_layout(specs)
         buffer = bytearray(layout.total_bytes)
         out = layout.attach(buffer)
-        traces = simulate_many(configs, out=out)
+        run_cell_many(specs, out=out)
         assert out.written == set(range(3))
         for slot, config in enumerate(configs):
             reference = run_simulation(config)
@@ -724,6 +738,27 @@ class TestPersistentWorkers:
         ):
             self.pooled(list(grid.cells()), _sigkilled_many_runner)
         assert time.perf_counter() - started < 5
+        assert shm_entries() <= before
+        after = shm_sweep(grid)
+        serial = run_sweep(grid, dispatch="serial")
+        assert after.cells == serial.cells
+        assert_cells_identical(after.cells, serial.cells)
+
+    def test_silent_worker_is_killed_at_its_deadline(self, monkeypatch):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_DEADLINE_FLOOR_S", 1.0)
+        grid = small_grid()
+        before = shm_entries()
+        started = time.perf_counter()
+        with _HELD_AT_FORK:
+            with pytest.raises(
+                RuntimeError,
+                match=r"pid \d+ died mid-batch \(exit code -9\): killed past "
+                r"its 1 s batch deadline",
+            ):
+                self.pooled(list(grid.cells()), _blocking_many_runner)
+        assert time.perf_counter() - started < 10
         assert shm_entries() <= before
         after = shm_sweep(grid)
         serial = run_sweep(grid, dispatch="serial")
