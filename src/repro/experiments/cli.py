@@ -9,11 +9,11 @@ that rides the sweep engine, parallelizing and memoizing their runs.
 
 ``repro-experiments sweep [options]`` enters the scenario-sweep engine
 instead: a cartesian grid over models/f/n/algorithms/movements/attacks/
-epsilons/seeds, executed through a pluggable backend -- serially, over
-worker processes, or as one deterministic shard of a multi-host run
-(``--backend sharded --shard I/N``) -- optionally against a
-content-addressed cell cache (``--cache-dir``), reported as summary
-tables and diameter series.
+epsilons/seeds, executed through a pluggable backend -- serially or
+over worker processes, whole or as one deterministic shard of a
+multi-host run (``--shard I/N`` into a shared ``--cache-dir``) --
+optionally against a content-addressed cell cache (``--cache-dir``),
+reported as summary tables and diameter series.
 """
 
 from __future__ import annotations
@@ -230,12 +230,12 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "multiprocessing", "sharded"],
+        choices=["serial", "multiprocessing"],
         default=None,
         help=(
             "execution backend (default: serial, or multiprocessing -- "
             "the shared-memory work-stealing pool of cross-run groups -- "
-            "when --workers > 1); 'sharded' requires --shard"
+            "when --workers > 1)"
         ),
     )
     parser.add_argument(
@@ -274,19 +274,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I/N",
         help=(
-            "run shard I of N (0-based) of the grid and spill its results; "
-            "every invocation sharing --spill-dir computes a disjoint "
-            "subset, and the last one to finish reports the merged sweep"
-        ),
-    )
-    parser.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "shared directory for shard spill files (default: "
-            "<cache-dir>/shards/<grid fingerprint> when --cache-dir is "
-            "given, so different grids never mix spill files)"
+            "run only shard I of N (0-based) of the grid, with any "
+            "backend and worker count, into --cache-dir (required); "
+            "invocations sharing the cache dir compute disjoint subsets, "
+            "and one that finds every grid cell cached reports the whole "
+            "sweep"
         ),
     )
     parser.add_argument(
@@ -414,6 +406,26 @@ def _parse_shard(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _run_shard(cells, index, count, store, **options):
+    """Sweep shard ``index`` of ``count`` of ``cells`` into ``store``.
+
+    The shard runs only its own cells (:func:`repro.sweep.shard_cells`),
+    through whatever backend ``options`` select, writing through to the
+    shared store.  It then looks up the rest of the grid with loads
+    only, never computing a sibling's cell: if every cell is cached --
+    this is the last shard to finish -- the whole grid's result is
+    served warm from the store; otherwise this shard's own result
+    (fewer cells than the grid) is returned.
+    """
+    from ..sweep import run_sweep, shard_cells
+
+    own = run_sweep(shard_cells(cells, index, count), cache=store, **options)
+    detail, probe = own.trace_detail, options.get("probe")
+    if all(store.load(cell, detail, probe) is not None for cell in cells):
+        return run_sweep(cells, trace_detail=detail, cache=store, probe=probe)
+    return own
+
+
 def _progress_printer():
     """Per-result progress line: streamed as early as the backend allows."""
 
@@ -436,8 +448,7 @@ def _progress_printer():
 def sweep_main(argv: Sequence[str] | None = None) -> int:
     """``sweep`` subcommand entry point; returns a process exit code."""
     from ..analysis import render_series
-    from ..sweep import CellStore, GridSpec, ShardedBackend, SweepJournal, run_sweep
-    from ..sweep.backends import grid_fingerprint
+    from ..sweep import CellStore, GridSpec, SweepJournal, run_sweep
     from ..telemetry import get_registry, snapshot_delta
 
     args = build_sweep_parser().parse_args(argv)
@@ -465,48 +476,33 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
             families=split_axis(args.families),
             topologies=split_axis(args.topologies),
         )
-        backend = args.backend
-        if args.shard is not None and backend not in (None, "sharded"):
-            raise ValueError(
-                f"--shard contradicts --backend {backend}; sharding is "
-                "its own backend (drop --backend or use --backend sharded)"
-            )
-        if args.shard is not None or backend == "sharded":
-            if args.shard is None:
-                raise ValueError("--backend sharded requires --shard I/N")
+        if args.shard is not None:
             shard_index, shard_count = _parse_shard(args.shard)
-            spill_dir = args.spill_dir
-            if spill_dir is None and args.cache_dir is not None:
-                # Scope the default by grid content: the cache dir is
-                # safely shared across grids, spill files are not.
-                fingerprint = grid_fingerprint(list(grid.cells()))
-                spill_dir = f"{args.cache_dir}/shards/{fingerprint[:12]}"
-            if spill_dir is None:
+            if store is None:
                 raise ValueError(
-                    "sharded sweeps need --spill-dir (or --cache-dir, whose "
-                    "'shards/<grid fingerprint>' subdirectory is used)"
+                    "--shard needs --cache-dir: shards meet in a shared "
+                    "cell cache"
                 )
-            backend = ShardedBackend(
-                shard_index,
-                shard_count,
-                spill_dir,
-                workers=args.workers,
-            )
+        cells = list(grid.cells())
+        options = dict(
+            workers=args.workers,
+            trace_detail=args.detail,
+            backend=args.backend,
+            probe=args.probe,
+            dispatch=args.dispatch,
+            progress=_progress_printer() if args.progress else None,
+            journal=journal,
+            cross_run=args.cross_run,
+            telemetry=args.telemetry,
+        )
         print(grid.describe())
         try:
-            result = run_sweep(
-                grid,
-                workers=args.workers,
-                trace_detail=args.detail,
-                backend=backend,
-                cache=store,
-                probe=args.probe,
-                dispatch=args.dispatch,
-                progress=_progress_printer() if args.progress else None,
-                journal=journal,
-                cross_run=args.cross_run,
-                telemetry=args.telemetry,
-            )
+            if args.shard is None:
+                result = run_sweep(cells, cache=store, **options)
+            else:
+                result = _run_shard(
+                    cells, shard_index, shard_count, store, **options
+                )
         finally:
             if journal is not None:
                 journal.close()
@@ -516,10 +512,11 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"sweep error: {message}", file=sys.stderr)
         return 2
-    if not result.complete:
+    partial = len(result) < len(cells)
+    if partial:
         print(
             f"shard {args.shard}: {len(result)} cells done; sibling shards "
-            "outstanding (re-run the merge once all spill files exist)"
+            "outstanding (the last shard to finish reports the whole grid)"
         )
     if args.cells:
         print(result.cell_table())
@@ -543,7 +540,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
     # aggregate tables.
     delta = snapshot_delta(metrics_before, get_registry().snapshot())
     warn_parts = []
-    errors = int(delta["counters"].get("sweep.cells.error", 0))
+    errors = len(result.errors())
     if errors:
         warn_parts.append(f"{errors} error cell(s)")
     forced = int(delta["counters"].get("sweep.pool.forced_one_cpu", 0))
@@ -555,7 +552,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         print(f"warnings: {', '.join(warn_parts)}")
     if args.telemetry:
         print(f"telemetry: {args.telemetry}")
-    if not result.complete:
+    if partial:
         # A partial shard succeeded if its own cells did -- vacuously
         # so when the shard owns no cells (shard_count > grid size).
         return 0 if all(cell.satisfied for cell in result.cells) else 1

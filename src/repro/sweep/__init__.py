@@ -6,11 +6,14 @@ executes such families.  Declare a family as a :class:`GridSpec`
 epsilon and seed axes) or as an explicit list of :class:`CellSpec`
 cells (including static-mixed and lower-bound *scenarios*), run it
 with :func:`run_sweep` -- through a pluggable
-:class:`~repro.sweep.backends.SweepBackend` (serial, the work-stealing
-shared-memory :class:`ShmCrossRunBackend` pool of cross-run groups, or
-deterministic shards across hosts), against an optional
-content-addressed :class:`CellStore` cell cache -- and aggregate the :class:`SweepResult` into the harness's
-tables and series, batched or streaming (:class:`SweepAccumulator`).
+:class:`~repro.sweep.backends.SweepBackend` (serial, or the
+work-stealing shared-memory :class:`ShmCrossRunBackend` pool of
+cross-run groups), against an optional content-addressed
+:class:`CellStore` cell cache -- and aggregate the :class:`SweepResult`
+into the harness's tables and series, batched or streaming
+(:class:`SweepAccumulator`).  A grid fans out across hosts as
+deterministic shards (:func:`shard_cells`) sweeping into one shared
+:class:`CellStore`, which then serves the whole grid warm.
 The service layer adds resumable sweeps (:class:`SweepJournal`) and the
 ``sweep serve`` daemon (:class:`SweepServer`), which answers warm-cache
 grid queries without touching a worker pool.
@@ -27,12 +30,10 @@ from .backends import (
     CostModel,
     MultiprocessingBackend,
     SerialBackend,
-    ShardedBackend,
     SharedResultArena,
     ShmCrossRunBackend,
     SweepBackend,
     estimate_cell_cost,
-    merge_shards,
     plan_shm_layout,
 )
 from .cache import SWEEP_SCHEMA_VERSION, CacheGCReport, CacheStats, CellStore
@@ -42,7 +43,7 @@ from .engine import (
     run_cell_many,
     run_sweep,
 )
-from .grid import CellSpec, GridSpec
+from .grid import CellSpec, GridSpec, shard_cells
 from .probes import Probe, get_probe, register_probe
 from .scenarios import build_cell_config, mixed_stall_config, register_scenario
 from .service import (
@@ -56,6 +57,7 @@ from .service import (
 __all__ = [
     "CellSpec",
     "GridSpec",
+    "shard_cells",
     "CellResult",
     "SweepResult",
     "SweepAccumulator",
@@ -65,14 +67,12 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "MultiprocessingBackend",
-    "ShardedBackend",
     "ShmCrossRunBackend",
     "SharedResultArena",
     "ArenaStats",
     "CostModel",
     "DISPATCH_MODES",
     "estimate_cell_cost",
-    "merge_shards",
     "plan_shm_layout",
     "CellStore",
     "CacheStats",

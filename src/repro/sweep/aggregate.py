@@ -7,7 +7,7 @@ and grouped summaries) and :class:`repro.analysis.Series` diameter
 trajectories (the "figures" of the terminal harness).
 
 :class:`SweepAccumulator` is the *incremental* builder behind streaming
-execution: cells are added one by one as batches, shards or journal
+execution: cells are added one by one as batches, cache hits or journal
 replays complete, group statistics update as they land, and
 :meth:`SweepAccumulator.snapshot` yields at any moment the exact
 :class:`SweepResult` a batch merge of the same cells would have
@@ -38,10 +38,6 @@ __all__ = ["SweepAccumulator", "SweepResult"]
 class SweepResult:
     """Every cell outcome of one sweep, sorted by cell key.
 
-    ``complete`` is ``False`` only for the partial result of one shard
-    of a sharded sweep whose sibling shards are still outstanding (see
-    :class:`repro.sweep.backends.ShardedBackend`).
-
     ``dispatch`` records how the cells were actually executed --
     ``"serial"`` for per-cell in-process runs, or a ``"cross-run..."``
     batch label whose form shows whether the groups ran in-process or
@@ -59,7 +55,6 @@ class SweepResult:
     cells: tuple["CellResult", ...]
     trace_detail: str = "lite"
     workers: int = field(default=1, compare=False)
-    complete: bool = True
     dispatch: str = field(default="serial", compare=False)
     cache_stats: "CacheStats | None" = field(default=None, compare=False)
 
@@ -215,14 +210,14 @@ class SweepResult:
 class SweepAccumulator:
     """Incremental :class:`SweepResult` builder for streaming execution.
 
-    Feed it cells in *any* order -- as pool batches land, shards merge
-    or a resume journal replays -- and read aggregates at any moment:
+    Feed it cells in *any* order -- as pool batches land, cache hits
+    arrive or a resume journal replays -- and read aggregates at any moment:
     :meth:`live_summary_rows` updates from per-group accumulators
     without touching the cell list, and :meth:`snapshot` materializes
     the exact result a batch run over the same cells would return.
     Bit-identity with the batch path holds because the cell tuple is
-    maintained in key order (the order every backend's ``finalize``
-    sorts into) and every group statistic is computed by
+    maintained in key order (the order
+    :func:`~repro.sweep.engine.run_sweep` sorts into) and every group statistic is computed by
     arrival-order-independent reductions; the streaming equivalence
     suite gates this.
 
@@ -326,13 +321,12 @@ class SweepAccumulator:
             )
         return rows
 
-    def snapshot(self, complete: bool = True) -> SweepResult:
+    def snapshot(self) -> SweepResult:
         """The :class:`SweepResult` of everything folded in so far."""
         return SweepResult(
             cells=tuple(self._cells),
             trace_detail=self.trace_detail,
             workers=self.workers,
-            complete=complete,
             dispatch=self.dispatch,
         )
 
@@ -343,4 +337,4 @@ class SweepAccumulator:
                 f"accumulator holds {len(self._cells)} cells but expected "
                 f"{self.expected}"
             )
-        return self.snapshot(complete=True)
+        return self.snapshot()

@@ -1,27 +1,22 @@
 """Pluggable sweep execution backends.
 
-PR 1 hardcoded two execution strategies inside ``run_sweep``; this
-module extracts them behind one small interface so the engine no longer
-cares *how* cells run.  A backend answers three questions:
-
-* :meth:`SweepBackend.select` -- which cells of the grid does this
-  invocation own?  (All of them, except for sharded execution.)
-* :meth:`SweepBackend.execute_many` (or, in-process only, per-cell
-  :meth:`SweepBackend.execute`) -- how do the owned, uncached cells run?
-* :meth:`SweepBackend.finalize` -- how do the results become a
-  :class:`~repro.sweep.aggregate.SweepResult`?
+Execution strategies sit behind one small interface so the engine does
+not care *how* cells run.  A backend answers one question:
+:meth:`SweepBackend.execute_many` (or, in-process only, per-cell
+:meth:`SweepBackend.execute`) -- how do the uncached cells run?  The
+engine itself sorts the results into a
+:class:`~repro.sweep.aggregate.SweepResult`.
 
 Determinism contract: backends never change *what* a cell computes --
 each cell runs through the same runner callable -- only where and when.
 The engine sorts results by cell key, so any backend yields the same
 :class:`SweepResult` for the same grid.
 
-:class:`ShardedBackend` is the distribution building block: invocation
-``k`` of ``N`` owns the cells whose rank in key order is ``k mod N``,
-spills its finished shard to a shared directory, and -- once every
-shard file is present -- merges them into the one bit-identical
-result a serial run would have produced.  Shards can run in any order,
-on any host that shares the spill directory.
+Distribution across hosts needs no backend of its own: a shard is the
+cell filter :func:`~repro.sweep.grid.shard_cells` in front of any
+backend, and shards meet in a shared
+:class:`~repro.sweep.cache.CellStore`, whose content addressing keeps
+cells of different grids, trace details and probes apart.
 
 Cross-run execution (:meth:`SweepBackend.execute_many`) is the batched
 packaging of work: cells are partitioned by
@@ -67,7 +62,6 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
-import re
 import signal
 import statistics
 import threading
@@ -89,13 +83,7 @@ from ..runtime.families import family_names, get_family
 from ..runtime.simulator import ShmBatchLayout
 from ..telemetry import activate, count, current_config, deactivate
 from ..topology import topology_from_spec
-from .aggregate import SweepResult
-from .cache import (
-    SWEEP_SCHEMA_VERSION,
-    result_from_dict,
-    result_to_dict,
-    spec_to_dict,
-)
+from .cache import spec_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .engine import CellResult
@@ -105,7 +93,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "MultiprocessingBackend",
-    "ShardedBackend",
     "ShmCrossRunBackend",
     "SharedResultArena",
     "ArenaStats",
@@ -113,7 +100,6 @@ __all__ = [
     "DISPATCH_MODES",
     "estimate_cell_cost",
     "grid_fingerprint",
-    "merge_shards",
     "plan_shm_layout",
 ]
 
@@ -128,9 +114,6 @@ CellRunner = Callable[["CellSpec"], "CellResult"]
 #: Cross-run group runner: a batch-compatible cell group in, results
 #: (in group order) out -- :func:`~repro.sweep.engine.run_cell_many`.
 ManyRunner = Callable[[list["CellSpec"]], list["CellResult"]]
-
-_SHARD_FILE = re.compile(r"^shard-(\d{4})-of-(\d{4})\.json$")
-
 
 def _batch_groups(cells: Sequence["CellSpec"]) -> list[list["CellSpec"]]:
     """Partition cells into cross-run groups by ``stack_key``.
@@ -154,38 +137,19 @@ def _cross_run_label(groups: Sequence[Sequence["CellSpec"]], suffix: str = "") -
 def grid_fingerprint(cells: Sequence["CellSpec"]) -> str:
     """A stable content hash of a whole grid (order-independent).
 
-    Recorded in every shard spill file so a merge can prove all shards
-    were cut from the same grid -- stale spill files from an earlier
-    sweep of a *different* grid must never merge silently.  Callers
-    driving multi-host sweeps can also use it to derive a per-grid
-    spill directory (the CLI's default when only ``--cache-dir`` is
-    given).
+    Pinned in a :class:`~repro.sweep.service.SweepJournal` manifest so
+    a journal is never replayed into a sweep of a different grid.
     """
     import hashlib
-    import json as _json
 
-    canonical = _json.dumps(
+    canonical = json.dumps(
         sorted(
-            _json.dumps(spec_to_dict(cell), sort_keys=True, separators=(",", ":"))
+            json.dumps(spec_to_dict(cell), sort_keys=True, separators=(",", ":"))
             for cell in cells
         ),
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _sorted_result(
-    results: Sequence["CellResult"],
-    trace_detail: str,
-    workers: int,
-    dispatch: str = "serial",
-) -> SweepResult:
-    return SweepResult(
-        cells=tuple(sorted(results, key=lambda result: result.key)),
-        trace_detail=trace_detail,
-        workers=workers,
-        dispatch=dispatch,
-    )
 
 
 def _usable_cpus() -> int:
@@ -270,10 +234,6 @@ class SweepBackend:
             for result in results:
                 self.on_result(result)
 
-    def select(self, cells: list["CellSpec"]) -> list["CellSpec"]:
-        """The subset of the grid this invocation executes."""
-        return cells
-
     def execute(
         self, cells: Sequence["CellSpec"], runner: CellRunner
     ) -> list["CellResult"]:
@@ -298,15 +258,6 @@ class SweepBackend:
             results.extend(group_results)
             self._emit(group_results)
         return results
-
-    def finalize(
-        self,
-        results: Sequence["CellResult"],
-        trace_detail: str,
-        probe: str | None = None,
-    ) -> SweepResult:
-        """Assemble the sweep result from this invocation's results."""
-        return _sorted_result(results, trace_detail, self.workers, self.dispatch)
 
 
 class SerialBackend(SweepBackend):
@@ -1557,226 +1508,3 @@ class ShmCrossRunBackend(MultiprocessingBackend):
             f"max R={max_r}, steals={queues.steals})"
         )
         return results
-
-
-class ShardedBackend(SweepBackend):
-    """Deterministic grid partitioning for multi-invocation sweeps.
-
-    Invocation ``shard_index`` of ``shard_count`` owns every cell whose
-    rank in the grid's key order is congruent to ``shard_index`` modulo
-    ``shard_count`` -- a pure function of the grid, independent of cell
-    order or cache state, so concurrent invocations never overlap.  The
-    owned cells run through ``inner`` (serial by default, a
-    :class:`ShmCrossRunBackend` when ``workers > 1``, which also takes
-    the sweep's ``dispatch`` mode), the shard's results spill to
-    ``spill_dir/shard-IIII-of-NNNN.json``, and
-    :meth:`finalize` returns the merged full-grid result once all
-    shards are present -- or a partial result (``complete=False``)
-    holding only this shard's cells while siblings are outstanding.
-    """
-
-    def __init__(
-        self,
-        shard_index: int,
-        shard_count: int,
-        spill_dir: str | Path,
-        workers: int = 1,
-    ) -> None:
-        if shard_count < 1:
-            raise ValueError(f"shard_count must be at least 1, got {shard_count}")
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(
-                f"shard_index must be in [0, {shard_count}), got {shard_index}"
-            )
-        if shard_count > 9999:
-            raise ValueError(
-                f"shard_count must be at most 9999, got {shard_count}"
-            )
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.spill_dir = Path(spill_dir)
-        self.workers = workers
-        self._grid_fingerprint: str | None = None
-        self._grid_size: int | None = None
-        self._inner: SweepBackend = (
-            ShmCrossRunBackend(workers) if workers > 1 else SerialBackend()
-        )
-
-    @property
-    def pooled(self) -> bool:
-        return self._inner.pooled
-
-    @property
-    def dispatch_mode(self) -> str:
-        return self._inner.dispatch_mode
-
-    @dispatch_mode.setter
-    def dispatch_mode(self, mode: str) -> None:
-        self._inner.dispatch_mode = mode
-
-    def select(self, cells: list["CellSpec"]) -> list["CellSpec"]:
-        # The full grid's identity is stamped into the spill file so a
-        # merge can refuse shards cut from a different grid.
-        self._grid_fingerprint = grid_fingerprint(cells)
-        self._grid_size = len(cells)
-        ordered = sorted(cells, key=lambda cell: cell.key)
-        return [
-            cell
-            for rank, cell in enumerate(ordered)
-            if rank % self.shard_count == self.shard_index
-        ]
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        results = self._inner.execute(cells, runner)
-        self.dispatch = f"sharded({self._inner.dispatch})"
-        return results
-
-    def execute_many(
-        self, cells: Sequence["CellSpec"], many_runner: ManyRunner
-    ) -> list["CellResult"]:
-        results = self._inner.execute_many(cells, many_runner)
-        self.dispatch = f"sharded({self._inner.dispatch})"
-        return results
-
-    def shard_path(self, shard_index: int | None = None) -> Path:
-        index = self.shard_index if shard_index is None else shard_index
-        return self.spill_dir / (
-            f"shard-{index:04d}-of-{self.shard_count:04d}.json"
-        )
-
-    def finalize(
-        self,
-        results: Sequence["CellResult"],
-        trace_detail: str,
-        probe: str | None = None,
-    ) -> SweepResult:
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": SWEEP_SCHEMA_VERSION,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "trace_detail": trace_detail,
-            "probe": probe,
-            "grid": self._grid_fingerprint,
-            "grid_size": self._grid_size,
-            "results": [result_to_dict(result) for result in results],
-        }
-        path = self.shard_path()
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-
-        missing = [
-            index
-            for index in range(self.shard_count)
-            if not self.shard_path(index).exists()
-        ]
-        if missing:
-            partial = _sorted_result(results, trace_detail, self.workers)
-            return SweepResult(
-                cells=partial.cells,
-                trace_detail=trace_detail,
-                workers=self.workers,
-                complete=False,
-                dispatch=self.dispatch,
-            )
-        return merge_shards(self.spill_dir)
-
-
-def _require_agreement(shards: dict[int, dict], field: str, label: str):
-    """All shards must agree on ``field``; mixed values name examples."""
-    values = {index: payload.get(field) for index, payload in shards.items()}
-    distinct = sorted(set(values.values()), key=repr)
-    if len(distinct) > 1:
-        examples = {
-            value: min(i for i, v in values.items() if v == value)
-            for value in distinct
-        }
-        rendered = " vs ".join(
-            f"{value!r} (shard {examples[value]})" for value in distinct
-        )
-        raise ValueError(f"cannot merge shards with mixed {label}: {rendered}")
-    return distinct[0]
-
-
-def merge_shards(spill_dir: str | Path) -> SweepResult:
-    """Merge a directory of shard spill files into one sweep result.
-
-    Validates the shard family before trusting it: every index of the
-    announced ``shard_count`` must be present exactly once, and all
-    shards must agree on ``shard_count``, schema version,
-    ``trace_detail``, probe and the grid they were cut from (each
-    mismatch is rejected naming both sides) -- so stale spill files
-    left over from a sweep of a different grid, shard count or probe
-    can never merge silently.  No cell may appear in two shards, and
-    the merged cell count must cover the recorded grid.  The result is
-    bit-identical to a serial :func:`~repro.sweep.engine.run_sweep`
-    over the same grid.
-    """
-    spill_dir = Path(spill_dir)
-    payloads: list[dict] = []
-    for path in sorted(spill_dir.iterdir()) if spill_dir.is_dir() else []:
-        match = _SHARD_FILE.match(path.name)
-        if not match:
-            continue
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("schema") != SWEEP_SCHEMA_VERSION:
-            raise ValueError(
-                f"shard file {path.name} has schema "
-                f"{payload.get('schema')!r}; this build reads "
-                f"{SWEEP_SCHEMA_VERSION}"
-            )
-        payloads.append(payload)
-    if not payloads:
-        raise ValueError(f"no shard files found in {spill_dir}")
-
-    shard_counts = {payload["shard_count"] for payload in payloads}
-    if len(shard_counts) > 1:
-        raise ValueError(
-            f"shard files in {spill_dir} disagree on shard_count: "
-            f"{sorted(shard_counts)} (stale spill files from an earlier "
-            "sweep? use a fresh spill directory per grid)"
-        )
-    shard_count = shard_counts.pop()
-    shards: dict[int, dict] = {}
-    for payload in payloads:
-        index = payload["shard_index"]
-        if index in shards:
-            raise ValueError(
-                f"shard index {index} appears in multiple files in "
-                f"{spill_dir} (stale spill files from an earlier sweep?)"
-            )
-        shards[index] = payload
-    missing = sorted(set(range(shard_count)) - set(shards))
-    if missing:
-        raise ValueError(
-            f"incomplete shard family in {spill_dir}: missing shard(s) "
-            f"{missing} of {shard_count}"
-        )
-
-    trace_detail = _require_agreement(shards, "trace_detail", "trace details")
-    _require_agreement(shards, "probe", "probes")
-    _require_agreement(shards, "grid", "grids")
-    grid_size = _require_agreement(shards, "grid_size", "grid sizes")
-
-    results: list["CellResult"] = []
-    seen: set[tuple] = set()
-    for index in range(shard_count):
-        for entry in shards[index]["results"]:
-            result = result_from_dict(entry)
-            if result.key in seen:
-                raise ValueError(
-                    f"cell {result.spec.describe()} appears in multiple shards"
-                )
-            seen.add(result.key)
-            results.append(result)
-    if grid_size is not None and len(results) != grid_size:
-        raise ValueError(
-            f"shard family in {spill_dir} covers {len(results)} cells but "
-            f"records a grid of {grid_size}"
-        )
-    return _sorted_result(
-        results, trace_detail, workers=1, dispatch="sharded-merge"
-    )

@@ -7,8 +7,9 @@ under a key that is the SHA-256 of the canonical JSON encoding of
 exactly those inputs plus :data:`SWEEP_SCHEMA_VERSION`.  Any backend
 consults the store before executing a cell and writes through after,
 which makes overlapping grids near-free to re-run and interrupted
-sweeps resumable -- and lets independently computed shards merge
-through a shared store.
+sweeps resumable -- and is where the shards of a grid swept across
+hosts meet: a shard writes its cells through, and whichever shard
+finds the whole grid cached serves it warm.
 
 Layout::
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -283,7 +285,12 @@ class CellStore:
     def save(
         self, result: "CellResult", trace_detail: str, probe: str | None = None
     ) -> Path:
-        """Write a result through to the store (atomic per entry)."""
+        """Write a result through to the store (atomic per entry).
+
+        The temporary file is private to the writing thread, so
+        concurrent saves of one cell -- from threads or processes --
+        each land whole and the last ``os.replace`` wins.
+        """
         path = self.path_for(result.spec, trace_detail, probe)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -292,7 +299,9 @@ class CellStore:
             "probe": probe,
             "result": result_to_dict(result),
         }
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        tmp = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         text = json.dumps(payload, sort_keys=True)
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
@@ -412,7 +421,7 @@ class CellStore:
                 total -= size
 
         if not dry_run:
-            # Prune now-empty shard/version directories.
+            # Prune now-empty key-prefix/version directories.
             for version_dir in version_dirs:
                 for subdir in sorted(version_dir.glob("*")):
                     if subdir.is_dir():

@@ -8,10 +8,12 @@ primitives, optionally augmented by a named probe.
 
 :func:`run_sweep` itself no longer knows how cells run: execution is
 delegated to a pluggable :class:`~repro.sweep.backends.SweepBackend`
-(serial, a work-stealing pool of cross-run groups, or deterministic
-shards for fanning a grid across hosts), and every backend consults an
-optional content-addressed :class:`~repro.sweep.cache.CellStore` before
-executing a cell and writes through after.
+(serial, or a work-stealing pool of cross-run groups), and every
+backend consults an optional content-addressed
+:class:`~repro.sweep.cache.CellStore` before executing a cell and
+writes through after.  Fanning a grid across hosts is a sweep of each
+shard's cells (:func:`~repro.sweep.grid.shard_cells`) into one shared
+store, which then serves the whole grid warm.
 
 Determinism contract: a cell's result is a pure function of the cell.
 Every stochastic component draws from ``derive_rng(seed, ...)`` streams
@@ -65,7 +67,6 @@ from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
     SerialBackend,
-    ShardedBackend,
     ShmCrossRunBackend,
     SweepBackend,
 )
@@ -495,15 +496,8 @@ def _resolve_backend(
             return SerialBackend()
         if backend == "multiprocessing":
             return ShmCrossRunBackend(max(workers, 1), dispatch_mode=dispatch)
-        if backend == "sharded":
-            raise ValueError(
-                "the sharded backend needs shard parameters; pass a "
-                "repro.sweep.ShardedBackend(shard_index, shard_count, "
-                "spill_dir) instance (CLI: --backend sharded --shard I/N)"
-            )
         raise ValueError(
-            f"unknown backend {backend!r}; known: serial, multiprocessing, "
-            "sharded"
+            f"unknown backend {backend!r}; known: serial, multiprocessing"
         )
     return backend
 
@@ -529,10 +523,8 @@ def run_sweep(
     :class:`~repro.sweep.backends.ShmCrossRunBackend`, which degrades
     rung by rung (shm, pickle pool, in-process) without changing
     results.  ``backend`` overrides that default resolution with any
-    :class:`~repro.sweep.backends.SweepBackend` (including
-    :class:`~repro.sweep.backends.ShardedBackend` for multi-invocation
-    sweeps) or one of the names ``"serial"`` / ``"multiprocessing"``
-    (the pool).  ``cache`` -- a
+    :class:`~repro.sweep.backends.SweepBackend` or one of the names
+    ``"serial"`` / ``"multiprocessing"`` (the pool).  ``cache`` -- a
     :class:`~repro.sweep.cache.CellStore` or a directory path -- is
     consulted before executing each cell and written through after.
 
@@ -646,8 +638,6 @@ def _record_sweep_metrics(
         count("sweep.dispatch.pooled")
     if record.cross_run:
         count("sweep.dispatch.cross_run")
-    if record.sharded:
-        count("sweep.dispatch.sharded")
     if record.rung is not None:
         count(f"sweep.shm.rung.{record.rung}")
     if record.steals is not None:
@@ -716,23 +706,17 @@ def _run_sweep(
         seen.add(cell.key)
 
     resolved = _resolve_backend(backend, workers, dispatch)
-    if journal is not None and isinstance(resolved, ShardedBackend):
-        raise ValueError(
-            "resume journals cover whole grids; sharded sweeps already "
-            "resume through their spill directory"
-        )
     store = CellStore(cache) if isinstance(cache, (str, Path)) else cache
     # Stores outlive sweeps (the serve daemon shares one across
     # requests), so registry counting below works on the delta.
     cache_before = store.snapshot() if store is not None else None
-    selected = resolved.select(cells)
 
     # Every result flows through the reporter exactly once: journal
     # replays and cache hits immediately, executed cells as early as
     # the backend's granularity allows (per cell serially, per group or
     # stolen batch cross-run), anything a backend did not emit early
     # after execution returns.
-    total = len(selected)
+    total = len(cells)
     done = 0
     reported: set[tuple] = set()
 
@@ -750,13 +734,13 @@ def _run_sweep(
 
     journaled: list[CellResult] = []
     if journal is not None:
-        journaled = list(journal.open(selected, trace_detail, probe).values())
+        journaled = list(journal.open(cells, trace_detail, probe).values())
         for result in journaled:
             report(result)
     remaining = (
-        selected
+        cells
         if journal is None
-        else [cell for cell in selected if cell.key not in reported]
+        else [cell for cell in cells if cell.key not in reported]
     )
 
     resolved.on_result = report
@@ -804,8 +788,12 @@ def _run_sweep(
         resolved.on_result = None
         dispatch_span.set("label", resolved.dispatch)
         dispatch_span.__exit__(None, None, None)
-    final = resolved.finalize(journaled + executed, trace_detail, probe)
-    if store is not None:
-        final = replace(final, cache_stats=store.snapshot())
+    final = SweepResult(
+        cells=tuple(sorted(journaled + executed, key=lambda result: result.key)),
+        trace_detail=trace_detail,
+        workers=resolved.workers,
+        dispatch=resolved.dispatch,
+        cache_stats=store.snapshot() if store is not None else None,
+    )
     _record_sweep_metrics(resolved, final, cache_before)
     return final

@@ -26,7 +26,7 @@ from ..faults.models import get_semantics
 from ..runtime.families import DEFAULT_FAMILY, get_family, stacking_key
 from ..topology import DEFAULT_TOPOLOGY
 
-__all__ = ["CellSpec", "GridSpec"]
+__all__ = ["CellSpec", "GridSpec", "shard_cells"]
 
 
 @dataclass(frozen=True)
@@ -391,3 +391,21 @@ class GridSpec:
                 rendered = ",".join("min" if v is None else str(v) for v in value)
                 parts.append(f"{spec_field.name}=[{rendered}]")
         return f"{len(self)} cells: " + " ".join(parts)
+
+
+def shard_cells(
+    cells: Sequence[CellSpec], index: int, count: int
+) -> list[CellSpec]:
+    """The cells that shard ``index`` of ``count`` owns, in key order.
+
+    Shard ``index`` owns every cell whose rank in the grid's key order
+    is congruent to ``index`` modulo ``count`` -- a pure function of
+    the grid, independent of cell order, so concurrent invocations
+    never overlap and together cover the grid.
+    """
+    if count < 1:
+        raise ValueError(f"shard_count must be at least 1, got {count}")
+    if not 0 <= index < count:
+        raise ValueError(f"shard_index must be in [0, {count}), got {index}")
+    ordered = sorted(cells, key=lambda cell: cell.key)
+    return ordered[index::count]

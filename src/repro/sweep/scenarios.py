@@ -8,8 +8,8 @@ module is the dispatch point that closes the gap: every
 scenario is a builder from the cell's primitive fields to a validated
 :class:`~repro.runtime.config.SimulationConfig`.
 
-Builders must be deterministic pure functions of the cell (the cache
-and the sharded backend both rely on it) and raise :class:`ValueError`
+Builders must be deterministic pure functions of the cell (the cache,
+and shards meeting in a shared cache, rely on it) and raise :class:`ValueError`
 on bad parameters so :func:`repro.sweep.engine.run_cell` can condense
 the failure into the cell's ``error`` field.
 
@@ -249,7 +249,7 @@ def register_scenario(
 ) -> None:
     """Register a custom scenario builder under ``name``.
 
-    Parallel and sharded execution requires the registration to happen
+    Parallel execution and shards on other hosts require the registration to happen
     at import time of a module the workers also import.
     """
     if name in SCENARIOS:

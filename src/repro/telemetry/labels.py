@@ -14,7 +14,7 @@ instead of silently falling through a regex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = ["DispatchRecord", "parse_dispatch_label"]
 
@@ -23,7 +23,7 @@ __all__ = ["DispatchRecord", "parse_dispatch_label"]
 class DispatchRecord:
     """Structured view of a dispatch label.
 
-    ``mode`` is ``"serial"``, ``"parallel"``, or ``"merge"``;
+    ``mode`` is ``"serial"`` or ``"parallel"``;
     ``rung`` records the shm fallback ladder (``"shm"`` / ``"pickle"``)
     for pooled cross-run dispatches and is ``None`` otherwise.
     """
@@ -32,12 +32,10 @@ class DispatchRecord:
     mode: str
     pooled: bool = False
     cross_run: bool = False
-    sharded: bool = False
     rung: str | None = None
     batches: int | None = None
     max_r: int | None = None
     steals: int | None = None
-    inner: "DispatchRecord | None" = field(default=None, repr=False)
 
 
 _CROSS_RUN = re.compile(
@@ -48,7 +46,6 @@ _CROSS_RUN_RUNG = re.compile(
     r"^cross-run-(?P<rung>shm|pickle)\((?P<batches>\d+) batches, "
     r"max R=(?P<max_r>\d+), steals=(?P<steals>\d+)\)$"
 )
-_SHARDED = re.compile(r"^sharded\((?P<inner>.*)\)$")
 
 
 def parse_dispatch_label(label: str) -> DispatchRecord:
@@ -61,14 +58,6 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
 
     if label == "serial":
         return DispatchRecord(raw=label, mode="serial")
-    if label == "sharded-merge":
-        return DispatchRecord(raw=label, mode="merge", sharded=True)
-
-    match = _SHARDED.match(label)
-    if match is not None:
-        inner = parse_dispatch_label(match.group("inner"))
-        return replace(inner, raw=label, sharded=True, inner=inner)
-
     match = _CROSS_RUN_RUNG.match(label)
     if match is not None:
         return DispatchRecord(

@@ -5,7 +5,7 @@ Backends advertise how a sweep actually ran through the free-text
 off those strings, so the grammar is load-bearing: this suite pins down
 ``parse_dispatch_label`` for every label family the backends can emit
 (``serial``, ``cross-run(...)``,
-``cross-run-shm(..., steals=S)``, ``sharded(inner)``) and then harvests
+``cross-run-shm(..., steals=S)``) and then harvests
 labels from real small sweeps to prove the parser and the backends
 never drift apart.
 """
@@ -18,8 +18,8 @@ import pytest
 
 from tests.helpers import small_grid
 
-from repro.sweep import MultiprocessingBackend, ShardedBackend, run_sweep
-from repro.telemetry import DispatchRecord, parse_dispatch_label
+from repro.sweep import MultiprocessingBackend, run_sweep
+from repro.telemetry import parse_dispatch_label
 
 
 class TestPlainLabels:
@@ -27,7 +27,6 @@ class TestPlainLabels:
         rec = parse_dispatch_label("serial")
         assert rec.mode == "serial"
         assert not rec.pooled and not rec.cross_run
-        assert rec.inner is None
 
 
 class TestCrossRunLabels:
@@ -63,38 +62,6 @@ class TestCrossRunLabels:
         assert rec.steals == 0
 
 
-class TestWrapperLabels:
-    def test_sharded_wraps_inner(self):
-        rec = parse_dispatch_label("sharded(serial)")
-        assert rec.sharded
-        assert rec.mode == "serial"
-        assert not rec.pooled
-        assert isinstance(rec.inner, DispatchRecord)
-        assert rec.inner.raw == "serial"
-        assert not rec.inner.sharded
-
-    def test_sharded_in_process_cross_run(self):
-        rec = parse_dispatch_label("sharded(cross-run(3 batches, max R=4))")
-        assert rec.sharded and rec.cross_run
-        assert not rec.pooled
-        assert rec.batches == 3
-        assert rec.inner is not None
-        assert rec.inner.cross_run and not rec.inner.sharded
-
-    def test_sharded_shm(self):
-        rec = parse_dispatch_label(
-            "sharded(cross-run-shm(2 batches, max R=4, steals=1))"
-        )
-        assert rec.sharded and rec.cross_run
-        assert rec.rung == "shm"
-        assert rec.steals == 1
-
-    def test_sharded_merge(self):
-        rec = parse_dispatch_label("sharded-merge")
-        assert rec.sharded
-        assert rec.mode == "merge"
-
-
 class TestRejections:
     @pytest.mark.parametrize(
         "label",
@@ -110,6 +77,10 @@ class TestRejections:
             "serial (forced)",
             "serial (auto-fallback: 4 workers on 1 usable cpu)",
             "sharded(parallel (forced))",
+            # Retired shard labels: shards now run on the plain backends.
+            "sharded(serial)",
+            "sharded(cross-run-shm(2 batches, max R=4, steals=1))",
+            "sharded-merge",
             "cross-run-mmap(1 batches, max R=1, steals=0)",
             # Retired packagings: in-worker batches and the async queue.
             "batched-serial",
@@ -165,10 +136,3 @@ class TestHarvestedLabels:
         assert rec.cross_run and rec.pooled
         assert rec.rung in {"shm", "pickle"}
         assert rec.steals is not None
-
-    def test_live_sharded_labels_parse(self, grid, tmp_path):
-        partial = run_sweep(grid, backend=ShardedBackend(0, 2, tmp_path))
-        rec = parse_dispatch_label(partial.dispatch)
-        assert rec.sharded and rec.inner is not None
-        merged = run_sweep(grid, backend=ShardedBackend(1, 2, tmp_path))
-        assert parse_dispatch_label(merged.dispatch).mode == "merge"

@@ -169,26 +169,67 @@ class TestCli:
 
         code = main(
             ["sweep", "--models", "M1", "--seeds", "2", "--rounds", "5",
-             "--shard", "5/8", "--spill-dir", str(tmp_path)]
+             "--shard", "5/8", "--cache-dir", str(tmp_path)]
         )
         assert code == 0
+        assert "sibling shards outstanding" in capsys.readouterr().out
 
-    def test_sweep_cli_cache_dir_scopes_spills_per_grid(self, tmp_path):
-        # Two different grids sharded through one cache dir must not
-        # mix spill families (the default spill dir is grid-scoped).
+    def test_sweep_cli_grids_share_one_cache_dir(self, capsys, tmp_path):
+        # Two different grids sharded through one cache dir: each
+        # single-shard pass reports its own whole grid, never the other's.
         from repro.experiments.cli import main
 
         cache = str(tmp_path / "cache")
         base = ["--rounds", "5", "--shard", "0/1", "--cache-dir", cache]
         assert main(["sweep", "--models", "M1", "--seeds", "2"] + base) == 0
         assert main(["sweep", "--models", "M2", "--seeds", "3"] + base) == 0
+        out = capsys.readouterr().out
+        assert "outstanding" not in out
+        assert "Sweep summary over 2 cells" in out
+        assert "Sweep summary over 3 cells" in out
 
-    def test_sweep_cli_rejects_contradictory_backend_and_shard(self, capsys):
+    def test_sweep_cli_shard_requires_cache_dir(self, capsys):
         from repro.experiments.cli import main
 
-        code = main(
-            ["sweep", "--models", "M1", "--shard", "0/2",
-             "--backend", "multiprocessing", "--spill-dir", "unused"]
-        )
+        code = main(["sweep", "--models", "M1", "--shard", "0/2"])
         assert code == 2
-        assert "contradicts" in capsys.readouterr().err
+        assert "--shard needs --cache-dir" in capsys.readouterr().err
+
+    def test_sweep_cli_last_shard_reports_the_whole_grid(self, capsys, tmp_path):
+        # Shards compose with any backend; the last one to finish
+        # prints what the unsharded sweep prints.
+        from repro.experiments.cli import main
+
+        axes = ["sweep", "--models", "M1", "M2", "--seeds", "2",
+                "--rounds", "5", "--cells"]
+        assert main(axes) == 0
+        unsharded = capsys.readouterr().out
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        outputs = []
+        for shard, extra in (
+            ("2/3", ["--backend", "multiprocessing", "--workers", "2"]),
+            ("0/3", ["--cross-run"]),
+            ("1/3", []),
+        ):
+            assert main(axes + ["--shard", shard] + cache + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert all("sibling shards outstanding" in out for out in outputs[:2])
+
+        def body(out):
+            return [
+                line for line in out.splitlines()
+                if not line.startswith(("cache:", "dispatch:"))
+            ]
+
+        assert body(outputs[-1]) == body(unsharded)
+
+    def test_sweep_cli_shard_resumes(self, tmp_path):
+        # A shard takes --resume like any sweep: the journal covers the
+        # shard's own cells.
+        from repro.experiments.cli import main
+
+        argv = ["sweep", "--models", "M1", "--seeds", "2", "--rounds", "5",
+                "--shard", "0/2", "--cache-dir", str(tmp_path / "cache"),
+                "--resume", str(tmp_path / "journal")]
+        assert main(argv) == 0
+        assert main(argv) == 0

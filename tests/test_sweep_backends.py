@@ -3,30 +3,35 @@
 The backend contract is that a backend chooses *where and when* cells
 run, never *what* they compute: serial, multiprocessing and sharded
 execution of the same grid must produce bit-identical
-:class:`~repro.sweep.SweepResult` aggregates.  The sharded backend
-additionally owns a deterministic grid partition and a spill-file merge
-whose validation (missing shards, mixed trace details, foreign counts)
-these tests pin down.
+:class:`~repro.sweep.SweepResult` aggregates.  A shard is a
+deterministic cell filter (:func:`~repro.sweep.shard_cells`) in front
+of any backend, and shards meet in one shared
+:class:`~repro.sweep.CellStore`: these tests pin down the partition,
+the completing shard's result, and that one store shared by
+concurrent shards, shard counts, grids and probes never loses or mixes
+a cell.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
+import multiprocessing
+import threading
 import warnings
 
 import pytest
 
 from tests.helpers import small_grid
 
+from repro.experiments.cli import _run_shard
 from repro.sweep import (
     CellStore,
     MultiprocessingBackend,
     SerialBackend,
-    ShardedBackend,
     ShmCrossRunBackend,
-    merge_shards,
     run_cell_many,
     run_sweep,
+    shard_cells,
 )
 from repro.sweep.backends import _batch_groups
 from repro.telemetry import parse_dispatch_label
@@ -73,10 +78,6 @@ class TestBackendEquivalence:
         assert pooled.workers == stacked.workers == 2
         assert reference == pooled == stacked
 
-    def test_sharded_by_name_needs_parameters(self, grid):
-        with pytest.raises(ValueError, match="shard parameters"):
-            run_sweep(grid, backend="sharded")
-
     def test_retired_async_backend_name_rejected(self, grid):
         with pytest.raises(ValueError, match="unknown backend 'async'"):
             run_sweep(grid, workers=2, backend="async")
@@ -88,163 +89,216 @@ class TestBackendValidation:
             MultiprocessingBackend(workers=0)
 
 
+def assert_repr_identical(result, reference):
+    assert result == reference
+    assert [repr(cell) for cell in result.cells] == [
+        repr(cell) for cell in reference.cells
+    ]
+
+
+def _cached_cells(store):
+    return sorted(store.root.glob("v*/*/*.json"))
+
+
+def _shard_in_child(cells, index, count, root):
+    """A forked shard invocation (module level for the fork target)."""
+    _run_shard(cells, index, count, CellStore(root))
+
+
 class TestShardPartition:
-    def test_shards_partition_the_grid(self, grid, tmp_path):
+    def test_shards_partition_the_grid(self, grid):
         cells = list(grid.cells())
-        seen = []
-        for index in range(3):
-            backend = ShardedBackend(index, 3, tmp_path)
-            seen.extend(cell.key for cell in backend.select(cells))
+        seen = [
+            cell.key for index in range(3) for cell in shard_cells(cells, index, 3)
+        ]
         assert sorted(seen) == sorted(cell.key for cell in cells)
         assert len(seen) == len(set(seen))
 
-    def test_partition_is_independent_of_cell_order(self, grid, tmp_path):
+    def test_rank_in_key_order_modulo_count(self, grid):
+        ordered = sorted(grid.cells(), key=lambda cell: cell.key)
+        for index in range(3):
+            assert shard_cells(ordered, index, 3) == [
+                cell
+                for rank, cell in enumerate(ordered)
+                if rank % 3 == index
+            ]
+
+    def test_partition_is_independent_of_cell_order(self, grid):
         cells = list(grid.cells())
-        backend = ShardedBackend(1, 3, tmp_path)
         shuffled = list(reversed(cells))
-        assert backend.select(cells) == backend.select(shuffled)
+        assert shard_cells(cells, 1, 3) == shard_cells(shuffled, 1, 3)
 
     @pytest.mark.parametrize(
         "index,count", [(-1, 3), (3, 3), (7, 3), (0, 0), (0, -2)]
     )
-    def test_invalid_shard_parameters_rejected(self, index, count, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedBackend(index, count, tmp_path)
+    def test_invalid_shard_parameters_rejected(self, grid, index, count):
+        with pytest.raises(ValueError, match="shard_"):
+            shard_cells(list(grid.cells()), index, count)
 
 
 class TestShardedExecution:
-    def test_any_shard_order_merges_to_the_serial_result(
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_every_shard_order_completes_to_the_serial_result(
+        self, grid, reference, order, tmp_path
+    ):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        results = [_run_shard(cells, index, 3, store) for index in order]
+        # The shards before the last return their own cells only; the
+        # last finds every cell cached and serves the grid warm.
+        for index, result in zip(order, results[:-1]):
+            assert result.cells == tuple(
+                run_sweep(shard_cells(cells, index, 3)).cells
+            )
+        assert_repr_identical(results[-1], reference)
+        assert results[-1].cache_stats.hits >= len(grid)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"workers": 2, "cross_run": True},
+            {"workers": 2, "dispatch": "pool"},
+            {"backend": "serial", "cross_run": True},
+            {"backend": MultiprocessingBackend(2)},
+        ],
+        ids=["workers-cross-run", "pool", "serial-cross-run", "instance"],
+    )
+    def test_shards_compose_with_any_backend(
+        self, grid, reference, options, tmp_path
+    ):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for index in (1, 2, 0):
+                last = _run_shard(cells, index, 3, store, **options)
+        assert_repr_identical(last, reference)
+
+    def test_partial_shard_computes_no_sibling_cell(self, grid, tmp_path):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        own = shard_cells(cells, 0, 3)
+        result = _run_shard(cells, 0, 3, store)
+        assert [cell.key for cell in result.cells] == [cell.key for cell in own]
+        assert len(_cached_cells(store)) == len(own) < len(cells)
+
+    def test_single_shard_is_the_whole_grid(self, grid, reference, tmp_path):
+        result = _run_shard(list(grid.cells()), 0, 1, CellStore(tmp_path))
+        assert_repr_identical(result, reference)
+
+
+class TestSharedStore:
+    """One store is safe to share: shards writing it at once lose no
+    cell, and passes of different shard counts, grids or probes never
+    serve one another's cells."""
+
+    def _assert_whole(self, cells, store, reference):
+        assert len(_cached_cells(store)) == len(cells)
+        warm = run_sweep(cells, cache=CellStore(store.root))
+        assert warm.cache_stats.hits == len(cells)
+        assert_repr_identical(warm, reference)
+
+    def test_concurrent_shards_as_threads(self, grid, reference, tmp_path):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        barrier = threading.Barrier(2)
+        results, errors = {}, []
+
+        def shard(index):
+            barrier.wait()
+            try:
+                results[index] = _run_shard(cells, index, 2, store)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=shard, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Each shard saves before it checks: one of the two, at least,
+        # finds the whole grid.
+        complete = [r for r in results.values() if len(r) == len(cells)]
+        assert complete
+        for result in complete:
+            assert_repr_identical(result, reference)
+        self._assert_whole(cells, store, reference)
+
+    def test_concurrent_shards_as_forked_processes(
         self, grid, reference, tmp_path
     ):
-        spill = tmp_path / "spill"
-        last = None
-        for index in (2, 0, 1):
-            last = run_sweep(grid, backend=ShardedBackend(index, 3, spill))
-        # The last shard to finish sees every spill file and reports
-        # the merged whole, bit-identical to the serial sweep.
-        assert last == reference
-        assert merge_shards(spill) == reference
-
-    def test_incomplete_family_returns_partial_result(self, grid, tmp_path):
-        result = run_sweep(grid, backend=ShardedBackend(0, 3, tmp_path))
-        assert not result.complete
-        assert 0 < len(result) < len(grid)
-
-    def test_sharded_with_inner_workers_matches(self, grid, reference, tmp_path):
-        spill = tmp_path / "spill"
-        for index in range(3):
-            last = run_sweep(
-                grid, backend=ShardedBackend(index, 3, spill, workers=2)
-            )
-        assert last.cells == reference.cells
-
-
-class TestMergeValidation:
-    def _spill_all(self, grid, spill, trace_detail="lite"):
-        for index in range(3):
-            run_sweep(
-                grid,
-                backend=ShardedBackend(index, 3, spill),
-                trace_detail=trace_detail,
-            )
-
-    def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no shard files"):
-            merge_shards(tmp_path)
-
-    def test_missing_shard_named(self, grid, tmp_path):
-        self._spill_all(grid, tmp_path)
-        (tmp_path / "shard-0001-of-0003.json").unlink()
-        with pytest.raises(ValueError, match=r"missing shard\(s\) \[1\]"):
-            merge_shards(tmp_path)
-
-    def test_mixed_trace_detail_names_both(self, grid, tmp_path):
-        self._spill_all(grid, tmp_path)
-        path = tmp_path / "shard-0001-of-0003.json"
-        payload = json.loads(path.read_text())
-        payload["trace_detail"] = "full"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError) as excinfo:
-            merge_shards(tmp_path)
-        message = str(excinfo.value)
-        assert "mixed trace details" in message
-        assert "'full'" in message and "'lite'" in message
-
-    def test_disagreeing_shard_count_rejected(self, grid, tmp_path):
-        self._spill_all(grid, tmp_path)
-        rogue = tmp_path / "shard-0003-of-0004.json"
-        payload = json.loads((tmp_path / "shard-0000-of-0003.json").read_text())
-        payload["shard_count"] = 4
-        payload["shard_index"] = 3
-        rogue.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="disagree on shard_count"):
-            merge_shards(tmp_path)
-
-    def test_duplicate_shard_index_rejected(self, grid, tmp_path):
-        # A payload whose index disagrees with its filename (truncated
-        # copy, hand edit) duplicates a sibling's index.
-        self._spill_all(grid, tmp_path)
-        path = tmp_path / "shard-0002-of-0003.json"
-        payload = json.loads(path.read_text())
-        payload["shard_index"] = 0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="multiple files"):
-            merge_shards(tmp_path)
-
-    def test_stale_family_of_other_count_never_merges(self, grid, tmp_path):
-        # A finished 3-shard sweep leaves its spill files behind; a new
-        # 2-shard sweep of a smaller grid lands in the same directory.
-        # The stale family must fail the merge loudly, not win it.
-        self._spill_all(grid, tmp_path)
-        smaller = [cell for cell in grid.cells() if cell.seed == 0]
-        run_sweep(smaller, backend=ShardedBackend(0, 2, tmp_path))
-        with pytest.raises(ValueError, match="disagree on shard_count"):
-            run_sweep(smaller, backend=ShardedBackend(1, 2, tmp_path))
-
-    def test_stale_shard_of_other_grid_never_merges(self, grid, tmp_path):
-        # Same shard count, different grid: one fresh shard over a
-        # stale sibling must be caught by the grid fingerprint.
         cells = list(grid.cells())
-        for index in range(2):
-            run_sweep(cells, backend=ShardedBackend(index, 2, tmp_path))
-        other = [cell for cell in cells if cell.seed == 0]
-        with pytest.raises(ValueError, match="mixed grids"):
-            run_sweep(other, backend=ShardedBackend(0, 2, tmp_path))
-
-    def test_mixed_probe_shards_rejected(self, grid, tmp_path):
-        cells = [next(iter(grid.cells()))]
-        probed = [cells[0]]
-        run_sweep(
-            probed,
-            backend=ShardedBackend(0, 2, tmp_path),
-            trace_detail="full",
-            probe="send-classification",
-        )
-        with pytest.raises(ValueError, match="mixed probes"):
-            run_sweep(
-                probed,
-                backend=ShardedBackend(1, 2, tmp_path),
-                trace_detail="full",
+        context = multiprocessing.get_context("fork")
+        children = [
+            context.Process(
+                target=_shard_in_child, args=(cells, index, 2, tmp_path)
             )
+            for index in range(2)
+        ]
+        for child in children:
+            child.start()
+        try:
+            for child in children:
+                child.join(timeout=120)
+        finally:
+            for child in children:
+                if child.is_alive():
+                    child.kill()
+        assert [child.exitcode for child in children] == [0, 0]
+        self._assert_whole(cells, CellStore(tmp_path), reference)
 
-    def test_foreign_schema_rejected(self, grid, tmp_path):
-        self._spill_all(grid, tmp_path)
-        path = tmp_path / "shard-0002-of-0003.json"
-        payload = json.loads(path.read_text())
-        payload["schema"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="schema"):
-            merge_shards(tmp_path)
+    def test_two_and_three_shard_passes_of_one_grid(
+        self, grid, reference, tmp_path
+    ):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        assert len(_run_shard(cells, 0, 2, store)) < len(cells)
+        assert len(_run_shard(cells, 1, 3, store)) < len(cells)
+        # The interleaved passes cover the grid once their union does,
+        # whatever counts cut it.
+        last = _run_shard(cells, 1, 2, store)
+        assert_repr_identical(last, reference)
+        again = _run_shard(cells, 2, 3, store)
+        assert_repr_identical(again, reference)
 
-    def test_duplicate_cell_across_shards_rejected(self, grid, tmp_path):
-        self._spill_all(grid, tmp_path)
-        source = json.loads((tmp_path / "shard-0000-of-0003.json").read_text())
-        target_path = tmp_path / "shard-0001-of-0003.json"
-        target = json.loads(target_path.read_text())
-        target["results"].append(source["results"][0])
-        target_path.write_text(json.dumps(target))
-        with pytest.raises(ValueError, match="multiple shards"):
-            merge_shards(tmp_path)
+    def test_two_grids_never_mix(self, grid, reference, tmp_path):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        other = list(small_grid(seeds=1, rounds=4).cells())
+        assert not {cell.key for cell in other} & {cell.key for cell in cells}
+        for index in range(2):
+            last = _run_shard(cells, index, 2, store)
+        assert_repr_identical(last, reference)
+        # A different grid's first shard is partial: the first grid's
+        # cells do not count towards it.
+        assert len(_run_shard(other, 0, 2, store)) < len(other)
+        assert_repr_identical(_run_shard(other, 1, 2, store), run_sweep(other))
+
+    def test_sub_grid_is_served_from_the_overlap(self, grid, tmp_path):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        for index in range(3):
+            _run_shard(cells, index, 3, store)
+        smaller = [cell for cell in cells if cell.seed == 0]
+        first = _run_shard(smaller, 0, 2, store)
+        assert_repr_identical(first, run_sweep(smaller))
+
+    def test_probe_and_no_probe_never_mix(self, grid, tmp_path):
+        cell = next(iter(grid.cells()))
+        store = CellStore(tmp_path)
+        probed = dict(trace_detail="full", probe="send-classification")
+        # Shard 0 of 2 owns the one cell, shard 1 owns none.
+        with_probe = _run_shard([cell], 0, 2, store, **probed)
+        assert with_probe.cells[0].extras
+        plain = _run_shard([cell], 1, 2, store, trace_detail="full")
+        assert len(plain) == 0  # the probed entry does not count
+        plain = _run_shard([cell], 0, 2, store, trace_detail="full")
+        assert plain.cells[0].extras == ()
+        assert_repr_identical(plain, run_sweep([cell], trace_detail="full"))
+        again = _run_shard([cell], 1, 2, store, **probed)
+        assert_repr_identical(again, with_probe)
 
 
 class TestCrossRunPackaging:
@@ -267,17 +321,6 @@ class TestCrossRunPackaging:
             result = run_sweep(grid, backend=backend, cross_run=True)
         assert result.cells == reference.cells
         assert result.dispatch.endswith(", parallel)")
-
-    def test_sharded_cross_run_merges_identically(
-        self, grid, reference, tmp_path
-    ):
-        for index in range(3):
-            merged = run_sweep(
-                grid,
-                backend=ShardedBackend(index, 3, tmp_path),
-                cross_run=True,
-            )
-        assert merged == reference
 
     def test_partially_warm_cache_serves_hits_and_runs_misses(
         self, grid, reference, tmp_path
@@ -349,14 +392,17 @@ class TestDispatchDecision:
         result = run_sweep(cells, backend=MultiprocessingBackend(workers=4))
         assert result.dispatch == "cross-run(1 batches, max R=1)"
 
-    def test_sharded_pool_honours_dispatch(self, grid, reference, tmp_path):
-        backend = ShardedBackend(0, 2, tmp_path, workers=2)
-        result = run_sweep(grid, backend=backend, dispatch="serial")
+    def test_shard_honours_dispatch(self, grid, reference, tmp_path):
+        cells = list(grid.cells())
+        backend = ShmCrossRunBackend(2)
+        result = _run_shard(
+            cells, 0, 2, CellStore(tmp_path), backend=backend, dispatch="serial"
+        )
         rec = parse_dispatch_label(result.dispatch)
-        assert rec.sharded and rec.cross_run
-        assert rec.pooled is False
+        assert rec.cross_run and rec.pooled is False
         assert backend.dispatch_mode == "auto"
         owned = {cell.key for cell in result.cells}
+        assert owned == {cell.key for cell in shard_cells(cells, 0, 2)}
         assert result.cells == tuple(
             cell for cell in reference.cells if cell.key in owned
         )

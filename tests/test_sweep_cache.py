@@ -10,6 +10,11 @@ miss and the cell re-executes.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from tests.helpers import small_grid
@@ -183,6 +188,59 @@ class TestUntrustedEntries:
 
     def test_missing_entry_is_a_miss(self, grid, store):
         assert store.load(_a_cell(grid), "lite") is None
+
+
+class TestConcurrentWriters:
+    def test_threads_saving_one_cell_lose_no_write(self, grid, store):
+        # Threads of one process share a pid: each save still needs a
+        # temp file of its own, or one thread's os.replace moves away
+        # the file another thread is about to replace.
+        result = run_cell(_a_cell(grid))
+        threads, saves = 4, 200
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def writer():
+            barrier.wait()
+            for _ in range(saves):
+                try:
+                    store.save(result, "lite")
+                except OSError as exc:
+                    errors.append(exc)
+
+        workers = [threading.Thread(target=writer) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert store.load(_a_cell(grid), "lite") == result
+        assert list(store.root.glob("v*/*/*.tmp.*")) == []
+
+    def test_interrupted_save_leaves_a_tmp_file_gc_recognises(
+        self, grid, store, monkeypatch
+    ):
+        result = run_cell(_a_cell(grid))
+
+        def interrupted(src, dst):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            store.save(result, "lite")
+        monkeypatch.undo()
+        (orphan,) = store.root.glob("v*/*/*.tmp.*")
+        assert store.gc().removed == 0  # fresh: maybe still in flight
+        ancient = time.time() - 3_600
+        os.utime(orphan, (ancient, ancient))
+        assert store.gc().removed == 1
+        assert not orphan.exists()
 
 
 class TestResultRoundTrip:

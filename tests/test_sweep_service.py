@@ -28,8 +28,8 @@ from tests.helpers import small_grid
 
 from repro.sweep import (
     DISPATCH_MODES,
+    CellStore,
     GridSpec,
-    ShardedBackend,
     ShmCrossRunBackend,
     SweepAccumulator,
     SweepJournal,
@@ -38,6 +38,7 @@ from repro.sweep import (
     grid_from_payload,
     request_json,
     run_sweep,
+    shard_cells,
     submit_sweep,
 )
 from repro.telemetry import parse_dispatch_label
@@ -324,13 +325,45 @@ class TestSweepJournal:
         with pytest.raises(ValueError, match="not open"):
             SweepJournal(tmp_path).record(reference.cells[0])
 
-    def test_sharded_backend_refuses_a_journal(self, grid, tmp_path):
-        with pytest.raises(ValueError, match="sharded"):
-            run_sweep(
-                grid,
-                backend=ShardedBackend(0, 2, tmp_path / "spill"),
-                journal=SweepJournal(tmp_path / "journal"),
-            )
+
+
+class TestShardResume:
+    """A shard resumes through the shared store, journal or not."""
+
+    def test_interrupted_shard_resumes_from_the_store(self, tmp_path):
+        from repro.experiments.cli import _run_shard
+
+        cells = list(small_grid().cells())
+        own = shard_cells(cells, 0, 2)
+        reference = run_sweep(own)
+        k = 4
+
+        def interrupt(result, done, total):
+            if done >= k:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _run_shard(cells, 0, 2, CellStore(tmp_path), progress=interrupt)
+        resumed = _run_shard(cells, 0, 2, CellStore(tmp_path))
+        assert resumed.cache_stats.hits >= k
+        assert resumed.cache_stats.hits < len(own)
+        assert resumed == reference
+        assert [repr(cell) for cell in resumed.cells] == [
+            repr(cell) for cell in reference.cells
+        ]
+
+    def test_shard_takes_a_journal(self, tmp_path):
+        from repro.experiments.cli import _run_shard
+
+        cells = list(small_grid().cells())
+        own = shard_cells(cells, 1, 2)
+        store = CellStore(tmp_path / "cache")
+        with SweepJournal(tmp_path / "journal") as journal:
+            first = _run_shard(cells, 1, 2, store, journal=journal)
+        assert journal.completed_count == len(own)
+        with SweepJournal(tmp_path / "journal") as journal:
+            replayed = _run_shard(cells, 1, 2, store, journal=journal)
+        assert first == replayed == run_sweep(own)
 
 
 class TestGridPayload:

@@ -636,6 +636,7 @@ class TestArenaLeaks:
 
 class TestInterruptResume:
     def test_journal_resume_is_bit_identical(self, tmp_path):
+        before = shm_entries()
         grid = small_grid()
         reference = run_sweep(grid)
         fired = []
@@ -657,7 +658,7 @@ class TestInterruptResume:
         assert resumed.cells == reference.cells
         assert_cells_identical(resumed.cells, reference.cells)
         assert resumed_journal.completed_count == len(grid)
-        assert shm_entries() == shm_entries()  # and nothing left behind
+        assert shm_entries() <= before  # and nothing left behind
 
 
 class TestRunCellManyFallbackCache:
