@@ -239,7 +239,7 @@ def sweep_grid(
     ride one grid.  ``workers > 1``
     ships cross-run groups (compatible cells, same shape differing only
     in seed) to the zero-copy shared-memory stealing pool
-    (:class:`~repro.sweep.ShmCrossRunBackend`); ``trace_detail`` selects the
+    (:class:`~repro.sweep.MultiprocessingBackend`); ``trace_detail`` selects the
     simulator path (the default trace-lite fast path is bit-identical
     on decisions and diameters).  ``backend`` overrides the execution
     strategy (a :class:`~repro.sweep.SweepBackend` instance or one of

@@ -411,17 +411,20 @@ def _run_shard(cells, index, count, store, **options):
 
     The shard runs only its own cells (:func:`repro.sweep.shard_cells`),
     through whatever backend ``options`` select, writing through to the
-    shared store.  It then looks up the rest of the grid with loads
-    only, never computing a sibling's cell: if every cell is cached --
-    this is the last shard to finish -- the whole grid's result is
-    served warm from the store; otherwise this shard's own result
-    (fewer cells than the grid) is returned.
+    shared store.  It then checks that every grid cell has an entry,
+    reading no payload and never computing a sibling's cell: if every
+    entry exists -- this is the last shard to finish -- the whole
+    grid's result is served warm from the store, which is then the
+    only read of each entry; otherwise this shard's own result (fewer
+    cells than the grid) is returned.  A sibling entry that exists but
+    is corrupt reads as a miss in the warm sweep, so the completing
+    shard recomputes that cell.
     """
     from ..sweep import run_sweep, shard_cells
 
     own = run_sweep(shard_cells(cells, index, count), cache=store, **options)
     detail, probe = own.trace_detail, options.get("probe")
-    if all(store.load(cell, detail, probe) is not None for cell in cells):
+    if all(store.path_for(cell, detail, probe).is_file() for cell in cells):
         return run_sweep(cells, trace_detail=detail, cache=store, probe=probe)
     return own
 

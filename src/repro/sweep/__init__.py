@@ -6,8 +6,8 @@ executes such families.  Declare a family as a :class:`GridSpec`
 epsilon and seed axes) or as an explicit list of :class:`CellSpec`
 cells (including static-mixed and lower-bound *scenarios*), run it
 with :func:`run_sweep` -- through a pluggable
-:class:`~repro.sweep.backends.SweepBackend` (serial, or the
-work-stealing shared-memory :class:`ShmCrossRunBackend` pool of
+:class:`~repro.sweep.backends.SweepBackend` (in-process, or the
+work-stealing shared-memory :class:`MultiprocessingBackend` pool of
 cross-run groups), against an optional content-addressed
 :class:`CellStore` cell cache -- and aggregate the :class:`SweepResult`
 into the harness's tables and series, batched or streaming
@@ -27,7 +27,6 @@ from .aggregate import SweepAccumulator, SweepResult
 from .backends import (
     DISPATCH_MODES,
     ArenaStats,
-    CostModel,
     MultiprocessingBackend,
     SerialBackend,
     SharedResultArena,
@@ -70,7 +69,6 @@ __all__ = [
     "ShmCrossRunBackend",
     "SharedResultArena",
     "ArenaStats",
-    "CostModel",
     "DISPATCH_MODES",
     "estimate_cell_cost",
     "plan_shm_layout",

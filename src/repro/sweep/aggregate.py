@@ -8,12 +8,10 @@ trajectories (the "figures" of the terminal harness).
 
 :class:`SweepAccumulator` is the *incremental* builder behind streaming
 execution: cells are added one by one as batches, cache hits or journal
-replays complete, group statistics update as they land, and
-:meth:`SweepAccumulator.snapshot` yields at any moment the exact
-:class:`SweepResult` a batch merge of the same cells would have
-produced -- bit-identical, because every reduction used here
-(``min``/``max``/``math.fsum``/sorted percentiles) is independent of
-arrival order and the cell tuple is maintained in key order.
+replays complete, and :meth:`SweepAccumulator.snapshot` yields at any
+moment the exact :class:`SweepResult` a batch merge of the same cells
+would have produced -- bit-identical, because the cell tuple is
+maintained in key order.
 """
 
 from __future__ import annotations
@@ -211,15 +209,13 @@ class SweepAccumulator:
     """Incremental :class:`SweepResult` builder for streaming execution.
 
     Feed it cells in *any* order -- as pool batches land, cache hits
-    arrive or a resume journal replays -- and read aggregates at any moment:
-    :meth:`live_summary_rows` updates from per-group accumulators
-    without touching the cell list, and :meth:`snapshot` materializes
-    the exact result a batch run over the same cells would return.
-    Bit-identity with the batch path holds because the cell tuple is
-    maintained in key order (the order
-    :func:`~repro.sweep.engine.run_sweep` sorts into) and every group statistic is computed by
-    arrival-order-independent reductions; the streaming equivalence
-    suite gates this.
+    arrive or a resume journal replays -- and read aggregates at any
+    moment: :meth:`snapshot` materializes the exact result a batch run
+    over the same cells would return, and :meth:`live_summary_rows` is
+    its summary.  Bit-identity with the batch path holds because the
+    cell tuple is maintained in key order (the order
+    :func:`~repro.sweep.engine.run_sweep` sorts into); the streaming
+    equivalence suite gates this.
 
     ``expected`` (when known) sizes progress reporting; duplicate cell
     keys are rejected, mirroring :func:`~repro.sweep.engine.run_sweep`'s
@@ -239,7 +235,6 @@ class SweepAccumulator:
         self.expected = expected
         self._cells: list["CellResult"] = []
         self._keys: list[tuple] = []
-        self._groups: dict[tuple[str, str], dict[str, object]] = {}
         self._errors = 0
         self._satisfied = 0
 
@@ -265,23 +260,10 @@ class SweepAccumulator:
             )
         self._keys.insert(index, cell.key)
         self._cells.insert(index, cell)
-        group = self._groups.setdefault(
-            (cell.spec.model, SweepResult._algorithm_label(cell.spec)),
-            {"rounds": [], "diameters": [], "ok": 0, "errors": 0},
-        )
         if cell.error is not None:
             self._errors += 1
-            # Error cells count as group members (surfaced in the
-            # ``cells`` and ``spec ok`` columns) but contribute no
-            # observations: their zeroed rounds/diameter would skew
-            # the group means.
-            group["errors"] += 1
-        else:
-            if cell.satisfied:
-                self._satisfied += 1
-                group["ok"] += 1
-            group["rounds"].append(float(cell.rounds))
-            group["diameters"].append(cell.decision_diameter)
+        elif cell.satisfied:
+            self._satisfied += 1
         return len(self._cells)
 
     def add_many(self, cells) -> int:
@@ -291,35 +273,9 @@ class SweepAccumulator:
         return len(self._cells)
 
     def live_summary_rows(self) -> list[list[object]]:
-        """Current grouped summary, identical to the batch result's.
-
-        Built from the per-group accumulators alone -- O(group sizes)
-        per call, independent of how the cells arrived -- and
-        bit-identical to ``snapshot().summary_rows()`` because every
-        statistic reduces order-independently.
-        """
-        rows: list[list[object]] = []
-        for (model, algorithm), group in sorted(self._groups.items()):
-            members = len(group["rounds"]) + group["errors"]
-            if group["rounds"]:
-                rounds = summarize(group["rounds"])
-                diameters = summarize(group["diameters"])
-                rendered_rounds: object = rounds.render()
-                mean_diameter: object = diameters.mean
-            else:
-                rendered_rounds = "-"
-                mean_diameter = "-"
-            rows.append(
-                [
-                    model,
-                    algorithm,
-                    members,
-                    f"{group['ok']}/{members}",
-                    rendered_rounds,
-                    mean_diameter,
-                ]
-            )
-        return rows
+        """Current grouped summary: the snapshot's
+        :meth:`SweepResult.summary_rows`."""
+        return self.snapshot().summary_rows()
 
     def snapshot(self) -> SweepResult:
         """The :class:`SweepResult` of everything folded in so far."""

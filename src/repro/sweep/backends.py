@@ -1,11 +1,11 @@
 """Pluggable sweep execution backends.
 
 Execution strategies sit behind one small interface so the engine does
-not care *how* cells run.  A backend answers one question:
-:meth:`SweepBackend.execute_many` (or, in-process only, per-cell
-:meth:`SweepBackend.execute`) -- how do the uncached cells run?  The
-engine itself sorts the results into a
-:class:`~repro.sweep.aggregate.SweepResult`.
+not care *how* cells run.  A backend has one execution method,
+:meth:`SweepBackend.execute_many`: it packages the uncached cells into
+groups and runs each group through one call of
+:func:`~repro.sweep.engine.run_cell_many`.  The engine itself sorts the
+results into a :class:`~repro.sweep.aggregate.SweepResult`.
 
 Determinism contract: backends never change *what* a cell computes --
 each cell runs through the same runner callable -- only where and when.
@@ -18,40 +18,41 @@ backend, and shards meet in a shared
 :class:`~repro.sweep.cache.CellStore`, whose content addressing keeps
 cells of different grids, trace details and probes apart.
 
-Cross-run execution (:meth:`SweepBackend.execute_many`) is the batched
-packaging of work: cells are partitioned by
+In process, a sweep runs either cell by cell (each cell its own group,
+labelled ``serial``) or as cross-run groups: cells are partitioned by
 :attr:`~repro.sweep.grid.CellSpec.stack_key` -- the engine's own
 stacking rule (:func:`~repro.runtime.families.stacking_key`), so a
 group holds every cell the engine can fold together: one width, MSR
 reduction, model and folded family, with attacks, movements, epsilons,
 round budgets and declared stateful families mixed inside -- and each
-group is one call to :func:`~repro.sweep.engine.run_cell_many`, which
-stacks the group's runs into a single ``(R, n)`` state array and
-advances all of them per round with one vectorized pass.  The
-partition is a true partition (every cell lands in exactly one group;
-scenarios, widths and folded families never mix), results are
-bit-identical to per-cell execution, and the dispatch label records
-the batch structure, e.g. ``cross-run(4 batches, max R=16)``.
+group's runs advance as a single ``(R, n)`` state array, one vectorized
+pass per round.  The partition is a true partition (every cell lands
+in exactly one group; scenarios, widths and folded families never
+mix), results are bit-identical to per-cell execution, and the
+dispatch label records the batch structure, e.g. ``cross-run(4
+batches, max R=16)``.
 
-:class:`ShmCrossRunBackend` is the parallel packaging of cross-run
-work: whole ``stack_key`` groups run in pool workers which write their
-stacked results into ``multiprocessing.shared_memory`` blocks (planned
-by :class:`~repro.runtime.simulator.ShmBatchLayout`) and ship back only
-a compact header plus per-run scalars -- result payloads are never
+:class:`MultiprocessingBackend` (also bound as
+:data:`ShmCrossRunBackend`) is the one pooled backend: whole
+``stack_key`` groups run in pool workers which write their stacked
+results into ``multiprocessing.shared_memory`` blocks (planned by
+:class:`~repro.runtime.simulator.ShmBatchLayout`) and ship back only a
+compact header plus per-run scalars -- result payloads are never
 pickled.  A :class:`SharedResultArena` owns block lifecycle
 (create-in-worker, attach/unlink-in-parent, crash-safe sweep of
 orphaned blocks), and dispatch is *work-stealing*: each worker slot
 owns a deque of batches, and an idle slot steals the largest half of
 the heaviest victim's biggest pending batch (splittable by run index,
-since runs within a group are independent).  Results stream back batch
-by batch through :attr:`SweepBackend.on_result`, which is what powers
-streaming aggregation, progress lines and resume journals.  The
-fallback ladder -- shm pool, pickle pool, in-process serial -- keeps
-results bit-identical at every rung; only the dispatch label (e.g.
-``cross-run-shm(4 batches, max R=16, steals=1)``) records which rung
-ran.  The workers themselves persist: forked once, one pipe each, and
-reused by later pooled sweeps for as long as the code and state they
-forked with still match the parent's (:class:`_ForkSnapshot`).
+since runs within a group are independent), with batches priced by
+the static cost rule :func:`estimate_cell_cost`.  Results stream back
+batch by batch through :attr:`SweepBackend.on_result`, which is what
+powers streaming aggregation, progress lines and resume journals.  The
+fallback ladder -- shm pool, pickle pool, in-process cross-run --
+keeps results bit-identical at every rung; only the dispatch label
+(e.g. ``cross-run-shm(4 batches, max R=16, steals=1)``) records which
+rung ran.  The workers themselves persist: forked once, one pipe each,
+and reused by later pooled sweeps for as long as the code and state
+they forked with still match the parent's (:class:`_ForkSnapshot`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import statistics
 import threading
 import time
 import warnings
@@ -96,23 +96,22 @@ __all__ = [
     "ShmCrossRunBackend",
     "SharedResultArena",
     "ArenaStats",
-    "CostModel",
     "DISPATCH_MODES",
     "estimate_cell_cost",
     "grid_fingerprint",
     "plan_shm_layout",
 ]
 
-#: Valid ``dispatch_mode`` values: ``auto`` consults
-#: :meth:`MultiprocessingBackend._pool_decision`; ``serial`` forces
-#: in-process execution; ``pool`` forces worker processes even where a
-#: pool cannot win (1 usable CPU), with a warning -- the knob that
-#: makes pool code paths testable on single-CPU CI boxes.
+#: Valid ``dispatch`` values of :meth:`SweepBackend.execute_many`:
+#: ``auto`` consults :meth:`MultiprocessingBackend._pool_decision`;
+#: ``serial`` forces in-process execution; ``pool`` forces worker
+#: processes even where a pool cannot win (1 usable CPU), with a
+#: warning -- the knob that makes pool code paths testable on
+#: single-CPU CI boxes.
 DISPATCH_MODES = ("auto", "serial", "pool")
 
-CellRunner = Callable[["CellSpec"], "CellResult"]
-#: Cross-run group runner: a batch-compatible cell group in, results
-#: (in group order) out -- :func:`~repro.sweep.engine.run_cell_many`.
+#: Group runner: a cell group in, results (in group order) out --
+#: :func:`~repro.sweep.engine.run_cell_many`.
 ManyRunner = Callable[[list["CellSpec"]], list["CellResult"]]
 
 def _batch_groups(cells: Sequence["CellSpec"]) -> list[list["CellSpec"]]:
@@ -201,31 +200,24 @@ def _usable_cpus() -> int:
 
 
 class SweepBackend:
-    """Base execution strategy.
+    """Base execution strategy: in-process execution of a sweep's cells.
 
     ``workers`` is the parallelism the backend reports into
-    ``SweepResult.workers`` (1 for serial execution).  Cross-run
-    sweeps, and every sweep on a :attr:`pooled` backend, call
-    :meth:`execute_many`, whose unit of work is one ``stack_key``
-    group run on a shared round kernel; the rest call :meth:`execute`.
+    ``SweepResult.workers`` (1 for in-process execution).
+    :meth:`execute_many` is the one execution method: its unit of work
+    is a group of cells run by one call of the group runner
+    (:func:`~repro.sweep.engine.run_cell_many`).
     """
 
     workers: int = 1
-    #: Whether the backend can ship work to worker processes.  Pooled
-    #: backends take only cross-run groups (:meth:`execute_many`).
-    pooled: bool = False
-    #: How the last :meth:`execute`/:meth:`execute_many` actually
-    #: dispatched its cells; copied into ``SweepResult.dispatch``.
+    #: How the last :meth:`execute_many` actually dispatched its cells;
+    #: copied into ``SweepResult.dispatch``.
     dispatch: str = "serial"
-    #: Execution-strategy override consulted by pooled backends; one of
-    #: :data:`DISPATCH_MODES`.
-    dispatch_mode: str = "auto"
     #: Optional ``callable(CellResult)`` invoked in the parent process
-    #: as results become available.  Granularity is a backend property:
-    #: per cell for serial execution, per group or stolen batch for
-    #: cross-run dispatch (the engine reports any unreported results
-    #: after execution either way, so callers always observe every
-    #: result exactly once).
+    #: as results become available: after each group (one cell, a
+    #: cross-run group or a stolen batch).  The engine reports any
+    #: unreported results after execution, so callers always observe
+    #: every result exactly once.
     on_result: Callable[["CellResult"], None] | None = None
 
     def _emit(self, results: Sequence["CellResult"]) -> None:
@@ -234,24 +226,29 @@ class SweepBackend:
             for result in results:
                 self.on_result(result)
 
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        raise NotImplementedError
-
     def execute_many(
-        self, cells: Sequence["CellSpec"], many_runner: ManyRunner
+        self,
+        cells: Sequence["CellSpec"],
+        many_runner: ManyRunner,
+        dispatch: str = "auto",
+        cross_run: bool = True,
     ) -> list["CellResult"]:
-        """Run the cells as cross-run groups, one group per dispatch.
+        """Run the cells in-process, one group per ``many_runner`` call.
 
-        The default executes each ``stack_key`` group in-process
-        through the stacked ``(R, n)`` engine; pooled backends
-        override this to ship whole groups to workers.  Results are
-        bit-identical to :meth:`execute` -- only the packaging (and
-        the per-round vectorization within a group) changes.
+        With ``cross_run`` each ``stack_key`` group advances through
+        the stacked ``(R, n)`` engine and the label records the batch
+        structure; without it each cell is its own group, run and
+        reported one by one, and the label is ``serial``.  Results are
+        bit-identical either way.  ``dispatch`` (one of
+        :data:`DISPATCH_MODES`) steers pooled backends; in-process
+        execution has no pool to decide on.
         """
-        groups = _batch_groups(cells)
-        self.dispatch = _cross_run_label(groups)
+        if cross_run:
+            groups = _batch_groups(cells)
+            self.dispatch = _cross_run_label(groups)
+        else:
+            groups = [[cell] for cell in cells]
+            self.dispatch = "serial"
         results: list["CellResult"] = []
         for group in groups:
             group_results = many_runner(group)
@@ -261,111 +258,10 @@ class SweepBackend:
 
 
 class SerialBackend(SweepBackend):
-    """In-process execution, one cell after another."""
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        self.dispatch = "serial"
-        results: list["CellResult"] = []
-        for cell in cells:
-            result = runner(cell)
-            results.append(result)
-            self._emit((result,))
-        return results
+    """In-process execution (:meth:`SweepBackend.execute_many`)."""
 
 
-class MultiprocessingBackend(SweepBackend):
-    """Cross-run groups across the local sweep worker processes.
-
-    Each ``stack_key`` group is one pickled task.  Where workers cannot
-    win (one worker, one group, one usable CPU) the groups run inline
-    instead.
-    """
-
-    pooled = True
-
-    def __init__(self, workers: int, dispatch_mode: str = "auto") -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if dispatch_mode not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch_mode must be one of {DISPATCH_MODES}, "
-                f"got {dispatch_mode!r}"
-            )
-        self.workers = workers
-        self.dispatch_mode = dispatch_mode
-
-    def _pool_decision(self, tasks: int) -> bool:
-        """Whether a pool can win for ``tasks`` dispatch units.
-
-        A single usable CPU is the canonical lost cause: worker
-        processes merely time-slice the same core, so every fork,
-        pickle and IPC round-trip is pure overhead.  Those invocations
-        fall back to in-process dispatch, which the ``cross-run(...)``
-        label (no rung, no ``parallel``) records.
-
-        :attr:`dispatch_mode` overrides the heuristic: ``serial``
-        always runs in-process, ``pool`` always dispatches to workers
-        -- warning (instead of silently falling back) when only one
-        usable CPU exists, so pool code paths stay testable on 1-CPU
-        CI boxes at an explicitly acknowledged cost.
-        """
-        if self.dispatch_mode == "serial" or tasks < 1:
-            return False
-        if self.dispatch_mode == "pool":
-            cpus = _usable_cpus()
-            if cpus < 2:
-                # Counted so the CLI can surface a one-line warning
-                # summary after the sweep -- RuntimeWarnings otherwise
-                # vanish under pytest/capture harnesses.
-                count("sweep.pool.forced_one_cpu")
-                warnings.warn(
-                    f"dispatch mode {self.dispatch_mode!r} forced with "
-                    f"{self.workers} workers on {cpus} usable cpu: the "
-                    "pool cannot win here (fork/pickle/IPC overhead with "
-                    "nothing to overlap); results are identical but slower",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return True
-        return self.workers > 1 and tasks > 1 and _usable_cpus() >= 2
-
-    def execute_many(
-        self, cells: Sequence["CellSpec"], many_runner: ManyRunner
-    ) -> list["CellResult"]:
-        """Dispatch whole cross-run groups to pool workers.
-
-        Each ``stack_key`` group is one pool task advancing its stack
-        in a worker; the pool decision treats groups as the dispatch
-        unit (a single group has nothing to overlap, so it runs
-        inline).  Results stream back, and return, in completion
-        order.  Falls back to the in-process default wherever a pool
-        cannot win.
-        """
-        groups = _batch_groups(cells)
-        if not self._pool_decision(len(groups)):
-            return SweepBackend.execute_many(self, cells, many_runner)
-        self.dispatch = _cross_run_label(groups, ", parallel")
-        pending = iter(groups)
-        results: list["CellResult"] = []
-
-        def finish(batch: list["CellSpec"], outcome: _PickleBatch) -> None:
-            results.extend(outcome.results)
-            self._emit(outcome.results)
-
-        _run_on_workers(
-            self.workers,
-            many_runner,
-            next_batch=lambda slot: next(pending, None),
-            plan=lambda batch: None,
-            finish=finish,
-            cost_model=_STATIC_COST_MODEL,
-        )
-        return results
-
-
-#: Cost-model round count for oracle-terminated cells (``rounds=None``):
+#: Cost-rule round count for oracle-terminated cells (``rounds=None``):
 #: convergence typically lands within a few tens of rounds, so a fixed
 #: nominal keeps the *relative* ordering of cells meaningful without
 #: simulating anything.
@@ -376,7 +272,7 @@ _NOMINAL_ROUNDS = 40
 #: two-phase protocol runs every round through the scalar engine; the
 #: witness family adds relay collection and per-pid witness folds on
 #: top of that.  The ratios are hand-set orderings, not measurements --
-#: only the ordering matters (``CostModel.fit`` measures real weights).
+#: only the ordering matters.
 _FAMILY_COST_FACTORS: dict[str, float] = {
     "bonomi": 1.0,
     "tseng": 2.5,
@@ -406,135 +302,21 @@ def _complete_at(spec: str, n: int | None) -> bool:
         return False
 
 
-class CostModel:
-    """Relative cell-cost estimator, optionally calibrated from timings.
+def _cell_cost(cell: "CellSpec", rounds: int) -> float:
+    """The cost rule: ``n^2 * rounds``, times the partial-topology and
+    folded-family factors.
 
-    The static model prices a cell at ``n^2 * rounds`` weighted by
-    hand-tuned per-family factors and a partial-topology multiplier --
-    only the *ordering* between cheap and expensive cells matters (the
-    stealing dispatcher's LPT seeding and victim choice).  A cell is
-    priced at its :attr:`~repro.sweep.grid.CellSpec.folded_family`:
+    A cell is priced at its :attr:`~repro.sweep.grid.CellSpec.folded_family`:
     a tseng or witness cell the engine stacks as a bonomi row runs --
-    and costs -- what a bonomi cell does.
-
-    :meth:`fit` replaces the hand-tuned family weights with ones
-    measured from a :class:`~repro.sweep.service.SweepJournal`'s
-    recorded per-cell timings: each observation contributes a
-    seconds-per-base-unit rate for its folded family, families with enough
-    samples get ``median(rate) / median(reference rate)`` as their
-    weight (and their median observed round count as the nominal-round
-    estimate for oracle-terminated cells), and families without data
-    keep the static fallback -- so a sweep that has actually run
-    witness cells prices the next witness sweep from evidence instead
-    of folklore.
+    and costs -- what a bonomi cell does.  An unresolvable ``n``
+    (unknown model) prices as a small cell.
     """
-
-    def __init__(
-        self,
-        family_weights: dict[str, float] | None = None,
-        family_rounds: dict[str, int] | None = None,
-    ) -> None:
-        self.family_weights = dict(_FAMILY_COST_FACTORS)
-        if family_weights:
-            self.family_weights.update(family_weights)
-        self.family_rounds = dict(family_rounds or {})
-        #: Whether any weight came from observed data (False: static).
-        self.calibrated = bool(family_weights)
-
-    def nominal_rounds(self, cell: "CellSpec") -> int:
-        """Rounds the model expects the cell to execute."""
-        if cell.rounds is not None:
-            return max(cell.rounds, 1)
-        nominal = self.family_rounds.get(cell.folded_family, _NOMINAL_ROUNDS)
-        return max(min(cell.max_rounds, nominal), 1)
-
-    def base_cost(self, cell: "CellSpec", rounds: int | None = None) -> float:
-        """The family-agnostic ``n^2 * rounds * topology`` proxy."""
-        if rounds is None:
-            rounds = self.nominal_rounds(cell)
-        # An unresolvable n (unknown model) prices as a small cell.
-        n = cell.resolved_n
-        n = 16 if n is None else max(n, 1)
-        cost = float(n) ** 2 * float(max(rounds, 1))
-        if not _complete_at(cell.topology, cell.resolved_n):
-            cost *= _PARTIAL_TOPOLOGY_FACTOR
-        return cost
-
-    def estimate(self, cell: "CellSpec") -> float:
-        """Relative execution-cost proxy of one cell."""
-        return self.base_cost(cell) * self.family_weights.get(
-            cell.folded_family, 1.0
-        )
-
-    def bound(self, cell: "CellSpec") -> float:
-        """:meth:`estimate` at the cell's full round budget: an
-        oracle-terminated cell may run to ``max_rounds``."""
-        rounds = cell.rounds if cell.rounds is not None else cell.max_rounds
-        return self.base_cost(cell, rounds) * self.family_weights.get(
-            cell.folded_family, 1.0
-        )
-
-    def describe(self) -> str:
-        source = "fitted" if self.calibrated else "static"
-        weights = ", ".join(
-            f"{family}={weight:.2f}"
-            for family, weight in sorted(self.family_weights.items())
-        )
-        return f"cost-model[{source}]({weights})"
-
-    @classmethod
-    def fit(
-        cls,
-        journal,
-        reference: str = "bonomi",
-        min_samples: int = 3,
-    ) -> "CostModel":
-        """Calibrate family weights from a journal's recorded timings.
-
-        ``journal`` is a :class:`~repro.sweep.service.SweepJournal`
-        (anything with ``observations()`` yielding ``(result,
-        seconds)`` pairs works).  Observations file under the cell's
-        folded family: a stacked witness M1 cell's time is its share
-        of a bonomi stack and says nothing about witness's own rounds.
-        Families with fewer than ``min_samples`` usable observations
-        -- and every family when the journal carries no timings at all
-        -- keep the static weights, so ordering degrades gracefully to
-        the hand-tuned model rather than to noise.
-        """
-        rates: dict[str, list[float]] = {}
-        rounds_seen: dict[str, list[int]] = {}
-        for result, seconds in journal.observations():
-            if seconds is None or seconds <= 0 or result.error is not None:
-                continue
-            cell = result.spec
-            executed = max(result.rounds, 1)
-            base = cls().base_cost(cell, rounds=executed)
-            family = cell.folded_family
-            rates.setdefault(family, []).append(seconds / base)
-            rounds_seen.setdefault(family, []).append(executed)
-        usable = {
-            family: statistics.median(samples)
-            for family, samples in rates.items()
-            if len(samples) >= min_samples
-        }
-        if not usable:
-            return cls()
-        anchor = usable.get(reference)
-        if not anchor:
-            anchor = min(usable.values())
-        if anchor <= 0:
-            return cls()
-        weights = {family: rate / anchor for family, rate in usable.items()}
-        family_rounds = {
-            family: max(1, round(statistics.median(observed)))
-            for family, observed in rounds_seen.items()
-            if family in usable
-        }
-        return cls(family_weights=weights, family_rounds=family_rounds)
-
-
-#: The default (uncalibrated) model behind :func:`estimate_cell_cost`.
-_STATIC_COST_MODEL = CostModel()
+    n = cell.resolved_n
+    n = 16 if n is None else max(n, 1)
+    cost = float(n) ** 2 * float(max(rounds, 1))
+    if not _complete_at(cell.topology, cell.resolved_n):
+        cost *= _PARTIAL_TOPOLOGY_FACTOR
+    return cost * _FAMILY_COST_FACTORS.get(cell.folded_family, 1.0)
 
 
 def estimate_cell_cost(cell: "CellSpec") -> float:
@@ -544,16 +326,26 @@ def estimate_cell_cost(cell: "CellSpec") -> float:
     weighted by per-(folded-)family and per-topology factors (a
     witness-family cell on a ring costs several of its bonomi
     full-mesh neighbours, a witness M1 cell stacked as a bonomi row
-    costs what they do);
-    the absolute scale is irrelevant, only the ordering between cheap
-    and expensive cells matters.  ``n=None``
-    resolves to the model's Table 2 minimum; unknown models fall back
-    to a small constant so malformed cells (which error out instantly)
-    are treated as cheap, and unknown families take no multiplier.
-    Delegates to the static :class:`CostModel`; dispatchers accept a
-    :meth:`CostModel.fit`-calibrated instance for measured weights.
+    costs what they do); the absolute scale is irrelevant, only the
+    ordering between cheap and expensive cells matters (the stealing
+    dispatcher's LPT seeding and victim choice).  ``n=None`` resolves
+    to the model's Table 2 minimum; unknown models fall back to a
+    small constant so malformed cells (which error out instantly) are
+    treated as cheap, and unknown families take no multiplier.  An
+    oracle-terminated cell is priced at a nominal round count, capped
+    by its budget.
     """
-    return _STATIC_COST_MODEL.estimate(cell)
+    if cell.rounds is not None:
+        return _cell_cost(cell, cell.rounds)
+    return _cell_cost(cell, min(cell.max_rounds, _NOMINAL_ROUNDS))
+
+
+def _cost_bound(cell: "CellSpec") -> float:
+    """:func:`estimate_cell_cost` at the cell's full round budget: an
+    oracle-terminated cell may run to ``max_rounds``."""
+    return _cell_cost(
+        cell, cell.rounds if cell.rounds is not None else cell.max_rounds
+    )
 
 
 #: Shared-memory blocks above this size ride the pickle fallback: one
@@ -985,7 +777,7 @@ def _shm_group_task(
 #: Seconds a closing worker gets to exit before it is killed.
 _WORKER_EXIT_TIMEOUT = 5.0
 
-#: A batch's deadline, per :meth:`CostModel.bound` unit of its cells.
+#: A batch's deadline, per :func:`_cost_bound` unit of its cells.
 #: On a 2-vCPU host (Python 3.11, numpy 2.4) a stacked n=97 cell takes
 #: 6e-9 s per unit and a tseng M2 cell run on its own, the slowest
 #: measured, 2e-7 s: this leaves a factor of 50 for a loaded host.
@@ -995,9 +787,9 @@ _DEADLINE_SECONDS_PER_COST = 1e-5
 _DEADLINE_FLOOR_S = 60.0
 
 
-def _batch_deadline(batch: Sequence["CellSpec"], cost_model: CostModel) -> float:
+def _batch_deadline(batch: Sequence["CellSpec"]) -> float:
     """Seconds a worker may take over ``batch`` before it is killed."""
-    cost = math.fsum(cost_model.bound(cell) for cell in batch)
+    cost = math.fsum(_cost_bound(cell) for cell in batch)
     return max(_DEADLINE_FLOOR_S, cost * _DEADLINE_SECONDS_PER_COST)
 
 
@@ -1289,7 +1081,6 @@ def _run_on_workers(
     next_batch: Callable[[int], list["CellSpec"] | None],
     plan: Callable[[list["CellSpec"]], _ShmRequest | None],
     finish: Callable[[list["CellSpec"], object], None],
-    cost_model: CostModel,
 ) -> None:
     """Keep ``count`` worker slots busy until ``next_batch`` runs dry.
 
@@ -1298,8 +1089,8 @@ def _run_on_workers(
     ``finish(batch, envelope)`` takes each finished batch in the parent.
     A worker's exception is re-raised here; a worker that dies
     mid-batch raises :class:`RuntimeError` naming its pid, and so does
-    one still silent past its batch's deadline (`_batch_deadline`,
-    priced by ``cost_model``), after a SIGKILL.
+    one still silent past its batch's deadline (`_batch_deadline`),
+    after a SIGKILL.
     """
     session = current_config()
     with _sweep_workers(count, many_runner) as workers:
@@ -1311,7 +1102,7 @@ def _run_on_workers(
             batch = next_batch(slot)
             if batch is not None:
                 busy[slot] = batch
-                deadline = _batch_deadline(batch, cost_model)
+                deadline = _batch_deadline(batch)
                 due[slot] = (time.monotonic() + deadline, deadline)
                 workers.send(slot, (many_runner, plan(batch), batch, session))
 
@@ -1335,12 +1126,13 @@ def _run_on_workers(
 class _StealingQueues:
     """Per-slot batch queues with largest-half work stealing.
 
-    The coordinator state of :class:`ShmCrossRunBackend`: every worker
+    The coordinator state of :class:`MultiprocessingBackend`: every worker
     slot owns a queue of batches (each batch a run-index slice of one
     ``stack_key`` group).  Seeding is LPT -- heaviest group onto the
     lightest slot -- followed by an eager pre-split that cuts the
     biggest batches until every slot can start busy and no splittable
     batch holds more than its ``1/slots`` share of the estimated cost
+    (:func:`estimate_cell_cost`)
     (a single huge group still spreads across the whole pool, and one
     heavy group cannot become the critical path while a slot idles:
     a batch in flight can no longer be stolen from).  :meth:`next_batch`
@@ -1353,16 +1145,12 @@ class _StealingQueues:
     """
 
     def __init__(
-        self,
-        groups: Sequence[Sequence["CellSpec"]],
-        slots: int,
-        estimate: Callable[["CellSpec"], float] | None = None,
+        self, groups: Sequence[Sequence["CellSpec"]], slots: int
     ) -> None:
         if slots < 1:
             raise ValueError(f"slots must be at least 1, got {slots}")
         self.slots = slots
         self.steals = 0
-        self._estimate = estimate or estimate_cell_cost
         self._queues: list[list[list["CellSpec"]]] = [[] for _ in range(slots)]
         loads = [0.0] * slots
         for group in sorted(groups, key=self._cost, reverse=True):
@@ -1374,7 +1162,7 @@ class _StealingQueues:
         self._presplit()
 
     def _cost(self, batch: Sequence["CellSpec"]) -> float:
-        return math.fsum(self._estimate(cell) for cell in batch)
+        return math.fsum(estimate_cell_cost(cell) for cell in batch)
 
     def _presplit(self) -> None:
         """Cut the biggest batches until every slot can start busy and
@@ -1432,55 +1220,88 @@ class _StealingQueues:
         return batch[:half]
 
 
-class ShmCrossRunBackend(MultiprocessingBackend):
+class MultiprocessingBackend(SweepBackend):
     """Zero-copy parallel cross-run execution with work stealing.
 
-    The pooled counterpart of :meth:`SweepBackend.execute_many`: whole
-    ``stack_key`` groups (or stolen run-index slices of them) run in
-    pool workers that write their stacked payloads into shared-memory
-    blocks owned by a :class:`SharedResultArena`, and the dispatcher
-    is a :class:`_StealingQueues` coordinator -- one in-flight batch
-    per worker slot, a finishing slot is refilled from its own queue
-    or by stealing the largest half of the heaviest victim's biggest
-    pending batch.  The fallback ladder keeps every rung
-    bit-identical: no usable pool drops to in-process serial
-    cross-run; no usable ``shared_memory`` (or an over-cap block)
-    drops that batch to the pickle rung.  The dispatch label records
-    the rung and the steal count, e.g.
-    ``cross-run-shm(4 batches, max R=16, steals=1)``.
+    The one pooled backend: whole ``stack_key`` groups (or stolen
+    run-index slices of them) run in the persistent sweep worker
+    processes, which write their stacked payloads into shared-memory
+    blocks owned by a :class:`SharedResultArena`, and the dispatcher is
+    a :class:`_StealingQueues` coordinator -- one in-flight batch per
+    worker slot, a finishing slot is refilled from its own queue or by
+    stealing the largest half of the heaviest victim's biggest pending
+    batch.  Pooled sweeps always run cross-run groups.  The fallback
+    ladder keeps every rung bit-identical: where a pool cannot win the
+    groups run in-process (label ``cross-run(...)``); a batch without
+    usable ``shared_memory`` (or over the block cap) rides the pickle
+    rung.  The dispatch label records the rung that ran and the steal
+    count, e.g. ``cross-run-shm(4 batches, max R=16, steals=1)``; it
+    reads ``cross-run-pickle(...)`` when no batch rode a block.
     """
 
     def __init__(
-        self,
-        workers: int,
-        dispatch_mode: str = "auto",
-        cost_model: CostModel | None = None,
-        max_block_bytes: int = _DEFAULT_MAX_BLOCK_BYTES,
+        self, workers: int, max_block_bytes: int = _DEFAULT_MAX_BLOCK_BYTES
     ) -> None:
-        super().__init__(workers, dispatch_mode=dispatch_mode)
-        self.cost_model = cost_model or _STATIC_COST_MODEL
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        self.workers = workers
         self.max_block_bytes = max_block_bytes
-        #: Counters of the last :meth:`execute_many` arena (``None``
-        #: until a pooled cross-run dispatch has happened).
+        #: Counters of the last pooled dispatch's arena (``None`` until
+        #: a pooled dispatch has happened).
         self.last_arena_stats: ArenaStats | None = None
-        #: Steal count of the last pooled dispatch.
-        self.last_steals = 0
+
+    def _pool_decision(self, tasks: int, dispatch: str) -> bool:
+        """Whether a pool can win for ``tasks`` dispatch units.
+
+        A single usable CPU is the canonical lost cause: worker
+        processes merely time-slice the same core, so every fork,
+        pickle and IPC round-trip is pure overhead.  Those invocations
+        fall back to in-process dispatch, which the ``cross-run(...)``
+        label (no rung) records.
+
+        ``dispatch`` overrides the heuristic: ``serial`` always runs
+        in-process, ``pool`` always dispatches to workers -- warning
+        (instead of silently falling back) when only one usable CPU
+        exists, so pool code paths stay testable on 1-CPU CI boxes at
+        an explicitly acknowledged cost.
+        """
+        if dispatch == "serial" or tasks < 1:
+            return False
+        if dispatch == "pool":
+            cpus = _usable_cpus()
+            if cpus < 2:
+                # Counted so the CLI can surface a one-line warning
+                # summary after the sweep -- RuntimeWarnings otherwise
+                # vanish under pytest/capture harnesses.
+                count("sweep.pool.forced_one_cpu")
+                warnings.warn(
+                    f"dispatch mode {dispatch!r} forced with "
+                    f"{self.workers} workers on {cpus} usable cpu: the "
+                    "pool cannot win here (fork/pickle/IPC overhead with "
+                    "nothing to overlap); results are identical but slower",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return True
+        return self.workers > 1 and tasks > 1 and _usable_cpus() >= 2
 
     def execute_many(
-        self, cells: Sequence["CellSpec"], many_runner: ManyRunner
+        self,
+        cells: Sequence["CellSpec"],
+        many_runner: ManyRunner,
+        dispatch: str = "auto",
+        cross_run: bool = True,
     ) -> list["CellResult"]:
         # Batches split by run index, so the parallelism bound is the
         # cell count, not the group count -- one big group still fans
-        # out across the pool.
-        if not self._pool_decision(len(cells)):
+        # out across the pool.  Whichever way it dispatches, a pooled
+        # backend runs cross-run groups.
+        if not self._pool_decision(len(cells), dispatch):
             return SweepBackend.execute_many(self, cells, many_runner)
 
         groups = _batch_groups(cells)
         arena = SharedResultArena(max_block_bytes=self.max_block_bytes)
-        rung = "shm" if arena.enabled else "pickle"
-        queues = _StealingQueues(
-            groups, self.workers, self.cost_model.estimate
-        )
+        queues = _StealingQueues(groups, self.workers)
         results = []
 
         def finish(batch: list["CellSpec"], outcome) -> None:
@@ -1497,14 +1318,18 @@ class ShmCrossRunBackend(MultiprocessingBackend):
                 next_batch=queues.next_batch,
                 plan=arena.plan,
                 finish=finish,
-                cost_model=self.cost_model,
             )
         finally:
             self.last_arena_stats = arena.close()
-            self.last_steals = queues.steals
+        # The rung that ran: a batch rode a block, or none did.
+        rung = "shm" if self.last_arena_stats.shm_bytes else "pickle"
         max_r = max((len(group) for group in groups), default=0)
         self.dispatch = (
             f"cross-run-{rung}({len(groups)} batches, "
             f"max R={max_r}, steals={queues.steals})"
         )
         return results
+
+
+#: The pooled backend under its shared-memory name.
+ShmCrossRunBackend = MultiprocessingBackend

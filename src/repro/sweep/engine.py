@@ -1,19 +1,22 @@
 """Sweep orchestration: cells in, cached/backed execution, result out.
 
-Each grid cell is executed by the module-level :func:`run_cell` (module
-level so it pickles), which materializes the cell's config through its
-scenario, runs the simulator -- by default on the trace-lite fast path
--- and condenses the outcome into a :class:`CellResult` of plain
-primitives, optionally augmented by a named probe.
+Cells run in groups through the module-level :func:`run_cell_many`
+(module level so it pickles): a group of several cells advances on the
+stacked cross-run engine, a group of one runs through :func:`run_cell`,
+which materializes the cell's config through its scenario, runs the
+simulator -- by default on the trace-lite fast path -- and condenses
+the outcome into a :class:`CellResult` of plain primitives, optionally
+augmented by a named probe.
 
-:func:`run_sweep` itself no longer knows how cells run: execution is
-delegated to a pluggable :class:`~repro.sweep.backends.SweepBackend`
-(serial, or a work-stealing pool of cross-run groups), and every
-backend consults an optional content-addressed
-:class:`~repro.sweep.cache.CellStore` before executing a cell and
-writes through after.  Fanning a grid across hosts is a sweep of each
-shard's cells (:func:`~repro.sweep.grid.shard_cells`) into one shared
-store, which then serves the whole grid warm.
+:func:`run_sweep` itself does not know how cells run: it hands the
+uncached cells and :func:`run_cell_many` to the one execution method
+of a pluggable :class:`~repro.sweep.backends.SweepBackend` (in
+process, cell by cell or as cross-run groups, or the work-stealing
+pool of cross-run groups), and the optional content-addressed
+:class:`~repro.sweep.cache.CellStore` is consulted before executing a
+cell and written through after.  Fanning a grid across hosts is a
+sweep of each shard's cells (:func:`~repro.sweep.grid.shard_cells`)
+into one shared store, which then serves the whole grid warm.
 
 Determinism contract: a cell's result is a pure function of the cell.
 Every stochastic component draws from ``derive_rng(seed, ...)`` streams
@@ -66,8 +69,8 @@ from ..runtime.trace import LiteTrace
 from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
+    MultiprocessingBackend,
     SerialBackend,
-    ShmCrossRunBackend,
     SweepBackend,
 )
 from .cache import CellStore
@@ -123,8 +126,8 @@ class CellResult:
     #: Observed compute seconds of this cell (a per-run share of its
     #: group for cross-run execution); ``None`` for cache/journal
     #: replays.  A machine property: excluded from equality and from
-    #: the cache serialization, consumed by
-    #: :meth:`~repro.sweep.backends.CostModel.fit` via the journal.
+    #: the cache serialization; it feeds the ``sweep.cell.seconds``
+    #: histogram.
     elapsed: float | None = field(default=None, compare=False, repr=False)
     #: Cell-scoped telemetry counters (``(name, value)`` pairs, e.g.
     #: sampled kernel phase timings) recorded where the cell actually
@@ -341,30 +344,6 @@ def run_cell(
     return result
 
 
-def _run_cell_cached(
-    cell: CellSpec,
-    trace_detail: TraceDetail = "lite",
-    probe: str | None = None,
-    store: CellStore | None = None,
-    telemetry: TelemetryConfig | None = None,
-) -> CellResult:
-    """Cache-through cell runner (module level so it pickles).
-
-    The double-check against the store matters: workers of concurrent
-    shard invocations may have produced the cell since the parent
-    filtered its misses, and writing through here (not in the parent)
-    is what makes interrupted sweeps resumable.
-    """
-    cached = store.load(cell, trace_detail, probe)
-    if cached is not None:
-        return cached
-    result = run_cell(
-        cell, trace_detail=trace_detail, probe=probe, telemetry=telemetry
-    )
-    store.save(result, trace_detail, probe)
-    return result
-
-
 def run_cell_many(
     cells: list[CellSpec],
     trace_detail: TraceDetail = "lite",
@@ -375,16 +354,17 @@ def run_cell_many(
 ) -> list[CellResult]:
     """Execute a group of cells through the cross-run vectorized engine.
 
-    The unit of work of cross-run sweeps (module level so it pickles):
-    the cells are partitioned by :attr:`CellSpec.stack_key` -- the
+    The unit of work of every sweep (module level so it pickles): the
+    cells are partitioned by :attr:`CellSpec.stack_key` -- the
     engine's own stacking rule, so attacks, movements, epsilons, round
     budgets and declared stateful families share a group -- and each
     group is handed to :func:`repro.runtime.simulator.simulate_many`,
     which stacks the group's runs into one ``(R, n)`` state array and
     advances them in lockstep -- one sort/fold pass per round for the
-    whole group.  Results are bit-identical to :func:`run_cell`
-    execution and come back in input order; groups the stacked engine
-    cannot take (full traces, stateful families without a declared
+    whole group.  A group of one cell runs through :func:`run_cell`.
+    Results are bit-identical to :func:`run_cell` execution and come
+    back in input order; groups the stacked engine cannot take (full
+    traces, stateful families without a declared
     :meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`,
     partial topologies) fall back to the per-run paths inside
     ``simulate_many`` itself.
@@ -392,10 +372,10 @@ def run_cell_many(
     ``out`` -- a :class:`~repro.runtime.simulator.RunBatchOut`, slot
     ``i`` for ``cells[i]`` -- additionally lands each stacked group's
     results in the caller's buffer (the shared-memory path of
-    :class:`~repro.sweep.backends.ShmCrossRunBackend`), written from
-    the condensed results once the whole group has succeeded; cells
-    that never run in a group here (config errors, store hits,
-    per-cell fallback reruns) leave their slot unwritten, which
+    :class:`~repro.sweep.backends.MultiprocessingBackend`), written
+    from the condensed results once the whole group has succeeded;
+    cells that never ran cleanly here (config and run errors, store
+    hits, per-cell fallback reruns) leave their slot unwritten, which
     ``out.written`` records.
     """
     if telemetry is not None:
@@ -407,9 +387,10 @@ def run_cell_many(
     pending: list[int] = []
     for idx, cell in enumerate(cells):
         if store is not None:
-            # Same double-check as _run_cell_cached: concurrent shard
-            # invocations may have produced the cell since the parent
-            # filtered its misses.
+            # The double-check against the store matters: concurrent
+            # shard invocations may have produced the cell since the
+            # parent filtered its misses, and writing through here (not
+            # in the parent) is what makes interrupted sweeps resumable.
             cached = store.load(cell, trace_detail, probe)
             if cached is not None:
                 results[idx] = cached
@@ -420,6 +401,17 @@ def run_cell_many(
     for idx in pending:
         groups.setdefault(cells[idx].stack_key, []).append(idx)
     for indices in groups.values():
+        if len(indices) == 1:
+            # A group of one gains nothing from stacking; run_cell
+            # computes an error cell once, not once stacked and again
+            # per cell.
+            idx = indices[0]
+            results[idx] = run_cell(
+                cells[idx], trace_detail=trace_detail, probe=probe, kernel=kernel
+            )
+            if out is not None and results[idx].error is None:
+                out.write(idx, results[idx])
+            continue
         configs = []
         runnable: list[int] = []
         built = build_cell_configs([cells[idx] for idx in indices])
@@ -461,8 +453,7 @@ def run_cell_many(
                     kernel=kernel,
                 )
             continue
-        # Each run's share of the group's one stacked pass: the
-        # per-cell number CostModel.fit consumes from the journal.
+        # Each run's share of the group's one stacked pass.
         share = (time.perf_counter() - started) / len(runnable)
         for idx, trace in zip(runnable, traces):
             results[idx] = _condense_trace(cells[idx], trace, probe_spec, share)
@@ -495,7 +486,7 @@ def _resolve_backend(
         if backend == "serial":
             return SerialBackend()
         if backend == "multiprocessing":
-            return ShmCrossRunBackend(max(workers, 1), dispatch_mode=dispatch)
+            return MultiprocessingBackend(max(workers, 1))
         raise ValueError(
             f"unknown backend {backend!r}; known: serial, multiprocessing"
         )
@@ -520,28 +511,28 @@ def run_sweep(
     ``workers <= 1`` runs in-process; more workers ship cross-run
     groups (see :func:`run_cell_many`) to the work-stealing
     shared-memory pool of
-    :class:`~repro.sweep.backends.ShmCrossRunBackend`, which degrades
-    rung by rung (shm, pickle pool, in-process) without changing
-    results.  ``backend`` overrides that default resolution with any
-    :class:`~repro.sweep.backends.SweepBackend` or one of the names
-    ``"serial"`` / ``"multiprocessing"`` (the pool).  ``cache`` -- a
+    :class:`~repro.sweep.backends.MultiprocessingBackend`, which
+    degrades rung by rung (shm, pickle pool, in-process) without
+    changing results.  ``backend`` overrides that default resolution
+    with any :class:`~repro.sweep.backends.SweepBackend` or one of the
+    names ``"serial"`` / ``"multiprocessing"`` (the pool).  ``cache`` -- a
     :class:`~repro.sweep.cache.CellStore` or a directory path -- is
     consulted before executing each cell and written through after.
 
     ``dispatch`` (one of :data:`~repro.sweep.backends.DISPATCH_MODES`)
-    overrides the pool heuristic of pooled backends for this call only:
-    ``serial`` forces in-process execution, ``pool`` forces the worker
-    pool even on one usable CPU (with a warning).  ``progress``
-    is called as
+    reaches the backend's pool decision with this call: ``serial``
+    forces in-process execution, ``pool`` forces the worker pool even
+    on one usable CPU (with a warning).  ``progress`` is called as
     ``progress(result, done, total)`` for every result exactly once,
-    as early as the backend's reporting granularity allows.
+    as each group of cells finishes.
     ``journal`` -- a :class:`~repro.sweep.service.SweepJournal` --
     replays cells completed by an interrupted earlier invocation and
     records each fresh result as it lands, making the sweep resumable.
     ``cross_run`` chooses the cross-run engine for in-process sweeps
     too: each compatible group advances as one stacked ``(R, n)``
-    state array instead of cell by cell, as the result's ``dispatch``
-    label records.  Pooled sweeps always run cross-run groups.
+    state array instead of cell by cell (label ``serial``), as the
+    result's ``dispatch`` label records.  Pooled sweeps always run
+    cross-run groups.
 
     Results are identical for every backend, worker count, dispatch
     mode, journal and cache state, and sorted by cell key, so the
@@ -712,10 +703,9 @@ def _run_sweep(
     cache_before = store.snapshot() if store is not None else None
 
     # Every result flows through the reporter exactly once: journal
-    # replays and cache hits immediately, executed cells as early as
-    # the backend's granularity allows (per cell serially, per group or
-    # stolen batch cross-run), anything a backend did not emit early
-    # after execution returns.
+    # replays and cache hits immediately, executed cells as each group
+    # finishes (one cell, a cross-run group or a stolen batch), anything
+    # a backend did not emit early after execution returns.
     total = len(cells)
     done = 0
     reported: set[tuple] = set()
@@ -752,20 +742,10 @@ def _run_sweep(
         "sweep.dispatch", backend=type(resolved).__name__
     )
     dispatch_span.__enter__()
-    # A dispatch override applies to this call only: a caller's backend
-    # instance keeps its own mode for later sweeps.
-    own_mode = resolved.dispatch_mode
-    if dispatch != "auto":
-        resolved.dispatch_mode = dispatch
     try:
-        options = dict(trace_detail=trace_detail, probe=probe, telemetry=tconfig)
         hits: list[CellResult] = []
         missing = remaining
-        if store is None:
-            runner = partial(run_cell, **options)
-        else:
-            options["store"] = store
-            runner = partial(_run_cell_cached, **options)
+        if store is not None:
             missing = []
             for cell in remaining:
                 cached = store.load(cell, trace_detail, probe)
@@ -776,15 +756,19 @@ def _run_sweep(
                     missing.append(cell)
             for result in hits:
                 report(result)
-        executed = hits + (
-            resolved.execute_many(missing, partial(run_cell_many, **options))
-            if cross_run or resolved.pooled
-            else resolved.execute(missing, runner)
+        runner = partial(
+            run_cell_many,
+            trace_detail=trace_detail,
+            probe=probe,
+            store=store,
+            telemetry=tconfig,
+        )
+        executed = hits + resolved.execute_many(
+            missing, runner, dispatch=dispatch, cross_run=cross_run
         )
         for result in executed:
             report(result)
     finally:
-        resolved.dispatch_mode = own_mode
         resolved.on_result = None
         dispatch_span.set("label", resolved.dispatch)
         dispatch_span.__exit__(None, None, None)

@@ -185,7 +185,8 @@ class CellSpec:
 
         The scalar family a stackable cell folds as (``"bonomi"`` for a
         declared tseng or witness cell), else the cell's own family --
-        what the cell costs to run (:class:`~repro.sweep.backends.CostModel`).
+        what the cell costs to run
+        (:func:`~repro.sweep.backends.estimate_cell_cost`).
         """
         stacking = self._stacking
         return self.family if stacking is None else stacking[3]

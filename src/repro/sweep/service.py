@@ -20,14 +20,9 @@ all cached are answered entirely from the store -- the engine's hit
 filter leaves nothing to execute, so no worker pool is ever touched
 (the response's ``tier`` field proves it) -- while cold cells are
 scheduled through the cross-run engine (the zero-copy shared-memory
-stealing pool where more than one worker and CPU exist) and written
-through, warming the cache for every later client.
-
-The journal additionally records each fresh result's observed compute
-seconds (``elapsed``), making it a calibration source:
-:meth:`SweepJournal.observations` feeds
-:meth:`~repro.sweep.backends.CostModel.fit`, which replaces the
-hand-tuned family cost weights with measured ones.
+stealing pool of :class:`~repro.sweep.backends.MultiprocessingBackend`
+where more than one worker and CPU exist) and written through, warming
+the cache for every later client.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..telemetry import TelemetryConfig, activate, get_registry
-from .backends import ShmCrossRunBackend, grid_fingerprint
+from .backends import MultiprocessingBackend, grid_fingerprint
 from .cache import (
     SWEEP_SCHEMA_VERSION,
     CellStore,
@@ -90,7 +85,6 @@ class SweepJournal:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._completed: dict[tuple, "CellResult"] = {}
-        self._timings: dict[tuple, float] = {}
         self._handle = None
 
     @property
@@ -146,7 +140,6 @@ class SweepJournal:
 
         grid_keys = {cell.key for cell in cells}
         self._completed = {}
-        self._timings = {}
         if self.results_path.exists():
             data = self.results_path.read_bytes()
             complete = data[: data.rfind(b"\n") + 1]
@@ -161,8 +154,7 @@ class SweepJournal:
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
-                    result = result_from_dict(entry)
+                    result = result_from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError):
                     # A corrupt line: the cell re-runs, bit-identically.
                     continue
@@ -173,9 +165,6 @@ class SweepJournal:
                         "of this grid -- wrong journal directory?"
                     )
                 self._completed[result.key] = result
-                elapsed = entry.get("elapsed")
-                if isinstance(elapsed, (int, float)) and elapsed > 0:
-                    self._timings[result.key] = float(elapsed)
         self._handle = open(self.results_path, "a", encoding="utf-8")
         return dict(self._completed)
 
@@ -189,33 +178,12 @@ class SweepJournal:
         if result.key in self._completed:
             return False
         payload = result_to_dict(result)
-        if result.elapsed is not None and result.elapsed > 0:
-            # Observed compute seconds ride each line (ignored by
-            # result_from_dict, so replay stays schema-compatible);
-            # CostModel.fit consumes them via observations().
-            payload["elapsed"] = result.elapsed
-            self._timings[result.key] = result.elapsed
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
         # Flushed per result: a journal that loses the cells finished
         # just before the crash would defeat its purpose.
         self._handle.flush()
         self._completed[result.key] = result
         return True
-
-    def timings(self) -> dict[tuple, float]:
-        """Observed compute seconds by cell key (recorded + replayed)."""
-        return dict(self._timings)
-
-    def observations(self):
-        """Yield ``(result, seconds | None)`` for every completed cell.
-
-        The calibration feed of
-        :meth:`~repro.sweep.backends.CostModel.fit`: results whose
-        journal line carried no timing (replays from older journals,
-        cache hits) yield ``None`` and are skipped by the fitter.
-        """
-        for key, result in self._completed.items():
-            yield result, self._timings.get(key)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -432,7 +400,7 @@ class SweepServer(ThreadingHTTPServer):
         # resolution) keeps the arena stats of the dispatch readable
         # for the /healthz accumulators; its fallback ladder still
         # drops to in-process serial cross-run at 1 worker/CPU.
-        backend = ShmCrossRunBackend(max(self.workers, 1))
+        backend = MultiprocessingBackend(max(self.workers, 1))
         start = time.perf_counter()
         result = run_sweep(
             grid,

@@ -115,7 +115,7 @@ class TestHarvestedLabels:
             ),
             (
                 {"backend": MultiprocessingBackend(2), "dispatch": "pool"},
-                {"pooled": True, "cross_run": True, "rung": None},
+                {"pooled": True, "cross_run": True},
             ),
         ],
     )

@@ -173,16 +173,18 @@ class TestMixedGridBitIdentity:
         assert serial.dispatch == "cross-run(35 batches, max R=96)"
         assert serial.cells == reference.cells
         rungs = {
-            "pickle": ShmCrossRunBackend(
-                2, dispatch_mode="pool", max_block_bytes=1
-            ),
-            "shm": ShmCrossRunBackend(2, dispatch_mode="pool"),
+            "pickle": ShmCrossRunBackend(2, max_block_bytes=1),
+            "shm": ShmCrossRunBackend(2),
         }
         for rung, backend in rungs.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                pooled = run_sweep(specs, backend=backend)
+                pooled = run_sweep(specs, backend=backend, dispatch="pool")
             stats = backend.last_arena_stats
+            # The label names the rung that ran.
+            assert pooled.dispatch.startswith(f"cross-run-{rung}("), (
+                pooled.dispatch
+            )
             if rung == "pickle":
                 assert stats.shm_results == 0, stats
                 assert stats.pickle_results == len(specs), stats

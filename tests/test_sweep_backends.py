@@ -285,6 +285,33 @@ class TestSharedStore:
         first = _run_shard(smaller, 0, 2, store)
         assert_repr_identical(first, run_sweep(smaller))
 
+    def test_completing_shard_reads_each_entry_once(self, grid, tmp_path):
+        cells = list(grid.cells())
+        for index in (0, 1):
+            _run_shard(cells, index, 3, CellStore(tmp_path))
+        store = CellStore(tmp_path)
+        last = _run_shard(cells, 2, 3, store)
+        assert len(last) == len(cells)
+        # The completeness check reads no payload: the warm sweep's one
+        # load per entry is all the completing shard reads.
+        entries = _cached_cells(store)
+        assert len(entries) == len(cells)
+        size = sum(len(path.read_text(encoding="utf-8")) for path in entries)
+        assert last.cache_stats.bytes_read == size
+
+    def test_completing_shard_recomputes_a_corrupt_sibling(
+        self, grid, reference, tmp_path
+    ):
+        cells = list(grid.cells())
+        store = CellStore(tmp_path)
+        for index in (0, 1):
+            _run_shard(cells, index, 3, store)
+        sibling = shard_cells(cells, 0, 3)[0]
+        store.path_for(sibling, "lite").write_text("{torn", encoding="utf-8")
+        last = _run_shard(cells, 2, 3, store)
+        assert_repr_identical(last, reference)
+        assert store.load(sibling, "lite") == reference.by_key()[sibling.key]
+
     def test_probe_and_no_probe_never_mix(self, grid, tmp_path):
         cell = next(iter(grid.cells()))
         store = CellStore(tmp_path)
@@ -315,12 +342,13 @@ class TestCrossRunPackaging:
         assert list(results) == list(reference.cells)
 
     def test_backend_instance_pools_groups(self, grid, reference):
-        backend = MultiprocessingBackend(2, dispatch_mode="pool")
+        backend = MultiprocessingBackend(2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_sweep(grid, backend=backend, cross_run=True)
+            result = run_sweep(grid, backend=backend, dispatch="pool")
         assert result.cells == reference.cells
-        assert result.dispatch.endswith(", parallel)")
+        rec = parse_dispatch_label(result.dispatch)
+        assert rec.pooled and rec.rung in ("shm", "pickle"), result.dispatch
 
     def test_partially_warm_cache_serves_hits_and_runs_misses(
         self, grid, reference, tmp_path
@@ -334,11 +362,14 @@ class TestCrossRunPackaging:
         assert result.cache_stats.hits == len(warmed)
         assert store.misses == len(cells)
 
-    def test_invalid_backend_parameters_rejected(self):
+    def test_invalid_backend_parameters_rejected(self, grid):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ShmCrossRunBackend(workers=0)
-        with pytest.raises(ValueError, match="dispatch_mode must be one of"):
-            ShmCrossRunBackend(workers=2, dispatch_mode="async")
+        with pytest.raises(ValueError, match="dispatch must be one of"):
+            run_sweep(grid, backend=ShmCrossRunBackend(2), dispatch="async")
+
+    def test_both_pool_names_are_one_backend(self):
+        assert ShmCrossRunBackend is MultiprocessingBackend
 
 
 class TestDispatchDecision:
@@ -384,7 +415,7 @@ class TestDispatchDecision:
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
         result = run_sweep(grid, backend=MultiprocessingBackend(workers=2))
         rec = parse_dispatch_label(result.dispatch)
-        assert rec.cross_run and rec.pooled and rec.rung is None
+        assert rec.cross_run and rec.pooled and rec.rung == "shm"
         assert result.cells == reference.cells
 
     def test_single_cell_grid_is_serial_without_fallback_label(self, grid):
@@ -400,7 +431,6 @@ class TestDispatchDecision:
         )
         rec = parse_dispatch_label(result.dispatch)
         assert rec.cross_run and rec.pooled is False
-        assert backend.dispatch_mode == "auto"
         owned = {cell.key for cell in result.cells}
         assert owned == {cell.key for cell in shard_cells(cells, 0, 2)}
         assert result.cells == tuple(
@@ -414,11 +444,13 @@ class TestDispatchDecision:
         backend = MultiprocessingBackend(workers=2)
         forced = run_sweep(grid, backend=backend, dispatch="serial")
         assert not parse_dispatch_label(forced.dispatch).pooled
-        assert backend.dispatch_mode == "auto"
         later = run_sweep(grid, backend=backend)
         assert parse_dispatch_label(later.dispatch).pooled
 
-    def test_dispatch_override_restored_on_error(self, grid):
+    def test_dispatch_override_leaves_no_state_on_error(self, grid, monkeypatch):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
         backend = MultiprocessingBackend(workers=2)
 
         def fail(result, done, total):
@@ -426,7 +458,29 @@ class TestDispatchDecision:
 
         with pytest.raises(RuntimeError, match="injected"):
             run_sweep(grid, backend=backend, dispatch="serial", progress=fail)
-        assert backend.dispatch_mode == "auto"
+        later = run_sweep(grid, backend=backend)
+        assert parse_dispatch_label(later.dispatch).pooled
+
+    @pytest.mark.parametrize("options", [{}, {"dispatch": "serial"}])
+    def test_per_cell_sweep_never_stacks(self, grid, options, monkeypatch):
+        """The non-stacked reference path: one run per simulator call,
+        and the ``serial`` label."""
+        import repro.sweep.engine as engine
+
+        calls = []
+        for name in ("simulate_many", "run_simulation"):
+            original = getattr(engine, name)
+
+            def spy(configs, *args, _name=name, _original=original, **kwargs):
+                runs = len(configs) if _name == "simulate_many" else 1
+                calls.append((_name, runs))
+                return _original(configs, *args, **kwargs)
+
+            monkeypatch.setattr(engine, name, spy)
+        result = run_sweep(grid, **options)
+        assert result.dispatch == "serial"
+        assert calls and all(runs == 1 for _, runs in calls), calls
+        assert len(calls) == len(grid)
 
     def test_dispatch_excluded_from_equality(self, reference):
         from dataclasses import replace

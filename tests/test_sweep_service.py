@@ -114,10 +114,12 @@ class TestDispatchModes:
         assert result.dispatch == "serial"
 
     def test_shm_instance_matches_serial(self, grid, reference):
-        backend = ShmCrossRunBackend(workers=3, dispatch_mode="pool")
+        backend = ShmCrossRunBackend(workers=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_sweep(grid, backend=backend, cross_run=True)
+            result = run_sweep(
+                grid, backend=backend, cross_run=True, dispatch="pool"
+            )
         assert result.cells == reference.cells
         assert result.dispatch.startswith(("cross-run-shm(", "cross-run-pickle("))
 
@@ -183,6 +185,21 @@ class TestSweepJournal:
         manifest = json.loads(journal.manifest_path.read_text())
         assert manifest["grid_size"] == len(reference)
         assert manifest["trace_detail"] == "lite"
+
+    def test_lines_carry_results_only(self, grid, tmp_path):
+        root = tmp_path / "journal"
+        with SweepJournal(root) as journal:
+            run_sweep(grid, journal=journal)
+        text = journal.results_path.read_text()
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert not any("elapsed" in line for line in lines)
+        # A line written with an ``elapsed`` key still replays.
+        lines[0]["elapsed"] = 0.5
+        journal.results_path.write_text(
+            "".join(json.dumps(line) + "\n" for line in lines)
+        )
+        with SweepJournal(root) as replayed:
+            assert len(replayed.open(list(grid.cells()), "lite", None)) == len(grid)
 
     def test_full_replay_executes_nothing(
         self, grid, reference, tmp_path, monkeypatch

@@ -498,6 +498,26 @@ class TestForcedShmBitIdentity:
             result.dispatch,
         ), result.dispatch
 
+    def test_label_names_pickle_when_no_batch_rode_a_block(self):
+        """A block over the default 64 MiB cap is never requested: the
+        batches ride the pickle rung, and the label says so.  Each run
+        plans an 80 MB diameter row for its 10M-round budget, yet ends
+        in a few rounds; planning allocates nothing."""
+        grid = GridSpec(
+            models=("M1",), fs=(2,), ns=(17,), seeds=(0, 1, 2, 3),
+            max_rounds=10_000_000,
+        )
+        cells = list(grid.cells())
+        assert plan_shm_layout(cells[:1]).total_bytes > 64 * 1024 * 1024
+        backend = ShmCrossRunBackend(2)
+        result = shm_sweep(grid, backend=backend)
+        stats = backend.last_arena_stats
+        assert stats.blocks == stats.shm_results == stats.shm_bytes == 0, stats
+        assert stats.pickle_results == len(cells), stats
+        assert result.dispatch.startswith("cross-run-pickle("), result.dispatch
+        assert shm_sweep(grid).dispatch.startswith("cross-run-pickle(")
+        assert result.cells == run_sweep(grid).cells
+
     def test_matches_serial_cross_run(self, grid, reference):
         serial_cross = run_sweep(grid, cross_run=True)
         result = shm_sweep(grid)
@@ -572,12 +592,14 @@ class TestExactlyOnceReporting:
     def test_slow_workers_stay_exactly_once(self):
         specs = list(small_grid().cells())
         reference = [run_cell(spec) for spec in specs]
-        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+        backend = ShmCrossRunBackend(2)
         emitted = []
         backend.on_result = lambda result: emitted.append(result.key)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            results = backend.execute_many(specs, _slow_many_runner)
+            results = backend.execute_many(
+                specs, _slow_many_runner, dispatch="pool"
+            )
         assert len(emitted) == len(set(emitted)) == len(specs)
         assert sorted(r.key for r in results) == sorted(
             r.key for r in reference
@@ -589,14 +611,14 @@ class TestExactlyOnceReporting:
 
     def test_crashing_worker_never_double_delivers(self):
         specs = list(small_grid().cells())
-        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+        backend = ShmCrossRunBackend(2)
         emitted = []
         backend.on_result = lambda result: emitted.append(result.key)
         before = shm_entries()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(RuntimeError, match="injected worker crash"):
-                backend.execute_many(specs, _crashing_many_runner)
+                backend.execute_many(specs, _crashing_many_runner, dispatch="pool")
         # The crash surfaced loudly (no silent drop), nothing was
         # delivered twice, and every block was swept.
         assert len(emitted) == len(set(emitted))
@@ -614,12 +636,12 @@ class TestArenaLeaks:
 
     def test_no_blocks_leak_on_worker_error(self):
         specs = list(small_grid().cells())
-        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+        backend = ShmCrossRunBackend(2)
         before = shm_entries()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(RuntimeError):
-                backend.execute_many(specs, _crashing_many_runner)
+                backend.execute_many(specs, _crashing_many_runner, dispatch="pool")
         assert shm_entries() <= before
 
     def test_no_blocks_leak_on_parent_interrupt(self):
@@ -718,10 +740,10 @@ class TestPersistentWorkers:
     workers hold the code, registry and numpy state of their fork."""
 
     def pooled(self, specs, runner=_probing_many_runner):
-        backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+        backend = ShmCrossRunBackend(2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return backend.execute_many(specs, runner)
+            return backend.execute_many(specs, runner, dispatch="pool")
 
     def test_consecutive_sweeps_share_worker_pids(self):
         specs = list(small_grid().cells())
@@ -844,9 +866,9 @@ class TestPersistentWorkers:
         def sweep(index):
             barrier.wait()
             try:
-                backend = ShmCrossRunBackend(2, dispatch_mode="pool")
+                backend = ShmCrossRunBackend(2)
                 results[index] = backend.execute_many(
-                    specs[index], _paced_many_runner
+                    specs[index], _paced_many_runner, dispatch="pool"
                 )
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
