@@ -21,7 +21,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sweep import CellSpec, estimate_cell_cost, run_cell
+from repro.sweep import (
+    CellSpec,
+    MultiprocessingBackend,
+    estimate_cell_cost,
+    run_cell,
+    run_cell_many,
+)
 from repro.sweep.backends import (
     _StealingQueues,
     _cell_cost,
@@ -122,6 +128,19 @@ class TestStaticModel:
         oracle = cell(model="M3", family="witness", max_rounds=90)
         assert _cost_bound(oracle) == estimate_cell_cost(oracle) * 90 / 40
 
+    def test_bound_never_undercuts_the_estimate(self):
+        # The batch deadline prices the full budget: it may never grant
+        # a cell less than its nominal estimate.
+        for spec in (
+            cell(rounds=7, max_rounds=90),
+            cell(max_rounds=90),
+            cell(max_rounds=10),
+            cell(model="M3", family="witness", max_rounds=90),
+            cell(model="M3", topology="ring:3", family="witness"),
+            cell(n=33, family="tseng"),
+        ):
+            assert _cost_bound(spec) >= estimate_cell_cost(spec)
+
     def test_batch_deadline_scales_with_cost_above_a_floor(self):
         from repro.sweep.backends import (
             _DEADLINE_FLOOR_S,
@@ -152,3 +171,22 @@ class TestElapsedFlow:
         a = run_cell(cell())
         b = run_cell(cell())
         assert a == b  # elapsed is compare-excluded jitter
+
+
+class TestDispatcherIntegration:
+    def test_pooled_backend_steals_mixed_costs_to_run_cell_results(
+        self, monkeypatch
+    ):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 2)
+        cells = [cell(seed=seed) for seed in range(3)] + [
+            cell(seed=seed, model="M3", family="witness") for seed in range(2)
+        ]
+        backend = MultiprocessingBackend(2)
+        results = backend.execute_many(cells, run_cell_many, dispatch="pool")
+        assert backend.last_arena_stats is not None  # the pool ran them
+        reference = [run_cell(spec) for spec in cells]
+        assert sorted(results, key=lambda r: r.key) == sorted(
+            reference, key=lambda r: r.key
+        )
