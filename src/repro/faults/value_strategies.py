@@ -26,6 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 try:  # numpy is optional: only the batched class hooks need it.
     import numpy as _np
@@ -284,6 +285,18 @@ class ValueStrategy(ABC):
         """
         return 0 if self.sender_agnostic else None
 
+    def sender_classes(self, n: int) -> tuple:
+        """Every pid's :meth:`sender_class`, for pids ``0..n-1``.
+
+        Fault controllers resolve this once per run.  An override must
+        equal the per-pid map, and must defer to this default when a
+        subclass re-routes :meth:`sender_class`.
+        """
+        if type(self).sender_class is ValueStrategy.sender_class:
+            # The default key reads no sender: every pid shares one class.
+            return _uniform_classes(self.sender_class(0), n)
+        return tuple(map(self.sender_class, range(n)))
+
     @abstractmethod
     def attack_message(
         self, view: AdversaryView, sender: int, recipient: int | None
@@ -435,6 +448,18 @@ class ValueStrategy(ABC):
 def _zero_assignment(view: AdversaryView) -> tuple[int, ...]:
     """The single-camp assignment (everybody camp 0), shared per round."""
     return view.memo("camps-zero", lambda: (0,) * view.n)
+
+
+@lru_cache(maxsize=16)
+def _uniform_classes(key, n: int) -> tuple:
+    """``(key,) * n``, one shared tuple per ``key`` and ``n``."""
+    return (key,) * n
+
+
+@lru_cache(maxsize=16)
+def _parity_classes(n: int) -> tuple[int, ...]:
+    """``pid % 2`` for pids ``0..n-1``, one shared tuple per ``n``."""
+    return tuple(pid % 2 for pid in range(n))
 
 
 def _parity_assignment(view: AdversaryView) -> tuple[int, ...]:
@@ -773,6 +798,11 @@ class CrossfireAttack(ValueStrategy):
 
     def sender_class(self, sender: int) -> int:
         return sender % 2
+
+    def sender_classes(self, n: int) -> tuple:
+        if type(self).sender_class is not CrossfireAttack.sender_class:
+            return super().sender_classes(n)
+        return _parity_classes(n)
 
     def attack_message(
         self, view: AdversaryView, sender: int, recipient: int | None

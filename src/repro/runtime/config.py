@@ -118,6 +118,9 @@ class SimulationConfig:
         family.check_topology(self.resolve_topology(), self)
         if isinstance(self.setup, StaticMixedSetup):
             self.setup.assignment.validate_for(self.n)
+        # Every input of the bound is a frozen field: decided once per
+        # config, read by meets_bound() (and every trace description).
+        object.__setattr__(self, "_meets_bound", self.n >= self.required_n())
         if self.bound_check == "error" and not self.meets_bound():
             raise ValueError(
                 f"n={self.n} is below the resilience bound "
@@ -149,7 +152,7 @@ class SimulationConfig:
 
     def meets_bound(self) -> bool:
         """Whether this configuration satisfies the resilience bound."""
-        return self.n >= self.required_n()
+        return self._meets_bound
 
     def describe(self) -> str:
         """One-line config summary recorded in traces.

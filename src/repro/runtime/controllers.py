@@ -188,9 +188,9 @@ def _sender_classes(key, n: int) -> tuple:
     """Every pid's sender class under ``key`` (all ``None`` without one)."""
     if key is None:
         return (None,) * n
-    if getattr(key, "__func__", None) is ValueStrategy.sender_class:
-        # The default key reads no sender: every pid shares one class.
-        return (key(0),) * n
+    strategy = getattr(key, "__self__", None)
+    if isinstance(strategy, ValueStrategy) and key == strategy.sender_class:
+        return strategy.sender_classes(n)
     return tuple(map(key, range(n)))
 
 
@@ -654,15 +654,16 @@ def _seeded_view(
     return view
 
 
-def _gather(table, codes):
+def _gather(table, offsets):
     """``table[i, codes[i, j]]`` for every row ``i`` and pid ``j``.
 
-    A one-class table is returned as is: it broadcasts over the pids.
+    ``offsets`` is the codes plus each row's start in the flattened
+    table (:attr:`_Layout.offsets`).  A one-class table is returned as
+    is: it broadcasts over the pids.
     """
-    count, width = table.shape
-    if width == 1:
+    if table.shape[1] == 1:
         return table
-    return table.take(codes + (_np.arange(count) * width)[:, None])
+    return table.take(offsets)
 
 
 def _whole(rows, count: int):
@@ -673,6 +674,21 @@ def _whole(rows, count: int):
     exactly what the (cheaper) full slice does.
     """
     return slice(None) if rows.shape[0] == count else rows
+
+
+def _span(rows, count: int):
+    """Sorted unique ``rows`` as the cheapest index selecting them.
+
+    A full slice when they name all ``count`` rows, a slice when they
+    are one contiguous run (sweeps order a stack's cells attack by
+    attack, so a value group's rows usually are), else ``rows``.
+    """
+    size = rows.shape[0]
+    if size == count:
+        return slice(None)
+    if size and int(rows[-1]) - int(rows[0]) == size - 1:
+        return slice(int(rows[0]), int(rows[0]) + size)
+    return rows
 
 
 def _groups(gids, hooks):
@@ -773,34 +789,39 @@ class _Round:
         "exact",
         "departures",
         "computes",
-        "camp_values",
+        "class_values",
+        "class_counts",
         "camp_codes",
-        "camp_counts",
         "plans",
         "records",
-        "row_extras",
+        "row_outboxes",
         "sets",
         "_values",
     )
 
-    def __init__(self, index, stack, runs, wrap, width) -> None:
+    def __init__(self, index, stack, layout: "_Layout", wrap) -> None:
         count = stack.shape[0]
         self.index = index
         self.stack = stack
-        self.runs = runs
+        self.runs = layout.runs
         self.wrap = wrap
-        self.departures = _np.zeros((count, width))
-        self.computes = _np.zeros((count, width))
-        #: Batched rows' attack camp values per class, ``(count, width, C)``.
-        self.camp_values = None
-        #: Each row's recipient camp codes and camp count (0: no camps).
-        self.camp_codes = _np.zeros(stack.shape, dtype=_np.intp)
-        self.camp_counts = _np.zeros(count, dtype=_np.intp)
+        #: Departure and compute values per class slot, ``(count,
+        #: width)``: the layout's tables, whose cells are written in the
+        #: round that reads them (see `_gather`'s callers).
+        self.departures = layout.departures
+        self.computes = layout.computes
+        #: Batched rows' attack camp values per class, ``(count, width,
+        #: C)``, and their override senders per class, ``(count, width)``.
+        self.class_values = None
+        self.class_counts = None
+        #: Each batched row's recipient camps: True for camp 1 (the
+        #: kinds ClassValues names have at most two), else camp 0.
+        self.camp_codes = _np.zeros(stack.shape, dtype=bool)
         self.plans: list = [None] * count
-        #: Per-row route results: a row's record, and its override extras
-        #: in per-cell order.
+        #: Per-row route results: a row's record, and its camp outboxes
+        #: in per-cell ``send_overrides`` order.
         self.records: dict[int, _RowRecord] = {}
-        self.row_extras: dict[int, list] = {}
+        self.row_outboxes: dict[int, list] = {}
         #: Run -> (positions before, positions after) this round's move,
         #: as per-run frozensets, once a consumer asked for them.
         self.sets: dict[int, tuple] = {}
@@ -830,35 +851,52 @@ class _Layout:
         "runs",
         "planned",
         "fallback",
+        "fallback_rows",
         "rows",
+        "span",
         "class_runs",
+        "whole",
         "move_groups",
         "value_groups",
         "f",
-        "m4",
-        "quiet",
-        "planted",
         "codes",
+        "offsets",
+        "departures",
+        "computes",
     )
 
 
 class _MoveGroup:
-    """The rows one :meth:`MovementStrategy.next_hosts` call steps."""
+    """The rows one :meth:`MovementStrategy.next_hosts` call steps.
+
+    Built once per active-run set; :meth:`start` points it at a round.
+    """
 
     __slots__ = (
-        "strategies", "hosts", "n", "f", "stepped", "_planner", "_round", "_rows"
+        "strategies", "hosts", "n", "f", "stepped", "runs", "_planner",
+        "_round", "_rows",
     )
 
-    def __init__(self, planner, rnd, group, hosts) -> None:
-        rows, self.strategies, self.f = group
-        self.hosts = hosts
-        self.n = hosts.shape[1]
+    def __init__(self, planner, rows, runs, strategies, f, n) -> None:
+        self.strategies = strategies
+        self.f = f
+        self.n = n
+        self.hosts = None
         #: Whether the rows stepped through :meth:`masks_of`, which keeps
         #: their position sets current.
         self.stepped = False
+        #: The rows' runs, whose position sets lag a batched step.
+        self.runs = runs
         self._planner = planner
-        self._round = rnd
+        self._round = None
         self._rows = rows
+
+    def start(self, rnd, hosts) -> "_MoveGroup":
+        """This group in round ``rnd``, its rows' current ``hosts``."""
+        self._round = rnd
+        self.hosts = hosts
+        self.stepped = False
+        return self
 
     def view(self, k: int) -> AdversaryView:
         """Row ``k``'s movement view, as its controller builds it."""
@@ -892,7 +930,10 @@ class _MoveGroup:
 
 
 class _ValueGroup:
-    """The rows one :meth:`ValueStrategy.class_values` call plans."""
+    """The rows one :meth:`ValueStrategy.class_values` call plans.
+
+    Built once per active-run set; :meth:`start` points it at a round.
+    """
 
     __slots__ = (
         "strategies",
@@ -900,24 +941,36 @@ class _ValueGroup:
         "high",
         "round_index",
         "senders",
+        "hook",
+        "rows",
+        "span",
         "_planner",
         "_round",
-        "_rows",
     )
 
-    def __init__(self, planner, rnd, rows, senders, strategies) -> None:
-        self.strategies = strategies
-        self.low = rnd.low[rows]
-        self.high = rnd.high[rows]
-        self.round_index = rnd.index
+    def __init__(self, planner, hook, senders, rows, strategies, count) -> None:
+        self.hook = hook
         self.senders = senders
+        self.strategies = strategies
+        #: The group's stack rows, and the cheapest index selecting them.
+        self.rows = rows
+        self.span = _span(rows, count)
+        self.low = self.high = self.round_index = None
         self._planner = planner
+        self._round = None
+
+    def start(self, rnd: _Round) -> "_ValueGroup":
+        """This group in round ``rnd``: its rows' correct ranges."""
         self._round = rnd
-        self._rows = rows
+        self.round_index = rnd.index
+        # Copies: a hook may write into what it is handed.
+        self.low = rnd.low[self.rows]
+        self.high = rnd.high[self.rows]
+        return self
 
     def plan_row(self, k: int) -> None:
         """Plan row ``k`` through its own views (the per-row route)."""
-        self._planner._plan_row(self._round, int(self._rows[k]))
+        self._planner._plan_row(self._round, int(self.rows[k]))
 
 
 @dataclass
@@ -926,14 +979,16 @@ class StackPlan:
 
     Produced by :meth:`CrossRunPlanner.plan_many`; row ``i`` is the
     ``i``-th planned run.  The masks and value arrays cover every row.
-    Class-planned rows carry their override traffic as flattened camp
-    values (``extra_*``; each row's override senders in pid order, or
-    in the per-cell ``send_overrides`` order where that order can
-    matter) plus ``camp_codes[i]`` -- the recipients' camp indices --
-    and ``camp_counts[i]``, the camp count (``0`` when no process
-    overrides its sends).  ``plans[i]`` is ``None`` for those array
-    rows; rows
-    planned through their controller's
+    Batched rows carry their override traffic as camp values per sender
+    class: ``class_values[i, s]`` holds the camp values of class slot
+    ``s`` and ``class_counts[i, s]`` how many of the row's override
+    senders send them (both ``None`` when no row is batched), and
+    ``camp_codes[i]`` is True where a recipient takes camp 1 (camp 0
+    elsewhere, and on every other row).
+    Rows planned through the per-row route keep their camp outboxes, in
+    the per-cell ``send_overrides`` order, in ``row_outboxes[i]``.
+    ``plans[i]`` is ``None`` for those array rows; rows planned
+    through their controller's
     :meth:`~MobileFaultController.plan_round` (and rows whose outboxes
     the stacked fold cannot express) carry their :class:`RoundPlan`
     there instead.  :meth:`plan` builds one on demand for any row.
@@ -948,7 +1003,8 @@ class StackPlan:
         silence and, where the model is cured-aware, cured processes.
     garbage, garbage_values:
         Processes whose computation the agents corrupt, and the values
-        their round ends with.
+        their round ends with (broadcastable to ``(R, n)``; read only
+        where ``garbage`` holds).
     after:
         Agent hosts at the end of the round (``positions_after``).
     """
@@ -961,10 +1017,9 @@ class StackPlan:
     after: object
     plans: list
     camp_codes: object
-    camp_counts: object
-    extra_rows: object
-    extra_cols: object
-    extra_values: object
+    class_values: object
+    class_counts: object
+    row_outboxes: dict
     _plan_row: object
 
     def plan(self, i: int) -> RoundPlan:
@@ -981,7 +1036,13 @@ class CrossRunPlanner:
     The cross-run engine (:func:`repro.runtime.simulator.simulate_many`)
     advances a whole batch of compatible runs on one ``(R, n)`` state
     matrix; this planner produces the round's faults for all of them as
-    a :class:`StackPlan` of ``(R, n)`` arrays.
+    a :class:`StackPlan` of ``(R, n)`` arrays.  The runs share ``n`` and
+    one mobile model, as the stacking key guarantees, so the model's
+    timing -- M4 agents riding the messages, cured-aware silence, M3's
+    planted queues -- is a constant of the stack: each round builds
+    only the masks its model needs.  Per-run constants (class codes and
+    their flat offsets, the movement and value groups, the class
+    tables) are built once per set of active runs, not per round.
 
     Runs whose adversary declares sender classes and recipient camps
     (every built-in strategy except ``inertia`` and ``noise``, unless a
@@ -1001,8 +1062,8 @@ class CrossRunPlanner:
     * class values come from one
       :meth:`~repro.faults.value_strategies.ValueStrategy.class_values`
       call per strategy type and sender-class layout, and departures,
-      compute corruptions and override camp values are gathers from
-      those per-row class tables.
+      compute corruptions and the override senders per class are
+      gathers and counts over those per-row class tables.
 
     A row takes the *per-row route* -- its own views and per-run hooks
     in per-cell order, what the base ``class_values`` runs -- when its
@@ -1031,8 +1092,8 @@ class CrossRunPlanner:
     cured, and M4 agents ride the round-0 messages as in later rounds.
     Fallback runs' ``plan_round(0, ...)`` places their own agents.
 
-    Runs may mix models, movements and attacks; they must share ``n``.
-    ``routes`` counts the run-rounds each route planned.
+    Controllers of two models raise :class:`ValueError`.  ``routes``
+    counts the run-rounds each route planned.
     """
 
     def __init__(self, controllers, rngs, wrap) -> None:
@@ -1045,11 +1106,26 @@ class CrossRunPlanner:
         np = _np
         self.controllers = list(controllers)
         self.rngs = list(rngs)
+        models = list(dict.fromkeys(c.semantics.model for c in self.controllers))
+        if len(models) > 1:
+            raise ValueError(
+                "CrossRunPlanner stacks runs of one mobile model, got "
+                f"{models[0].value} and {models[1].value}"
+            )
         #: Array-backed Mapping constructor (ArrayValues, injected to
         #: avoid a circular import with the simulator module).
         self._wrap = wrap
         #: Run-rounds planned per route.
         self.routes = {"batched": 0, "per_row": 0, "plan_round": 0}
+        # The stack's model timing, as constants: M4 agents ride the
+        # messages (nobody is cured at send time); cured processes stay
+        # silent under cured-aware models and send M3's planted queues.
+        semantics = self.controllers[0].semantics if self.controllers else None
+        self._m4 = bool(semantics and semantics.moves_with_message)
+        self._planted = bool(
+            semantics and semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE
+        )
+        self._quiet = bool(semantics and semantics.cured_aware) or self._planted
         self._split_strategy = [
             isinstance(c.adversary.values, (SplitAttack, CrossfireAttack))
             for c in self.controllers
@@ -1064,7 +1140,11 @@ class CrossRunPlanner:
         # class codes only on the sender classes: runs sharing either
         # resolve them once.
         hooks: dict = {}
+        # Sender-class tuple -> (codes, first senders, layout id); runs
+        # usually share the tuple object itself, looked up by identity.
         layouts: dict = {}
+        shared: dict = {}
+        layout_ids: list[int] = []
         for controller in self.controllers:
             adversary = controller.adversary
             keys = controller._outbox_classes
@@ -1083,10 +1163,13 @@ class CrossRunPlanner:
                 self._classes.append(None)
                 move_keys.append(None)
                 value_keys.append(None)
+                layout_ids.append(-1)
                 continue
             if kind_hooks[1] is None:
                 kind_hooks[1] = adversary.class_values_hook
-            layout = layouts.get(keys)
+            layout = shared.get(id(keys))
+            if layout is None:
+                layout = layouts.get(keys)
             if layout is None:
                 distinct = list(dict.fromkeys(keys))
                 index = {key: code for code, key in enumerate(distinct)}
@@ -1095,37 +1178,35 @@ class CrossRunPlanner:
                 layout = layouts[keys] = (
                     tuple(map(index.__getitem__, keys)),
                     tuple(map(keys.index, distinct)),
+                    len(layouts),
                 )
-            codes, senders = layout
+            shared[id(keys)] = layout
+            codes, senders, layout_id = layout
             self._classes.append(codes)
             move_keys.append(movement)
             value_keys.append((kind_hooks[1], senders))
+            layout_ids.append(layout_id)
         move_gids, self._move_hooks = _interned(move_keys)
         value_gids, self._value_hooks = _interned(value_keys)
         self._move_gid = np.array(move_gids, dtype=np.intp)
         self._value_gid = np.array(value_gids, dtype=np.intp)
         #: Class-code width: the most classes any run declares.
         self._slots = max(
-            (max(codes) + 1 for codes in self._classes if codes), default=1
+            (len(senders) for _, senders, _ in layouts.values()), default=1
         )
-        count = len(self.controllers)
         n = self.controllers[0].n if self.controllers else 0
+        self._n = n
+        # Each run's class codes: its layout's row (controller-planned
+        # runs take the trailing zero row).
         self._codes = np.array(
-            [codes if codes else (0,) * n for codes in self._classes],
+            [codes for codes, _, _ in layouts.values()] + [(0,) * n],
             dtype=np.intp,
-        ).reshape(count, n)
-        semantics = [c.semantics for c in self.controllers]
+        ).reshape(len(layouts) + 1, n)[np.array(layout_ids, dtype=np.intp)]
+        count = len(self.controllers)
+        #: The parity camp codes, shared by every row of that kind.
+        self._parity = np.arange(n) % 2 == 1
         self._planned = np.array([c is not None for c in self._classes], dtype=bool)
         self._f = np.array([c.f for c in self.controllers], dtype=np.intp)
-        self._m4 = np.array([s.moves_with_message for s in semantics], dtype=bool)
-        self._planted = np.array(
-            [s.cured_send is CuredSendBehavior.PLANTED_QUEUE for s in semantics],
-            dtype=bool,
-        )
-        #: Cured processes stay silent: cured-aware models, and M3's
-        #: planted queues (class-planned rows only).
-        self._aware = np.array([s.cured_aware for s in semantics], dtype=bool)
-        self._quiet = self._aware | (self._planted & self._planned)
         #: Class-planned runs' agent hosts after the last planned round.
         self._hosts = np.zeros((count, n), dtype=bool)
         #: Per-run position sets in per-run iteration order, each
@@ -1144,10 +1225,8 @@ class CrossRunPlanner:
         """
         np = _np
         count, n = stack.shape
-        width = self._slots
         layout = self._layout(indices)
-        runs = layout.runs
-        rnd = _Round(round_index, stack, runs, self._wrap, width)
+        rnd = _Round(round_index, stack, layout, self._wrap)
         plans = rnd.plans
         fallback = layout.fallback
         for i in fallback:
@@ -1156,107 +1235,118 @@ class CrossRunPlanner:
                 round_index, rnd.values(i), self.rngs[r]
             )
         self.routes["plan_round"] += len(fallback)
-        rows = layout.rows
-        class_runs = layout.class_runs
+        rows = layout.span
 
         # -- movement: one next_hosts call per movement type -------------
-        # Round 0 places the agents; of its rows only M4's move (with
-        # the messages), the others keep their initial hosts.
+        # Round 0 places the agents; only M4's move (with the messages),
+        # the others keep their initial hosts.
         move_groups = layout.move_groups
         if round_index == 0:
             move_groups = self._place(rnd, layout)
-        whole = class_runs.shape[0] == self._hosts.shape[0]
-        prev = self._hosts if whole else self._hosts[class_runs]
-        moved = prev.copy() if round_index == 0 else np.empty_like(prev)
+        prev = self._hosts if layout.whole else self._hosts[layout.class_runs]
+        moved = np.empty_like(prev) if move_groups else prev
         for hook, members, group in move_groups:
-            step = _MoveGroup(self, rnd, group, prev[members])
-            moved[members] = hook(step)
-            if not step.stepped:
-                self._lag[class_runs[members]] += 1
+            moved[members] = hook(group.start(rnd, prev[members]))
+            if not group.stepped:
+                self._lag[group.runs] += 1
         placed = moved.sum(axis=1)
-        if (placed > layout.f).any():
-            k = int(np.flatnonzero(placed > layout.f)[0])
+        over = placed > layout.f
+        if over.any():
+            k = int(np.flatnonzero(over)[0])
             raise ValueError(
                 f"adversary placed {int(placed[k])} agents, "
                 f"only f={int(layout.f[k])} exist"
             )
-        if whole:
+        if layout.whole:
             self._hosts = moved
         else:
-            self._hosts[class_runs] = moved
+            self._hosts[layout.class_runs] = moved
 
         # -- masks: agents send, vacated hosts are cured (M1-M3) ---------
         # M4 agents ride the messages: the senders are the previous
-        # hosts and nobody is cured at send time.
-        m4 = layout.m4
-        senders = np.where(m4, prev, moved)
-        cured = prev & ~moved & ~m4
+        # hosts and nobody is cured at send time; nor in round 0.
+        cured = None
+        if self._m4:
+            senders = prev
+        else:
+            senders = moved
+            if round_index:
+                cured = prev > moved
         after = garbage = moved
         if fallback:
-            masks = np.zeros((4, count, n), dtype=bool)
-            masks[0, rows] = senders
-            masks[1, rows] = cured
-            masks[2, rows] = masks[3, rows] = moved
             families = [
                 [
                     plans[i].send_overrides.keys() | plans[i].forced_silent
                     for i in fallback
                 ],
-                [plans[i].cured_at_send for i in fallback],
                 [plans[i].positions_after for i in fallback],
-                [plans[i].compute_corruptions for i in fallback],
             ]
+            masks = np.zeros((3 if cured is None else 4, count, n), dtype=bool)
+            masks[0, rows] = senders
+            masks[1, rows] = moved
+            if cured is not None:
+                # Fallback rows cure nobody where class rows cannot.
+                families.append([plans[i].cured_at_send for i in fallback])
+                masks[2, rows] = cured
             owner, pids, _ = _flatten(np, list(chain.from_iterable(families)))
             family, slot = np.divmod(owner, len(fallback))
-            masks[family, np.array(fallback, dtype=np.intp)[slot], pids] = True
-            senders, cured, after, garbage = masks
-        silent = senders | (cured & layout.quiet)
-        rnd.correct = correct = ~(senders | cured)
+            masks[family, layout.fallback_rows[slot], pids] = True
+            senders, after = masks[0], masks[1]
+            if cured is not None:
+                cured = masks[2]
+            # The compute corruptions cover the hosts after the round.
+            garbage = after
+        if cured is None:
+            silent = occupied = outgoing = senders
+        else:
+            occupied = senders | cured
+            silent = occupied if self._quiet else senders
+            outgoing = occupied if self._planted else senders
+        rnd.correct = correct = ~occupied
         rnd.low, rnd.high, rnd.exact = batch_correct_ranges(stack, correct)
 
         # -- class values: one class_values call per group ---------------
-        inexact = layout.planned & ~rnd.exact
-        if not inexact.any():
+        exact = rnd.exact
+        if (exact if not fallback else exact[layout.rows]).all():
             value_groups = layout.value_groups
         else:
+            inexact = layout.planned & ~exact
             for i in np.flatnonzero(inexact).tolist():
                 self._plan_row(rnd, i)
             value_groups = self._value_groups(
-                runs, np.flatnonzero(layout.planned & rnd.exact)
+                layout.runs, np.flatnonzero(layout.planned & exact)
             )
         batched = []
-        for (hook, first), group_rows, strategies in value_groups:
-            tables = hook(_ValueGroup(self, rnd, group_rows, first, strategies))
+        for group in value_groups:
+            tables = group.hook(group.start(rnd))
             if tables is not None:
-                batched.append((group_rows, tables))
+                batched.append((group, tables))
         kinds = self._fill_tables(rnd, batched)
         self.routes["per_row"] += len(rnd.records)
 
         # -- departures and compute corruptions: gathers by class --------
-        # Fallback rows' class tables are zero; their own corruption maps,
-        # which cover their cured and garbage pids, overwrite them.
-        codes = layout.codes
+        # Fallback rows' class-table cells are stale; their own corruption
+        # maps, which cover their cured and garbage pids, overwrite them.
+        offsets = layout.offsets
         patched = stack
-        if cured.any():
-            patched = np.where(cured, _gather(rnd.departures, codes), stack)
-        memory = [plans[i].memory_corruptions for i in fallback]
-        if any(memory):
-            if patched is stack:
-                patched = stack.copy()
-            _scatter_rows(np, patched, fallback, memory)
-        garbage_values = np.where(garbage, _gather(rnd.computes, codes), 0.0)
-        _scatter_rows(
-            np,
-            garbage_values,
-            fallback,
-            [plans[i].compute_corruptions for i in fallback],
-        )
+        if cured is not None and cured.any():
+            patched = np.where(cured, _gather(rnd.departures, offsets), stack)
+        garbage_values = _gather(rnd.computes, offsets)
+        if fallback:
+            memory = [plans[i].memory_corruptions for i in fallback]
+            if any(memory):
+                if patched is stack:
+                    patched = stack.copy()
+                _scatter_rows(np, patched, fallback, memory)
+            computes = [plans[i].compute_corruptions for i in fallback]
+            if any(computes):
+                garbage_values = np.array(
+                    np.broadcast_to(garbage_values, (count, n))
+                )
+                _scatter_rows(np, garbage_values, fallback, computes)
 
-        # -- override camp tables ----------------------------------------
-        outgoing = senders | (cured & layout.planted)
-        extra_rows, extra_cols, extra_values = self._extras(
-            rnd, kinds, patched, outgoing, codes
-        )
+        # -- override senders per class ----------------------------------
+        self._extras(rnd, layout, kinds, patched, outgoing)
         return StackPlan(
             round_index=round_index,
             patched=patched,
@@ -1266,10 +1356,9 @@ class CrossRunPlanner:
             after=after,
             plans=plans,
             camp_codes=rnd.camp_codes,
-            camp_counts=rnd.camp_counts,
-            extra_rows=extra_rows,
-            extra_cols=extra_cols,
-            extra_values=extra_values,
+            class_values=rnd.class_values,
+            class_counts=rnd.class_counts,
+            row_outboxes=rnd.row_outboxes,
             _plan_row=lambda i: self._row_plan(rnd, i),
         )
 
@@ -1291,8 +1380,11 @@ class CrossRunPlanner:
     def _layout(self, indices) -> "_Layout":
         """The per-run constants of the active runs ``indices``.
 
-        Gathered once per active set (it changes only when runs
-        terminate).
+        Built once per active set (it changes only when runs terminate)
+        and reused by every round over it: the row index arrays, the
+        movement and value groups, the class codes with their flat
+        offsets into a ``(count, width)`` class table, and the class
+        tables themselves.
         """
         np = _np
         key = tuple(indices)
@@ -1302,68 +1394,79 @@ class CrossRunPlanner:
         layout = self._last_layout = _Layout()
         layout.key = key
         runs = layout.runs = np.asarray(indices, dtype=np.intp)
+        count = runs.shape[0]
+        width = self._slots
         planned = layout.planned = self._planned[runs]
         layout.fallback = np.flatnonzero(~planned).tolist()
+        layout.fallback_rows = np.asarray(layout.fallback, dtype=np.intp)
         rows = layout.rows = np.flatnonzero(planned)
+        layout.span = _whole(rows, count)
         class_runs = layout.class_runs = runs[rows]
+        layout.whole = class_runs.shape[0] == self._hosts.shape[0]
         layout.move_groups = self._move_groups(rows, class_runs)
         layout.f = self._f[class_runs]
-        layout.m4 = self._m4[class_runs][:, None]
-        layout.quiet = self._quiet[runs][:, None]
-        layout.planted = self._planted[runs][:, None]
-        layout.codes = self._codes[runs]
+        codes = layout.codes = self._codes[runs]
+        layout.offsets = codes + (np.arange(count) * width)[:, None]
+        layout.departures = np.zeros((count, width))
+        layout.computes = np.zeros((count, width))
         layout.value_groups = self._value_groups(runs, rows)
         return layout
 
     def _value_groups(self, runs, rows) -> list:
-        """``(hook key, rows, strategies)`` of each value group in ``rows``."""
+        """The :class:`_ValueGroup` of each value hook key in ``rows``."""
         groups = []
-        for key, members in _groups(self._value_gid[runs[rows]], self._value_hooks):
+        count = runs.shape[0]
+        for (hook, senders), members in _groups(
+            self._value_gid[runs[rows]], self._value_hooks
+        ):
             group_rows = rows[members]
-            controllers = [self.controllers[r] for r in runs[group_rows]]
-            strategies = [controller.adversary.values for controller in controllers]
-            groups.append((key, group_rows, strategies))
+            strategies = [
+                self.controllers[r].adversary.values
+                for r in runs[group_rows].tolist()
+            ]
+            groups.append(
+                _ValueGroup(self, hook, senders, group_rows, strategies, count)
+            )
         return groups
 
-    def _move_groups(self, rows, class_runs, among=None) -> list:
+    def _move_groups(self, rows, class_runs) -> list:
         """``(hook, members, group)`` of each movement type.
 
-        ``members`` indexes ``class_runs``; ``among`` (an index into
-        ``class_runs``) restricts the groups to those class rows.
+        ``members`` indexes ``class_runs``; ``group`` is the
+        :class:`_MoveGroup` of those rows.
         """
-        picked = class_runs if among is None else class_runs[among]
         groups = []
-        for hook, members in _groups(self._move_gid[picked], self._move_hooks):
-            if among is not None:
-                members = among[members]
+        for hook, members in _groups(self._move_gid[class_runs], self._move_hooks):
             group_runs = class_runs[members]
-            movements = [self.controllers[r].adversary.movement for r in group_runs]
-            group = (rows[members], movements, self._f[group_runs])
+            movements = [
+                self.controllers[r].adversary.movement for r in group_runs.tolist()
+            ]
+            group = _MoveGroup(
+                self, rows[members], group_runs, movements, self._f[group_runs],
+                self._n,
+            )
             groups.append((hook, members, group))
         return groups
 
     def _place(self, rnd: _Round, layout: "_Layout") -> list:
         """Place the class-planned runs' round-0 agents, in run order.
 
-        Returns the movement groups of round 0: its M4 rows only.  The
-        other rows' round-0 position sets are ``(initial, initial)``, so
-        the per-row route sees no movement step to replay.
+        Returns the movement groups of round 0: M4's, whose agents ride
+        the round-0 messages; none otherwise.  The other models' round-0
+        position sets are ``(initial, initial)``, so the per-row route
+        sees no movement step to replay.
         """
-        class_runs = layout.class_runs
         m4 = self._m4
-        for r in class_runs.tolist():
+        for r in layout.class_runs.tolist():
             controller = self.controllers[r]
             positions = controller.adversary.initial_positions(
                 controller.n, controller.f, self.rngs[r]
             )
             self._sets[r] = positions
             self._hosts[r, list(positions)] = True
-            if not m4[r]:
+            if not m4:
                 rnd.sets[r] = (positions, positions)
-        moving = _np.flatnonzero(m4[class_runs])
-        if moving.shape[0] == class_runs.shape[0]:
-            return layout.move_groups
-        return self._move_groups(layout.rows, class_runs, moving)
+        return layout.move_groups if m4 else []
 
     def _replay(self, rnd: _Round, i: int, positions, steps: int):
         """``positions`` after ``steps`` of row ``i``'s ``next_positions``."""
@@ -1400,7 +1503,7 @@ class CrossRunPlanner:
             self._lag[r] = 0
             hit = rnd.sets[r] = (before, now)
         before, now = hit
-        if self._m4[r]:
+        if self._m4:
             return before, frozenset(), now
         return now, before - now, now
 
@@ -1417,101 +1520,74 @@ class CrossRunPlanner:
             return kinds
         count = rnd.stack.shape[0]
         ncamps = max(np.shape(tables.camps)[2] for _, tables in batched)
-        camp_values = rnd.camp_values = np.zeros((count, self._slots, ncamps))
-        for rows, tables in batched:
+        class_values = rnd.class_values = np.zeros((count, self._slots, ncamps))
+        planned = 0
+        for group, tables in batched:
+            rows, span = group.rows, group.span
             departures = np.asarray(tables.departures, dtype=np.float64)
             computes = np.asarray(tables.computes, dtype=np.float64)
             camps = np.asarray(tables.camps, dtype=np.float64)
-            camp_ok = np.isfinite(camps) & (camps != 0.0)
-            clean = np.isfinite(departures)
+            # One check for the common case: a non-finite entry makes
+            # the sum non-finite and a zero camp value fails all(); an
+            # overflowing sum only costs the exact per-row check below.
+            total = departures.sum() + camps.sum()
             if computes is not departures:
-                clean &= np.isfinite(computes)
-            if not (camp_ok.all() and clean.all()):
-                ok = camp_ok.all(axis=(1, 2)) & clean.all(axis=1)
+                total += computes.sum()
+            if not (math.isfinite(total) and camps.all()):
+                ok = (np.isfinite(camps) & (camps != 0.0)).all(axis=(1, 2))
+                ok &= np.isfinite(departures).all(axis=1)
+                if computes is not departures:
+                    ok &= np.isfinite(computes).all(axis=1)
                 for i in rows[~ok].tolist():
                     self._plan_row(rnd, i)
-                rows = rows[ok]
+                rows = span = rows[ok]
                 departures, computes, camps = departures[ok], computes[ok], camps[ok]
             _, classes, camp_count = camps.shape
             kinds.setdefault(tables.assignment, []).append(rows)
-            rows = _whole(rows, count)
-            rnd.departures[rows, :classes] = departures
-            rnd.computes[rows, :classes] = computes
-            camp_values[rows, :classes, :camp_count] = camps
-            rnd.camp_counts[rows] = camp_count
-        self.routes["batched"] += sum(
-            rows.shape[0] for parts in kinds.values() for rows in parts
-        )
+            rnd.departures[span, :classes] = departures
+            rnd.computes[span, :classes] = computes
+            class_values[span, :classes, :camp_count] = camps
+            planned += rows.shape[0]
+        self.routes["batched"] += planned
         return kinds
 
-    def _extras(self, rnd: _Round, kinds: dict, patched, outgoing, codes):
-        """Batched rows' camp codes, and the override extras of the stack.
+    def _extras(self, rnd: _Round, layout: "_Layout", kinds: dict, patched, outgoing):
+        """Batched rows' camp codes, and their override senders per class.
 
-        Batched rows lay their override senders out in pid order: their
-        camp values are non-zero, so equal values are bit-identical and
-        the order cannot change the stable fold.  Per-row rows keep the
-        per-cell ``send_overrides`` order.
+        Batched rows fold their override senders by class, not in pid
+        order: their camp values are non-zero, so equal values are
+        bit-identical and the order cannot change the stable fold.
         """
         np = _np
-        rows_parts, cols_parts, values_parts = [], [], []
-        if kinds:
-            count, n = patched.shape
-            camp_codes = rnd.camp_codes
-            lanes = outgoing
-            batched = None
-            covered = sum(part.shape[0] for parts in kinds.values() for part in parts)
-            if covered < count:
-                batched = np.zeros(count, dtype=bool)
-                for parts in kinds.values():
-                    for part in parts:
-                        batched[part] = True
-                lanes = outgoing & batched[:, None]
-            sending = lanes.any(axis=1)
-            if not sending.all():
-                # Rows without override senders fold their broadcasts alone.
-                idle = ~sending if batched is None else batched & ~sending
-                rnd.camp_counts[idle] = 0
-            for kind, parts in kinds.items():
-                rows = _whole(
-                    parts[0] if len(parts) == 1 else np.concatenate(parts), count
-                )
-                if kind == "split":
-                    # Interval.midpoint's arithmetic, element-wise.
-                    midpoints = (rnd.low[rows] + rnd.high[rows]) / 2.0
-                    camp_codes[rows] = patched[rows] > midpoints[:, None]
-                elif kind == "parity":
-                    camp_codes[rows] = np.arange(n) % 2
-            # Row-major: each row's senders are contiguous, and a row's
-            # first sender sits where searchsorted finds its row.
-            rows, pids = np.nonzero(lanes)
-            rows_parts.append(rows)
-            firsts = np.searchsorted(rows, rows)
-            cols_parts.append(np.arange(rows.shape[0]) - firsts)
-            if rnd.camp_values.shape[1] == 1:
-                values_parts.append(rnd.camp_values[rows, 0])
-            else:
-                values_parts.append(rnd.camp_values[rows, codes[rows, pids]])
-        for i, extras in rnd.row_extras.items():
-            rows_parts.append(np.full(len(extras), i, dtype=np.intp))
-            cols_parts.append(np.arange(len(extras)))
-            values_parts.append(
-                np.array(extras, dtype=np.float64).reshape(len(extras), -1)
+        if not kinds:
+            return
+        count = patched.shape[0]
+        camp_codes = rnd.camp_codes
+        lanes = outgoing
+        covered = sum(part.shape[0] for parts in kinds.values() for part in parts)
+        if covered < count:
+            batched = np.zeros(count, dtype=bool)
+            for parts in kinds.values():
+                for part in parts:
+                    batched[part] = True
+            lanes = outgoing & batched[:, None]
+        for kind, parts in kinds.items():
+            rows = _whole(
+                parts[0] if len(parts) == 1 else np.concatenate(parts), count
             )
-        if not rows_parts:
-            return (
-                np.zeros(0, dtype=np.intp),
-                np.zeros(0, dtype=np.intp),
-                np.zeros((0, 1)),
-            )
-        if len(values_parts) == 1:
-            return rows_parts[0], cols_parts[0], values_parts[0]
-        ncamps = max(part.shape[1] for part in values_parts)
-        values = np.zeros((sum(part.shape[0] for part in values_parts), ncamps))
-        start = 0
-        for part in values_parts:
-            values[start : start + part.shape[0], : part.shape[1]] = part
-            start += part.shape[0]
-        return np.concatenate(rows_parts), np.concatenate(cols_parts), values
+            if kind == "split":
+                # Interval.midpoint's arithmetic, element-wise.
+                midpoints = (rnd.low[rows] + rnd.high[rows]) / 2.0
+                camp_codes[rows] = patched[rows] > midpoints[:, None]
+            elif kind == "parity":
+                camp_codes[rows] = self._parity
+        width = self._slots
+        if width == 1:
+            rnd.class_counts = lanes.sum(axis=1)[:, None]
+        else:
+            rnd.class_counts = np.bincount(
+                layout.offsets[lanes], minlength=count * width
+            ).reshape(count, width)
 
     def _plan_row(self, rnd: _Round, i: int) -> None:
         """Plan class-planned row ``i`` through its own views.
@@ -1531,7 +1607,7 @@ class CrossRunPlanner:
         classes = self._classes[r]
         positions, cured, after = self._row_sets(rnd, i)
         record = rnd.records[i] = _RowRecord(
-            classes, positions, cured, after, bool(cured) and bool(self._planted[r])
+            classes, positions, cured, after, bool(cured) and self._planted
         )
         correct = rnd.correct[i]
         interval = rnd.interval(i)
@@ -1606,18 +1682,10 @@ class CrossRunPlanner:
         ):
             rnd.plans[i] = record.plan(rnd.index, width)
             return
-        codes = getattr(assignment, "array", None)
-        if codes is None:
-            codes = np.asarray(assignment, dtype=np.intp)
-        ncamps = min(len(box.camp_values) for box in boxes)
-        extras = [outboxes[classes[pid]].camp_values[:ncamps] for pid in positions]
+        overrides = [outboxes[classes[pid]] for pid in positions]
         if record.planted:
-            extras += [
-                outboxes[width + classes[pid]].camp_values[:ncamps] for pid in cured
-            ]
-        rnd.camp_codes[i] = codes
-        rnd.camp_counts[i] = ncamps
-        rnd.row_extras[i] = extras
+            overrides += [outboxes[width + classes[pid]] for pid in cured]
+        rnd.row_outboxes[i] = overrides
 
     def _row_plan(self, rnd: _Round, i: int) -> RoundPlan:
         """Row ``i``'s per-cell :class:`RoundPlan`.

@@ -436,62 +436,185 @@ class RoundKernel:
         )
         return rows, codes
 
-    def fold_rows_many(self, batch: BatchMSREvaluator, np, entries):
-        """Fold many runs' prepared rows in width-grouped array passes.
+    def fold_rows_many(
+        self, batch: BatchMSREvaluator, np, inboxes, counts, plan, first_round
+    ):
+        """Fold a stacked round's inboxes in width blocks.
 
-        ``entries`` is one item per run: ``(rows, codes, n)`` from
-        :meth:`batch_rows`, or ``None`` for a run whose round is not
-        batchable.  Returns a list aligned with ``entries``: the new
-        length-``n`` float64 value array per run, or ``None`` where the
-        round must take the scalar path (unbatchable rows, degenerate
-        bounds).
+        ``inboxes`` is the stack's ``(R, n)`` sorted broadcasts, each row
+        padded with ``+inf`` past its ``counts[i]`` broadcasts; ``plan``
+        the round's :class:`~repro.runtime.controllers.StackPlan`.  A
+        class-planned row's camp ``c`` folds its broadcasts plus, for
+        each sender class ``s``, ``plan.class_counts[i, s]`` copies of
+        ``plan.class_values[i, s, c]``, and recipient ``p`` takes camp
+        ``plan.camp_codes[i, p]`` (camps 0 and 1).  Rows off the class
+        route -- the per-row route's camp outboxes
+        (``plan.row_outboxes``) and rows carrying their own
+        :class:`~repro.runtime.controllers.RoundPlan` with override
+        traffic -- fold the camp rows :meth:`batch_rows` assembles.
 
-        Rows are grouped by width so the reduction bounds (a function
-        of width alone) are shared, all rows of one width are sorted by
-        a single stable ``np.sort`` and folded by one ``combine`` call.
-        Row-wise independence of the batch stage hooks makes this
-        bit-identical to folding each run separately.
+        The class rows form one ``(rows, camps, width)`` block: the
+        class values are laid out after the broadcasts, padded with
+        ``+inf``, and one stable sort orders every row, so each row's
+        first ``width`` entries are its sorted inbox.  Each width then
+        gets one ``select``/``combine`` and one pick over the camp codes,
+        however many rows it holds.  The reduction bounds are a function
+        of the width alone, the batch stage hooks are row-wise
+        independent, and the class values are non-zero (so their order
+        among equal values cannot show), which makes this bit-identical
+        to folding each run separately; a camp slot a row does not use
+        folds harmlessly and is never read.
+
+        Returns ``(values, scalar, received)``: the ``(R, n)`` folded
+        values (garbage recipients included -- the caller overwrites
+        them), the rows the fold cannot express (non-camp overrides, an
+        empty fold, a width below the resilience bound), whose values
+        the caller computes with the scalar kernel and its canonical
+        errors, and with ``first_round`` each row's largest received
+        diameter over the camps of its computing recipients (``None``
+        for the scalar rows).
         """
-        results: list = [None] * len(entries)
-        by_width: dict[int, list] = {}
-        for index, entry in enumerate(entries):
-            if entry is None:
-                continue
-            rows, codes, n = entry
-            width = int(rows.shape[1])
-            if width == 0:
-                continue
-            bounds = batch.bounds(width)
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            if hi <= lo:
-                continue
-            by_width.setdefault(width, []).append(
-                (index, rows, codes, n, lo, hi)
-            )
-        for group in by_width.values():
-            if len(group) == 1:
-                stacked = group[0][1]
+        count, n = inboxes.shape
+        values = np.empty((count, n))
+        received = [None] * count if first_round else None
+        garbage = plan.garbage if first_round else None
+        scalar: list[int] = []
+
+        # -- rows off the class route: their own camp rows, row by row --
+        own = dict(plan.row_outboxes)
+        plans = plan.plans
+        if plans.count(None) < count:
+            for i, row in enumerate(plans):
+                if row is not None and row.send_overrides:
+                    own[i] = list(row.send_overrides.values())
+        for i, outboxes in own.items():
+            prepared = self.batch_rows(np, inboxes[i, : counts[i]], outboxes)
+            if prepared is not None:
+                rows, codes = prepared
+                ncamps, width = rows.shape
+                if self._fold_block(
+                    batch, np, values, received, [i],
+                    np.sort(rows, axis=1, kind="stable"), 1, ncamps,
+                    None if ncamps == 1 else codes.reshape(1, n),
+                    None if garbage is None else garbage[i : i + 1],
+                ):
+                    continue
+            scalar.append(i)
+
+        # -- the class rows: one block, one sort ---------------------------
+        # Broadcast columns past the largest count are +inf in every row.
+        class_counts = plan.class_counts
+        ncamps = 1
+        widths = counts
+        block = inboxes[:, None, :]
+        if class_counts is not None:
+            peaks = class_counts.max(axis=0).tolist()
+            if any(peaks):
+                class_values = plan.class_values
+                ncamps = class_values.shape[2]
+                start = int(counts.max())
+                block = np.empty((count, ncamps, start + sum(peaks)))
+                block[:, :, :start] = inboxes[:, None, :start]
+                for slot, peak in enumerate(peaks):
+                    if peak:
+                        block[:, :, start : start + peak] = np.where(
+                            np.arange(peak) < class_counts[:, slot, None, None],
+                            class_values[:, slot, :, None],
+                            np.inf,
+                        )
+                        start += peak
+                widths = counts + class_counts.sum(axis=1)
+        if own:
+            members = np.delete(np.arange(count), list(own))
+            if not members.shape[0]:
+                return values, scalar, received
+            widths = widths[members]
+        elif (widths == widths[0]).all():
+            members = None
+        else:
+            members = np.arange(count)
+        size = block.shape[2]
+        block = np.sort(
+            block.reshape(count * ncamps, size), axis=1, kind="stable"
+        )
+        if members is None:
+            groups = [(int(widths[0]), slice(None))]
+        else:
+            order = np.argsort(widths, kind="stable")
+            ordered = widths[order]
+            cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+            groups = [
+                (int(ordered[start]), members[order[start:stop]])
+                for start, stop in zip([0] + cuts, cuts + [order.shape[0]])
+            ]
+        codes = plan.camp_codes
+        for width, rows in groups:
+            if type(rows) is slice:
+                part = count
+                sorted_rows = block[:, :width]
             else:
-                stacked = np.concatenate(
-                    [item[1] for item in group], axis=0
+                part = rows.shape[0]
+                sorted_rows = block.reshape(count, ncamps, size)[
+                    rows, :, :width
+                ].reshape(-1, width)
+            if not self._fold_block(
+                batch, np, values, received, rows, sorted_rows, part, ncamps,
+                None if ncamps == 1 else codes[rows],
+                None if garbage is None else garbage[rows],
+            ):
+                scalar.extend(
+                    range(count) if type(rows) is slice else rows.tolist()
                 )
-            stacked = np.sort(stacked, axis=1, kind="stable")
-            lo, hi = group[0][4], group[0][5]
-            folded = batch.combine(batch.select(stacked, lo, hi))
-            offset = 0
-            for index, rows, codes, n, _, _ in group:
-                count = int(rows.shape[0])
-                values = folded[offset : offset + count]
-                offset += count
-                if codes is None:
-                    results[index] = np.full(n, values[0], dtype=np.float64)
-                else:
-                    results[index] = np.asarray(values, dtype=np.float64)[
-                        codes
-                    ]
-        return results
+        return values, scalar, received
+
+    @staticmethod
+    def _fold_block(
+        batch, np, values, received, rows, inboxes, size, ncamps, codes, garbage
+    ) -> bool:
+        """Fold one part of a stacked round into ``values[rows]``.
+
+        ``inboxes`` holds ``size * ncamps`` sorted camp rows of one
+        width, row by row; ``codes`` maps each recipient of each row to
+        its camp (``None`` for one camp, a bool array for the class
+        rows' two camps).  With ``garbage`` (round 0's) each row's
+        largest received diameter lands in ``received``: only camps with
+        a computing recipient count, as in the scalar kernel, and a
+        sorted row's ``last - first`` is its spread up to the sign of a
+        zero span, which the ``0.0`` floor absorbs as the scalar
+        kernel's strict ``>`` against its ``0.0`` start does.  Returns
+        ``False``, folding nothing, when the width is below the
+        resilience bound.
+        """
+        width = inboxes.shape[1]
+        bounds = batch.bounds(width) if width else None
+        if bounds is None or bounds[1] <= bounds[0]:
+            return False
+        lo, hi = bounds
+        folded = np.asarray(
+            batch.combine(batch.select(inboxes, lo, hi)), dtype=np.float64
+        )
+        table = folded.reshape(size, ncamps)
+        if codes is None:
+            values[rows] = table
+        elif codes.dtype == bool:
+            values[rows] = np.where(codes, table[:, 1:2], table[:, :1])
+        else:
+            values[rows] = folded.take(codes + (np.arange(size) * ncamps)[:, None])
+        if garbage is not None:
+            spans = (inboxes[:, -1] - inboxes[:, 0]).reshape(size, ncamps)
+            computing = ~garbage
+            if codes is None:
+                present = computing.any(axis=1)[:, None]
+            else:
+                present = np.zeros((size, ncamps), dtype=bool)
+                hit, pid = np.nonzero(computing)
+                present[hit, codes[hit, pid].astype(np.intp)] = True
+            largest = np.where(present & (spans > 0.0), spans, 0.0).max(axis=1)
+            for i, diameter in zip(
+                range(size) if type(rows) is slice else rows, largest.tolist()
+            ):
+                received[int(i)] = diameter
+        return True
 
     def compute_phase(
         self,

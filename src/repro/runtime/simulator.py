@@ -72,6 +72,7 @@ from .kernel import RoundKernel
 from .network import SynchronousNetwork
 from .protocol import MSRVotingProtocol, StatefulRoundProtocol, VotingProtocol
 from .rng import derive_rng
+from .termination import FixedRounds
 from .trace import (
     BroadcastOutbox,
     LiteTrace,
@@ -329,6 +330,11 @@ class ArrayValues(Mapping):
     __hash__ = None  # mutable-adjacent snapshot: unhashable, like dict
 
 
+def _initial_values(config: SimulationConfig) -> dict[int, float]:
+    """A fresh ``{pid: float}`` dict of ``config``'s inputs."""
+    return dict(enumerate(map(float, config.initial_values)))
+
+
 def _initial_view(initial_values) -> MappingProxyType:
     """The read-only ``{pid: float}`` view of a config's inputs."""
     return MappingProxyType(dict(enumerate(map(float, initial_values))))
@@ -446,18 +452,21 @@ def simulate_many(
     function, folded family and mobile model), each passing the
     per-cell array body's preconditions (numpy, complete topology,
     broadcast sends, batchable MSR stages) -- into one ``(R, n)``
-    float64 state matrix and advances all of them in lockstep: one
-    whole-matrix pass per round, round 0 included, for agent placement
-    and movement, exclusion masks, correct ranges, corruption patches,
-    the broadcast sort and the width-grouped MSR fold (see
+    float64 state matrix and advances all of them in lockstep: a fixed
+    number of whole-stack array operations per round, whatever R is,
+    round 0 included, for agent placement and movement, exclusion
+    masks, correct ranges, corruption patches, the broadcast sort and
+    the block fold of every row's camp inboxes, one sort for the stack
+    and one select/combine per width (see
     :meth:`RoundKernel.fold_rows_many`), which in round 0 also yields
     each run's largest received diameter.  Runs that terminate early
     drop out of the active set, so converged rows stop costing work.
 
     Results are **bit-identical** to :func:`run_simulation` over each
-    config: fault planning (:class:`CrossRunPlanner`) keeps agent hosts
-    as ``(R, n)`` masks and calls the batched movement and class-value
-    hooks once per group of runs, movement that draws randomness
+    config: fault planning (:class:`CrossRunPlanner`, one per stack and
+    so one mobile model) keeps agent hosts as ``(R, n)`` masks and
+    calls the batched movement and class-value hooks once per group of
+    runs, movement that draws randomness
     consumes each run's RNG stream in per-cell order, and batched
     quantities are used only where provably equal to the per-run
     derivation -- other rows take the per-run hooks (the equivalence
@@ -511,33 +520,6 @@ def simulate_many(
         return traces
 
 
-def _received_diameter(np, entry, garbage) -> float:
-    """The largest received-multiset diameter of one folded round.
-
-    ``entry`` is the run's ``(rows, codes, n)`` fold entry: one inbox row
-    per camp (unsorted), ``codes`` each recipient's camp, or ``None``
-    when every recipient folds row 0.  Only camps with a computing
-    (non-``garbage``) recipient count, as in the scalar kernel.  A row's
-    ``max - min`` equals its sorted ``inbox[-1] - inbox[0]`` up to the
-    sign of a zero span, which the ``0.0`` floor absorbs as the scalar
-    kernel's strict ``>`` against its ``0.0`` start does.  It calls no
-    numpy function that imports a submodule on first use (``np.unique``
-    imports ``numpy.ma``): every forked sweep worker would pay that.
-    """
-    rows, codes, _ = entry
-    computing = ~garbage
-    if codes is None:
-        if not computing.any():
-            return 0.0
-        rows = rows[:1]
-    else:
-        present = np.zeros(rows.shape[0], dtype=bool)
-        present[codes[computing]] = True
-        rows = rows[present]
-    spans = (rows.max(axis=1) - rows.min(axis=1)).tolist()
-    return max((span for span in spans if span > 0.0), default=0.0)
-
-
 def _run_lite_many(
     sims: list[SynchronousSimulator], routes: dict
 ) -> list[LiteTrace]:
@@ -549,19 +531,24 @@ def _run_lite_many(
     masked min/max reductions *select* elements (no arithmetic), and
     every signed-zero/degenerate endpoint falls back to the first-wins
     rescan (`_extent`) -- plus the :class:`CrossRunPlanner`'s per-run
-    RNG ordering contract.  The stack keeps its own ``(R, n)`` loop and
-    the per-run termination test of
-    :meth:`SynchronousSimulator._decides`: each family's schedule is
-    asked once per round for the whole stack, each run's own rule
-    decides (a stacked row's protocol is scalar, so no per-run
-    schedule applies).  Round 0 runs on the stack
-    like every later round: the planner places the agents, and each
-    folded run's received diameter (what
-    :class:`~repro.runtime.termination.EstimatedRounds` budgets from)
-    comes from its fold entry's camp rows (`_received_diameter`).
-    Agent hosts stay ``(R, n)`` masks; position sets are built only for
-    the rows the extent rescue flags.  ``routes`` accumulates the
-    planner's run-rounds per route.
+    RNG ordering contract.  A round is a fixed number of whole-stack
+    array operations whatever R is: one :meth:`CrossRunPlanner.plan_many`
+    call, one masked sort of the broadcasts, one
+    :meth:`RoundKernel.fold_rows_many` call (the block fold, round 0's
+    received diameters included) and one masked reduction for the
+    extents.  Per-run Python is left to the rows that need it: rows
+    the fold cannot express take the scalar round kernel, flagged
+    extents the first-wins rescan, and runs whose termination rule
+    reads the extents that rule.  The termination test is
+    :meth:`SynchronousSimulator._decides`'s: each family's schedule is
+    asked once per round for the whole stack and each run's own rule
+    decides (a stacked row's protocol is scalar, so no per-run schedule
+    applies); a :class:`~repro.runtime.termination.FixedRounds` budget
+    reads nothing of the round, so its run is simply due at its last
+    round.  Extents are logged per round and become each run's list
+    when the stack ends.  Agent hosts stay ``(R, n)`` masks; position
+    sets are built only for the rows the extent rescue flags.
+    ``routes`` accumulates the planner's run-rounds per route.
     """
     np = _np
     first = sims[0]
@@ -571,159 +558,170 @@ def _run_lite_many(
     run_count = len(sims)
     for sim in sims:
         # A declared-equivalent stateful run folds as its scalar family.
+        # Its flat evaluator is resolved if a round takes the scalar
+        # kernel.
         sim.protocol = sim._cross_run_protocol
-        sim._lite_evaluate = sim.kernel.prepare(sim.protocol)
+        sim._lite_evaluate = None
     stack = np.array(
         [sim.config.initial_values for sim in sims], dtype=np.float64
     )
     all_pids = frozenset(range(n))
-    extents: list[list] = [[] for _ in range(run_count)]
     initially_nonfaulty = [all_pids] * run_count
     hosts_after = np.zeros((run_count, n), dtype=bool)
     terminated = [False] * run_count
     max_rounds = [sim.config.max_rounds for sim in sims]
     families = [sim.family for sim in sims]
+    stack_families = set(families)
     rules = [sim._termination for sim in sims]
+    # Runs under a fixed budget, by the round they are due to stop.
+    due: dict[int, list[int]] = {}
+    for r, rule in enumerate(rules):
+        if type(rule) is FixedRounds:
+            due.setdefault(rule.rounds - 1, []).append(r)
     planner = CrossRunPlanner(
         [sim.controller for sim in sims],
         [sim._adversary_rng for sim in sims],
         wrap=ArrayValues,
     )
 
+    # Per round: the active rows (a slice when all runs are) with their
+    # batched lows and highs; the rescued extents as (round, run, extent).
+    log: list[tuple] = []
+    rescues: list[tuple] = []
+    executed = [0] * run_count
     active = list(range(run_count))
+    rows = slice(None)
+    checked: list[tuple[int, int]] = [
+        (r, r) for r in active if type(rules[r]) is not FixedRounds
+    ]
+    cap = min(max_rounds)
+    refresh = False
     round_index = 0
     while True:
-        active = [
-            r
-            for r in active
-            if not terminated[r] and round_index < max_rounds[r]
-        ]
-        if not active:
-            break
+        if refresh or round_index >= cap:
+            kept = []
+            for r in active:
+                if terminated[r] or round_index >= max_rounds[r]:
+                    executed[r] = round_index
+                else:
+                    kept.append(r)
+            active = kept
+            if not active:
+                break
+            rows = slice(None) if len(active) == run_count else np.array(active)
+            checked = [
+                (i, r) for i, r in enumerate(active)
+                if type(rules[r]) is not FixedRounds
+            ]
+            cap = min(max_rounds[r] for r in active)
+            refresh = False
         first_round = round_index == 0
-        count = len(active)
-        whole = count == run_count
-        sub = stack if whole else stack[active]
+        whole = type(rows) is slice
+        sub = stack if whole else stack[rows]
         plan = kernel.sampled("plan", planner.plan_many, round_index, sub, active)
         patched = plan.patched
 
         # -- send phase: one masked stable sort over the whole stack --
         counts = n - plan.silent.sum(axis=1)
-        sorted_bcast = np.sort(
+        inboxes = np.sort(
             np.where(plan.silent, np.inf, patched), axis=1, kind="stable"
         )
 
-        # -- receive+compute: width-grouped fold across the runs ------
-        # Class-planned rows fold [broadcasts..., override extras...]
-        # per camp: each row's extras land right after its broadcasts
-        # (override senders never broadcast, so the row fits in n).
-        extra_rows = plan.extra_rows
-        widths = counts + np.bincount(extra_rows, minlength=count)
-        if extra_rows.shape[0]:
-            ncamps = plan.extra_values.shape[1]
-            camp_rows = np.repeat(sorted_bcast[:, None, :], ncamps, axis=1)
-            camp_rows[
-                extra_rows[:, None],
-                np.arange(ncamps),
-                (counts[extra_rows] + plan.extra_cols)[:, None],
-            ] = plan.extra_values
-        counts = counts.tolist()
-        widths = widths.tolist()
-        camp_counts = plan.camp_counts.tolist()
-        entries: list = [None] * count
-        for i in range(count):
-            camp_count = camp_counts[i]
-            if camp_count:
-                entries[i] = (
-                    camp_rows[i, :camp_count, : widths[i]],
-                    plan.camp_codes[i],
-                    n,
-                )
-                continue
-            row_plan = plan.plans[i]
-            overrides = row_plan.send_overrides if row_plan is not None else None
-            prepared = kernel.batch_rows(
-                np,
-                sorted_bcast[i, : counts[i]],
-                list(overrides.values()) if overrides else None,
-            )
-            if prepared is not None:
-                rows, codes = prepared
-                entries[i] = (rows, codes, n)
-        folded = kernel.sampled("fold", kernel.fold_rows_many, batch, np, entries)
-
-        if first_round or any(arr is None for arr in folded):
-            new_stack = np.empty_like(sub)
+        # -- receive+compute: the block fold across the runs ----------
+        new_stack, scalar, received = kernel.sampled(
+            "fold", kernel.fold_rows_many, batch, np, inboxes, counts, plan,
+            first_round,
+        )
+        for i in scalar:
+            # This run's round isn't batchable (non-camp overrides,
+            # below-bound fold): the scalar round kernel, as in the
+            # per-cell array body, canonical errors included.
+            sim = sims[active[i]]
+            if sim._lite_evaluate is None:
+                sim._lite_evaluate = kernel.prepare(sim.protocol)
+            sim._values = dict(enumerate(patched[i].tolist()))
+            diameter = sim._kernel_compute(plan.plan(i), first_round)
+            new_stack[i] = list(sim._values.values())
+            if first_round:
+                received[i] = diameter
+        if first_round:
             for i, r in enumerate(active):
-                new_arr = folded[i]
-                if new_arr is None:
-                    # This run's round isn't batchable (non-camp
-                    # overrides, below-bound fold): the scalar round
-                    # kernel, as in the per-cell array body, canonical
-                    # errors included.
-                    sim = sims[r]
-                    sim._values = dict(enumerate(patched[i].tolist()))
-                    received = sim._kernel_compute(plan.plan(i), first_round)
-                    new_stack[i] = np.array(
-                        list(sim._values.values()), dtype=np.float64
-                    )
-                else:
-                    new_stack[i] = new_arr
-                    if first_round:
-                        received = _received_diameter(
-                            np, entries[i], plan.garbage[i]
-                        )
-                if first_round:
-                    sims[r]._first_round_received_diameter = received
-                    # Round 0 cures nobody and mobile runs force no
-                    # silence, so its silent processes are exactly the
-                    # initial hosts.
-                    initially_nonfaulty[r] = all_pids - frozenset(
-                        np.flatnonzero(plan.silent[i]).tolist()
-                    )
-        else:
-            # Every run folded in the batch: no run needs its own work.
-            new_stack = np.array(folded)
-        new_stack = np.where(plan.garbage, plan.garbage_values, new_stack)
+                sims[r]._first_round_received_diameter = received[i]
+                # Round 0 cures nobody and mobile runs force no
+                # silence, so its silent processes are exactly the
+                # initial hosts.
+                initially_nonfaulty[r] = all_pids - frozenset(
+                    np.flatnonzero(plan.silent[i]).tolist()
+                )
+        np.copyto(new_stack, plan.garbage_values, where=plan.garbage)
         if whole:
             stack = new_stack
         else:
-            stack[active] = new_stack
+            stack[rows] = new_stack
+        hosts_after[rows] = plan.after
 
-        # -- extents + termination: batched reduction, per-run rescue --
-        if whole:
-            hosts_after[:] = plan.after
-        else:
-            hosts_after[active] = plan.after
+        # -- extents: one masked reduction, per-run rescue ------------
         lows = np.where(plan.after, np.inf, new_stack).min(axis=1)
         highs = np.where(plan.after, -np.inf, new_stack).max(axis=1)
-        row_extents = list(zip(lows.tolist(), highs.tolist()))
+        log.append((rows, lows, highs))
         # Signed-zero endpoints and fully-excluded rows (an infinite
         # endpoint): the per-cell first-wins scan decides.
         flagged = (
             (lows == 0.0) | (highs == 0.0) | np.isinf(lows) | np.isinf(highs)
         )
-        for i in np.flatnonzero(flagged).tolist():
-            row_extents[i] = _extent(
-                new_stack[i], frozenset(np.flatnonzero(plan.after[i]).tolist())
-            )
+        rescued = {}
+        if flagged.any():
+            for i in np.flatnonzero(flagged).tolist():
+                rescued[i] = extent = _extent(
+                    new_stack[i],
+                    frozenset(np.flatnonzero(plan.after[i]).tolist()),
+                )
+                rescues.append((round_index, active[i], extent))
+
+        # -- termination: each run's own rule --------------------------
         ready = {
             family: family.decision_ready(round_index)
-            for family in set(families[r] for r in active)
+            for family in stack_families
         }
-        for r, extent in zip(active, row_extents):
-            extents[r].append(extent)
-            if ready[families[r]] and rules[r].should_stop(
-                round_index,
-                0.0 if extent is None else extent[1] - extent[0],
-                sims[r]._first_round_received_diameter,
-            ):
-                terminated[r] = True
+        for r in due.pop(round_index, ()):
+            if round_index >= max_rounds[r]:
+                continue
+            if ready[families[r]]:
+                terminated[r] = refresh = True
+            elif round_index + 1 < max_rounds[r]:
+                due.setdefault(round_index + 1, []).append(r)
+        if checked:
+            diameters = (highs - lows).tolist()
+            for i, r in checked:
+                if not ready[families[r]]:
+                    continue
+                if i in rescued:
+                    extent = rescued[i]
+                    diameter = 0.0 if extent is None else extent[1] - extent[0]
+                else:
+                    diameter = diameters[i]
+                if rules[r].should_stop(
+                    round_index, diameter, sims[r]._first_round_received_diameter
+                ):
+                    terminated[r] = refresh = True
         round_index += 1
 
     planner.sync_positions()
     for route, planned in planner.routes.items():
         routes[route] += planned
+    # Each run's extents: its column of the round log, over the rounds
+    # it ran, with the rescued entries in place.
+    lows = np.full((len(log), run_count), np.nan)
+    highs = np.full((len(log), run_count), np.nan)
+    for t, (rows, round_lows, round_highs) in enumerate(log):
+        lows[t, rows] = round_lows
+        highs[t, rows] = round_highs
+    extents = [
+        list(zip(low[:count], high[:count]))
+        for low, high, count in zip(lows.T.tolist(), highs.T.tolist(), executed)
+    ]
+    for t, r, extent in rescues:
+        extents[r][t] = extent
     # Decisions: each run's final values outside its final hosts, in
     # pid order, gathered for the whole stack at once.
     deciding = ~hosts_after
@@ -735,7 +733,7 @@ def _run_lite_many(
     shared_initial: dict[int, MappingProxyType] = {}
     start = 0
     for r, sim in enumerate(sims):
-        sim._round_index = len(extents[r])
+        sim._round_index = executed[r]
         initial = sim.config.initial_values
         view = shared_initial.get(id(initial))
         if view is None:
@@ -807,7 +805,10 @@ class SynchronousSimulator:
         # (EstimatedRounds keeps its budget), and one rule object may
         # be shared by many configs.
         self._termination = copy.copy(config.termination)
-        self._values = dict(enumerate(map(float, config.initial_values)))
+        # The scalar bodies' {pid: value} state: step() reads it from the
+        # start, lite runs build it in _round_body (a stacked run never
+        # reads it unless a round takes the scalar kernel).
+        self._values = _initial_values(config) if trace_detail == "full" else None
         self._round_index = 0
         self._first_round_received_diameter: float | None = None
         self._cured_aware = self._model_cured_aware(config)
@@ -974,6 +975,8 @@ class SynchronousSimulator:
             protocol.start(self.config.initial_values)
             return self._stateful_round, protocol.values
         batch = self._vectorized_setup()
+        if self._values is None:
+            self._values = _initial_values(self.config)
         if batch is None and self._trace is not None:
             return self._step_round, self._values
         self._lite_evaluate = self.kernel.prepare(protocol)

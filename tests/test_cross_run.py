@@ -33,7 +33,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import (
@@ -54,6 +54,7 @@ from repro.faults.value_strategies import (
     SplitAttack,
 )
 from repro.runtime import EstimatedRounds, RoundKernel
+from repro.runtime.kernel import BatchMSREvaluator
 from repro.runtime.controllers import CrossRunPlanner, MobileFaultController
 from repro.runtime.simulator import (
     SynchronousSimulator,
@@ -196,11 +197,17 @@ class TestSimulateManyEquivalence:
     def test_scalar_fallback_of_class_planned_rows(self, model, monkeypatch):
         # A round the batched fold rejects takes the per-cell scalar
         # kernel, which needs the row's RoundPlan: class-planned rows
-        # build theirs on demand from the class tables.
-        monkeypatch.setattr(
-            RoundKernel, "fold_rows_many",
-            lambda self, batch, np, entries: [None] * len(entries),
-        )
+        # build theirs on demand from the class tables.  Every width
+        # reads as below the resilience bound here.
+        fold = RoundKernel.fold_rows_many
+
+        def below_bound(self, batch, *args):
+            rejecting = BatchMSREvaluator(
+                lambda width: None, batch.select, batch.combine
+            )
+            return fold(self, rejecting, *args)
+
+        monkeypatch.setattr(RoundKernel, "fold_rows_many", below_bound)
         configs = [
             cell(
                 model=model, f=2, n=None, movement=movement,
@@ -738,11 +745,46 @@ def _assert_runs_match_solo(configs, solo_configs=None):
     return traces, stacked, planners
 
 
+def _mixed_stack(model, rounds):
+    """A stack whose rows fold different widths and camp counts in one
+    round: random movement (under M1 and M3 the cured counts differ per
+    row), one- and two-camp strategies, a zero camp value (the per-row
+    route), and inertia and noise (planned by ``plan_round``)."""
+    f = 2
+    n = get_semantics(model).required_n(f) + 1
+    strategies = [
+        SplitAttack(),
+        CrossfireAttack(),
+        value_strategy("echo"),
+        FixedValue(0.0),
+        value_strategy("inertia"),
+        value_strategy("noise"),
+    ]
+    return [
+        make_mobile_config(
+            model,
+            f=f,
+            n=n,
+            movement=movement_strategy("random"),
+            values=strategy,
+            initial_values=[((3 * pid) % n) / n - 0.5 for pid in range(n)],
+            rounds=rounds,
+            seed=seed,
+        )
+        for seed, strategy in enumerate(strategies)
+    ]
+
+
 class TestStackedDifferential:
     """Random stacks through ``simulate_many`` vs per-run ``run_simulation``."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(configs=_stacks())
+    @example(configs=_mixed_stack("M1", rounds=8))
+    @example(configs=_mixed_stack("M3", rounds=8))
+    @example(configs=_mixed_stack("M2", rounds=8))
+    # Round 0 alone: placement, received diameters and the first fold.
+    @example(configs=_mixed_stack("M4", rounds=1))
     def test_simulate_many_matches_run_simulation(self, configs):
         _assert_runs_match_solo(configs)
 
@@ -788,6 +830,20 @@ class TestPerRowRoute:
         # Two zero-camp rows per row over all six rounds (round 0 is
         # stacked too); the plain split row stays batched.
         assert planners[0].routes == {"batched": 6, "per_row": 12, "plan_round": 0}
+
+
+class TestOneModelPerStack:
+    def test_two_models_raise_naming_both(self):
+        # The stacking key fixes one model per stack, so the planner
+        # holds the model's timing as constants and refuses a mix.
+        controllers = [
+            SynchronousSimulator(
+                make_mobile_config(model, f=2, n=17, seed=seed), trace_detail="lite"
+            ).controller
+            for seed, model in enumerate(("M2", "M2", "M4"))
+        ]
+        with pytest.raises(ValueError, match="one mobile model, got M2 and M4"):
+            CrossRunPlanner(controllers, [None] * 3, wrap=dict)
 
 
 class TestBatchedMovement:

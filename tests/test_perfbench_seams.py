@@ -7,8 +7,9 @@ for timing wrappers, reading each class attribute from the owner's own
 renames it, or routes stacked sweeps around ``simulate_many`` breaks
 the traced benchmark run.  This test fails first, in tier-1: it traces
 one small stacked sweep and checks that every target resolved, that
-the simulator counted stacked runs, and that uninstalling restores
-every original.
+the simulator counted stacked runs, that planning and the fold book
+their time to the ``controllers`` and ``kernel`` layers once per
+stacked round, and that uninstalling restores every original.
 """
 
 from __future__ import annotations
@@ -72,3 +73,18 @@ def test_tracer_wraps_every_seam_of_a_stacked_sweep():
     layer_self = tracer.layer_self()
     assert layer_self.get("simulator", 0.0) > 0.0
     assert layer_self.get("engine", 0.0) > 0.0
+    # Planning and the fold stay inside the wrapped stacked seams: the
+    # controllers and kernel layers book self time, and a class-planned
+    # stack enters each once per round -- plan_many and fold_rows_many,
+    # nothing per row.
+    assert layer_self.get("controllers", 0.0) > 0.0
+    assert layer_self.get("kernel", 0.0) > 0.0
+    stacked_rounds = tracer.get("calls:controllers.plan_many")
+    assert stacked_rounds > 0
+    assert tracer.get("calls:kernel.fold_rows_many") == stacked_rounds
+    kernel_calls = sum(
+        value for key, value in tracer.totals.items()
+        if key.startswith("calls:kernel.")
+    )
+    assert kernel_calls == stacked_rounds
+    assert tracer.get("calls:controllers.plan_round") == 0
