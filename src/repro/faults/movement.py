@@ -154,12 +154,16 @@ class RoundRobinWalk(MovementStrategy):
     def next_hosts(cls, group):
         # One column roll per row: j hosts an agent after the step iff
         # (j - stride) % n hosted one before.
-        strides = _np.array(
-            [
-                max(f, 1) if strategy.stride is None else strategy.stride
-                for strategy, f in zip(group.strategies, group.f.tolist())
-            ]
-        )
+        given = [strategy.stride for strategy in group.strategies]
+        if given.count(None) == len(given):
+            strides = _np.maximum(group.f, 1)
+        else:
+            strides = _np.array(
+                [
+                    max(f, 1) if stride is None else stride
+                    for stride, f in zip(given, group.f.tolist())
+                ]
+            )
         hosts = group.hosts
         n = group.n
         if (strides == strides[0]).all():

@@ -45,7 +45,8 @@ def batch_correct_ranges(stack, mask):
     inf = _np.inf
     low = _np.where(mask, stack, inf).min(axis=1)
     high = _np.where(mask, stack, -inf).max(axis=1)
-    exact = (low != 0.0) & (high != 0.0) & (low != inf) & (high != -inf)
+    # A fully masked row is the one whose low is +inf (its high is -inf).
+    exact = (low != 0.0) & (high != 0.0) & (low != inf)
     return low, high, exact
 
 

@@ -666,16 +666,6 @@ def _gather(table, offsets):
     return table.take(offsets)
 
 
-def _whole(rows, count: int):
-    """``rows`` as an index, or a full slice when it names all ``count``.
-
-    ``rows`` holds unique row numbers, sorted unless the caller indexes
-    both sides of an assignment with it, so a full-size ``rows`` selects
-    exactly what the (cheaper) full slice does.
-    """
-    return slice(None) if rows.shape[0] == count else rows
-
-
 def _span(rows, count: int):
     """Sorted unique ``rows`` as the cheapest index selecting them.
 
@@ -859,7 +849,6 @@ class _Layout:
         "move_groups",
         "value_groups",
         "f",
-        "codes",
         "offsets",
         "departures",
         "computes",
@@ -1140,10 +1129,10 @@ class CrossRunPlanner:
         # class codes only on the sender classes: runs sharing either
         # resolve them once.
         hooks: dict = {}
-        # Sender-class tuple -> (codes, first senders, layout id); runs
-        # usually share the tuple object itself, looked up by identity.
+        # Sender-class tuple -> (codes, first senders, layout id), keyed
+        # by identity: runs of one strategy type share the tuple object
+        # (ValueStrategy.sender_classes), so no n-long tuple is hashed.
         layouts: dict = {}
-        shared: dict = {}
         layout_ids: list[int] = []
         for controller in self.controllers:
             adversary = controller.adversary
@@ -1167,20 +1156,17 @@ class CrossRunPlanner:
                 continue
             if kind_hooks[1] is None:
                 kind_hooks[1] = adversary.class_values_hook
-            layout = shared.get(id(keys))
-            if layout is None:
-                layout = layouts.get(keys)
+            layout = layouts.get(id(keys))
             if layout is None:
                 distinct = list(dict.fromkeys(keys))
                 index = {key: code for code, key in enumerate(distinct)}
                 # Each class by its first sender, as the batched hooks
                 # see it.
-                layout = layouts[keys] = (
+                layout = layouts[id(keys)] = (
                     tuple(map(index.__getitem__, keys)),
                     tuple(map(keys.index, distinct)),
                     len(layouts),
                 )
-            shared[id(keys)] = layout
             codes, senders, layout_id = layout
             self._classes.append(codes)
             move_keys.append(movement)
@@ -1274,6 +1260,8 @@ class CrossRunPlanner:
                 cured = prev > moved
         after = garbage = moved
         if fallback:
+            # Fallback rows' masks come from their own plans, which cure
+            # nobody where the model does not (M4, round 0).
             families = [
                 [
                     plans[i].send_overrides.keys() | plans[i].forced_silent
@@ -1285,7 +1273,6 @@ class CrossRunPlanner:
             masks[0, rows] = senders
             masks[1, rows] = moved
             if cured is not None:
-                # Fallback rows cure nobody where class rows cannot.
                 families.append([plans[i].cured_at_send for i in fallback])
                 masks[2, rows] = cured
             owner, pids, _ = _flatten(np, list(chain.from_iterable(families)))
@@ -1400,13 +1387,12 @@ class CrossRunPlanner:
         layout.fallback = np.flatnonzero(~planned).tolist()
         layout.fallback_rows = np.asarray(layout.fallback, dtype=np.intp)
         rows = layout.rows = np.flatnonzero(planned)
-        layout.span = _whole(rows, count)
+        layout.span = _span(rows, count)
         class_runs = layout.class_runs = runs[rows]
         layout.whole = class_runs.shape[0] == self._hosts.shape[0]
         layout.move_groups = self._move_groups(rows, class_runs)
         layout.f = self._f[class_runs]
-        codes = layout.codes = self._codes[runs]
-        layout.offsets = codes + (np.arange(count) * width)[:, None]
+        layout.offsets = self._codes[runs] + (np.arange(count) * width)[:, None]
         layout.departures = np.zeros((count, width))
         layout.computes = np.zeros((count, width))
         layout.value_groups = self._value_groups(runs, rows)
@@ -1507,15 +1493,16 @@ class CrossRunPlanner:
             return before, frozenset(), now
         return now, before - now, now
 
-    def _fill_tables(self, rnd: _Round, batched: list) -> dict:
+    def _fill_tables(self, rnd: _Round, batched: list) -> list:
         """Write the groups' class tables into the round.
 
         Rows whose tables hold a non-finite value or a signed-zero camp
         value take the per-row route instead.  Returns the rows that
-        stay batched, by assignment kind.
+        stay batched, as ``(assignment kind, index, row count)`` per
+        group.
         """
         np = _np
-        kinds: dict[str, list] = {}
+        kinds: list[tuple] = []
         if not batched:
             return kinds
         count = rnd.stack.shape[0]
@@ -1540,10 +1527,11 @@ class CrossRunPlanner:
                     ok &= np.isfinite(computes).all(axis=1)
                 for i in rows[~ok].tolist():
                     self._plan_row(rnd, i)
-                rows = span = rows[ok]
+                rows = rows[ok]
+                span = _span(rows, count)
                 departures, computes, camps = departures[ok], computes[ok], camps[ok]
             _, classes, camp_count = camps.shape
-            kinds.setdefault(tables.assignment, []).append(rows)
+            kinds.append((tables.assignment, span, rows.shape[0]))
             rnd.departures[span, :classes] = departures
             rnd.computes[span, :classes] = computes
             class_values[span, :classes, :camp_count] = camps
@@ -1551,7 +1539,7 @@ class CrossRunPlanner:
         self.routes["batched"] += planned
         return kinds
 
-    def _extras(self, rnd: _Round, layout: "_Layout", kinds: dict, patched, outgoing):
+    def _extras(self, rnd: _Round, layout: "_Layout", kinds: list, patched, outgoing):
         """Batched rows' camp codes, and their override senders per class.
 
         Batched rows fold their override senders by class, not in pid
@@ -1564,23 +1552,25 @@ class CrossRunPlanner:
         count = patched.shape[0]
         camp_codes = rnd.camp_codes
         lanes = outgoing
-        covered = sum(part.shape[0] for parts in kinds.values() for part in parts)
-        if covered < count:
+        if sum(size for _, _, size in kinds) < count:
             batched = np.zeros(count, dtype=bool)
-            for parts in kinds.values():
-                for part in parts:
-                    batched[part] = True
+            for _, rows, _ in kinds:
+                batched[rows] = True
             lanes = outgoing & batched[:, None]
-        for kind, parts in kinds.items():
-            rows = _whole(
-                parts[0] if len(parts) == 1 else np.concatenate(parts), count
-            )
-            if kind == "split":
-                # Interval.midpoint's arithmetic, element-wise.
-                midpoints = (rnd.low[rows] + rnd.high[rows]) / 2.0
-                camp_codes[rows] = patched[rows] > midpoints[:, None]
-            elif kind == "parity":
-                camp_codes[rows] = self._parity
+        by_kind: dict[str, list] = {}
+        for kind, rows, size in kinds:
+            by_kind.setdefault(kind, []).append((rows, size))
+        for kind, parts in by_kind.items():
+            # One pass where a kind's groups cover the whole stack.
+            if sum(size for _, size in parts) == count:
+                parts = [(slice(None), count)]
+            for rows, _ in parts:
+                if kind == "split":
+                    # Interval.midpoint's arithmetic, element-wise.
+                    midpoints = (rnd.low[rows] + rnd.high[rows]) / 2.0
+                    camp_codes[rows] = patched[rows] > midpoints[:, None]
+                elif kind == "parity":
+                    camp_codes[rows] = self._parity
         width = self._slots
         if width == 1:
             rnd.class_counts = lanes.sum(axis=1)[:, None]

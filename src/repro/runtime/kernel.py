@@ -374,9 +374,8 @@ class RoundKernel:
         batchable (non-camp overrides, mixed assignments, an empty
         fold) and the caller must take the scalar path.
 
-        Factored out of :meth:`compute_phase_batch` so the cross-run
-        engine can collect many runs' rows and fold all rows of one
-        width in a single array pass (:meth:`fold_rows_many`).
+        Shared with the cross-run fold (:meth:`fold_rows_many`), which
+        assembles the camp rows of its rows off the class route here.
         """
         m = int(broadcasts_arr.shape[0])
         if not override_outboxes:
@@ -524,29 +523,19 @@ class RoundKernel:
                         )
                         start += peak
                 widths = counts + class_counts.sum(axis=1)
+        members = np.arange(count)
         if own:
-            members = np.delete(np.arange(count), list(own))
-            if not members.shape[0]:
-                return values, scalar, received
+            members = np.delete(members, list(own))
             widths = widths[members]
-        elif (widths == widths[0]).all():
-            members = None
+        distinct = set(widths.tolist())
+        if len(distinct) == 1 and not own:
+            groups = [(distinct.pop(), slice(None))]
         else:
-            members = np.arange(count)
+            groups = [(width, members[widths == width]) for width in distinct]
         size = block.shape[2]
         block = np.sort(
             block.reshape(count * ncamps, size), axis=1, kind="stable"
         )
-        if members is None:
-            groups = [(int(widths[0]), slice(None))]
-        else:
-            order = np.argsort(widths, kind="stable")
-            ordered = widths[order]
-            cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-            groups = [
-                (int(ordered[start]), members[order[start:stop]])
-                for start, stop in zip([0] + cuts, cuts + [order.shape[0]])
-            ]
         codes = plan.camp_codes
         for width, rows in groups:
             if type(rows) is slice:

@@ -664,11 +664,9 @@ def _run_lite_many(
         lows = np.where(plan.after, np.inf, new_stack).min(axis=1)
         highs = np.where(plan.after, -np.inf, new_stack).max(axis=1)
         log.append((rows, lows, highs))
-        # Signed-zero endpoints and fully-excluded rows (an infinite
-        # endpoint): the per-cell first-wins scan decides.
-        flagged = (
-            (lows == 0.0) | (highs == 0.0) | np.isinf(lows) | np.isinf(highs)
-        )
+        # Signed-zero endpoints and fully-excluded rows (a +inf low):
+        # the per-cell first-wins scan decides.
+        flagged = (lows == 0.0) | (highs == 0.0) | (lows == np.inf)
         rescued = {}
         if flagged.any():
             for i in np.flatnonzero(flagged).tolist():
