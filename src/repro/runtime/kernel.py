@@ -467,7 +467,8 @@ class RoundKernel:
         Returns ``(values, scalar, received)``: the ``(R, n)`` folded
         values (garbage recipients included -- the caller overwrites
         them), the rows the fold cannot express (non-camp overrides, an
-        empty fold, a width below the resilience bound), whose values
+        empty fold, a width below the resilience bound), in row order,
+        whose values
         the caller computes with the scalar kernel and its canonical
         errors, and with ``first_round`` each row's largest received
         diameter over the camps of its computing recipients (``None``
@@ -554,6 +555,9 @@ class RoundKernel:
                 scalar.extend(
                     range(count) if type(rows) is slice else rows.tolist()
                 )
+        # In row order, so the first canonical error the caller's scalar
+        # kernel raises is the first row's, as in a per-row loop.
+        scalar.sort()
         return values, scalar, received
 
     @staticmethod
