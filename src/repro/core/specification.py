@@ -158,7 +158,7 @@ def check_validity(trace: Trace | LiteTrace) -> PropertyCheck:
     non-faulty extents (min/max); the verdict is boolean-identical to
     the full-trace check, only the per-process detail strings differ.
     This is the reference of the sweep engine's lite verdict
-    (:func:`repro.sweep.engine._lite_verdict`), which checks the same
+    (:func:`repro.sweep.engine._array_verdicts`), which checks the same
     extents without building detail strings.
     """
     interval = trace.validity_interval()
@@ -267,7 +267,7 @@ def check_trace(
     boolean-identical across trace details.
 
     Sweeps condense lite runs through the engine's lite verdict
-    (:func:`repro.sweep.engine._lite_verdict`) instead; this function
+    (:func:`repro.sweep.engine._array_verdicts`) instead; this function
     is its reference, and stays the checker of full traces, of
     :func:`repro.api.check` and of the tests.
     """

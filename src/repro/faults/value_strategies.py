@@ -248,18 +248,31 @@ def _class_tables(departures, camps, assignment: str) -> ClassValues:
     )
 
 
-def _row_params(group, name: str, fallback):
-    """Each row's strategy parameter ``name``, ``fallback`` where ``None``."""
-    params = [getattr(strategy, name) for strategy in group.strategies]
-    if all(param is None for param in params):
+def _row_params(group, name: str, fallback=None):
+    """Each row's strategy parameter ``name`` as float64, ``fallback``
+    where ``None``.
+
+    The rows' parameters are gathered once per group (``group.memo``);
+    each round then only fills the unset rows from ``fallback``.
+    """
+
+    def gather():
+        params = [getattr(strategy, name) for strategy in group.strategies]
+        unset = [param is None for param in params]
+        if all(unset):
+            return None, None
+        given = _np.array(
+            [0.0 if param is None else param for param in params],
+            dtype=_np.float64,
+        )
+        return given, _np.array(unset) if any(unset) else None
+
+    given, unset = group.memo(("params", name), gather)
+    if given is None:
         return fallback
-    return _np.array(
-        [
-            default if param is None else param
-            for param, default in zip(params, fallback.tolist())
-        ],
-        dtype=_np.float64,
-    )
+    if unset is None:
+        return given
+    return _np.where(unset, fallback, given)
 
 
 class ValueStrategy(ABC):
@@ -417,8 +430,11 @@ class ValueStrategy(ABC):
         the rows' correct-range endpoints ``low`` and ``high`` (float64
         arrays; every endpoint finite and non-zero -- rows without such
         a range take the per-row route instead), ``round_index``,
-        ``senders`` (the first pid of each sender class) and
-        ``plan_row(k)``, which plans row ``k`` through its own views.
+        ``senders`` (the first pid of each sender class),
+        ``plan_row(k)``, which plans row ``k`` through its own views,
+        and ``memo(key, factory)``, which keeps ``factory()`` for the
+        group's life (a group lives as long as its set of active runs,
+        so what depends only on the rows' strategies is built once).
 
         An override returns :class:`ClassValues` equal, entry for entry,
         to what the per-run hooks would build from a view with that
@@ -522,9 +538,7 @@ class FixedValue(ValueStrategy):
 
     @classmethod
     def class_values(cls, group) -> ClassValues:
-        value = _np.array(
-            [strategy.value for strategy in group.strategies], dtype=_np.float64
-        )
+        value = _row_params(group, "value")
         return _class_tables(value, [value], "zero")
 
     def describe(self) -> str:
@@ -627,10 +641,7 @@ class OutlierAttack(ValueStrategy):
 
     @classmethod
     def class_values(cls, group) -> ClassValues:
-        magnitude = _np.array(
-            [strategy.magnitude for strategy in group.strategies],
-            dtype=_np.float64,
-        )
+        magnitude = _row_params(group, "magnitude")
         above = group.high + magnitude
         return _class_tables(above, [above, group.low - magnitude], "parity")
 

@@ -14,6 +14,11 @@ from collections.abc import Sequence
 
 from .multiset import ValueMultiset
 
+try:  # numpy is optional: only the batch hooks, handed arrays, use it.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised only without numpy
+    _np = None
+
 __all__ = ["Combiner", "ArithmeticMean", "MedianCombiner"]
 
 
@@ -39,14 +44,16 @@ class Combiner(ABC):
         """
         raise NotImplementedError
 
-    def flat_combine_batch(self, selected) -> list[float]:
+    def flat_combine_batch(self, selected):
         """Combine a batch of selected rows into one value per row.
 
         The batched counterpart of :meth:`flat_combine`: ``selected``
         is a 2D array of equal-width sorted selections (one row per
-        distinct inbox), and the result is a list of Python floats,
-        each bit-identical to :meth:`flat_combine` on that row.  One-
-        and two-column batches combine with exactly-rounded array
+        distinct inbox), and the result is a new 1D float64 array, each
+        entry bit-identical to :meth:`flat_combine` on that row.
+        Callers read the result through ``numpy.asarray``, so an
+        override may return a list of floats instead.  One- and
+        two-column batches combine with exactly-rounded array
         arithmetic; wider batches fall back to ``math.fsum`` per row,
         which is still one call per *distinct inbox*, not per process.
         """
@@ -67,24 +74,25 @@ class ArithmeticMean(Combiner):
         # ValueMultiset.mean() bit for bit regardless of container.
         return math.fsum(selected) / len(selected)
 
-    def flat_combine_batch(self, selected) -> list[float]:
+    def flat_combine_batch(self, selected):
         width = selected.shape[1]
         if width > 2:
-            return [math.fsum(row) / width for row in selected.tolist()]
+            return _np.array(
+                [math.fsum(row) / width for row in selected.tolist()],
+                dtype=_np.float64,
+            )
         # A single value and (a + b) / 2 are correctly rounded, hence
         # equal to fsum(row) / width -- up to the sign of a zero: fsum
         # sums onto +0.0, so a row of -0.0 values means +0.0 there.
         # Zero results take fsum.
         if width == 1:
-            means = selected[:, 0]
+            means = selected[:, 0].copy()
         else:
             means = (selected[:, 0] + selected[:, 1]) / 2.0
-        results = means.tolist()
         if not means.all():
-            for i, mean in enumerate(results):
-                if mean == 0.0:
-                    results[i] = math.fsum(selected[i].tolist()) / width
-        return results
+            for i in _np.flatnonzero(means == 0.0).tolist():
+                means[i] = math.fsum(selected[i].tolist()) / width
+        return means
 
     def describe(self) -> str:
         return "arithmetic mean"
@@ -115,11 +123,11 @@ class MedianCombiner(Combiner):
             return selected[mid]
         return (selected[mid - 1] + selected[mid]) / 2.0
 
-    def flat_combine_batch(self, selected) -> list[float]:
+    def flat_combine_batch(self, selected):
         mid = selected.shape[1] // 2
         if selected.shape[1] % 2 == 1:
-            return selected[:, mid].tolist()
-        return ((selected[:, mid - 1] + selected[:, mid]) / 2.0).tolist()
+            return selected[:, mid].copy()
+        return (selected[:, mid - 1] + selected[:, mid]) / 2.0
 
     def describe(self) -> str:
         return "median"

@@ -935,6 +935,7 @@ class _ValueGroup:
         "span",
         "_planner",
         "_round",
+        "_memo",
     )
 
     def __init__(self, planner, hook, senders, rows, strategies, count) -> None:
@@ -947,6 +948,16 @@ class _ValueGroup:
         self.low = self.high = self.round_index = None
         self._planner = planner
         self._round = None
+        self._memo: dict = {}
+
+    def memo(self, key, factory):
+        """``factory()``, computed once for the group's life under
+        ``key``: what a hook derives from the rows' strategies alone
+        (their parameters) stays valid while the active set does."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = factory()
+        return memo[key]
 
     def start(self, rnd: _Round) -> "_ValueGroup":
         """This group in round ``rnd``: its rows' correct ranges."""

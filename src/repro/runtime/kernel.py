@@ -132,7 +132,9 @@ class BatchMSREvaluator:
     :meth:`~repro.msr.mean.Combiner.flat_combine_batch`): ``bounds``
     answers the shared reduction range for a whole batch of sorted rows
     of one width, ``select`` slices the picked columns, ``combine``
-    folds each row to a Python float.  Built by :func:`compile_msr_batch`.
+    folds each row to one float64 value (an array; callers read it
+    through ``numpy.asarray``, so a list of floats serves too).  Built
+    by :func:`compile_msr_batch`.
     """
 
     __slots__ = ("bounds", "select", "combine")

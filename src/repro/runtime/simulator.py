@@ -53,6 +53,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Literal
 
@@ -92,6 +93,7 @@ __all__ = [
     "ArrayValues",
     "RunBatchOut",
     "ShmBatchLayout",
+    "StackOutcome",
     "SynchronousSimulator",
     "run_simulation",
     "send_and_fold",
@@ -259,6 +261,104 @@ class ShmBatchLayout:
             for name, dtype, shape, offset in sections
         }
         return RunBatchOut(**arrays)
+
+
+@dataclass(eq=False)
+class StackOutcome:
+    """A finished stack's verdict data: one row per run, as arrays.
+
+    What :func:`simulate_many` keeps of a stack when its last run
+    stops, for the sweep engine's array verdict
+    (:func:`repro.sweep.engine._array_verdicts`) to condense every run
+    of the stack at once:
+
+    ``initial``, ``occupied``
+        ``(R, n)`` float64 inputs and bool round-0 agent hosts; each
+        run's Validity reference set is the complement of its hosts.
+    ``final``, ``hosts``
+        ``(R, n)`` end-of-run values and final agent hosts; the
+        complement of the hosts decides.
+    ``lows``, ``highs``
+        ``(T, R)`` per-round non-faulty extents with the first-wins
+        rescues patched in.  A round in which every process was
+        occupied, and every round past a run's last, reads ``(+inf,
+        -inf)``.
+    ``executed``, ``terminated``, ``epsilon``
+        ``(R,)`` rounds run, termination flags and each run's epsilon.
+    ``decisions``
+        Each run's ``{pid: value}`` decisions in pid order, gathered
+        once from ``final`` and ``hosts``: the dict its trace holds.
+    ``received``
+        Each run's round-0 largest received diameter (a list of
+        floats), which the EstimatedRounds rule budgets from.
+
+    :meth:`of_traces` stacks lite traces produced any other way, such
+    as a per-cell run's.
+    """
+
+    initial: object
+    occupied: object
+    final: object
+    hosts: object
+    lows: object
+    highs: object
+    executed: object
+    terminated: object
+    epsilon: object
+    decisions: list
+    received: list
+
+    @classmethod
+    def of_traces(cls, traces) -> "StackOutcome | None":
+        """Lite traces of one ``n`` as the rows of a stack.
+
+        ``None`` without numpy, and where a trace's decisions are not
+        keyed by ascending pids ``0 <= pid < n``: the verdict reads
+        decisions in pid order, which must then be the order the
+        trace's own ``decision_diameter`` reads them in.  ``received``
+        is left unknown (``None`` per row).
+        """
+        np = _np
+        if np is None:
+            return None
+        n = traces[0].n
+        count = len(traces)
+        span = max(len(trace.round_extents) for trace in traces)
+        initial = np.empty((count, n))
+        occupied = np.ones((count, n), dtype=bool)
+        final = np.zeros((count, n))
+        hosts = np.ones((count, n), dtype=bool)
+        # Every extent as (low, high), (+inf, -inf) where nobody's.
+        absent = (np.inf, -np.inf)
+        extents = np.full((span, count, 2), absent)
+        for r, trace in enumerate(traces):
+            pids = list(trace.decisions)
+            if trace.n != n or pids != sorted(pids) or (
+                pids and not (0 <= pids[0] and pids[-1] < n)
+            ):
+                return None
+            initial[r] = list(map(trace.initial_values.__getitem__, range(n)))
+            occupied[r, list(trace.initially_nonfaulty)] = False
+            final[r, pids] = list(trace.decisions.values())
+            hosts[r, pids] = False
+            if trace.round_extents:
+                extents[: len(trace.round_extents), r] = [
+                    absent if extent is None else extent
+                    for extent in trace.round_extents
+                ]
+        return cls(
+            initial=initial,
+            occupied=occupied,
+            final=final,
+            hosts=hosts,
+            lows=extents[:, :, 0],
+            highs=extents[:, :, 1],
+            executed=np.array([len(trace.round_extents) for trace in traces]),
+            terminated=np.array([trace.terminated for trace in traces]),
+            epsilon=np.array([trace.epsilon for trace in traces], dtype=np.float64),
+            decisions=[trace.decisions for trace in traces],
+            received=[None] * count,
+        )
 
 
 class ArrayValues(Mapping):
@@ -440,6 +540,62 @@ def run_simulation(
     ).run()
 
 
+def _cross_run_key(config, trace_detail, kernel, folds):
+    """Cross-run stacking class of ``config``'s run, or ``None``.
+
+    The run's :func:`~repro.runtime.families.stacking_key` -- the one
+    compatibility rule the sweep layer groups cells by too -- gated on
+    the engine's own preconditions: lite detail, a mobile setup, and a
+    batch evaluator for the folded family's protocol (numpy present,
+    the fast kernel, batchable MSR stages).  Two runs sharing a key
+    fold interchangeable multisets, so their rounds can share one
+    width-grouped fold (:meth:`RoundKernel.fold_rows_many`); movement,
+    attack, seeds and termination stay per run.  A stateful family's
+    run keys as the scalar family it declares equivalent
+    (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`),
+    whose protocol the stack then runs in its place.  ``folds`` maps
+    each key seen to its ``(protocol, batch evaluator)``, resolved
+    from the first config of the key.  ``None`` means the run stays on
+    its per-cell path.
+    """
+    if trace_detail != "lite" or not isinstance(config.setup, MobileFaultSetup):
+        return None
+    key = stacking_key(
+        config.n,
+        config.f,
+        config.algorithm.name,
+        config.family,
+        config.setup.model,
+        config.topology,
+    )
+    if key is None:
+        return None
+    fold = folds.get(key)
+    if fold is None:
+        protocol = get_family(key[3]).build_protocol(config)
+        fold = folds[key] = (protocol, _batch_evaluator(kernel, protocol))
+    return None if fold[1] is None else key
+
+
+def _batch_evaluator(kernel: RoundKernel, protocol):
+    """The batched MSR evaluator when the array engine applies.
+
+    Returns ``None`` (staying on the scalar paths) unless every
+    precondition holds: numpy importable, a scalar protocol (which
+    :class:`SynchronousSimulator` admits on the complete graph only, so
+    there is one shared broadcast list per round), exactly the MSR
+    broadcast-send rule (so the silence mask is ``overrides |
+    forced_silent | aware-cured``), and batchable MSR stages per
+    :meth:`RoundKernel.prepare_batch` -- which also encodes the
+    kernel's mode (``None`` in the reference mode).
+    """
+    if _np is None or isinstance(protocol, StatefulRoundProtocol):
+        return None
+    if type(protocol).send_value is not MSRVotingProtocol.send_value:
+        return None
+    return kernel.prepare_batch(protocol)
+
+
 def simulate_many(
     configs: Iterable[SimulationConfig],
     trace_detail: TraceDetail = "lite",
@@ -462,6 +618,14 @@ def simulate_many(
     each run's largest received diameter.  Runs that terminate early
     drop out of the active set, so converged rows stop costing work.
 
+    Stacked runs are keyed from their configs: each key's protocol and
+    batch evaluator are resolved once, and a stacked run builds only
+    what planning and termination need -- its controller, its
+    ``derive_rng(seed, "adversary")`` stream and its own copy of a
+    stateful termination rule -- never a :class:`SynchronousSimulator`.
+    Every run is set up, in input order, before the first round is
+    played, so a construction error is raised before any run starts.
+
     Results are **bit-identical** to :func:`run_simulation` over each
     config: fault planning (:class:`CrossRunPlanner`, one per stack and
     so one mobile model) keeps agent hosts as ``(R, n)`` masks and
@@ -470,7 +634,10 @@ def simulate_many(
     consumes each run's RNG stream in per-cell order, and batched
     quantities are used only where provably equal to the per-run
     derivation -- other rows take the per-run hooks (the equivalence
-    suite pins this).  The ``sim.many`` span records the run-rounds
+    suite pins this).  Each stacked run's :class:`LiteTrace` equals
+    its :func:`run_simulation` trace and links its row of the stack's
+    :class:`StackOutcome` as ``trace.stack``, which the sweep engine's
+    array verdict reads.  The ``sim.many`` span records the run-rounds
     each planner route planned as ``planned``.
 
     A stateful family's lite run stacks too where its family declares
@@ -478,40 +645,65 @@ def simulate_many(
     (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`:
     tseng under M1/M3/M4, witness under M1/M2, complete graph): it
     keys and folds as that family's row, and its trace keeps its own
-    family.  A declared run left alone in its group runs its own
-    rounds, which beats the per-cell array body on single small
-    runs.  Configs that don't qualify -- full traces, undeclared
+    family.  A run left alone in its group runs its own
+    :meth:`SynchronousSimulator.run` (a declared stateful run keeps its
+    own rounds, which beats the per-cell array body on single small
+    runs).  Configs that don't qualify -- full traces, undeclared
     stateful families, partial graphs, static-mixed setups, the
-    reference kernel, no numpy -- silently fall back to their normal
-    :meth:`SynchronousSimulator.run` path, in input order.
+    reference kernel, no numpy -- silently fall back to that path too.
     """
     shared = kernel if kernel is not None else RoundKernel()
-    sims = [
-        SynchronousSimulator(config, trace_detail=trace_detail, kernel=shared)
-        for config in configs
-    ]
-    with trace_span("sim.many", runs=len(sims)) as span:
-        traces: list = [None] * len(sims)
+    configs = list(configs)
+    with trace_span("sim.many", runs=len(configs)) as span:
+        folds: dict[tuple, tuple] = {}
+        keys = [
+            _cross_run_key(config, trace_detail, shared, folds)
+            for config in configs
+        ]
+        sizes: dict[tuple, int] = {}
+        for key in keys:
+            if key is not None:
+                sizes[key] = sizes.get(key, 0) + 1
+        # Set every run up in input order: a simulator for each run on
+        # its per-cell path, the planning state for each stacked run.
+        sims: dict[int, SynchronousSimulator] = {}
         groups: dict[tuple, list[int]] = {}
-        for index, sim in enumerate(sims):
-            key = sim._cross_run_key()
-            if key is None:
-                traces[index] = sim.run()
-            else:
-                groups.setdefault(key, []).append(index)
-        stacked = 0
-        routes = {"batched": 0, "per_row": 0, "plan_round": 0}
-        for indices in groups.values():
-            if len(indices) == 1:
+        setups: dict[int, tuple] = {}
+        for index, (config, key) in enumerate(zip(configs, keys)):
+            if key is None or sizes[key] == 1:
                 # A batch of one gains nothing from stacking; the
                 # per-cell array body is the same computation (and a
                 # declared stateful run keeps its own rounds).
-                index = indices[0]
+                sims[index] = SynchronousSimulator(
+                    config, trace_detail=trace_detail, kernel=shared
+                )
+                if key is None:
+                    continue
+            else:
+                setups[index] = _stack_row(config)
+            groups.setdefault(key, []).append(index)
+        traces: list = [None] * len(configs)
+        for index, key in enumerate(keys):
+            if key is None:
                 traces[index] = sims[index].run()
+        stacked = 0
+        routes = {"batched": 0, "per_row": 0, "plan_round": 0}
+        for key, indices in groups.items():
+            if len(indices) == 1:
+                traces[indices[0]] = sims[indices[0]].run()
                 continue
             stacked += 1
+            protocol, batch = folds[key]
             for index, trace in zip(
-                indices, _run_lite_many([sims[i] for i in indices], routes)
+                indices,
+                _run_lite_many(
+                    [configs[i] for i in indices],
+                    [setups[i] for i in indices],
+                    protocol,
+                    batch,
+                    shared,
+                    routes,
+                ),
             ):
                 traces[index] = trace
         span.set("stacked_groups", stacked)
@@ -520,14 +712,44 @@ def simulate_many(
         return traces
 
 
+def _stack_row(config: SimulationConfig) -> tuple:
+    """What a stacked run keeps of its own: ``(controller, adversary
+    RNG, termination rule)``.
+
+    The controller is built as :class:`SynchronousSimulator` builds it
+    (same canonical errors).  The rule is the run's own copy: rules
+    may hold per-run state (EstimatedRounds keeps its budget), and one
+    rule object may be shared by many configs.  A
+    :class:`~repro.runtime.termination.FixedRounds` budget holds none,
+    and the stack reads only its ``rounds``, so it is shared.
+    """
+    rule = config.termination
+    if type(rule) is not FixedRounds:
+        rule = copy.copy(rule)
+    return (
+        SynchronousSimulator._build_controller(config, config.resolve_topology()),
+        derive_rng(config.seed, "adversary"),
+        rule,
+    )
+
+
 def _run_lite_many(
-    sims: list[SynchronousSimulator], routes: dict
+    configs: list[SimulationConfig],
+    setups: list[tuple],
+    protocol: VotingProtocol,
+    batch,
+    kernel: RoundKernel,
+    routes: dict,
 ) -> list[LiteTrace]:
     """The cross-run lite loop: R compatible runs on one (R, n) stack.
 
+    ``setups`` holds each run's `_stack_row`; ``protocol`` and ``batch``
+    are the stack key's folded protocol and batch evaluator.
     Bit-identity with each run's own :meth:`SynchronousSimulator.run`
     rests on the same three seams as the per-cell array body -- stable
-    sorts over +inf-padded rows equal sorts of the masked subarrays,
+    sorts over +inf-padded rows equal sorts of the masked subarrays
+    (any sort does when no row holds a zero or a NaN, the only equal
+    values whose bits differ),
     masked min/max reductions *select* elements (no arithmetic), and
     every signed-zero/degenerate endpoint falls back to the first-wins
     rescan (`_extent`) -- plus the :class:`CrossRunPlanner`'s per-run
@@ -537,51 +759,53 @@ def _run_lite_many(
     :meth:`RoundKernel.fold_rows_many` call (the block fold, round 0's
     received diameters included) and one masked reduction for the
     extents.  Per-run Python is left to the rows that need it: rows
-    the fold cannot express take the scalar round kernel, flagged
-    extents the first-wins rescan, and runs whose termination rule
-    reads the extents that rule.  The termination test is
-    :meth:`SynchronousSimulator._decides`'s: each family's schedule is
-    asked once per round for the whole stack and each run's own rule
-    decides (a stacked row's protocol is scalar, so no per-run schedule
-    applies); a :class:`~repro.runtime.termination.FixedRounds` budget
-    reads nothing of the round, so its run is simply due at its last
-    round.  Extents are logged per round and become each run's list
-    when the stack ends.  Agent hosts stay ``(R, n)`` masks; position
-    sets are built only for the rows the extent rescue flags.
-    ``routes`` accumulates the planner's run-rounds per route.
+    the fold cannot express take :func:`send_and_fold` with the key's
+    protocol, flagged extents the first-wins rescan, and runs whose
+    termination rule reads the extents that rule.  The termination
+    test is :meth:`SynchronousSimulator._decides`'s: each family's
+    schedule is asked once per round for the whole stack and each
+    run's own rule decides (a stacked row's protocol is scalar, so no
+    per-run schedule applies); a
+    :class:`~repro.runtime.termination.FixedRounds` budget reads
+    nothing of the round, so its run is simply due at its last round.
+    Agent hosts stay ``(R, n)`` masks; position sets are built only
+    for the rows the extent rescue flags.  ``routes`` accumulates the
+    planner's run-rounds per route.
+
+    When the stack ends its verdict data stays as arrays, a
+    :class:`StackOutcome`: the round log becomes the ``(T, R)`` lows
+    and highs with the rescued extents patched in, next to the final
+    stack and hosts, the round-0 hosts and the round counts.  Each
+    run's :class:`LiteTrace` links its row as ``trace.stack``.
     """
     np = _np
-    first = sims[0]
-    n = first.config.n
-    kernel = first.kernel
-    batch = first._cross_run_batch
-    run_count = len(sims)
-    for sim in sims:
-        # A declared-equivalent stateful run folds as its scalar family.
-        # Its flat evaluator is resolved if a round takes the scalar
-        # kernel.
-        sim.protocol = sim._cross_run_protocol
-        sim._lite_evaluate = None
-    stack = np.array(
-        [sim.config.initial_values for sim in sims], dtype=np.float64
+    first = configs[0]
+    n = first.n
+    run_count = len(configs)
+    controllers = [setup[0] for setup in setups]
+    rules = [setup[2] for setup in setups]
+    cured_aware = SynchronousSimulator._model_cured_aware(first)
+    # Scalar-kernel rows fold through the key's protocol; its flat
+    # evaluator is resolved if a round needs it.
+    evaluate = None
+    initial = np.array(
+        [config.initial_values for config in configs], dtype=np.float64
     )
-    all_pids = frozenset(range(n))
-    initially_nonfaulty = [all_pids] * run_count
+    stack = initial.copy()
+    occupied = None
     hosts_after = np.zeros((run_count, n), dtype=bool)
     terminated = [False] * run_count
-    max_rounds = [sim.config.max_rounds for sim in sims]
-    families = [sim.family for sim in sims]
+    received: list[float | None] = [None] * run_count
+    max_rounds = [config.max_rounds for config in configs]
+    families = [get_family(config.family) for config in configs]
     stack_families = set(families)
-    rules = [sim._termination for sim in sims]
     # Runs under a fixed budget, by the round they are due to stop.
     due: dict[int, list[int]] = {}
     for r, rule in enumerate(rules):
         if type(rule) is FixedRounds:
             due.setdefault(rule.rounds - 1, []).append(r)
     planner = CrossRunPlanner(
-        [sim.controller for sim in sims],
-        [sim._adversary_rng for sim in sims],
-        wrap=ArrayValues,
+        controllers, [setup[1] for setup in setups], wrap=ArrayValues
     )
 
     # Per round: the active rows (a slice when all runs are) with their
@@ -621,14 +845,19 @@ def _run_lite_many(
         plan = kernel.sampled("plan", planner.plan_many, round_index, sub, active)
         patched = plan.patched
 
-        # -- send phase: one masked stable sort over the whole stack --
+        # -- send phase: one masked sort over the whole stack ----------
         counts = n - plan.silent.sum(axis=1)
+        masked = np.where(plan.silent, np.inf, patched)
+        # Only equal values with different bits -- signed zeros, NaNs --
+        # tell the stable sort from numpy's much faster default one.
         inboxes = np.sort(
-            np.where(plan.silent, np.inf, patched), axis=1, kind="stable"
+            masked,
+            axis=1,
+            kind=None if np.abs(masked).min() > 0.0 else "stable",
         )
 
         # -- receive+compute: the block fold across the runs ----------
-        new_stack, scalar, received = kernel.sampled(
+        new_stack, scalar, folded_received = kernel.sampled(
             "fold", kernel.fold_rows_many, batch, np, inboxes, counts, plan,
             first_round,
         )
@@ -636,23 +865,22 @@ def _run_lite_many(
             # This run's round isn't batchable (non-camp overrides,
             # below-bound fold): the scalar round kernel, as in the
             # per-cell array body, canonical errors included.
-            sim = sims[active[i]]
-            if sim._lite_evaluate is None:
-                sim._lite_evaluate = kernel.prepare(sim.protocol)
-            sim._values = dict(enumerate(patched[i].tolist()))
-            diameter = sim._kernel_compute(plan.plan(i), first_round)
-            new_stack[i] = list(sim._values.values())
+            if evaluate is None:
+                evaluate = kernel.prepare(protocol)
+            values = dict(enumerate(patched[i].tolist()))
+            diameter = send_and_fold(
+                kernel, protocol, evaluate, plan.plan(i), values, cured_aware,
+                first_round,
+            )
+            new_stack[i] = list(values.values())
             if first_round:
-                received[i] = diameter
+                folded_received[i] = diameter
         if first_round:
-            for i, r in enumerate(active):
-                sims[r]._first_round_received_diameter = received[i]
-                # Round 0 cures nobody and mobile runs force no
-                # silence, so its silent processes are exactly the
-                # initial hosts.
-                initially_nonfaulty[r] = all_pids - frozenset(
-                    np.flatnonzero(plan.silent[i]).tolist()
-                )
+            # Round 0 runs every row, cures nobody and mobile runs force
+            # no silence, so its silent processes are exactly the
+            # initial hosts.
+            received = folded_received
+            occupied = plan.silent.copy()
         np.copyto(new_stack, plan.garbage_values, where=plan.garbage)
         if whole:
             stack = new_stack
@@ -698,56 +926,142 @@ def _run_lite_many(
                     diameter = 0.0 if extent is None else extent[1] - extent[0]
                 else:
                     diameter = diameters[i]
-                if rules[r].should_stop(
-                    round_index, diameter, sims[r]._first_round_received_diameter
-                ):
+                if rules[r].should_stop(round_index, diameter, received[r]):
                     terminated[r] = refresh = True
         round_index += 1
 
     planner.sync_positions()
     for route, planned in planner.routes.items():
         routes[route] += planned
-    # Each run's extents: its column of the round log, over the rounds
-    # it ran, with the rescued entries in place.
-    lows = np.full((len(log), run_count), np.nan)
-    highs = np.full((len(log), run_count), np.nan)
+    # The round log as (T, R) extents; a round past a run's last, like
+    # one with every process occupied, reads (+inf, -inf).
+    lows = np.full((len(log), run_count), np.inf)
+    highs = np.full((len(log), run_count), -np.inf)
     for t, (rows, round_lows, round_highs) in enumerate(log):
         lows[t, rows] = round_lows
         highs[t, rows] = round_highs
-    extents = [
-        list(zip(low[:count], high[:count]))
-        for low, high, count in zip(lows.T.tolist(), highs.T.tolist(), executed)
-    ]
     for t, r, extent in rescues:
-        extents[r][t] = extent
+        if extent is not None:
+            lows[t, r], highs[t, r] = extent
     # Decisions: each run's final values outside its final hosts, in
     # pid order, gathered for the whole stack at once.
     deciding = ~hosts_after
     decided_pids = np.nonzero(deciding)[1].tolist()
     decided_values = stack[deciding].tolist()
     ends = np.cumsum(deciding.sum(axis=1)).tolist()
-    traces = []
-    # Runs built from one initial-values tuple share its read-only view.
+    outcome = StackOutcome(
+        initial=initial,
+        occupied=occupied,
+        final=stack,
+        hosts=hosts_after,
+        lows=lows,
+        highs=highs,
+        executed=np.array(executed),
+        terminated=np.array(terminated),
+        epsilon=np.array([config.epsilon for config in configs]),
+        decisions=[
+            dict(zip(decided_pids[start:end], decided_values[start:end]))
+            for start, end in zip([0] + ends, ends)
+        ],
+        received=received,
+    )
+    return _stack_traces(configs, controllers, outcome, rescues)
+
+
+def _stack_traces(
+    configs: list[SimulationConfig],
+    controllers: list[MobileFaultController],
+    outcome: "StackOutcome",
+    rescues: list[tuple],
+) -> list[LiteTrace]:
+    """Each stacked run's :class:`LiteTrace`, linked to its row of
+    ``outcome`` as ``trace.stack``.
+
+    ``rescues`` holds the first-wins rescued extents as ``(round, run,
+    extent)``; those the arrays read as ``(+inf, -inf)`` are ``None``.
+    """
+    np = _np
+    n = configs[0].n
+    executed = outcome.executed.tolist()
+    extents = [
+        list(zip(low[:count], high[:count]))
+        for low, high, count in zip(
+            outcome.lows.T.tolist(), outcome.highs.T.tolist(), executed
+        )
+    ]
+    for t, r, extent in rescues:
+        if extent is None:
+            extents[r][t] = None
+    hosts = np.nonzero(outcome.occupied)[1].tolist()
+    host_ends = np.cumsum(outcome.occupied.sum(axis=1)).tolist()
+    all_pids = frozenset(range(n))
+    terminated = outcome.terminated.tolist()
+    # Runs built from one initial-values tuple share its read-only
+    # view, and runs placing their agents alike their Validity set.
     shared_initial: dict[int, MappingProxyType] = {}
+    shared_nonfaulty: dict[tuple, frozenset] = {}
+    traces = []
     start = 0
-    for r, sim in enumerate(sims):
-        sim._round_index = executed[r]
-        initial = sim.config.initial_values
+    for r, config in enumerate(configs):
+        initial = config.initial_values
         view = shared_initial.get(id(initial))
         if view is None:
             view = shared_initial[id(initial)] = _initial_view(initial)
-        end = ends[r]
-        traces.append(
-            sim._lite_trace(
-                dict(zip(decided_pids[start:end], decided_values[start:end])),
-                initially_nonfaulty[r],
-                extents[r],
-                terminated[r],
-                view,
-            )
+        placed = tuple(hosts[start : host_ends[r]])
+        start = host_ends[r]
+        nonfaulty = shared_nonfaulty.get(placed)
+        if nonfaulty is None:
+            nonfaulty = shared_nonfaulty[placed] = all_pids - frozenset(placed)
+        trace = _lite_trace(
+            config,
+            controllers[r],
+            outcome.decisions[r],
+            nonfaulty,
+            extents[r],
+            terminated[r],
+            view,
         )
-        start = end
+        trace.stack = (outcome, r)
+        traces.append(trace)
     return traces
+
+
+def _lite_trace(
+    config: SimulationConfig,
+    controller: FaultController,
+    decisions: dict[int, float],
+    initially_nonfaulty: frozenset[int],
+    extents: list[tuple[float, float] | None],
+    terminated: bool,
+    initial_values: Mapping[int, float] | None = None,
+) -> LiteTrace:
+    """A run's :class:`LiteTrace`.
+
+    Every lite run ends here.  ``decisions`` holds the final values
+    outside the final agent hosts, in pid order; ``initial_values`` is
+    the `_initial_view` of the config's inputs, built here when not
+    given.
+    """
+    return LiteTrace(
+        n=config.n,
+        f=config.f,
+        model=SynchronousSimulator._setup_model(config),
+        algorithm_name=config.algorithm.name,
+        epsilon=config.epsilon,
+        initial_values=(
+            _initial_view(config.initial_values)
+            if initial_values is None
+            else initial_values
+        ),
+        initially_nonfaulty=initially_nonfaulty,
+        round_extents=tuple(extents),
+        decisions=decisions,
+        terminated=terminated,
+        controller_description=(
+            f"{controller.describe()} | {config.describe()} "
+            "| trace_detail=lite"
+        ),
+    )
 
 
 class SynchronousSimulator:
@@ -923,7 +1237,9 @@ class SynchronousSimulator:
             self._values = dict(enumerate(values))
         trace = self._trace
         if trace is None:
-            return self._lite_trace(
+            return _lite_trace(
+                self.config,
+                self.controller,
                 {pid: values[pid] for pid in range(n) if pid not in positions_after},
                 initially_nonfaulty,
                 extents,
@@ -962,7 +1278,7 @@ class SynchronousSimulator:
         """This run's round body and its initial values (see `_run_rounds`).
 
         A stateful protocol runs its own ``run_round``.  A scalar one
-        runs the array body where `_vectorized_setup` resolves a batch
+        runs the array body where `_batch_evaluator` resolves a batch
         evaluator, else the scalar round kernel for lite traces and
         ``step()`` for full ones.
         """
@@ -972,7 +1288,7 @@ class SynchronousSimulator:
             protocol.reset(self.kernel)
             protocol.start(self.config.initial_values)
             return self._stateful_round, protocol.values
-        batch = self._vectorized_setup()
+        batch = _batch_evaluator(self.kernel, protocol)
         if self._values is None:
             self._values = _initial_values(self.config)
         if batch is None and self._trace is not None:
@@ -984,43 +1300,6 @@ class SynchronousSimulator:
         n = self.config.n
         return self._array_round, _np.array(
             [self._values[pid] for pid in range(n)], dtype=_np.float64
-        )
-
-    def _lite_trace(
-        self,
-        decisions: dict[int, float],
-        initially_nonfaulty: frozenset[int],
-        extents: list[tuple[float, float] | None],
-        terminated: bool,
-        initial_values: Mapping[int, float] | None = None,
-    ) -> LiteTrace:
-        """This run's :class:`LiteTrace`.
-
-        Every lite run ends here.  ``decisions`` holds the final values
-        outside the final agent hosts, in pid order;
-        ``initial_values`` is the `_initial_view` of the config's
-        inputs, built here when not given.
-        """
-        config = self.config
-        return LiteTrace(
-            n=config.n,
-            f=config.f,
-            model=self._setup_model(config),
-            algorithm_name=config.algorithm.name,
-            epsilon=config.epsilon,
-            initial_values=(
-                _initial_view(config.initial_values)
-                if initial_values is None
-                else initial_values
-            ),
-            initially_nonfaulty=initially_nonfaulty,
-            round_extents=tuple(extents),
-            decisions=decisions,
-            terminated=terminated,
-            controller_description=(
-                f"{self.controller.describe()} | {config.describe()} "
-                "| trace_detail=lite"
-            ),
         )
 
     # -- round bodies ------------------------------------------------------------
@@ -1249,73 +1528,6 @@ class SynchronousSimulator:
             wire.get("applications") or {},
             wire.get("payloads"),
         )
-
-    # -- engine selection --------------------------------------------------------
-
-    def _vectorized_setup(self, protocol=None):
-        """The batched MSR evaluator when the array engine applies.
-
-        Returns ``None`` (staying on the scalar paths) unless every
-        precondition holds: numpy importable, a scalar protocol (which
-        :meth:`__init__` admits on the complete graph only, so there is
-        one shared broadcast list per round), exactly the MSR
-        broadcast-send rule (so the silence mask is ``overrides |
-        forced_silent | aware-cured``), and batchable MSR stages per
-        :meth:`RoundKernel.prepare_batch` -- which also encodes the
-        kernel's mode (``None`` in the reference mode).  ``protocol``
-        defaults to the run's own.
-        """
-        if _np is None:
-            return None
-        if protocol is None:
-            protocol = self.protocol
-        if isinstance(protocol, StatefulRoundProtocol):
-            return None
-        if type(protocol).send_value is not MSRVotingProtocol.send_value:
-            return None
-        return self.kernel.prepare_batch(protocol)
-
-    def _cross_run_key(self):
-        """Cross-run stacking class of this simulator, or ``None``.
-
-        The run's :func:`~repro.runtime.families.stacking_key` -- the
-        one compatibility rule the sweep layer groups cells by too --
-        gated on the engine's own preconditions: lite detail, a mobile
-        controller, and a batch evaluator for the folded family's
-        protocol (numpy present, the fast kernel, batchable MSR
-        stages).  Two simulators sharing a key fold interchangeable
-        multisets, so their rounds can share one width-grouped fold
-        (:meth:`RoundKernel.fold_rows_many`); movement, attack, seeds
-        and termination stay per run.  A stateful family's run keys as
-        the scalar family it declares equivalent
-        (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`),
-        whose protocol `_run_lite_many` then runs in its place.
-        ``None`` means the run stays on its per-cell path.
-        """
-        if self.trace_detail != "lite":
-            return None
-        if not isinstance(self.controller, MobileFaultController):
-            return None
-        config = self.config
-        key = stacking_key(
-            config.n,
-            config.f,
-            config.algorithm.name,
-            self.family.name,
-            self._setup_model(config),
-            config.topology,
-        )
-        if key is None:
-            return None
-        protocol = self.protocol
-        if key[3] != self.family.name:
-            protocol = get_family(key[3]).build_protocol(config)
-        batch = self._vectorized_setup(protocol)
-        if batch is None:
-            return None
-        self._cross_run_batch = batch
-        self._cross_run_protocol = protocol
-        return key
 
     # -- phases ----------------------------------------------------------------
 

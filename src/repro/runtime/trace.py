@@ -426,7 +426,7 @@ class LiteTrace(_TraceStats):
     values survives -- exactly enough to reproduce decisions, diameter
     trajectories, termination and the headline specification verdict
     (Termination / eps-Agreement / Validity), which sweeps read straight
-    from the extents (:func:`repro.sweep.engine._lite_verdict`).  The
+    from the extents (:func:`repro.sweep.engine._array_verdicts`).  The
     per-round P1/P2 invariants need full message data and are not
     checkable on a lite trace.
     """
@@ -445,6 +445,13 @@ class LiteTrace(_TraceStats):
     decisions: dict[int, float] = field(default_factory=dict)
     terminated: bool = False
     controller_description: str = ""
+
+    #: ``(StackOutcome, row)`` of a run that
+    #: :func:`~repro.runtime.simulator.simulate_many` stacked, ``None``
+    #: otherwise: where the sweep engine's array verdict reads the run.
+    #: Not a field, so it takes no part in equality, ``repr`` or
+    #: :func:`dataclasses.fields`.
+    stack = None
 
     def __len__(self) -> int:
         return len(self.round_extents)

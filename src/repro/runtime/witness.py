@@ -621,7 +621,8 @@ class WitnessProtocol(StatefulRoundProtocol):
                 group[:, None], self._pick_table[group_widths, :count]
             ]
             folded_pids.extend(group.tolist())
-            folded.extend(self._batch.combine(selected))
+            combined = self._batch.combine(selected)
+            folded.extend(np.asarray(combined, dtype=np.float64).tolist())
 
         # Commit.
         for pid, corrupted in memory.items():

@@ -61,6 +61,7 @@ from ..telemetry import (
 )
 from ..runtime.simulator import (
     RunBatchOut,
+    StackOutcome,
     TraceDetail,
     run_simulation,
     simulate_many,
@@ -77,6 +78,11 @@ from .cache import CellStore
 from .grid import CellSpec, GridSpec
 from .scenarios import build_cell_configs
 from .probes import get_probe
+
+try:  # numpy is optional: lite traces defer to the reference without it.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised only without numpy
+    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from .service import SweepJournal
@@ -185,19 +191,62 @@ def _error_cell(cell: CellSpec, exc: Exception) -> CellResult:
 def _condense_trace(
     cell: CellSpec, trace, probe_spec, elapsed: float | None = None
 ) -> CellResult:
-    """Condense one finished trace into its :class:`CellResult`.
+    """Condense one finished trace into its :class:`CellResult`
+    (:func:`_condense_many` of one)."""
+    return _condense_many([cell], [trace], probe_spec, elapsed)[0]
+
+
+def _condense_many(
+    cells: list[CellSpec], traces: list, probe_spec, elapsed: float | None = None
+) -> list[CellResult]:
+    """Condense finished traces into their :class:`CellResult` objects.
 
     Shared by the per-cell and cross-run runners so both condense
-    identically (checker verdicts, probe extras, sorted decisions).  A
-    :class:`~repro.runtime.trace.LiteTrace` with no probe takes the
-    lite verdict (`_lite_verdict`); a full trace, a probed run and a
-    lite run the lite verdict defers go through
-    :func:`~repro.core.specification.check_trace`, its reference.
+    identically (checker verdicts, probe extras, sorted decisions).
+    Lite traces without a probe take the array verdict
+    (`_array_verdicts`): a stacked run's on its stack's
+    :class:`~repro.runtime.simulator.StackOutcome`, once for every row
+    of the stack among ``traces``, and any other lite trace as a
+    one-row stack.  A full trace, a probed run and a row the array
+    verdict defers go through
+    :func:`~repro.core.specification.check_trace`, its reference, in
+    input order, so the first run the reference rejects raises.
     """
-    if probe_spec is None and isinstance(trace, LiteTrace):
-        result = _lite_verdict(cell, trace, elapsed)
-        if result is not None:
-            return result
+    results: list[CellResult | None] = [None] * len(traces)
+    stacks: dict[int, tuple] = {}
+    if probe_spec is None:
+        for index, trace in enumerate(traces):
+            if not isinstance(trace, LiteTrace):
+                continue
+            link = trace.stack
+            if link is None:
+                outcome = StackOutcome.of_traces([trace])
+                if outcome is None:
+                    continue
+                link = (outcome, 0)
+            outcome, row = link
+            _, indices, rows = stacks.setdefault(id(outcome), (outcome, [], []))
+            indices.append(index)
+            rows.append(row)
+    for outcome, indices, rows in stacks.values():
+        verdicts = _array_verdicts(
+            outcome, rows, [cells[index] for index in indices], elapsed
+        )
+        for index, result in zip(indices, verdicts):
+            results[index] = result
+    for index, result in enumerate(results):
+        if result is None:
+            results[index] = _reference_result(
+                cells[index], traces[index], probe_spec, elapsed
+            )
+    return results
+
+
+def _reference_result(
+    cell: CellSpec, trace, probe_spec, elapsed: float | None
+) -> CellResult:
+    """``trace`` condensed through ``check_trace`` and the trace's own
+    spreads: the reference every other condensation must equal."""
     verdict = check_trace(trace)
     extras = tuple(probe_spec.extract(trace)) if probe_spec is not None else ()
     return CellResult(
@@ -217,65 +266,103 @@ def _condense_trace(
     )
 
 
-def _lite_verdict(
-    cell: CellSpec, trace: LiteTrace, elapsed: float | None
-) -> CellResult | None:
-    """The lite verdict: a lite run's :class:`CellResult` from its
-    round extents and decisions, or ``None`` to defer to the reference.
+def _spread(values: list[float]) -> float:
+    """``max(reversed(values)) - min(values)``: the last of the equal
+    maxima less the first of the equal minima, the endpoints
+    :meth:`~repro.msr.multiset.ValueMultiset.diameter`'s stable sort
+    picks (``[0.0, -0.0]`` spreads ``-0.0``)."""
+    return max(reversed(values)) - min(values)
+
+
+def _array_verdicts(
+    outcome: StackOutcome,
+    rows: list[int],
+    cells: list[CellSpec],
+    elapsed: float | None,
+) -> list[CellResult | None]:
+    """The lite verdict of stack rows ``rows``: each one's
+    :class:`CellResult` (for ``cells``), or ``None`` to defer it to the
+    reference.
 
     Termination, epsilon-Agreement and Validity follow from what the
-    trace already holds, so no multiset is built.  A spread is
-    ``max(reversed(values)) - min(values)``: the last of the equal
-    maxima and the first of the equal minima, which are the endpoints
-    :meth:`~repro.msr.multiset.ValueMultiset.diameter`'s stable sort
-    picks (``[0.0, -0.0]`` spreads ``-0.0`` either way).  Validity
-    checks the decisions and every round extent against the initially
-    non-faulty inputs' range widened by ``FLOAT_TOLERANCE``, as
-    :func:`~repro.core.specification.check_validity` does.  A NaN
+    stack kept, so no trace is read and no multiset is built.  Each
+    row's input range (over its initially non-faulty processes) and
+    decision range are masked reductions over the whole stack, laid
+    out as extents before the first round and after the last; one
+    subtraction then yields every row's diameters and decision
+    spread, and one comparison checks the decisions and every round
+    extent against the input range widened by ``FLOAT_TOLERANCE``, as
+    :func:`~repro.core.specification.check_validity` does.  Spreads
+    follow the `_spread` rule; numpy's min and max select the same
+    endpoints except between equal signed zeros, which shows in a
+    spread only when both endpoints are zero, so such a spread is
+    taken by the rule from the row's values in pid order.  A NaN
     input or decision and an empty Validity reference set are where
-    the reference raises, so those runs defer to it.
+    the reference raises, so those rows defer to it.
     """
-    initial = trace.initial_values
-    inputs = [initial[pid] for pid in sorted(trace.initially_nonfaulty)]
-    decided = list(trace.decisions.values())
-    # A sum is NaN if any term is NaN (or +inf meets -inf, which merely
-    # defers a run the lite verdict could have taken).
-    if not inputs or math.isnan(sum(inputs)) or math.isnan(sum(decided)):
-        return None
-    low = float(min(inputs))
-    high = float(max(reversed(inputs)))
-    floor = low - FLOAT_TOLERANCE
-    ceiling = high + FLOAT_TOLERANCE
-    spread = 0.0
-    valid = True
-    if decided:
-        least = float(min(decided))
-        most = float(max(reversed(decided)))
-        spread = most - least
-        valid = floor <= least and most <= ceiling
-    diameters = [high - low]
-    for extent in trace.round_extents:
-        if extent is None:
-            diameters.append(0.0)
-            continue
-        least, most = extent
-        diameters.append(most - least)
-        if valid and not (
-            floor <= least <= ceiling and floor <= most <= ceiling
-        ):
-            valid = False
-    return CellResult(
-        spec=cell,
-        decisions=tuple(sorted(trace.decisions.items())),
-        rounds=len(trace.round_extents),
-        terminated=trace.terminated,
-        decision_diameter=spread,
-        diameters=tuple(diameters),
-        termination_ok=trace.terminated,
-        agreement_ok=spread <= trace.epsilon + FLOAT_TOLERANCE,
-        validity_ok=valid,
-        elapsed=elapsed,
+    np = _np
+    count = outcome.final.shape[0]
+    hidden = np.concatenate((outcome.occupied, outcome.hosts))
+    values = np.concatenate((outcome.initial, outcome.final))
+    mins = np.where(hidden, np.inf, values).min(axis=1)[:, None]
+    maxs = np.where(hidden, -np.inf, values).max(axis=1)[:, None]
+    # (T + 2, R) extents: the inputs, each round, the decisions.  An
+    # extent of nobody -- no decision, a round with every process
+    # occupied, a round past the run's last -- reads (+inf, -inf), the
+    # one kind whose low exceeds its high.
+    lows = np.concatenate((mins[:count].T, outcome.lows, mins[count:].T))
+    highs = np.concatenate((maxs[:count].T, outcome.highs, maxs[count:].T))
+    absent = lows > highs
+    with np.errstate(invalid="ignore"):
+        spans = np.where(absent, 0.0, highs - lows)
+    # An extent with low <= high lies inside [floor, ceiling] iff its
+    # low is not below the floor and its high not above the ceiling.
+    inside = (lows[0] - FLOAT_TOLERANCE <= lows) & (
+        highs <= highs[0] + FLOAT_TOLERANCE
     )
+    valid = (absent | inside).all(axis=0).tolist()
+    agreed = (spans[-1] <= outcome.epsilon + FLOAT_TOLERANCE).tolist()
+    spans = spans.T.tolist()
+    input_lows, input_highs = lows[0].tolist(), highs[0].tolist()
+    decided_lows, decided_highs = lows[-1].tolist(), highs[-1].tolist()
+    executed = outcome.executed.tolist()
+    terminated = outcome.terminated.tolist()
+    results: list[CellResult | None] = []
+    for cell, r in zip(cells, rows):
+        decisions = outcome.decisions[r]
+        series = spans[r]
+        diameters = series[: executed[r] + 1]
+        spread = series[-1]
+        low, high = input_lows[r], input_highs[r]
+        least, most = decided_lows[r], decided_highs[r]
+        if not (low <= high) or least != least or (
+            low == high == 0.0 or least == most == 0.0
+        ):
+            # No input (the Validity set is empty), a NaN, or a range
+            # with two zero endpoints: the rule, or the reference.
+            inputs = outcome.initial[r][~outcome.occupied[r]].tolist()
+            decided = list(decisions.values())
+            if not inputs or any(math.isnan(v) for v in inputs + decided):
+                results.append(None)
+                continue
+            diameters[0] = _spread(inputs)
+            if decided:
+                spread = _spread(decided)
+        results.append(
+            CellResult(
+                spec=cell,
+                decisions=tuple(decisions.items()),
+                rounds=executed[r],
+                terminated=terminated[r],
+                decision_diameter=spread,
+                diameters=tuple(diameters),
+                termination_ok=terminated[r],
+                agreement_ok=agreed[r],
+                validity_ok=valid[r],
+                elapsed=elapsed,
+            )
+        )
+    return results
 
 
 def _ensure_sampler(kernel: RoundKernel) -> KernelSampler:
@@ -455,8 +542,13 @@ def run_cell_many(
             continue
         # Each run's share of the group's one stacked pass.
         share = (time.perf_counter() - started) / len(runnable)
-        for idx, trace in zip(runnable, traces):
-            results[idx] = _condense_trace(cells[idx], trace, probe_spec, share)
+        for idx, result in zip(
+            runnable,
+            _condense_many(
+                [cells[idx] for idx in runnable], traces, probe_spec, share
+            ),
+        ):
+            results[idx] = result
         if out is not None:
             for idx in runnable:
                 out.write(idx, results[idx])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from unittest import mock
 
 from repro.core.mapping import msr_trim_parameter
 from repro.core.specification import check_trace
@@ -18,10 +19,15 @@ from repro.runtime import (
     SimulationConfig,
     run_simulation,
 )
+from repro.runtime.controllers import CrossRunPlanner
 from repro.runtime.families import stacking_key
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import (
+    StackOutcome,
+    SynchronousSimulator,
+    simulate_many,
+)
 from repro.sweep import CellSpec, CellResult, GridSpec
-from repro.sweep.engine import _lite_verdict
+from repro.sweep.engine import _array_verdicts
 
 
 def make_mobile_config(
@@ -194,9 +200,65 @@ def reference_cell_result(trace, cell=VERDICT_CELL) -> CellResult:
     )
 
 
+def lite_verdict(trace, cell=VERDICT_CELL) -> CellResult | None:
+    """The engine's array verdict of ``trace``: on its stack row where
+    ``simulate_many`` stacked it, else as a one-row stack; ``None``
+    where the verdict defers to the reference."""
+    link = trace.stack
+    if link is None:
+        outcome = StackOutcome.of_traces([trace])
+        if outcome is None:
+            return None
+        link = (outcome, 0)
+    outcome, row = link
+    return _array_verdicts(outcome, [row], [cell], None)[0]
+
+
 def assert_lite_verdict_matches(trace, cell=VERDICT_CELL) -> None:
     """The lite verdict of ``trace`` is ``repr``-identical to the
     reference (signed zeros and NaN spreads included)."""
-    fast = _lite_verdict(cell, trace, None)
+    fast = lite_verdict(trace, cell)
     assert fast is not None, "the lite verdict deferred a plain run"
     assert repr(fast) == repr(reference_cell_result(trace, cell))
+
+
+def stacked_runs(configs, kernel=None):
+    """``simulate_many`` over ``configs``: the traces, each run's
+    ``(round-0 received diameter, controller)``, and the stacks'
+    planners.
+
+    A stacked run builds no simulator: its received diameter is its
+    row of the stack's outcome (``trace.stack``) and its controller the
+    one its stack's planner planned with.  A run left on its per-cell
+    path reads both from the simulator that ran it.
+    """
+    sims: list = []
+    planners: list = []
+    sim_init = SynchronousSimulator.__init__
+    planner_init = CrossRunPlanner.__init__
+
+    def track_sim(self, *args, **kwargs):
+        sim_init(self, *args, **kwargs)
+        sims.append(self)
+
+    def track_planner(self, *args, **kwargs):
+        planner_init(self, *args, **kwargs)
+        planners.append(self)
+
+    with mock.patch.object(SynchronousSimulator, "__init__", track_sim), \
+            mock.patch.object(CrossRunPlanner, "__init__", track_planner):
+        traces = simulate_many(configs, kernel=kernel)
+    solo = iter(sims)
+    stacks: dict[int, int] = {}
+    runs = []
+    for trace in traces:
+        link = getattr(trace, "stack", None)
+        if link is None:
+            sim = next(solo)
+            runs.append((sim._first_round_received_diameter, sim.controller))
+            continue
+        outcome, row = link
+        planner = planners[stacks.setdefault(id(outcome), len(stacks))]
+        runs.append((outcome.received[row], planner.controllers[row]))
+    assert next(solo, None) is None
+    return traces, runs, planners

@@ -20,6 +20,7 @@ and topologies by their real relative expense.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,6 @@ import textwrap
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +41,7 @@ from tests.helpers import (
     make_mobile_config,
     small_grid,
     stackable,
+    stacked_runs,
 )
 
 import repro.api
@@ -61,6 +62,7 @@ from repro.runtime.simulator import (
     run_simulation,
     simulate_many,
 )
+from repro.runtime.trace import LiteTrace
 from repro.sweep import (
     CellSpec,
     GridSpec,
@@ -697,51 +699,27 @@ def _bits(trace):
     )
 
 
-def _stacked_runs(configs):
-    """``simulate_many`` traces, the simulators that ran them, and the
-    planners that planned the stacks."""
-    sims: list = []
-    planners: list = []
-    sim_init = SynchronousSimulator.__init__
-    planner_init = CrossRunPlanner.__init__
-
-    def track_sim(self, *args, **kwargs):
-        sim_init(self, *args, **kwargs)
-        sims.append(self)
-
-    def track_planner(self, *args, **kwargs):
-        planner_init(self, *args, **kwargs)
-        planners.append(self)
-
-    with mock.patch.object(SynchronousSimulator, "__init__", track_sim), \
-            mock.patch.object(CrossRunPlanner, "__init__", track_planner):
-        traces = simulate_many(configs)
-    return traces, sims, planners
-
-
-def _received(sim) -> str:
-    """A run's round-0 received diameter as its exact bit pattern."""
-    return sim._first_round_received_diameter.hex()
-
-
 def _assert_runs_match_solo(configs, solo_configs=None):
     """Stacked runs equal their per-run ``run_simulation`` bit for bit,
     round-0 received diameters and final agent positions included, and
     each stacked run's lite verdict equals its ``check_trace``
-    reference; returns what :func:`_stacked_runs` does.
+    reference; returns what :func:`~tests.helpers.stacked_runs` does.
 
     ``solo_configs`` (default: ``configs``) are the configs the solo runs
     use: fresh equal copies where a config holds run state, as
     :class:`EstimatedRounds` does.
     """
-    traces, stacked, planners = _stacked_runs(configs)
-    for config, trace, run in zip(solo_configs or configs, traces, stacked):
+    traces, stacked, planners = stacked_runs(configs)
+    for config, trace, (received, controller) in zip(
+        solo_configs or configs, traces, stacked
+    ):
         sim = SynchronousSimulator(config, trace_detail="lite")
         solo = sim.run()
         assert _bits(trace) == _bits(solo)
         assert_lite_verdict_matches(trace)
-        assert _received(run) == _received(sim)
-        assert run.controller.positions == sim.controller.positions
+        # The round-0 received diameter, bit for bit.
+        assert received.hex() == sim._first_round_received_diameter.hex()
+        assert controller.positions == sim.controller.positions
     return traces, stacked, planners
 
 
@@ -1024,9 +1002,9 @@ class TestRoundZeroOnTheStack:
                 for seed in range(2)
             ]
 
-        traces, sims, planners = _assert_runs_match_solo(configs(), configs())
+        traces, runs, planners = _assert_runs_match_solo(configs(), configs())
         assert len(planners) == 1
-        assert all(sim._first_round_received_diameter > 0.0 for sim in sims)
+        assert all(received > 0.0 for received, _ in runs)
         # The budget, not a cap, ended every run.
         assert all(trace.terminated for trace in traces)
 
@@ -1080,7 +1058,7 @@ class TestRoundZeroOnTheStack:
             for movement in ("round-robin", "random")
             for seed in range(2)
         ]
-        traces, _, planners = _stacked_runs(configs)
+        traces, _, planners = stacked_runs(configs)
         assert calls == []
         assert planners[0].routes["plan_round"] == 0
         assert sum(trace.rounds_executed() for trace in traces) == sum(
@@ -1119,3 +1097,48 @@ class TestNoLazyImports:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+class TestNoPerRowSimulator:
+    """Stacked rows are keyed from their configs: a stacked sweep builds
+    no :class:`SynchronousSimulator` for them, and ``simulate_many``
+    still returns each run's own lite trace."""
+
+    GRID = GridSpec(
+        models=("M2",),
+        fs=(16,),
+        ns=(97,),
+        attacks=("crossfire", "split"),
+        seeds=tuple(range(16)),
+        rounds=20,
+    )
+
+    def test_a_stacked_sweep_builds_no_simulator(self, monkeypatch):
+        cells = list(self.GRID.cells())
+        assert len(cells) == 32
+        expected = run_sweep(cells)
+        built = []
+        init = SynchronousSimulator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SynchronousSimulator, "__init__", counted)
+        result = run_sweep(cells, cross_run=True)
+        assert built == []
+        assert parse_dispatch_label(result.dispatch).cross_run
+        assert repr(result.cells) == repr(expected.cells)
+
+    def test_simulate_many_traces_equal_each_run_simulation(self):
+        configs = [cell.to_config() for cell in self.GRID.cells()]
+        traces = simulate_many(configs)
+        for config, trace in zip(configs, traces):
+            assert trace.stack is not None
+            solo = run_simulation(config, "lite")
+            assert trace == solo
+            for field in dataclasses.fields(LiteTrace):
+                assert repr(getattr(trace, field.name)) == repr(
+                    getattr(solo, field.name)
+                ), field.name
+            assert trace.controller_description == solo.controller_description

@@ -495,6 +495,7 @@ class TestBatchedHooks:
             high=np.array([high for _, high in rows]),
             round_index=round_index,
             senders=senders,
+            memo=lambda key, factory: factory(),
         )
         tables = type(strategy).class_values(group)
         for k, (low, high) in enumerate(rows):

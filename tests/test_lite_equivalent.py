@@ -32,7 +32,6 @@ from repro.runtime import (
     EstimatedRounds,
     FixedRounds,
     MobileFaultSetup,
-    MSRVotingProtocol,
     RoundKernel,
     SimulationConfig,
     StaticMixedSetup,
@@ -40,6 +39,7 @@ from repro.runtime import (
     get_family,
 )
 from repro.runtime.simulator import SynchronousSimulator, simulate_many
+from tests.helpers import stacked_runs
 from repro.runtime.witness import WitnessProtocol
 from repro.sweep import GridSpec, run_sweep
 
@@ -79,20 +79,13 @@ def _config(spec: dict) -> SimulationConfig:
 
 
 def _stacked(configs, kernel=None):
-    """``simulate_many`` traces and the simulators that ran them."""
-    sims: list = []
-    init = SynchronousSimulator.__init__
-
-    def track(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sims.append(self)
-
-    with mock.patch.object(SynchronousSimulator, "__init__", track):
-        traces = simulate_many(configs, kernel=kernel)
-    return traces, sims
+    """``simulate_many`` traces and each run's round-0 received
+    diameter."""
+    traces, runs, _ = stacked_runs(configs, kernel=kernel)
+    return traces, [received for received, _ in runs]
 
 
-def _outputs(trace, sim):
+def _outputs(trace, received):
     """A lite run's outputs, every float as its exact bit pattern."""
     return (
         {pid: value.hex() for pid, value in trace.decisions.items()},
@@ -100,14 +93,16 @@ def _outputs(trace, sim):
         trace.rounds_executed(),
         trace.terminated,
         trace.decision_diameter().hex(),
-        sim._first_round_received_diameter.hex(),
+        received.hex(),
     )
 
 
 def _solo(config):
-    """The family's own driver on ``config``: trace and simulator."""
+    """The family's own driver on ``config``: trace and round-0
+    received diameter."""
     sim = SynchronousSimulator(config, trace_detail="lite")
-    return sim.run(), sim
+    trace = sim.run()
+    return trace, sim._first_round_received_diameter
 
 
 @st.composite
@@ -184,9 +179,9 @@ class TestStackedEquivalence:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(specs=_groups())
     def test_simulate_many_matches_own_driver(self, specs):
-        traces, sims = _stacked([_config(spec) for spec in specs])
-        for spec, trace, sim in zip(specs, traces, sims):
-            assert _outputs(trace, sim) == _outputs(*_solo(_config(spec))), spec
+        traces, received = _stacked([_config(spec) for spec in specs])
+        for spec, trace, diameter in zip(specs, traces, received):
+            assert _outputs(trace, diameter) == _outputs(*_solo(_config(spec))), spec
 
     def test_every_lite_trace_field(self):
         specs = [
@@ -200,17 +195,18 @@ class TestStackedEquivalence:
             for attack in ("split", "crossfire", "outlier")
             for movement in ("round-robin", "random")
         ]
-        traces, sims = _stacked([_config(spec) for spec in specs])
+        traces, received = _stacked([_config(spec) for spec in specs])
         stacked_stateful = 0
-        for spec, trace, sim in zip(specs, traces, sims):
-            solo, solo_sim = _solo(_config(spec))
+        for spec, trace, diameter in zip(specs, traces, received):
+            solo, solo_received = _solo(_config(spec))
             for field in dataclasses.fields(trace):
                 assert getattr(trace, field.name) == getattr(solo, field.name), (
                     spec, field.name,
                 )
-            assert _outputs(trace, sim) == _outputs(solo, solo_sim), spec
+            assert _outputs(trace, diameter) == _outputs(solo, solo_received), spec
             if spec["family"] != "bonomi":
-                assert isinstance(sim.protocol, MSRVotingProtocol)
+                # Stacked, so folded as a bonomi row.
+                assert trace.stack is not None
                 stacked_stateful += 1
         assert stacked_stateful == 5 * 3 * 2
 

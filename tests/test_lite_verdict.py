@@ -7,13 +7,17 @@ trace holds.  Every field must stay ``repr``-identical to the
 reference condensation (:func:`tests.helpers.reference_cell_result`),
 signed zeros included, and the runs the reference rejects -- NaN
 values, no initially non-faulty process -- must raise what it raises.
-The engine's matrices check the same on every run they drive
-(``tests/test_run_rounds.py``, ``TestStackedDifferential``); the cases
-here are the edges no simulated run reaches.
+Each edge is checked as a lone trace (a one-row stack) and again as
+one row of a stack next to ordinary rows (``TestInsideAStack``), which
+is how a stacked sweep condenses its runs.  The engine's matrices
+check the same on every run they drive (``tests/test_run_rounds.py``,
+``TestStackedDifferential``); the cases here are the edges no
+simulated run reaches.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import MappingProxyType
 
@@ -21,13 +25,14 @@ import pytest
 
 from repro.core.specification import FLOAT_TOLERANCE
 from repro.faults.models import MobileModel
-from repro.runtime.simulator import run_simulation
+from repro.runtime.simulator import StackOutcome, run_simulation
 from repro.runtime.trace import LiteTrace
 from repro.sweep import GridSpec, run_sweep
-from repro.sweep.engine import _condense_trace, _lite_verdict
+from repro.sweep.engine import _condense_many, _condense_trace
 from tests.helpers import (
     VERDICT_CELL,
     assert_lite_verdict_matches,
+    lite_verdict,
     reference_cell_result,
 )
 
@@ -83,16 +88,16 @@ class TestInfiniteDecisions:
     def test_match_the_reference(self, decisions):
         assert_lite_verdict_matches(lite(decisions))
 
-    def test_opposite_infinities_defer_to_the_reference(self):
+    def test_opposite_infinities_match_the_reference(self):
         trace = lite({0: INF, 1: -INF})
-        assert _lite_verdict(VERDICT_CELL, trace, None) is None
+        assert_lite_verdict_matches(trace)
         assert repr(condensed(trace)) == repr(reference_cell_result(trace))
 
 
 class TestDeferredRuns:
     def test_nan_decision_raises_as_the_reference(self):
         trace = lite({0: 0.5, 1: NAN})
-        assert _lite_verdict(VERDICT_CELL, trace, None) is None
+        assert lite_verdict(trace) is None
         with pytest.raises(ValueError) as reference:
             reference_cell_result(trace)
         with pytest.raises(ValueError) as fast:
@@ -101,7 +106,7 @@ class TestDeferredRuns:
 
     def test_no_initially_nonfaulty_process_raises_as_the_reference(self):
         trace = lite({0: 0.5}, nonfaulty=())
-        assert _lite_verdict(VERDICT_CELL, trace, None) is None
+        assert lite_verdict(trace) is None
         with pytest.raises(ValueError) as reference:
             reference_cell_result(trace)
         with pytest.raises(ValueError) as fast:
@@ -142,6 +147,98 @@ class TestVerdicts:
         broken = lite({0: 0.0, 1: beyond}, epsilon=epsilon)
         assert_lite_verdict_matches(broken)
         assert not condensed(broken).agreement_ok
+
+
+#: Every edge above, as ``(id, trace)``; the last two raise.
+EDGES = [
+    ("zero-then-negative-zero", lite({0: 0.0, 1: -0.0}, extents=[(-0.0, 0.0)])),
+    ("negative-zero-first", lite({0: -0.0, 1: 0.0})),
+    (
+        "zero-inputs",
+        lite({1: 0.0}, initial=(0.0, -0.0), extents=[(0.0, 0.0)]),
+    ),
+    ("inf", lite({0: INF, 1: 0.5})),
+    ("-inf", lite({0: 0.5, 1: -INF})),
+    ("inf-inf", lite({0: INF, 1: INF})),
+    ("opposite-infinities", lite({0: INF, 1: -INF})),
+    ("fully-occupied-rounds", lite({}, extents=[(0.25, 0.75), None, None])),
+    (
+        "intermediate-extent-breaks-validity",
+        lite({0: 0.5, 1: 0.5}, extents=[(0.25, 0.75), (-0.5, 0.75), (0.5, 0.5)]),
+    ),
+    (
+        "decision-outside-inputs",
+        lite({0: 0.5, 1: 1.0 + 2 * FLOAT_TOLERANCE}, initial=(0.0, 1.0)),
+    ),
+    (
+        "spread-at-epsilon-plus-tolerance",
+        lite(
+            {0: 0.0, 1: 1e-3 + FLOAT_TOLERANCE},
+            extents=[(0.0, 1e-3 + FLOAT_TOLERANCE)],
+        ),
+    ),
+    (
+        "spread-just-beyond",
+        lite({0: 0.0, 1: math.nextafter(1e-3 + FLOAT_TOLERANCE, INF)}),
+    ),
+    ("nan-decision", lite({0: 0.5, 1: NAN})),
+    ("no-initially-nonfaulty", lite({0: 0.5}, nonfaulty=())),
+]
+
+
+def ordinary(n, rounds):
+    """A plain run over ``n`` inputs that ran ``rounds`` rounds."""
+    initial = tuple(pid / n for pid in range(n))
+    return lite(
+        {pid: 0.25 for pid in range(1, n)},
+        extents=[(0.25 - 0.5 ** k, 0.25 + 0.5 ** k) for k in range(2, rounds + 2)],
+        initial=initial,
+        nonfaulty=range(1, n),
+    )
+
+
+class TestInsideAStack:
+    """Each edge as the middle row of a three-row stack whose other rows
+    ran other numbers of rounds: every row condenses ``repr``-identical
+    to its reference, and a row the reference rejects raises what the
+    reference raises."""
+
+    @staticmethod
+    def stack(edge):
+        # A copy: the stack link is set on the traces themselves.
+        edge = dataclasses.replace(edge)
+        n = edge.n
+        traces = [ordinary(n, 1), edge, ordinary(n, 5)]
+        outcome = StackOutcome.of_traces(traces)
+        assert outcome is not None
+        for row, trace in enumerate(traces):
+            trace.stack = (outcome, row)
+        assert outcome.executed.tolist() == [1, len(edge.round_extents), 5]
+        return traces
+
+    @pytest.mark.parametrize(
+        "edge", [edge for _, edge in EDGES[:-2]], ids=[name for name, _ in EDGES[:-2]]
+    )
+    def test_rows_match_the_reference(self, edge):
+        traces = self.stack(edge)
+        results = _condense_many([VERDICT_CELL] * 3, traces, None)
+        for trace, result in zip(traces, results):
+            assert repr(result) == repr(reference_cell_result(trace))
+            assert lite_verdict(trace) is not None
+
+    @pytest.mark.parametrize(
+        "edge", [edge for _, edge in EDGES[-2:]], ids=[name for name, _ in EDGES[-2:]]
+    )
+    def test_rejected_rows_raise_as_the_reference(self, edge):
+        traces = self.stack(edge)
+        edge = traces[1]
+        assert lite_verdict(edge) is None
+        assert lite_verdict(traces[0]) is not None
+        with pytest.raises(ValueError) as reference:
+            reference_cell_result(edge)
+        with pytest.raises(ValueError) as fast:
+            _condense_many([VERDICT_CELL] * 3, traces, None)
+        assert str(fast.value) == str(reference.value)
 
 
 def test_sweeps_condense_as_the_reference():

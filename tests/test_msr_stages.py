@@ -142,6 +142,31 @@ class TestCombiners:
         # two-value batches must not keep a -0.0 the flat form drops.
         np = pytest.importorskip("numpy")
         mean = ArithmeticMean()
-        [batched] = mean.flat_combine_batch(np.array([row]))
+        combined = mean.flat_combine_batch(np.array([row]))
+        assert isinstance(combined, np.ndarray) and combined.dtype == np.float64
+        [batched] = combined.tolist()
         assert batched.hex() == mean.flat_combine(row).hex()
         assert batched.hex() == mean(ValueMultiset(row)).hex()
+
+    @pytest.mark.parametrize(
+        "combiner", [ArithmeticMean(), MedianCombiner()], ids=repr
+    )
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_batch_combine_returns_a_fresh_float64_array(self, combiner, width):
+        np = pytest.importorskip("numpy")
+        rows = [
+            [-0.0] * width,
+            [0.0] * width,
+            sorted([-1.5, 0.5, 2.0, 3.25][:width]),
+            sorted([-0.0, 0.0, 0.1, 0.2][:width]),
+        ]
+        selected = np.array(rows)
+        before = selected.copy()
+        combined = combiner.flat_combine_batch(selected)
+        assert isinstance(combined, np.ndarray) and combined.dtype == np.float64
+        assert combined.shape == (len(rows),)
+        assert not np.shares_memory(combined, selected)
+        assert [value.hex() for value in combined.tolist()] == [
+            combiner.flat_combine(row).hex() for row in rows
+        ]
+        assert np.array_equal(selected, before)

@@ -2,11 +2,11 @@
 
 :func:`repro.runtime.families.stacking_key` is the single definition of
 which runs stack into one ``(R, n)`` state array.  The engine keys
-simulators by it (``SynchronousSimulator._cross_run_key``) and the sweep
+configs by it (``repro.runtime.simulator._cross_run_key``) and the sweep
 layer groups cells by it (``CellSpec.stack_key``).  These tests pin
 
 * agreement: two stackable cells share a ``stack_key`` exactly when
-  their simulators share a ``_cross_run_key`` (a derandomized Hypothesis
+  their configs share a ``_cross_run_key`` (a derandomized Hypothesis
   property over random cells), and the unstackable rest still forms a
   true partition;
 * ``n=None`` keying: it resolves to the Table 2 minimum, so it stacks
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.faults import get_semantics
 from repro.runtime import RoundKernel
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import SynchronousSimulator, _cross_run_key
 from repro.sweep import CellSpec, GridSpec, ShmCrossRunBackend, run_sweep
 
 from tests.helpers import stackable
@@ -40,14 +40,13 @@ TOPOLOGIES = ("complete", "ring:3", "ring:6")
 def _engine_key(spec: CellSpec):
     """The simulator's stacking key of ``spec``; ``False`` if it has no
     valid config (such cells error out per cell in any group)."""
+    kernel = RoundKernel()
     try:
         config = spec.to_config()
-        sim = SynchronousSimulator(
-            config, trace_detail="lite", kernel=RoundKernel()
-        )
+        SynchronousSimulator(config, trace_detail="lite", kernel=kernel)
     except (ValueError, KeyError):
         return False
-    return sim._cross_run_key()
+    return _cross_run_key(config, "lite", kernel, {})
 
 
 @st.composite
