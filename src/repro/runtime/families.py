@@ -236,12 +236,13 @@ def stacking_key(
     """Cross-run stacking class of a run, or ``None`` when it runs alone.
 
     The one definition of stacking compatibility: the engine
-    (:meth:`~repro.runtime.simulator.SynchronousSimulator._cross_run_key`)
-    and the sweep layer (:attr:`~repro.sweep.grid.CellSpec.stack_key`)
-    both call it.  Two runs sharing a key fold interchangeable
-    multisets -- same width ``n``, same MSR reduction (``algorithm``
-    and ``f``), same mobile ``model`` (a :class:`MobileModel` or its
-    ``"M1"``-style name) and the same scalar family -- so
+    (:func:`~repro.runtime.simulator._cross_run_key`, which adds the
+    algorithm's stages) and the sweep layer
+    (:attr:`~repro.sweep.grid.CellSpec.stack_key`) both call it.  Two
+    runs sharing a key fold interchangeable multisets -- same width
+    ``n``, same MSR reduction (``algorithm`` and ``f``), same mobile
+    ``model`` (a :class:`MobileModel` or its ``"M1"``-style name) and
+    the same scalar family -- so
     their rounds can share one width-grouped fold.  The key is ``(n,
     f, algorithm, folded family, model)``: a stateful family counts as
     the scalar family its :meth:`ProtocolFamily.lite_equivalent`

@@ -14,70 +14,15 @@ import random
 __all__ = ["derive_rng", "spawn_seeds"]
 
 
-class _SeededOnUse(random.Random):
-    """A :class:`random.Random` that seeds itself on first use.
-
-    Seeding from a string key hashes it and runs the Mersenne
-    Twister's key schedule, which costs more than many runs ever draw:
-    a run whose movement and attack are deterministic draws nothing.
-    The first call that draws, reads or sets the state seeds the
-    generator exactly as ``random.Random(key)`` does and turns it into
-    a plain :class:`random.Random`, so every later call runs the stock
-    methods.  (``random.Random``'s other methods all draw through
-    :meth:`random` or :meth:`getrandbits`.)  The overrides stay safe
-    to call afterwards through a method bound before the first draw,
-    as ``random.Random.gauss`` binds ``self.random``.
-    """
-
-    def __init__(self, key: str) -> None:
-        self._key = key
-        self.gauss_next = None
-
-    def random(self) -> float:
-        _settle(self, seeded=True)
-        return random.Random.random(self)
-
-    def getrandbits(self, k: int) -> int:
-        _settle(self, seeded=True)
-        return random.Random.getrandbits(self, k)
-
-    def getstate(self):
-        _settle(self, seeded=True)
-        return random.Random.getstate(self)
-
-    def setstate(self, state) -> None:
-        _settle(self, seeded=False)
-        random.Random.setstate(self, state)
-
-    def seed(self, *args, **kwargs) -> None:
-        _settle(self, seeded=False)
-        random.Random.seed(self, *args, **kwargs)
-
-    def __reduce__(self):
-        _settle(self, seeded=True)
-        return random.Random.__reduce__(self)
-
-
-def _settle(rng: random.Random, seeded: bool) -> None:
-    """Turn a pending :class:`_SeededOnUse` into a plain generator,
-    seeded from its key if ``seeded``; a no-op once done."""
-    key = rng.__dict__.pop("_key", None)
-    if key is not None:
-        rng.__class__ = random.Random
-        if seeded:
-            random.Random.seed(rng, key)
-
-
 def derive_rng(seed: int, *stream: str | int) -> random.Random:
     """Return a :class:`random.Random` for the named stream.
 
     The stream name is folded into the seed via a stable string key, so
     ``derive_rng(7, "adversary")`` yields the same generator on every
-    platform and interpreter run.  The generator seeds itself on its
-    first draw, so a stream nobody draws from costs no seeding.
+    platform and interpreter run.
     """
     key = f"{seed}" + "".join(f"/{part}" for part in stream)
-    return _SeededOnUse(key)
+    return random.Random(key)
 
 
 def spawn_seeds(seed: int, count: int, *stream: str | int) -> list[int]:

@@ -54,6 +54,7 @@ import copy
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Literal
 
@@ -324,28 +325,46 @@ class StackOutcome:
         n = traces[0].n
         count = len(traces)
         span = max(len(trace.round_extents) for trace in traces)
+        pids_in_order = list(range(n))
         initial = np.empty((count, n))
         occupied = np.ones((count, n), dtype=bool)
         final = np.zeros((count, n))
         hosts = np.ones((count, n), dtype=bool)
         # Every extent as (low, high), (+inf, -inf) where nobody's.
         absent = (np.inf, -np.inf)
-        extents = np.full((span, count, 2), absent)
+        extents = np.empty((span, count, 2))
+        extents[:] = absent
         for r, trace in enumerate(traces):
-            pids = list(trace.decisions)
+            decisions = trace.decisions
+            pids = list(decisions)
             if trace.n != n or pids != sorted(pids) or (
                 pids and not (0 <= pids[0] and pids[-1] < n)
             ):
                 return None
-            initial[r] = list(map(trace.initial_values.__getitem__, range(n)))
-            occupied[r, list(trace.initially_nonfaulty)] = False
-            final[r, pids] = list(trace.decisions.values())
-            hosts[r, pids] = False
-            if trace.round_extents:
-                extents[: len(trace.round_extents), r] = [
-                    absent if extent is None else extent
-                    for extent in trace.round_extents
-                ]
+            inputs = trace.initial_values
+            initial[r] = np.fromiter(
+                inputs.values()
+                if list(inputs) == pids_in_order
+                else map(inputs.__getitem__, pids_in_order),
+                np.float64,
+                n,
+            )
+            nonfaulty = trace.initially_nonfaulty
+            occupied[r, np.fromiter(nonfaulty, np.intp, len(nonfaulty))] = False
+            decided = np.fromiter(pids, np.intp, len(pids))
+            final[r, decided] = np.fromiter(
+                decisions.values(), np.float64, len(pids)
+            )
+            hosts[r, decided] = False
+            rounds = trace.round_extents
+            if rounds:
+                extents[: len(rounds), r] = np.fromiter(
+                    chain.from_iterable(
+                        absent if extent is None else extent for extent in rounds
+                    ),
+                    np.float64,
+                    2 * len(rounds),
+                ).reshape(-1, 2)
         return cls(
             initial=initial,
             occupied=occupied,
@@ -553,26 +572,43 @@ def _cross_run_key(config, trace_detail, kernel, folds):
     attack, seeds and termination stay per run.  A stateful family's
     run keys as the scalar family it declares equivalent
     (:meth:`~repro.runtime.families.ProtocolFamily.lite_equivalent`),
-    whose protocol the stack then runs in its place.  ``folds`` maps
-    each key seen to its ``(protocol, batch evaluator)``, resolved
-    from the first config of the key.  ``None`` means the run stays on
-    its per-cell path.
+    whose protocol the stack then runs in its place.
+
+    The algorithm's name does not pin its stages (any
+    :class:`~repro.msr.base.MSRFunction` may be called ``"MSR"``), so
+    the returned key also holds the algorithm's type and its three
+    stages, which compare by value for the built-in stages and by
+    identity for others.  ``folds`` maps each returned key to its
+    ``(protocol, batch evaluator)``, resolved once per key; a config
+    whose own stages cannot batch keys ``None``.  ``None`` means the
+    run stays on its per-cell path.
     """
     if trace_detail != "lite" or not isinstance(config.setup, MobileFaultSetup):
         return None
-    key = stacking_key(
+    algorithm = config.algorithm
+    shape = stacking_key(
         config.n,
         config.f,
-        config.algorithm.name,
+        algorithm.name,
         config.family,
         config.setup.model,
         config.topology,
     )
-    if key is None:
+    if shape is None:
         return None
-    fold = folds.get(key)
+    key = (
+        shape,
+        type(algorithm),
+        algorithm.reduction,
+        algorithm.selection,
+        algorithm.combiner,
+    )
+    try:
+        fold = folds.get(key)
+    except TypeError:  # a stage that compares by value but cannot hash
+        return None
     if fold is None:
-        protocol = get_family(key[3]).build_protocol(config)
+        protocol = get_family(shape[3]).build_protocol(config)
         fold = folds[key] = (protocol, _batch_evaluator(kernel, protocol))
     return None if fold[1] is None else key
 

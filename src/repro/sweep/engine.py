@@ -206,28 +206,32 @@ def _condense_many(
     Lite traces without a probe take the array verdict
     (`_array_verdicts`): a stacked run's on its stack's
     :class:`~repro.runtime.simulator.StackOutcome`, once for every row
-    of the stack among ``traces``, and any other lite trace as a
-    one-row stack.  A full trace, a probed run and a row the array
-    verdict defers go through
+    of the stack among ``traces``, and the other lite traces of one
+    ``n`` as the rows of one stack (:meth:`StackOutcome.of_traces`; a
+    single per-cell trace is a one-row stack).  A full trace, a probed
+    run, the traces of a stack ``of_traces`` refuses (decisions not in
+    ascending pid order) and a row the array verdict defers go through
     :func:`~repro.core.specification.check_trace`, its reference, in
     input order, so the first run the reference rejects raises.
     """
     results: list[CellResult | None] = [None] * len(traces)
     stacks: dict[int, tuple] = {}
+    loose: dict[int, list[int]] = {}
     if probe_spec is None:
         for index, trace in enumerate(traces):
             if not isinstance(trace, LiteTrace):
                 continue
-            link = trace.stack
-            if link is None:
-                outcome = StackOutcome.of_traces([trace])
-                if outcome is None:
-                    continue
-                link = (outcome, 0)
-            outcome, row = link
+            if trace.stack is None:
+                loose.setdefault(trace.n, []).append(index)
+                continue
+            outcome, row = trace.stack
             _, indices, rows = stacks.setdefault(id(outcome), (outcome, [], []))
             indices.append(index)
             rows.append(row)
+    for indices in loose.values():
+        outcome = StackOutcome.of_traces([traces[index] for index in indices])
+        if outcome is not None:
+            stacks[id(outcome)] = (outcome, indices, range(len(indices)))
     for outcome, indices, rows in stacks.values():
         verdicts = _array_verdicts(
             outcome, rows, [cells[index] for index in indices], elapsed

@@ -46,6 +46,7 @@ from tests.helpers import (
 
 import repro.api
 from repro.api import movement_strategy, value_strategy
+from repro.core import msr_trim_parameter
 from repro.faults import RoundRobinWalk, StaticAgents, get_semantics
 from repro.faults.value_strategies import (
     CrossfireAttack,
@@ -54,11 +55,13 @@ from repro.faults.value_strategies import (
     RecipientCamps,
     SplitAttack,
 )
+from repro.msr import MSRFunction, Reduction, SelectExtremes, TrimExtremes
 from repro.runtime import EstimatedRounds, RoundKernel
 from repro.runtime.kernel import BatchMSREvaluator
 from repro.runtime.controllers import CrossRunPlanner, MobileFaultController
 from repro.runtime.simulator import (
     SynchronousSimulator,
+    _cross_run_key,
     run_simulation,
     simulate_many,
 )
@@ -281,6 +284,74 @@ class TestSimulateManyEquivalence:
         for a, b in zip(many, solo):
             assert a.decisions == b.decisions
             assert tuple(a.diameters()) == tuple(b.diameters())
+
+    @pytest.mark.parametrize("custom_first", [False, True])
+    def test_same_name_different_stages_never_share_a_fold(self, custom_first):
+        # Every MSRFunction defaults to the name "MSR", so the name does
+        # not pin the stages: one with a reduction that cannot batch,
+        # one with a batchable but different trim and the default
+        # trimmed midpoint must each fold with their own stages.
+        tau = msr_trim_parameter("M2", 2)
+        default = MSRFunction(TrimExtremes(tau), SelectExtremes())
+        deeper = MSRFunction(TrimExtremes(tau + 1), SelectExtremes())
+        scalar = MSRFunction(_ScalarOnlyTrim(tau), SelectExtremes())
+        functions = [scalar, deeper, default] if custom_first else [
+            default, deeper, scalar
+        ]
+        configs = [
+            make_mobile_config(
+                "M2", f=2, n=17, algorithm=function, seed=seed,
+                initial_values=tuple(i * i / 256 for i in range(17)),
+            )
+            for function in functions
+            for seed in range(3)
+        ]
+        many = simulate_many(configs)
+        solo = [run_simulation(config, trace_detail="lite") for config in configs]
+        assert many == solo
+        # The deeper trim changes the decisions, so a shared fold would
+        # have shown.
+        assert many[3].decisions != many[0].decisions
+
+
+    def test_unhashable_stage_runs_per_cell(self):
+        # A stage that compares by value without a hash cannot key a
+        # fold; its runs stay on the per-cell path.
+        tau = msr_trim_parameter("M2", 2)
+        function = MSRFunction(_ValueEqualTrim(tau), SelectExtremes())
+        configs = [
+            make_mobile_config("M2", f=2, n=17, algorithm=function, seed=seed)
+            for seed in range(3)
+        ]
+        assert _cross_run_key(configs[0], "lite", RoundKernel(), {}) is None
+        many = simulate_many(configs)
+        assert many == [
+            run_simulation(config, trace_detail="lite") for config in configs
+        ]
+        assert all(trace.stack is None for trace in many)
+
+
+class _ValueEqualTrim(TrimExtremes):
+    """``TrimExtremes`` comparing by value with no hash."""
+
+    def __eq__(self, other):
+        return isinstance(other, _ValueEqualTrim) and other.tau == self.tau
+
+    __hash__ = None
+
+
+class _ScalarOnlyTrim(Reduction):
+    """``TrimExtremes`` without its flat hooks: the kernel cannot batch
+    it and folds it object by object."""
+
+    def __init__(self, tau):
+        self.tau = tau
+
+    def __call__(self, multiset):
+        return TrimExtremes(self.tau)(multiset)
+
+    def describe(self):
+        return f"scalar trim {self.tau}"
 
 
 def group_sweep(grid, arm, **kwargs):

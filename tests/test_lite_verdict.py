@@ -241,6 +241,33 @@ class TestInsideAStack:
         assert str(fast.value) == str(reference.value)
 
 
+def test_loose_traces_condense_as_one_stack_per_width(monkeypatch):
+    """Lite traces no stack produced -- a group's per-cell runs --
+    condense as one stack per width, every row ``repr``-identical to
+    its reference; a width whose stack ``of_traces`` refuses (decisions
+    out of pid order) condenses through the reference."""
+    traces = [dataclasses.replace(edge) for _, edge in EDGES[:-2]]
+    traces += [ordinary(5, 1), ordinary(3, 4), ordinary(5, 3)]
+    unordered = lite({1: 0.5, 0: 0.5}, initial=(0.0, 0.5, 1.0, 0.75))
+    traces.append(unordered)
+    stacked = []
+    of_traces = StackOutcome.of_traces.__func__
+
+    def spy(cls, rows):
+        outcome = of_traces(cls, rows)
+        stacked.append((len(rows), outcome is not None))
+        return outcome
+
+    monkeypatch.setattr(StackOutcome, "of_traces", classmethod(spy))
+    results = _condense_many([VERDICT_CELL] * len(traces), traces, None)
+    for trace, result in zip(traces, results):
+        assert repr(result) == repr(reference_cell_result(trace))
+    widths = sorted({trace.n for trace in traces})
+    assert len(stacked) == len(widths)
+    assert (1, False) in stacked
+    assert sum(rows for rows, _ in stacked) == len(traces)
+
+
 def test_sweeps_condense_as_the_reference():
     """Per-cell and stacked sweeps over runs that break each property
     equal the reference condensation of each cell's own lite run."""

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-import pickle
-import random
-
 import pytest
 
 from repro.faults import Adversary, MobileModel, StaticFaultAssignment
@@ -145,37 +141,3 @@ class TestRng:
     def test_spawn_seeds_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(3, -1)
-
-    @pytest.mark.parametrize(
-        "use",
-        [
-            lambda rng: [rng.random() for _ in range(3)],
-            lambda rng: rng.getrandbits(63),
-            lambda rng: rng.sample(range(97), 16),
-            lambda rng: [rng.gauss(0.0, 1.0) for _ in range(3)],
-            lambda rng: rng.randbytes(8),
-            lambda rng: rng.getstate(),
-            lambda rng: pickle.loads(pickle.dumps(rng)).random(),
-            lambda rng: copy.deepcopy(rng).random(),
-        ],
-        ids=[
-            "random", "getrandbits", "sample", "gauss", "randbytes",
-            "getstate", "pickle", "deepcopy",
-        ],
-    )
-    def test_seeding_on_first_use_draws_the_seeded_stream(self, use):
-        # derive_rng seeds on first use; every draw must equal the
-        # eagerly seeded generator's, and it ends as a plain Random.
-        rng = derive_rng(5, "adversary")
-        eager = random.Random("5/adversary")
-        assert use(rng) == use(eager)
-        assert type(rng) is random.Random
-        assert rng.random() == eager.random()
-
-    def test_reseeding_before_first_use(self):
-        rng = derive_rng(5, "adversary")
-        rng.seed(3)
-        assert rng.random() == random.Random(3).random()
-        rng = derive_rng(5, "adversary")
-        rng.setstate(random.Random(9).getstate())
-        assert rng.random() == random.Random(9).random()
